@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .groebner import (
     DEFAULT_BUDGET,
+    CheckFailed,
     DimensionReport,
     GroebnerBudget,
     Ideal,
@@ -141,8 +142,8 @@ def fibre_chart(p: ArmParams, gamma: DeformParams, c: ChartId, field=QQ) -> Char
     ub = Poly.var(table, field, u_arrow(arm_b, c.j))
     cyc_a, cyc_b = da * ua, db * ub
     ga, gb = gamma.gamma(arm_a), gamma.gamma(arm_b)
-    pref_a = sum(ga[: c.i - 1], field.zero)
-    pref_b = sum(gb[: c.j - 1], field.zero)
+    pref_a = field.sum(ga[: c.i - 1])
+    pref_b = field.sum(gb[: c.j - 1])
 
     if c.k == 1:
         const = gamma.b
@@ -184,19 +185,19 @@ def _fibre_substitution(p: ArmParams, gamma: DeformParams, c: ChartId,
         cyc = d_idx * u_idx
         for m in range(1, idx):
             subs[d_arrow(arm, m)] = one
-            subs[u_arrow(arm, m)] = cyc + const(sum(g[m - 1: idx - 1], field.zero))
+            subs[u_arrow(arm, m)] = cyc + const(field.sum(g[m - 1: idx - 1]))
         subs[d_arrow(arm, idx)] = d_idx
         subs[u_arrow(arm, idx)] = u_idx
         for m in range(idx + 1, p[arm] + 1):
             subs[u_arrow(arm, m)] = one
-            subs[d_arrow(arm, m)] = cyc - const(sum(g[idx - 1: m - 1], field.zero))
+            subs[d_arrow(arm, m)] = cyc - const(field.sum(g[idx - 1: m - 1]))
         return cyc
 
     cyc_a = solved_arm(arm_a, c.i)
     cyc_b = solved_arm(arm_b, c.j)
     ga, gb = gamma.gamma(arm_a), gamma.gamma(arm_b)
-    pref_a = sum(ga[: c.i - 1], field.zero)
-    pref_b = sum(gb[: c.j - 1], field.zero)
+    pref_a = field.sum(ga[: c.i - 1])
+    pref_b = field.sum(gb[: c.j - 1])
     # base of the distinguished arm's u-chain, solved from relation (a) or (b)
     if c.k == 1:
         base = cyc_a + const(field.sub(pref_a, gamma.a))
@@ -207,7 +208,7 @@ def _fibre_substitution(p: ArmParams, gamma: DeformParams, c: ChartId,
     gk = gamma.gamma(c.k)
     for m in range(1, p[c.k] + 1):
         subs[d_arrow(c.k, m)] = one
-        subs[u_arrow(c.k, m)] = base - const(sum(gk[: m - 1], field.zero))
+        subs[u_arrow(c.k, m)] = base - const(field.sum(gk[: m - 1]))
     return subs
 
 
@@ -284,7 +285,7 @@ def chart_by_substitution(Q: StarQuiver, gamma: DeformParams | None,
         for m in range(1, p[arm]):
             residue = rels.by_label(f"({arm}).{m}").substitute(B)
             if not residue.is_zero():
-                raise AssertionError(f"chain relation ({arm}).{m} did not resolve")
+                raise CheckFailed(f"chain relation ({arm}).{m} did not resolve")
 
     leftover = u_arrow(c.k, 1)
     images = {lbl: rels.by_label(lbl).substitute(B) for lbl in ("(a)", "(b)", "(c)", "(d)", "(x)")}
@@ -294,7 +295,7 @@ def chart_by_substitution(Q: StarQuiver, gamma: DeformParams | None,
             solved_label = lbl
             break
     if solved_label is None:
-        raise AssertionError("no relation available to solve the leftover variable")
+        raise CheckFailed("no relation available to solve the leftover variable")
     sol = _solve_linear(images[solved_label], leftover)
     B = {a: e.substitute({leftover: sol}) for a, e in B.items()}
     B[leftover] = sol
@@ -399,8 +400,8 @@ def fibre_witness_point(p: ArmParams, gamma: DeformParams, field=QQ) -> dict:
     pres = fibre_chart(p, gamma, c, field)
     arm_a, arm_b = c.other_arms()
     ga, gb = gamma.gamma(arm_a), gamma.gamma(arm_b)
-    pref_a = sum(ga[: c.i - 1], field.zero)
-    pref_b = sum(gb[: c.j - 1], field.zero)
+    pref_a = field.sum(ga[: c.i - 1])
+    pref_b = field.sum(gb[: c.j - 1])
     # with d_a = 1 and d_b = 0: f2 = 1 - d_a + d_b = 0 and f1 solves u_a
     point = {
         d_arrow(arm_a, c.i): field.one,
@@ -408,8 +409,8 @@ def fibre_witness_point(p: ArmParams, gamma: DeformParams, field=QQ) -> dict:
         d_arrow(arm_b, c.j): field.zero,
         u_arrow(arm_b, c.j): field.zero,
     }
-    for rel in pres.relations:
-        assert rel.evaluate(point) == field.zero, "witness point misses the chart"
+    if any(rel.evaluate(point) != field.zero for rel in pres.relations):
+        raise CheckFailed("witness point misses the chart")
     return {arrow: expr.evaluate(point) for arrow, expr in pres.substitution.items()}
 
 

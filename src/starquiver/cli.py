@@ -1,7 +1,8 @@
 """Command-line entry point: batch verifications with JSON reports.
 
-Every subcommand prints a human summary, optionally writes a JSON report,
-and exits 0 on full success, 1 on a genuine mathematical counterexample,
+Every subcommand declares only the flags it applies, prints a human
+summary, optionally writes a JSON report whose `config` echoes exactly those
+flags, and exits 0 on full success, 1 on a genuine mathematical counterexample,
 2 when a budget made the run inconclusive, and 3 on usage errors.  Reports
 are deterministic for a fixed configuration and seed, up to the *_ms timing
 fields.
@@ -17,21 +18,21 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .charts import (
-    chart_by_substitution,
+    euler_identity_check,
     fibre_chart,
     fibre_witness_point,
-    euler_identity_check,
+    oracle_matches,
     quotient_nonzero_check,
     smoothness_certificate,
     total_space_chart,
     verify_cover,
 )
 from .groebner import (
+    CheckFailed,
     GroebnerBudget,
     Inconclusive,
     Ideal,
     contains_one,
-    ideals_equal,
     krull_dimension,
     read_ideal_text,
     write_ideal_text,
@@ -40,8 +41,6 @@ from .invariants import (
     WVPoint,
     determinantal_minors,
     fibre_zero_presentation,
-    kernel_ideal,
-    minors_ideal,
     pi_delta_forms_symbolic,
     pi_map,
     verify_conjecture,
@@ -71,29 +70,19 @@ def _budget(args) -> GroebnerBudget:
     )
 
 
-def _config_echo(args, extra=None) -> dict:
-    cfg = {
-        "p": args.p,
-        "field": args.field,
-        "budgets": {
-            "spair_cap": args.spair_cap,
-            "deg_cap": args.deg_cap,
-            "time_cap": args.time_cap,
-        },
-        "jobs": args.jobs,
-    }
-    if getattr(args, "gamma", None) is not None:
-        cfg["gamma"] = args.gamma
-    if getattr(args, "height", None) is not None:
-        cfg["height"] = args.height
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if extra:
-        cfg.update(extra)
+def _config_echo(args) -> dict:
+    """Exactly the flags the subcommand declares, with the caps as budgets."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "json", "output")}
+    if "spair_cap" in cfg:
+        cfg["budgets"] = {k: cfg.pop(k) for k in ("spair_cap", "deg_cap", "time_cap")}
     return cfg
 
 
-def _emit(report: dict, args) -> None:
+def _report(args, t0: float, status: str, **body) -> None:
+    """Wrap a subcommand's report body in the common envelope and write it
+    to --json if given."""
+    report = dict(body, command=args.command, config=_config_echo(args), status=status,
+                  elapsed_ms=int((time.monotonic() - t0) * 1000))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, sort_keys=True, indent=2)
@@ -119,33 +108,48 @@ def _status_exit(items_ok: bool, inconclusive: bool) -> tuple[str, int]:
 # chart pipelines
 # ---------------------------------------------------------------------------
 
+def _chart_item(pres, cert, witness: bool) -> dict:
+    """One chart and its smoothness certificate, as reported by charts/smooth."""
+    dim = cert.dimension
+    certificate = {
+        "one_in_jacobian": cert.one_in_jacobian,
+        "dimension": None if dim is None else dim.dimension,
+        "status": cert.status,
+    }
+    if witness:
+        certificate["witness"] = None if dim is None else list(dim.witness)
+    return {
+        "id": pres.chart.label(),
+        "variables": list(pres.table.names),
+        "relations": [r.to_str() for r in pres.relations],
+        "certificate": certificate,
+    }
+
+
+def _charts_status(items) -> tuple[str, int]:
+    """Fail on a singular chart or a disagreeing oracle; inconclusive when a
+    certificate or an oracle ran out of budget.  Items without an oracle
+    (total-space charts) are judged by their certificate alone."""
+    verdicts = [(it["certificate"]["status"], it.get("oracle_match", True)) for it in items]
+    failed = any(cert == "singular" or oracle is False for cert, oracle in verdicts)
+    inconc = any(cert == "inconclusive" or oracle is None for cert, oracle in verdicts)
+    return _status_exit(not failed, inconc)
+
+
 def _fibre_chart_item(task) -> dict:
     p_spec, gamma_spec, cid, field_spec, budget_tuple = task
     p = ArmParams.parse(p_spec)
     field = parse_field(field_spec)
     budget = GroebnerBudget(*budget_tuple)
     gamma = parse_gamma_spec(gamma_spec, p, field)
-    Q = build_star_quiver(p, field)
-    c = ChartId(*cid)
-    pres = fibre_chart(p, gamma, c, field)
-    cert = smoothness_certificate(pres, expected_dim=2, budget=budget)
+    pres = fibre_chart(p, gamma, ChartId(*cid), field)
+    item = _chart_item(pres, smoothness_certificate(pres, expected_dim=2, budget=budget),
+                       witness=True)
     try:
-        oracle = ideals_equal(pres.ideal(budget),
-                              chart_by_substitution(Q, gamma, c).ideal(budget))
+        item["oracle_match"] = oracle_matches(build_star_quiver(p, field), pres, budget)
     except Inconclusive:
-        oracle = None
-    return {
-        "id": c.label(),
-        "variables": list(pres.table.names),
-        "relations": [r.to_str() for r in pres.relations],
-        "certificate": {
-            "one_in_jacobian": cert.one_in_jacobian,
-            "dimension": None if cert.dimension is None else cert.dimension.dimension,
-            "witness": None if cert.dimension is None else list(cert.dimension.witness),
-            "status": cert.status,
-        },
-        "oracle_match": oracle,
-    }
+        item["oracle_match"] = None
+    return item
 
 
 def cmd_charts(args) -> int:
@@ -155,48 +159,23 @@ def cmd_charts(args) -> int:
     tasks = [(args.p, args.gamma, (c.k, c.i, c.j), args.field, bt)
              for c in all_chart_ids(p)]
     items = _pmap(_fibre_chart_item, tasks, args.jobs)
-    ok = all(it["certificate"]["status"] == "smooth" and it["oracle_match"] is True
-             for it in items)
-    failed = any(it["certificate"]["status"] == "singular"
-                 or it["oracle_match"] is False for it in items)
-    inconc = any(it["certificate"]["status"] == "inconclusive"
-                 or it["oracle_match"] is None for it in items)
-    status, code = _status_exit(not failed, inconc)
-    report = {
-        "command": "charts",
-        "config": _config_echo(args),
-        "items": items,
-        "status": status,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
-    _emit(report, args)
+    status, code = _charts_status(items)
+    _report(args, t0, status, items=items)
     smooth = sum(1 for it in items if it["certificate"]["status"] == "smooth")
     print(f"charts: p={p.label()} gamma={args.gamma}: {smooth}/{len(items)} "
           f"fibre charts smooth of dimension 2, oracle "
-          f"{'agrees' if ok else 'DISAGREES or inconclusive'} -> {status}")
+          f"{'agrees' if status == 'ok' else 'DISAGREES or inconclusive'} -> {status}")
     return code
 
 
 def _total_chart_item(task) -> dict:
     p_spec, cid, field_spec, budget_tuple = task
     p = ArmParams.parse(p_spec)
-    field = parse_field(field_spec)
-    budget = GroebnerBudget(*budget_tuple)
-    c = ChartId(*cid)
-    pres = total_space_chart(p, c, field)
+    pres = total_space_chart(p, ChartId(*cid), parse_field(field_spec))
     expected = p.p1 + p.p2 + p.p3 + 1
-    cert = smoothness_certificate(pres, expected_dim=expected, budget=budget)
-    return {
-        "id": c.label(),
-        "variables": list(pres.table.names),
-        "relations": [r.to_str() for r in pres.relations],
-        "certificate": {
-            "one_in_jacobian": cert.one_in_jacobian,
-            "dimension": None if cert.dimension is None else cert.dimension.dimension,
-            "status": cert.status,
-        },
-        "expected_dimension": expected,
-    }
+    cert = smoothness_certificate(pres, expected_dim=expected,
+                                  budget=GroebnerBudget(*budget_tuple))
+    return dict(_chart_item(pres, cert, witness=False), expected_dimension=expected)
 
 
 def cmd_smooth(args) -> int:
@@ -205,17 +184,8 @@ def cmd_smooth(args) -> int:
     t0 = time.monotonic()
     tasks = [(args.p, (c.k, c.i, c.j), args.field, bt) for c in all_chart_ids(p)]
     items = _pmap(_total_chart_item, tasks, args.jobs)
-    failed = any(it["certificate"]["status"] == "singular" for it in items)
-    inconc = any(it["certificate"]["status"] == "inconclusive" for it in items)
-    status, code = _status_exit(not failed, inconc)
-    report = {
-        "command": "smooth",
-        "config": _config_echo(args),
-        "items": items,
-        "status": status,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
-    _emit(report, args)
+    status, code = _charts_status(items)
+    _report(args, t0, status, items=items)
     print(f"smooth: p={p.label()}: {sum(it['certificate']['status'] == 'smooth' for it in items)}"
           f"/{len(items)} total-space charts smooth of dimension "
           f"{p.p1 + p.p2 + p.p3 + 1} -> {status}")
@@ -225,26 +195,15 @@ def cmd_smooth(args) -> int:
 def cmd_cover(args) -> int:
     p = ArmParams.parse(args.p)
     t0 = time.monotonic()
-    try:
-        rep = verify_cover(p, enumeration_cap=args.enum_cap)
-    except ValueError as exc:
-        print(f"cover: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rep = verify_cover(p, enumeration_cap=args.enum_cap)
     status, code = _status_exit(rep.ok, False)
-    Q = build_star_quiver(p)
-    report = {
-        "command": "cover",
-        "config": _config_echo(args, {"enum_cap": args.enum_cap}),
-        "quiver": Q.summary(),
-        "total_supports": rep.total_supports,
-        "stable_supports": rep.stable_supports,
-        "checked_supports": rep.checked_supports,
-        "covered_supports": rep.covered_supports,
-        "counterexamples": [list(c) for c in rep.counterexamples],
-        "status": status,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
-    _emit(report, args)
+    _report(args, t0, status,
+            quiver=build_star_quiver(p).summary(),
+            total_supports=rep.total_supports,
+            stable_supports=rep.stable_supports,
+            checked_supports=rep.checked_supports,
+            covered_supports=rep.covered_supports,
+            counterexamples=[list(c) for c in rep.counterexamples])
     print(f"cover: p={p.label()}: {rep.total_supports} supports scanned, "
           f"{rep.checked_supports} stable+compatible, "
           f"{len(rep.counterexamples)} counterexamples -> {status}")
@@ -257,41 +216,31 @@ def cmd_fibre(args) -> int:
     t0 = time.monotonic()
     gamma = parse_gamma_spec(args.gamma, p, field)
     inside = in_delta(gamma, field)
-    forms = delta_forms(gamma, field)
     item: dict = {
         "gamma": gamma.to_json(),
         "in_delta": inside,
-        "delta_forms": [str(f) for f in forms],
+        "delta_forms": [str(f) for f in delta_forms(gamma, field)],
     }
+    Q = build_star_quiver(p, field)
     inconclusive = False
     if inside:
-        Q = build_star_quiver(p, field)
         point = fibre_witness_point(p, gamma, field)
-        rels = deformed_relations(Q, gamma)
-        satisfied = all(r.evaluate(point) == field.zero for _, r in rels)
+        ok = all(r.evaluate(point) == field.zero for _, r in deformed_relations(Q, gamma))
         item["witness_point"] = {a: str(v) for a, v in sorted(point.items())}
-        item["witness_satisfies_relations"] = satisfied
-        ok = satisfied
+        item["witness_satisfies_relations"] = ok
+        kind = "nonempty (witness point found)"
     else:
         try:
-            unit = contains_one(rep_ideal(Q=build_star_quiver(p, field), gamma=gamma,
-                                          budget=_budget(args)))
-            item["one_in_rep_ideal"] = unit
-            ok = unit
+            ok = contains_one(rep_ideal(Q=Q, gamma=gamma, budget=_budget(args)))
+            item["one_in_rep_ideal"] = ok
+            kind = "empty (1 in relation ideal)"
         except Inconclusive as exc:
             item["one_in_rep_ideal"] = None
             item["inconclusive"] = str(exc)
             ok, inconclusive = True, True
+            kind = "emptiness undecided (relation-ideal basis inconclusive)"
     status, code = _status_exit(ok, inconclusive)
-    report = {
-        "command": "fibre",
-        "config": _config_echo(args),
-        "item": item,
-        "status": status,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
-    _emit(report, args)
-    kind = "nonempty (witness point found)" if inside else "empty (1 in relation ideal)"
+    _report(args, t0, status, item=item)
     print(f"fibre: p={p.label()} gamma={args.gamma}: in_delta={inside}, "
           f"fibre {kind if ok else 'CHECK FAILED'} -> {status}")
     return code
@@ -316,14 +265,7 @@ def cmd_pi(args) -> int:
         item["in_delta"] = in_delta(gamma)
         ok = ok and item["in_delta"]
     status, code = _status_exit(ok, False)
-    report = {
-        "command": "pi",
-        "config": _config_echo(args, {"point": args.point}),
-        "item": item,
-        "status": status,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
-    _emit(report, args)
+    _report(args, t0, status, item=item)
     print(f"pi: p={p.label()}: symbolic subspace membership "
           f"{'holds' if symbolic_ok else 'FAILS'} -> {status}")
     return code
@@ -334,88 +276,64 @@ def cmd_minors(args) -> int:
     t0 = time.monotonic()
     ok = verify_minors_vanish(p, QQ)
     status, code = _status_exit(ok, False)
-    report = {
-        "command": "minors",
-        "config": _config_echo(args),
-        "minors": [m.to_str() for m in determinantal_minors(p, QQ)],
-        "all_vanish_under_phi": ok,
-        "status": status,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
-    _emit(report, args)
+    _report(args, t0, status,
+            minors=[m.to_str() for m in determinantal_minors(p, QQ)],
+            all_vanish_under_phi=ok)
     print(f"minors: p={p.label()}: all three 2x2 minors vanish under phi "
           f"modulo the canonical relation: {ok} -> {status}")
     return code
 
 
-def cmd_kernel(args) -> int:
-    p = ArmParams.parse(args.p)
-    field = parse_field(args.field)
-    t0 = time.monotonic()
-    minors_ok = verify_minors_vanish(p, QQ)
-    fz_status = "inconclusive"
-    fz = None
-    try:
-        kern = kernel_ideal(p, field, _budget(args))
-        mins = minors_ideal(p, field)
-        equal = ideals_equal(kern, mins)
-        kgens = [g.to_str() for g in kern.groebner_basis()]
-        status_word = "confirmed" if equal and minors_ok else "refuted"
-        inconclusive = False
-        fz = fibre_zero_presentation(p, field, _budget(args), kernel=kern)
-        fz_status = fz.status
-    except Inconclusive:
-        kgens, equal, inconclusive = [], None, True
-        status_word = "inconclusive"
-    report = {
-        "command": "kernel",
-        "config": _config_echo(args),
+def _verify_conjecture(args):
+    return verify_conjecture(ArmParams.parse(args.p), parse_field(args.field), _budget(args))
+
+
+def _conjecture_body(args, rep) -> dict:
+    """The report fields that kernel and conjecture share."""
+    return {
         "p": args.p,
-        "field": getattr(field, "name", "QQ"),
-        "kernel_generators": kgens,
-        "minors": [m.to_str() for m in determinantal_minors(p, field)],
-        "containment_minors_in_kernel": minors_ok,
-        "equal": equal,
-        "status": status_word,
-        "fibre_zero": None if fz is None else {
-            "equal": fz.equal,
-            "status": fz.status,
-            "specialized_generators": list(fz.specialized_generators),
-            "target_minors": list(fz.target_minors),
-        },
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
+        "field": rep.field_name,
+        "equal": rep.equal,
+        "kernel_generators": list(rep.kernel_generators),
+        "minors": list(rep.minors),
     }
-    _emit(report, args)
-    ok = minors_ok and (equal is not False) and fz_status != "refuted"
-    status, code = _status_exit(ok, inconclusive)
-    print(f"kernel: p={p.label()} field={report['field']}: "
-          f"{len(kgens)} kernel generators, equal to minors: {equal}, "
-          f"origin fibre: {fz_status} -> {status}")
+
+
+def _conjecture_exit(rep, origin_status: str = "confirmed") -> tuple[str, int]:
+    ok = rep.minors_in_kernel and "refuted" not in (rep.status, origin_status)
+    return _status_exit(ok, rep.status == "inconclusive")
+
+
+def cmd_kernel(args) -> int:
+    t0 = time.monotonic()
+    rep = _verify_conjecture(args)
+    fz = None
+    if rep.kernel is not None:
+        fz = fibre_zero_presentation(rep.p, rep.kernel.field, _budget(args), kernel=rep.kernel)
+    _report(args, t0, rep.status, **_conjecture_body(args, rep),
+            containment_minors_in_kernel=rep.minors_in_kernel,
+            fibre_zero=None if fz is None else {
+                "equal": fz.equal,
+                "status": fz.status,
+                "specialized_generators": list(fz.specialized_generators),
+                "target_minors": list(fz.target_minors),
+            })
+    origin = "inconclusive" if fz is None else fz.status
+    status, code = _conjecture_exit(rep, origin)
+    print(f"kernel: p={rep.p.label()} field={rep.field_name}: "
+          f"{len(rep.kernel_generators)} kernel generators, equal to minors: {rep.equal}, "
+          f"origin fibre: {origin} -> {status}")
     return code
 
 
 def cmd_conjecture(args) -> int:
-    p = ArmParams.parse(args.p)
-    field = parse_field(args.field)
-    rep = verify_conjecture(p, field, _budget(args))
-    report = {
-        "command": "conjecture",
-        "config": _config_echo(args),
-        "p": args.p,
-        "field": rep.field_name,
-        "probabilistic": rep.probabilistic,
-        "minors_in_kernel": rep.minors_in_kernel,
-        "equal": rep.equal,
-        "status": rep.status,
-        "kernel_generators": list(rep.kernel_generators),
-        "minors": list(rep.minors),
-        "elapsed_ms": rep.elapsed_ms,
-    }
-    _emit(report, args)
-    ok = rep.status != "refuted"
-    status, code = _status_exit(ok, rep.status == "inconclusive")
+    t0 = time.monotonic()
+    rep = _verify_conjecture(args)
+    _report(args, t0, rep.status, **_conjecture_body(args, rep),
+            minors_in_kernel=rep.minors_in_kernel, probabilistic=rep.probabilistic)
+    status, code = _conjecture_exit(rep)
     suffix = " (probabilistic)" if rep.probabilistic and rep.status == "confirmed" else ""
-    print(f"conjecture: p={p.label()} field={rep.field_name}: {rep.status}{suffix}")
+    print(f"conjecture: p={rep.p.label()} field={rep.field_name}: {rep.status}{suffix}")
     return code
 
 
@@ -428,31 +346,17 @@ def cmd_gb(args) -> int:
     try:
         basis = ideal.groebner_basis()
         dim = krull_dimension(ideal)
-        inconclusive = False
     except Inconclusive as exc:
-        report = {
-            "command": "gb",
-            "config": _config_echo(args, {"input": args.input}),
-            "status": "inconclusive",
-            "reason": str(exc),
-            "elapsed_ms": int((time.monotonic() - t0) * 1000),
-        }
-        _emit(report, args)
+        _report(args, t0, "inconclusive", reason=str(exc))
         print(f"gb: inconclusive ({exc})")
         return EXIT_INCONCLUSIVE
-    report = {
-        "command": "gb",
-        "config": _config_echo(args, {"input": args.input}),
-        "vars": list(ideal.table.names),
-        "order": ideal.order.spec(),
-        "reduced_basis": [g.to_str(ideal.order) for g in basis],
-        "dimension": dim.dimension,
-        "witness": list(dim.witness),
-        "is_unit_ideal": contains_one(ideal),
-        "status": "ok",
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
-    _emit(report, args)
+    _report(args, t0, "ok",
+            vars=list(ideal.table.names),
+            order=ideal.order.spec(),
+            reduced_basis=[g.to_str(ideal.order) for g in basis],
+            dimension=dim.dimension,
+            witness=list(dim.witness),
+            is_unit_ideal=contains_one(ideal))
     print(f"gb: {len(ideal.gens)} generators -> reduced basis of "
           f"{len(basis)} elements, dimension {dim.dimension}")
     for g in basis:
@@ -524,18 +428,7 @@ def cmd_props(args) -> int:
 
     ok = all(s["ok"] for s in suites.values())
     status, code = _status_exit(ok, False)
-    report = {
-        "command": "props",
-        "config": _config_echo(args, {
-            "euler_samples": args.euler_samples,
-            "nonunit_samples": args.nonunit_samples,
-            "weight_samples": args.weight_samples,
-        }),
-        "suites": suites,
-        "status": status,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
-    _emit(report, args)
+    _report(args, t0, status, suites=suites)
     print("props: " + ", ".join(f"{k}={'ok' if v['ok'] else 'FAIL'}"
                                 for k, v in suites.items()) + f" -> {status}")
     return code
@@ -545,6 +438,47 @@ def cmd_props(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# every flag a subcommand may declare: name -> add_argument keywords
+_FLAGS = {
+    "p": dict(default="2,2,2", help="arm parameters a,b,c (each >= 2)"),
+    "field": dict(default="q", help="q (rationals) or fp:Q"),
+    "spair-cap": dict(type=int, default=200_000),
+    "deg-cap": dict(type=int, default=200),
+    "time-cap": dict(type=float, default=None, help="seconds"),
+    "jobs": dict(type=int, default=1, help="worker processes for the per-chart work"),
+    "gamma": dict(default="zero", help="zero | file:PATH | random:SEED"),
+    "enum-cap": dict(type=int, default=24,
+                     help="maximum number of arrows to enumerate over"),
+    "point": dict(default=None, help="JSON file with betas/alphas to push through the map"),
+    "input": dict(required=True, help="ideal text file"),
+    "output": dict(default=None, help="write the basis as an ideal file"),
+    "seed": dict(type=int, default=0),
+    "euler-samples": dict(type=int, default=200),
+    "nonunit-samples": dict(type=int, default=50),
+    "weight-samples": dict(type=int, default=500),
+}
+_CAPS = ("spair-cap", "deg-cap", "time-cap")
+
+# subcommand -> (help, the flags it applies besides --json, defaults overridden)
+_SUBCOMMANDS = {
+    "charts": ("fibre-chart smoothness + oracle equality",
+               ("p", "field", *_CAPS, "jobs", "gamma"), {}),
+    "smooth": ("total-space chart smoothness", ("p", "field", *_CAPS, "jobs"), {}),
+    "cover": ("brute-force chart cover over all supports", ("p", "enum-cap"), {}),
+    "fibre": ("empty/nonempty fibre verification", ("p", "field", *_CAPS, "gamma"), {}),
+    "pi": ("deformation-map checks", ("p", "point"), {}),
+    "minors": ("minors vanish under the cycle map", ("p",), {}),
+    "kernel": ("kernel of the cycle map by elimination", ("p", "field", *_CAPS),
+               {"field": "fp:65521"}),
+    "conjecture": ("kernel equals the minors ideal", ("p", "field", *_CAPS),
+                   {"field": "fp:65521"}),
+    "gb": ("reduced basis of an ideal file", ("field", *_CAPS, "input", "output"), {}),
+    "props": ("property suites (identities, balances)",
+              ("p", *_CAPS, "seed", "euler-samples", "nonunit-samples", "weight-samples"),
+              {}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="workbench",
@@ -552,49 +486,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and determinantal presentations.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp, gamma=False, field_default="q"):
-        sp.add_argument("--p", default="2,2,2", help="arm parameters a,b,c (each >= 2)")
-        sp.add_argument("--field", default=field_default, help="q (rationals) or fp:Q")
-        sp.add_argument("--spair-cap", type=int, default=200_000)
-        sp.add_argument("--deg-cap", type=int, default=200)
-        sp.add_argument("--time-cap", type=float, default=None, help="seconds")
-        sp.add_argument("--jobs", type=int, default=1)
+    for command, (help_text, flags, defaults) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
         sp.add_argument("--json", default=None, help="write the JSON report here")
-        sp.add_argument("--height", type=int, default=10,
-                        help="bound for random rational coordinates")
-        if gamma:
-            sp.add_argument("--gamma", default="zero",
-                            help="zero | file:PATH | random:SEED")
-
-    common(sub.add_parser("charts", help="fibre-chart smoothness + oracle equality"),
-           gamma=True)
-    common(sub.add_parser("smooth", help="total-space chart smoothness"))
-    sp = sub.add_parser("cover", help="brute-force chart cover over all supports")
-    common(sp)
-    sp.add_argument("--enum-cap", type=int, default=24,
-                    help="maximum number of arrows to enumerate over")
-    common(sub.add_parser("fibre", help="empty/nonempty fibre verification"),
-           gamma=True)
-    sp = sub.add_parser("pi", help="deformation-map checks")
-    common(sp)
-    sp.add_argument("--point", default=None,
-                    help="JSON file with betas/alphas to push through the map")
-    common(sub.add_parser("minors", help="minors vanish under the cycle map"))
-    common(sub.add_parser("kernel", help="kernel of the cycle map by elimination"),
-           field_default="fp:65521")
-    common(sub.add_parser("conjecture", help="kernel equals the minors ideal"),
-           field_default="fp:65521")
-    sp = sub.add_parser("gb", help="reduced basis of an ideal file")
-    common(sp)
-    sp.add_argument("--input", required=True, help="ideal text file")
-    sp.add_argument("--output", default=None, help="write the basis as an ideal file")
-    sp = sub.add_parser("props", help="property suites (identities, balances)")
-    common(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--euler-samples", type=int, default=200)
-    sp.add_argument("--nonunit-samples", type=int, default=50)
-    sp.add_argument("--weight-samples", type=int, default=500)
+        sp.set_defaults(**defaults)
     return ap
 
 
@@ -620,9 +517,12 @@ def run_command(argv) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CheckFailed as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappush, heappop
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -46,6 +46,10 @@ class Inconclusive(RuntimeError):
         super().__init__(reason + (f" [{detail}]" if detail else ""))
         self.reason = reason
         self.detail = detail
+
+
+class CheckFailed(RuntimeError):
+    """A mathematical consistency check failed: a counterexample or a bug."""
 
 
 @dataclass(frozen=True)
@@ -154,9 +158,7 @@ def _to_engine(p: Poly, codec: _Codec, mode: str, q: int):
         return []
     items = []
     if mode == "zz":
-        denlcm = 1
-        for c in p.terms.values():
-            denlcm = denlcm * c.denominator // gcd(denlcm, c.denominator)
+        denlcm = lcm(*(c.denominator for c in p.terms.values()))
         for exps, c in p.terms.items():
             code, packed = codec.encode(exps)
             items.append((code, packed, c.numerator * (denlcm // c.denominator)))
@@ -169,14 +171,15 @@ def _to_engine(p: Poly, codec: _Codec, mode: str, q: int):
 
 
 def _from_engine(terms, codec: _Codec, table: VarTable, field, mode: str, q: int,
-                 monic: bool = True) -> Poly:
+                 monic: bool = True, scale: int = 1) -> Poly:
+    """Back to a Poly; with monic=False, ZZ coefficients are divided by scale."""
     if not terms:
         return Poly.zero(table, field)
     out = {}
     if mode == "zz":
-        lead = terms[0][2]
+        den = terms[0][2] if monic else scale
         for code, packed, c in terms:
-            out[codec.decode(packed)] = Fraction(c, lead) if monic else Fraction(c)
+            out[codec.decode(packed)] = Fraction(c, den)
     else:
         inv = pow(terms[0][2], -1, q) if monic else 1
         for code, packed, c in terms:
@@ -210,14 +213,16 @@ def _make_monic_gf(terms, q):
 
 def _reduce_full(terms, basis, codec: _Codec, mode: str, q: int,
                  bud: _BudgetState | None = None):
-    """Full multivariate division of `terms` by `basis`; remainder, descending.
+    """Full multivariate division of `terms` by `basis`: (remainder, scale).
 
-    `basis` entries are (lt_code, lt_packed, lt_coeff, tail) with tail the
-    remaining terms.  GF basis elements must be monic; ZZ elements primitive
-    with positive lead.
+    The remainder is descending, and it is the remainder of scale * terms:
+    each ZZ step multiplies the work polynomial by a positive integer, whose
+    product is scale (always 1 over GF).  `basis` entries are (lt_code,
+    lt_packed, lt_coeff, tail) with tail the remaining terms.  GF basis
+    elements must be monic; ZZ elements primitive with positive lead.
     """
     if not terms:
-        return []
+        return [], 1
     guard = codec.guard
     coeffs = {}
     packs = {}
@@ -228,6 +233,7 @@ def _reduce_full(terms, basis, codec: _Codec, mode: str, q: int,
         heappush(heap, -code)
     out = []
     steps = 0
+    scale = 1
     gf = mode == "gf"
     while heap:
         code = -heappop(heap)
@@ -273,6 +279,7 @@ def _reduce_full(terms, basis, codec: _Codec, mode: str, q: int,
             mult = lt_coeff // d
             fc = c // d
             if mult != 1:
+                scale *= mult
                 for k in coeffs:
                     coeffs[k] *= mult
                 if out:
@@ -293,7 +300,7 @@ def _reduce_full(terms, basis, codec: _Codec, mode: str, q: int,
                     else:
                         del coeffs[nc]
                         del packs[nc]
-    return out
+    return out, scale
 
 
 def _as_basis_elem(terms):
@@ -341,7 +348,7 @@ def _buchberger(gens, codec: _Codec, mode: str, q: int, bud: _BudgetState):
     lt_packs: list[int] = []
     # seed basis by interreducing the input generators
     for g in sorted((g for g in gens if g), key=lambda t: t[0][0]):
-        h = _reduce_full(g, [_as_basis_elem(x) for x in G], codec, mode, q, bud)
+        h = _reduce_full(g, [_as_basis_elem(x) for x in G], codec, mode, q, bud)[0]
         if not h:
             continue
         h = norm(h)
@@ -387,7 +394,7 @@ def _buchberger(gens, codec: _Codec, mode: str, q: int, bud: _BudgetState):
         if skip:
             continue
         s = _spoly(G[i], G[j], lcm_code, lcm_packed, mode, q)
-        h = _reduce_full(s, basis_elems, codec, mode, q, bud)
+        h = _reduce_full(s, basis_elems, codec, mode, q, bud)[0]
         if not h:
             continue
         h = norm(h)
@@ -416,7 +423,7 @@ def _reduced_basis(G, codec: _Codec, mode: str, q: int, bud: _BudgetState):
     final = []
     for idx, g in enumerate(kept):
         others = [_as_basis_elem(h) for j, h in enumerate(kept) if j != idx]
-        r = _reduce_full(g, others, codec, mode, q, bud)
+        r = _reduce_full(g, others, codec, mode, q, bud)[0]
         final.append(norm(r))
     final.sort(key=lambda t: t[0][0])
     return final
@@ -504,49 +511,15 @@ class Ideal:
         """Remainder of p on division by the reduced basis; 0 iff p is a member."""
         if p.table != self.table or p.field != self.field:
             raise ValueError("polynomial incompatible with ideal")
-        if self._mode == "zz":
-            # fraction-free reduction scales the work polynomial, so the
-            # exact QQ remainder is recomputed by monic division here
-            return self._exact_nf_qq(p)
         elems = self._basis_elems()
         terms = _to_engine(p, self._codec, self._mode, self._q)
         bud = self.budget.fresh()
-        r = _reduce_full(terms, elems, self._codec, self._mode, self._q, bud)
+        r, scale = _reduce_full(terms, elems, self._codec, self._mode, self._q, bud)
+        if self._mode == "zz":
+            # undo the fraction-free scaling and _to_engine's denominator lcm
+            scale *= lcm(*(c.denominator for c in p.terms.values()))
         return _from_engine(r, self._codec, self.table, self.field, self._mode,
-                            self._q, monic=False)
-
-    def _exact_nf_qq(self, p: Poly) -> Poly:
-        basis = self.groebner_basis()
-        order = self.order
-        lead = [bp.sorted_terms(order)[0] for bp in basis]
-        work = dict(p.terms)
-        out: dict = {}
-        table, field = self.table, self.field
-        while work:
-            exps = max(work, key=lambda e: order.sort_key(e, table))
-            c = work.pop(exps)
-            hit = None
-            for (lexps, lc), bp in zip(lead, basis):
-                if all(a >= b for a, b in zip(exps, lexps)):
-                    hit = (lexps, lc, bp)
-                    break
-            if hit is None:
-                out[exps] = c
-                continue
-            lexps, lc, bp = hit
-            shift = tuple(a - b for a, b in zip(exps, lexps))
-            fac = c / lc
-            for bexps, bc in bp.terms.items():
-                if bexps == lexps:
-                    continue  # the leading term cancels against c exactly
-                nexps = tuple(map(int.__add__, bexps, shift))
-                cur = work.get(nexps, field.zero)
-                v = field.sub(cur, field.mul(fac, bc))
-                if v == field.zero:
-                    work.pop(nexps, None)
-                else:
-                    work[nexps] = v
-        return Poly(table, field, out)
+                            self._q, monic=False, scale=scale)
 
     def contains(self, p: Poly) -> bool:
         """Exact ideal membership via normal form."""
@@ -555,7 +528,7 @@ class Ideal:
         elems = self._basis_elems()
         terms = _to_engine(p, self._codec, self._mode, self._q)
         bud = self.budget.fresh()
-        return not _reduce_full(terms, elems, self._codec, self._mode, self._q, bud)
+        return not _reduce_full(terms, elems, self._codec, self._mode, self._q, bud)[0]
 
     def contains_one(self) -> bool:
         """True iff the ideal is the whole ring (empty variety)."""

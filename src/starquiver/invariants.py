@@ -10,10 +10,11 @@ computed exactly by eliminating the arrow variables.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .groebner import (
     DEFAULT_BUDGET,
+    CheckFailed,
     GroebnerBudget,
     Ideal,
     Inconclusive,
@@ -131,7 +132,8 @@ def pi_map(pt: WVPoint, p: ArmParams, field=QQ) -> DeformParams:
         B=field.sub(al(3, p.p3), al(2, p.p2)),
         field=field,
     )
-    assert in_delta(gamma, field), "pi image left the parameter subspace"
+    if not in_delta(gamma, field):
+        raise CheckFailed("pi image left the parameter subspace")
     return gamma
 
 
@@ -264,7 +266,8 @@ def kernel_ideal(p, field=None, budget: GroebnerBudget | None = None) -> Ideal:
         gens.append(Poly.var(joint, field, sym) - image.rename(joint))
     ideal = Ideal(joint, gens, field=field, budget=budget)
     result = eliminate(ideal, Q.table.names, budget=budget)
-    assert result.table == wv  # the kept block is exactly the w/v table
+    if result.table != wv:
+        raise CheckFailed("the kept block is not exactly the w/v table")
     return result
 
 
@@ -279,6 +282,7 @@ class ConjectureReport:
     elapsed_ms: int
     kernel_generators: tuple
     minors: tuple
+    kernel: Ideal | None = dc_field(default=None, compare=False, repr=False)
 
 
 def verify_conjecture(p, field=None, budget: GroebnerBudget | None = None) -> ConjectureReport:
@@ -286,7 +290,8 @@ def verify_conjecture(p, field=None, budget: GroebnerBudget | None = None) -> Co
 
     The containment minors-inside-kernel is asserted independently and must
     always hold (exact, over the rationals).  Equality over a prime field is
-    reported as a probabilistic confirmation.
+    reported as a probabilistic confirmation.  The report carries the
+    kernel ideal, with its basis cached, unless the run was inconclusive.
     """
     p = ArmParams.parse(p)
     if field is None:
@@ -300,6 +305,7 @@ def verify_conjecture(p, field=None, budget: GroebnerBudget | None = None) -> Co
         status = "confirmed" if (equal and minors_ok) else "refuted"
         kgens = tuple(g.to_str() for g in kern.groebner_basis())
     except Inconclusive:
+        kern = None
         equal = None
         status = "inconclusive"
         kgens = ()
@@ -314,6 +320,7 @@ def verify_conjecture(p, field=None, budget: GroebnerBudget | None = None) -> Co
         elapsed_ms=elapsed,
         kernel_generators=kgens,
         minors=tuple(m.to_str() for m in determinantal_minors(p, field)),
+        kernel=kern,
     )
 
 

@@ -76,6 +76,9 @@ class RationalField:
     def neg(self, a):
         return -a
 
+    def sum(self, values):
+        return sum(values, Fraction(0))
+
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in QQ")
@@ -130,6 +133,9 @@ class PrimeField:
 
     def neg(self, a):
         return -a % self.q
+
+    def sum(self, values):
+        return sum(values) % self.q
 
     def inv(self, a):
         if a % self.q == 0:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groebner import GroebnerBudget, DEFAULT_BUDGET, Ideal
+from .groebner import CheckFailed, GroebnerBudget, DEFAULT_BUDGET, Ideal
 from .poly import Poly, QQ
 from .quiver import ArmParams, StarQuiver, d_arrow, u_arrow
 
@@ -89,22 +89,24 @@ def make_gamma(p: ArmParams, gamma1, gamma2, gamma3, a, b, A, B, field=QQ) -> De
 
 def delta_forms(gamma: DeformParams, field=QQ) -> tuple:
     """The two defining linear forms, evaluated exactly."""
-    s1 = sum(gamma.gamma1, field.zero)
-    s2 = sum(gamma.gamma2, field.zero)
-    s3 = sum(gamma.gamma3, field.zero)
-    return (s1 - s2 + gamma.A + gamma.a, s3 - s2 + gamma.B + gamma.b)
+    neg = field.neg
+    return (
+        field.sum((*gamma.gamma1, *map(neg, gamma.gamma2), gamma.A, gamma.a)),
+        field.sum((*gamma.gamma3, *map(neg, gamma.gamma2), gamma.B, gamma.b)),
+    )
 
 
 def in_delta(gamma: DeformParams, field=QQ) -> bool:
     """Membership in the parameter subspace; when true the derived third
-    identity (difference of the two forms) is asserted as a consequence."""
+    identity (difference of the two forms) is checked as a consequence."""
     f1, f2 = delta_forms(gamma, field)
     ok = f1 == field.zero and f2 == field.zero
     if ok:
-        s1 = sum(gamma.gamma1, field.zero)
-        s3 = sum(gamma.gamma3, field.zero)
-        third = s1 - s3 + (gamma.A - gamma.B) + (gamma.a - gamma.b)
-        assert third == field.zero, "derived identity violated; Delta forms inconsistent"
+        neg = field.neg
+        third = field.sum((*gamma.gamma1, *map(neg, gamma.gamma3), gamma.A, neg(gamma.B),
+                           gamma.a, neg(gamma.b)))
+        if third != field.zero:
+            raise CheckFailed("derived identity violated; Delta forms inconsistent")
     return ok
 
 

@@ -12,6 +12,7 @@ from starquiver.charts import (
     fibre_chart,
     fibre_witness_point,
     jacobian_ideal_generators,
+    oracle_matches,
     quotient_nonzero_check,
     smoothness_certificate,
     total_space_chart,
@@ -24,7 +25,7 @@ from starquiver.groebner import (
     contains_one,
     ideals_equal,
 )
-from starquiver.poly import VarTable, parse_poly
+from starquiver.poly import VarTable, parse_field, parse_poly
 from starquiver.quiver import ArmParams, ChartId, all_chart_ids, build_star_quiver
 from starquiver.reconstruction import (
     deformed_relations,
@@ -159,6 +160,21 @@ def test_oracle_agreement_random_gamma_all_charts():
         closed = fibre_chart(p, gamma, c)
         derived = chart_by_substitution(Q, gamma, c)
         assert ideals_equal(closed.ideal(), derived.ideal())
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:65521", "fp:11"])
+def test_fibre_charts_and_witness_in_every_field(spec):
+    field = parse_field(spec)
+    p = ArmParams(3, 2, 2)
+    Q = build_star_quiver(p, field)
+    gamma = random_gamma(p, seed=31, field=field)
+    for c in all_chart_ids(p):
+        pres = fibre_chart(p, gamma, c, field)
+        assert smoothness_certificate(pres, expected_dim=2).status == "smooth"
+        assert oracle_matches(Q, pres)
+    point = fibre_witness_point(p, gamma, field)
+    for _, rel in deformed_relations(Q, gamma):
+        assert rel.evaluate(point) == field.zero
 
 
 def test_oracle_survivors_contain_plus_minus_first_relation():

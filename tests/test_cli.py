@@ -2,7 +2,12 @@
 
 import json
 
-from starquiver.cli import run_command
+import pytest
+
+from starquiver.cli import _build_parser, run_command
+from starquiver.groebner import CheckFailed, Inconclusive
+
+FIELDS = ["q", "fp:65521", "fp:11"]
 
 
 def _run(tmp_path, *argv, json_name="report.json"):
@@ -61,6 +66,49 @@ def test_fibre_outside_delta(tmp_path):
     assert code == 0
     assert report["item"]["in_delta"] is False
     assert report["item"]["one_in_rep_ideal"] is True
+
+
+def _write_gamma(tmp_path, gamma1, a):
+    arms = len(gamma1)
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps({
+        "gamma1": gamma1, "gamma2": ["0"] * arms, "gamma3": ["0"] * arms,
+        "a": a, "b": "0", "A": "0", "B": "0"}), encoding="utf-8")
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_fibre_in_every_field(tmp_path, field):
+    # gamma1 = [1], a = -1 lies in Delta; its first form sums to 0 only
+    # when prime-field sums are reduced
+    code, report = _run(tmp_path, "fibre", "--p", "2,2,2", "--field", field,
+                        "--gamma", _write_gamma(tmp_path, ["1"], "-1"))
+    assert code == 0
+    assert report["item"]["in_delta"] is True
+    assert report["item"]["delta_forms"] == ["0", "0"]
+    assert report["item"]["witness_satisfies_relations"] is True
+    code, report = _run(tmp_path, "fibre", "--p", "2,2,2", "--field", field,
+                        "--gamma", _write_gamma(tmp_path, ["1"], "0"))
+    assert code == 0
+    assert report["item"]["one_in_rep_ideal"] is True
+    code, report = _run(tmp_path, "fibre", "--p", "3,2,2", "--field", field,
+                        "--gamma", "random:2")
+    assert code == 0
+    assert report["item"]["in_delta"] is True
+
+
+def test_fibre_summary_when_rep_ideal_inconclusive(tmp_path, capsys, monkeypatch):
+    def exhausted(ideal):
+        raise Inconclusive("S-pair budget exceeded")
+
+    monkeypatch.setattr("starquiver.cli.contains_one", exhausted)
+    code, report = _run(tmp_path, "fibre", "--p", "2,2,2",
+                        "--gamma", _write_gamma(tmp_path, ["1"], "0"))
+    assert code == 2
+    assert report["item"]["one_in_rep_ideal"] is None
+    out = capsys.readouterr().out
+    assert "1 in relation ideal)" not in out
+    assert "inconclusive" in out
 
 
 def test_fibre_inside_delta(tmp_path):
@@ -135,10 +183,88 @@ def test_props_suites(tmp_path):
     assert all(s["ok"] for s in report["suites"].values())
 
 
+@pytest.mark.parametrize("field", FIELDS)
+def test_charts_and_smooth_in_every_field(tmp_path, field):
+    code, report = _run(tmp_path, "charts", "--p", "2,2,2", "--field", field,
+                        "--gamma", "random:7")
+    assert code == 0
+    assert all(it["certificate"]["status"] == "smooth" and it["oracle_match"] is True
+               for it in report["items"])
+    code, report = _run(tmp_path, "smooth", "--p", "2,2,2", "--field", field)
+    assert code == 0
+    assert all(it["certificate"]["dimension"] == 7 for it in report["items"])
+
+
 def test_usage_errors():
     assert run_command(["charts", "--p", "1,2,2"]) == 3
     assert run_command(["gb", "--input", "/nonexistent/file.txt"]) == 3
     assert run_command(["nonsense"]) == 3
+    # a gamma denominator that vanishes in the field
+    assert run_command(["fibre", "--p", "2,2,2", "--field", "fp:7",
+                        "--gamma", "random:0"]) == 3
+
+
+def test_failed_check_exits_one(monkeypatch):
+    def broken(*args):
+        raise CheckFailed("witness point misses the chart")
+
+    monkeypatch.setattr("starquiver.cli.fibre_witness_point", broken)
+    assert run_command(["fibre", "--p", "2,2,2"]) == 1
+
+
+# the config keys each subcommand echoes: its flags, minus --json and
+# --output, with the three caps nested under "budgets"
+CAPS = {"spair_cap", "deg_cap", "time_cap"}
+CONFIG_KEYS = {
+    "charts": {"p", "field", "budgets", "jobs", "gamma"},
+    "smooth": {"p", "field", "budgets", "jobs"},
+    "cover": {"p", "enum_cap"},
+    "fibre": {"p", "field", "budgets", "gamma"},
+    "pi": {"p", "point"},
+    "minors": {"p"},
+    "kernel": {"p", "field", "budgets"},
+    "conjecture": {"p", "field", "budgets"},
+    "gb": {"field", "budgets", "input"},
+    "props": {"p", "budgets", "seed", "euler_samples", "nonunit_samples",
+              "weight_samples"},
+}
+
+
+def _declared_flags(command):
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+def test_config_echoes_exactly_the_declared_flags(tmp_path):
+    ideal = tmp_path / "ideal.txt"
+    ideal.write_text("vars: x, y\nx^2 - y\n", encoding="utf-8")
+    extra = {"gb": ["--input", str(ideal)],
+             "props": ["--euler-samples", "2", "--nonunit-samples", "1",
+                       "--weight-samples", "2"]}
+    for command, keys in CONFIG_KEYS.items():
+        declared = _declared_flags(command) - {"json", "output"}
+        if CAPS <= declared:
+            declared = declared - CAPS | {"budgets"}
+        assert declared == keys, command
+        code, report = _run(tmp_path, command, *extra.get(command, []))
+        assert code == 0, command
+        assert set(report["config"]) == keys, command
+        if "budgets" in keys:
+            assert set(report["config"]["budgets"]) == CAPS
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--jobs", "2"],
+    ["cover", "--field", "q"],
+    ["charts", "--height", "5"],
+    ["minors", "--spair-cap", "10"],
+    ["pi", "--field", "q"],
+    ["fibre", "--jobs", "2"],
+    ["gb", "--p", "2,2,2", "--input", "ideal.txt"],
+    ["props", "--field", "q"],
+])
+def test_removed_flags_are_usage_errors(argv):
+    assert run_command(argv) == 3
 
 
 def test_parallel_jobs_match_serial(tmp_path):

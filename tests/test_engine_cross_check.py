@@ -81,6 +81,6 @@ def test_membership_verdicts_match_sympy():
                            order="grevlex", domain=sympy.QQ)
         for _ in range(5):
             probe = _random_poly(table, rng, terms=2, deg=2)
-            ours = contains(probe, I)
-            theirs = G.reduce(_to_sympy(probe, syms))[1] == 0
-            assert ours == theirs
+            remainder = G.reduce(_to_sympy(probe, syms))[1]
+            assert contains(probe, I) == (remainder == 0)
+            assert I.normal_form(probe) == _from_sympy(remainder, table, syms)

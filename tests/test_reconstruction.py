@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from starquiver.groebner import contains_one
-from starquiver.poly import Poly, QQ, parse_poly
+from starquiver.poly import Poly, PrimeField, QQ, parse_poly
 from starquiver.quiver import ArmParams, build_star_quiver
 from starquiver.reconstruction import (
     canonical_relation,
@@ -109,6 +109,20 @@ def test_random_gamma_is_seeded_and_lands_where_asked():
     assert in_delta(g1)
     g3 = random_gamma(P222, seed=4, inside_delta=False)
     assert not in_delta(g3)
+
+
+@pytest.mark.parametrize("q", [65521, 11])
+def test_prime_field_delta_sums_are_reduced(q):
+    F = PrimeField(q)
+    # gamma1 = [1], a = -1: the first form is 1 + (-1), i.e. 1 + (q - 1) unreduced
+    gamma = make_gamma(P222, [1], [0], [0], a=-1, b=0, A=0, B=0, field=F)
+    assert delta_forms(gamma, F) == (0, 0)
+    assert in_delta(gamma, F)
+    p = ArmParams(3, 3, 3)
+    for seed in range(10):
+        g = random_gamma(p, seed)
+        assert random_gamma(p, seed, field=F) == make_gamma(
+            p, g.gamma1, g.gamma2, g.gamma3, g.a, g.b, g.A, g.B, field=F)
 
 
 # ---------------------------------------------------------------------------
