@@ -30,10 +30,10 @@ from .quiver import (
     ArmParams,
     ChartId,
     StarQuiver,
-    all_chart_ids,
     build_star_quiver,
     chart_unit_arrows,
     d_arrow,
+    support_predicates,
     u_arrow,
 )
 from .reconstruction import DeformParams, canonical_relation, deformed_relations, in_delta
@@ -483,51 +483,22 @@ def verify_cover(p, enumeration_cap: int = 24, field=QQ) -> CoverReport:
     must satisfy the conditions of at least one chart."""
     p = ArmParams.parse(p)
     Q = build_star_quiver(p, field)
-    names = Q.table.names
-    n = len(names)
+    n = len(Q.table)
     if n > enumeration_cap:
         raise ValueError(
             f"{n} arrows exceed the enumeration cap {enumeration_cap}")
-    idx = {name: i for i, name in enumerate(names)}
-    vpos = {v: i for i, v in enumerate(Q.vertices)}
-    edges = [(idx[a], vpos[t], vpos[h]) for a, (t, h) in Q.arrows.items()]
-    chart_masks = []
-    for c in all_chart_ids(p):
-        mask = 0
-        for arrow in chart_unit_arrows(c, p):
-            mask |= 1 << idx[arrow]
-        chart_masks.append(mask)
-    arm_masks = []
-    for arm in (1, 2, 3):
-        mask = 0
-        for j in range(1, p[arm] + 1):
-            mask |= 1 << idx[d_arrow(arm, j)]
-        arm_masks.append(mask)
-    nv = len(Q.vertices)
-    all_vertices = (1 << nv) - 1
-    start = 1 << vpos["ext"]
-
+    S = support_predicates(Q)
     stable = checked = covered = 0
     counterexamples = []
     for bits in range(1 << n):
-        live = [(t, h) for a, t, h in edges if bits >> a & 1]
-        reached = start
-        changed = True
-        while changed:
-            changed = False
-            for t, h in live:
-                if reached >> t & 1 and not reached >> h & 1:
-                    reached |= 1 << h
-                    changed = True
-        if reached != all_vertices:
+        if not S.is_stable(bits):
             continue
         stable += 1
-        full = sum(1 for m in arm_masks if bits & m == m)
-        if not (full >= 2 or full == 0):
+        if not S.is_relation_compatible(bits):
             continue
         checked += 1
-        if any(bits & m == m for m in chart_masks):
+        if S.charts(bits):
             covered += 1
         elif len(counterexamples) < 16:
-            counterexamples.append(tuple(names[i] for i in range(n) if bits >> i & 1))
+            counterexamples.append(S.arrows(bits))
     return CoverReport(p, 1 << n, stable, checked, covered, tuple(counterexamples))

@@ -47,7 +47,7 @@ from .invariants import (
     verify_minors_vanish,
 )
 from .poly import QQ, parse_field
-from .quiver import ArmParams, ChartId, all_chart_ids, build_star_quiver
+from .quiver import ArmParams, all_chart_ids, build_star_quiver
 from .reconstruction import (
     deformed_relations,
     delta_forms,
@@ -137,12 +137,8 @@ def _charts_status(items) -> tuple[str, int]:
 
 
 def _fibre_chart_item(task) -> dict:
-    p_spec, gamma_spec, cid, field_spec, budget_tuple = task
-    p = ArmParams.parse(p_spec)
-    field = parse_field(field_spec)
-    budget = GroebnerBudget(*budget_tuple)
-    gamma = parse_gamma_spec(gamma_spec, p, field)
-    pres = fibre_chart(p, gamma, ChartId(*cid), field)
+    p, gamma, c, field, budget = task
+    pres = fibre_chart(p, gamma, c, field)
     item = _chart_item(pres, smoothness_certificate(pres, expected_dim=2, budget=budget),
                        witness=True)
     try:
@@ -154,10 +150,10 @@ def _fibre_chart_item(task) -> dict:
 
 def cmd_charts(args) -> int:
     p = ArmParams.parse(args.p)
-    bt = (args.spair_cap, args.deg_cap, args.time_cap)
+    field = parse_field(args.field)
     t0 = time.monotonic()
-    tasks = [(args.p, args.gamma, (c.k, c.i, c.j), args.field, bt)
-             for c in all_chart_ids(p)]
+    gamma, budget = parse_gamma_spec(args.gamma, p, field), _budget(args)
+    tasks = [(p, gamma, c, field, budget) for c in all_chart_ids(p)]
     items = _pmap(_fibre_chart_item, tasks, args.jobs)
     status, code = _charts_status(items)
     _report(args, t0, status, items=items)
@@ -169,20 +165,19 @@ def cmd_charts(args) -> int:
 
 
 def _total_chart_item(task) -> dict:
-    p_spec, cid, field_spec, budget_tuple = task
-    p = ArmParams.parse(p_spec)
-    pres = total_space_chart(p, ChartId(*cid), parse_field(field_spec))
+    p, c, field, budget = task
+    pres = total_space_chart(p, c, field)
     expected = p.p1 + p.p2 + p.p3 + 1
-    cert = smoothness_certificate(pres, expected_dim=expected,
-                                  budget=GroebnerBudget(*budget_tuple))
+    cert = smoothness_certificate(pres, expected_dim=expected, budget=budget)
     return dict(_chart_item(pres, cert, witness=False), expected_dimension=expected)
 
 
 def cmd_smooth(args) -> int:
     p = ArmParams.parse(args.p)
-    bt = (args.spair_cap, args.deg_cap, args.time_cap)
+    field = parse_field(args.field)
     t0 = time.monotonic()
-    tasks = [(args.p, (c.k, c.i, c.j), args.field, bt) for c in all_chart_ids(p)]
+    budget = _budget(args)
+    tasks = [(p, c, field, budget) for c in all_chart_ids(p)]
     items = _pmap(_total_chart_item, tasks, args.jobs)
     status, code = _charts_status(items)
     _report(args, t0, status, items=items)

@@ -92,6 +92,15 @@ DEFAULT_BUDGET = GroebnerBudget()
 # monomial codec
 # ---------------------------------------------------------------------------
 
+def _exponent_overflow(exponent: int):
+    """Raise for an exponent that does not fit below a field's guard bit.
+
+    A product of two packed monomials, each field below 2^15, still holds
+    every exponent exactly in its 16-bit field, and it overflows iff it sets
+    a guard bit; every product made in the engine is checked that way."""
+    raise Inconclusive("exponent exceeds packed-field capacity", exponent=exponent)
+
+
 class _Codec:
     """Packs exponent vectors for one (VarTable, MonomialOrder) pair."""
 
@@ -112,7 +121,7 @@ class _Codec:
         code = 0
         for i, e in enumerate(exps):
             if e > _MAX_EXP:
-                raise Inconclusive("exponent exceeds packed-field capacity", exponent=e)
+                _exponent_overflow(e)
             packed += e << self._pshift[i]
         for block in self.blocks:
             bdeg = 0
@@ -263,8 +272,11 @@ def _reduce_full(terms, basis, codec: _Codec, mode: str, q: int,
                 if cur is None:
                     v = -c * tcf % q
                     if v:
+                        npk = tp + fpack
+                        if npk & guard:
+                            _exponent_overflow(max(codec.decode(npk)))
                         coeffs[nc] = v
-                        packs[nc] = tp + fpack
+                        packs[nc] = npk
                         heappush(heap, -nc)
                 else:
                     v = (cur - c * tcf) % q
@@ -290,8 +302,11 @@ def _reduce_full(terms, basis, codec: _Codec, mode: str, q: int,
                 if cur is None:
                     v = -fc * tcf
                     if v:
+                        npk = tp + fpack
+                        if npk & guard:
+                            _exponent_overflow(max(codec.decode(npk)))
                         coeffs[nc] = v
-                        packs[nc] = tp + fpack
+                        packs[nc] = npk
                         heappush(heap, -nc)
                 else:
                     v = cur - fc * tcf
@@ -308,7 +323,7 @@ def _as_basis_elem(terms):
     return (code, packed, c, tuple(terms[1:]))
 
 
-def _spoly(gi, gj, lcm_code, lcm_packed, mode, q):
+def _spoly(gi, gj, lcm_code, lcm_packed, codec: _Codec, mode, q):
     ci, pi, ai = gi[0]
     cj, pj, aj = gj[0]
     acc = {}
@@ -332,6 +347,10 @@ def _spoly(gi, gj, lcm_code, lcm_packed, mode, q):
         items = [(c, packs[c], v % q) for c, v in acc.items() if v % q]
     else:
         items = [(c, packs[c], v) for c, v in acc.items() if v]
+    guard = codec.guard
+    for _, npk, _ in items:
+        if npk & guard:
+            _exponent_overflow(max(codec.decode(npk)))
     items.sort(key=lambda t: t[0], reverse=True)
     return items
 
@@ -393,7 +412,7 @@ def _buchberger(gens, codec: _Codec, mode: str, q: int, bud: _BudgetState):
                     break
         if skip:
             continue
-        s = _spoly(G[i], G[j], lcm_code, lcm_packed, mode, q)
+        s = _spoly(G[i], G[j], lcm_code, lcm_packed, codec, mode, q)
         h = _reduce_full(s, basis_elems, codec, mode, q, bud)[0]
         if not h:
             continue

@@ -332,19 +332,17 @@ def origin_fibre_table() -> VarTable:
     return VarTable(["w1", "w2", "w3", "v"])
 
 
+def _single_v(p: ArmParams) -> dict:
+    """Every v<i>_j sent to the one origin-fibre variable v."""
+    return {v_name(arm, j): "v" for arm in (1, 2, 3) for j in range(1, p[arm] + 1)}
+
+
 def origin_fibre_minors(p: ArmParams, field=QQ) -> tuple:
-    """2x2 minors of (w2, w3, v^p2; v^p1, w3 + v^p3, w1)."""
+    """2x2 minors of (w2, w3, v^p2; v^p1, w3 + v^p3, w1): the determinantal
+    minors with every v<i>_j sent to v."""
     p = ArmParams.parse(p)
     table = origin_fibre_table()
-    w = {k: Poly.var(table, field, w_name(k)) for k in (1, 2, 3)}
-    v = Poly.var(table, field, "v")
-    row_a = (w[2], w[3], v ** p.p2)
-    row_b = (v ** p.p1, w[3] + v ** p.p3, w[1])
-    out = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            out.append(row_a[i] * row_b[j] - row_b[i] * row_a[j])
-    return tuple(out)
+    return tuple(m.rename(table, _single_v(p)) for m in determinantal_minors(p, field))
 
 
 @dataclass(frozen=True)
@@ -369,9 +367,7 @@ def fibre_zero_presentation(p, field=None, budget: GroebnerBudget | None = None,
     targets = origin_fibre_minors(p, field)
     try:
         kern = kernel if kernel is not None else kernel_ideal(p, field, budget)
-        mapping = {v_name(arm, j): "v" for arm in (1, 2, 3)
-                   for j in range(1, p[arm] + 1)}
-        specialized = [g.rename(table, mapping) for g in kern.groebner_basis()]
+        specialized = [g.rename(table, _single_v(p)) for g in kern.groebner_basis()]
         spec_ideal = Ideal(table, specialized, field=field,
                            budget=budget or DEFAULT_BUDGET)
         target_ideal = Ideal(table, targets, field=field,

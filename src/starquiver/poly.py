@@ -397,9 +397,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
-
     def constant_value(self):
         """The coefficient of the constant monomial (zero if absent)."""
         return self.terms.get((0,) * len(self.table), self.field.zero)
@@ -661,13 +658,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.to_str()})"
-
-
-def poly_sum(polys: Iterable[Poly], table: VarTable, field) -> Poly:
-    total = Poly.zero(table, field)
-    for p in polys:
-        total = total + p
-    return total
 
 
 def poly_prod(polys: Iterable[Poly], table: VarTable, field) -> Poly:

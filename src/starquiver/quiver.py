@@ -10,7 +10,7 @@ commute, so paths live in an ordinary polynomial ring on the arrow names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .poly import Poly, QQ, VarTable, poly_prod
 
@@ -175,50 +175,8 @@ def build_star_quiver(p, field=QQ) -> StarQuiver:
 
 
 # ---------------------------------------------------------------------------
-# supports, stability, chart membership
+# charts
 # ---------------------------------------------------------------------------
-
-class Support:
-    """A nonzero/zero marking of every arrow."""
-
-    __slots__ = ("nonzero",)
-
-    def __init__(self, nonzero: Iterable[str]):
-        self.nonzero = frozenset(nonzero)
-
-    def __contains__(self, arrow: str) -> bool:
-        return arrow in self.nonzero
-
-    @classmethod
-    def from_bits(cls, Q: StarQuiver, bits: int) -> "Support":
-        names = Q.table.names
-        return cls(names[i] for i in range(len(names)) if bits >> i & 1)
-
-    @classmethod
-    def all_nonzero(cls, Q: StarQuiver) -> "Support":
-        return cls(Q.table.names)
-
-    def __repr__(self):
-        return f"Support({sorted(self.nonzero)})"
-
-
-def is_stable_support(s: Support, Q: StarQuiver) -> bool:
-    """King stability at the scalar dimension vector: every vertex reachable
-    from the extended vertex along arrows marked nonzero."""
-    reached = {EXTENDED}
-    frontier = [EXTENDED]
-    out_edges: dict[str, list[str]] = {v: [] for v in Q.vertices}
-    for name, (tail, head) in Q.arrows.items():
-        if name in s.nonzero:
-            out_edges[tail].append(head)
-    while frontier:
-        v = frontier.pop()
-        for w in out_edges[v]:
-            if w not in reached:
-                reached.add(w)
-                frontier.append(w)
-    return len(reached) == len(Q.vertices)
-
 
 @dataclass(frozen=True, order=True)
 class ChartId:
@@ -239,10 +197,9 @@ class ChartId:
 def all_chart_ids(p: ArmParams) -> list[ChartId]:
     out = []
     for k in (1, 2, 3):
-        a, b = {1: (2, 3), 2: (1, 3), 3: (1, 2)}[k]
-        for i in range(1, p[a] + 1):
-            for j in range(1, p[b] + 1):
-                out.append(ChartId(k, i, j))
+        # U^k_{1,1} exists for every p
+        a, b = ChartId(k, 1, 1).other_arms()
+        out += [ChartId(k, i, j) for i in range(1, p[a] + 1) for j in range(1, p[b] + 1)]
     return out
 
 
@@ -257,29 +214,79 @@ def chart_unit_arrows(c: ChartId, p: ArmParams) -> list[str]:
     return units
 
 
-def chart_supports(s: Support, Q: StarQuiver) -> list[ChartId]:
-    """All charts whose defining nonzero conditions hold for the support.
+# ---------------------------------------------------------------------------
+# supports: an int whose bit i marks Q.table.names[i] as nonzero
+# ---------------------------------------------------------------------------
 
-    Purely combinatorial: empty index ranges are vacuously true and no
-    stability or relation check is applied.
+@dataclass(frozen=True)
+class SupportPredicates:
+    """The support predicates of one quiver, as closures over its masks.
+
+    bits(arrows) and arrows(bits) convert between arrow names and supports;
+    arrows lists the nonzero names in table order.
     """
-    out = []
-    for c in all_chart_ids(Q.p):
-        if all(a in s.nonzero for a in chart_unit_arrows(c, Q.p)):
-            out.append(c)
-    return out
+
+    bits: Callable[[Iterable[str]], int]
+    arrows: Callable[[int], tuple]
+    is_stable: Callable[[int], bool]
+    full_down_arms: Callable[[int], list]
+    is_relation_compatible: Callable[[int], bool]
+    charts: Callable[[int], list]
 
 
-def full_down_arms(s: Support, Q: StarQuiver) -> list[int]:
-    """Arms whose complete downward path is marked nonzero."""
-    return [
-        arm for arm in (1, 2, 3)
-        if all(d_arrow(arm, j) in s.nonzero for j in range(1, Q.p[arm] + 1))
-    ]
+def support_predicates(Q: StarQuiver) -> SupportPredicates:
+    """Build the edge, full-down-path and chart masks of Q once, and the
+    predicates that read a support against them."""
+    table = Q.table
 
+    def bits(arrows: Iterable[str]) -> int:
+        out = 0
+        for a in arrows:
+            out |= 1 << table.index(a)
+        return out
 
-def is_relation_compatible(s: Support, Q: StarQuiver) -> bool:
-    """Necessary support condition from the canonical relation at scalar
-    points: at least two full downward paths, or none at all."""
-    n = len(full_down_arms(s, Q))
-    return n >= 2 or n == 0
+    def arrows(support: int) -> tuple:
+        return tuple(name for i, name in enumerate(table.names) if support >> i & 1)
+
+    # per vertex: (arrow bit, head bit, head position) of its out-arrows
+    vpos = {v: i for i, v in enumerate(Q.vertices)}
+    out_edges = [[] for _ in Q.vertices]
+    for name, (tail, head) in Q.arrows.items():
+        out_edges[vpos[tail]].append((bits([name]), 1 << vpos[head], vpos[head]))
+    top = vpos[EXTENDED]
+    every_vertex = (1 << len(Q.vertices)) - 1
+
+    def is_stable(support: int) -> bool:
+        """King stability at the scalar dimension vector: every vertex
+        reachable from the extended vertex along nonzero arrows."""
+        reached = 1 << top
+        stack = [top]
+        while stack:
+            for arrow, head_bit, head in out_edges[stack.pop()]:
+                if support & arrow and not reached & head_bit:
+                    reached |= head_bit
+                    stack.append(head)
+        return reached == every_vertex
+
+    down_paths = tuple(
+        (arm, bits(d_arrow(arm, j) for j in range(1, Q.p[arm] + 1))) for arm in (1, 2, 3))
+
+    def full_down_arms(support: int) -> list:
+        """Arms whose complete downward path is nonzero."""
+        return [arm for arm, mask in down_paths if support & mask == mask]
+
+    def is_relation_compatible(support: int) -> bool:
+        """Necessary support condition from the canonical relation at scalar
+        points: at least two full downward paths, or none at all."""
+        return len(full_down_arms(support)) != 1
+
+    chart_masks = tuple((c, bits(chart_unit_arrows(c, Q.p))) for c in all_chart_ids(Q.p))
+
+    def charts(support: int) -> list:
+        """All charts whose unit arrows are nonzero.  Purely combinatorial:
+        empty index ranges hold vacuously, and no stability or relation
+        check is applied."""
+        return [c for c, mask in chart_masks if support & mask == mask]
+
+    return SupportPredicates(bits, arrows, is_stable, full_down_arms,
+                             is_relation_compatible, charts)

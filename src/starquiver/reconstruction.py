@@ -34,9 +34,6 @@ class DeformParams:
     def gamma(self, arm: int) -> tuple:
         return (self.gamma1, self.gamma2, self.gamma3)[arm - 1]
 
-    def coordinate_count(self) -> int:
-        return len(self.gamma1) + len(self.gamma2) + len(self.gamma3) + 4
-
     def matches(self, p: ArmParams) -> bool:
         return tuple(len(self.gamma(i)) for i in (1, 2, 3)) == (p.p1 - 1, p.p2 - 1, p.p3 - 1)
 

@@ -1,10 +1,13 @@
 """Chart presentations, the substitution oracle, certificates, cover."""
 
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from starquiver import charts
 from starquiver.charts import (
     certify_presentation,
     chart_by_substitution,
@@ -26,7 +29,14 @@ from starquiver.groebner import (
     ideals_equal,
 )
 from starquiver.poly import VarTable, parse_field, parse_poly
-from starquiver.quiver import ArmParams, ChartId, all_chart_ids, build_star_quiver
+from starquiver.cli import run_command
+from starquiver.quiver import (
+    ArmParams,
+    ChartId,
+    all_chart_ids,
+    build_star_quiver,
+    support_predicates,
+)
 from starquiver.reconstruction import (
     deformed_relations,
     make_gamma,
@@ -341,6 +351,42 @@ def test_cover_next_case():
     rep = verify_cover((3, 2, 2))
     assert rep.total_supports == 16384
     assert rep.ok
+
+
+@pytest.mark.parametrize("p, counts", [
+    ((2, 2, 2), (4096, 1216, 448, 448)),
+    ((3, 2, 2), (16384, 3072, 1024, 1024)),
+    ((3, 3, 2), (65536, 7680, 2304, 2304)),
+])
+def test_cover_counters_pinned(p, counts):
+    rep = verify_cover(p)
+    assert (rep.total_supports, rep.stable_supports,
+            rep.checked_supports, rep.covered_supports) == counts
+    assert rep.counterexamples == ()
+
+
+def test_cover_reports_uncovered_supports(monkeypatch, tmp_path):
+    # with chart membership emptied every checked support is uncovered: the
+    # report keeps the first 16, and the CLI exits 1
+    def no_charts(Q):
+        return dataclasses.replace(support_predicates(Q), charts=lambda bits: [])
+
+    monkeypatch.setattr(charts, "support_predicates", no_charts)
+    rep = verify_cover((2, 2, 2))
+    assert (rep.checked_supports, rep.covered_supports) == (448, 0)
+    assert not rep.ok and len(rep.counterexamples) == 16
+    S = support_predicates(build_star_quiver((2, 2, 2)))
+    for nonzero in rep.counterexamples:
+        bits = S.bits(nonzero)
+        assert S.arrows(bits) == nonzero
+        assert S.is_stable(bits) and S.is_relation_compatible(bits)
+        assert S.charts(bits)  # covered once membership is restored
+
+    path = tmp_path / "cover.json"
+    assert run_command(["cover", "--p", "2,2,2", "--json", str(path)]) == 1
+    report = json.loads(path.read_text(encoding="utf-8"))
+    assert report["status"] == "fail"
+    assert report["counterexamples"] == [list(c) for c in rep.counterexamples]
 
 
 def test_cover_cap_enforced():

@@ -303,6 +303,24 @@ def test_budget_exhaustion_is_inconclusive():
         groebner_basis(_ideal(t, ["x^2 - y", "y^2 - z"], budget=low_deg))
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(65521)])
+@pytest.mark.parametrize("gens", [
+    # y^20000 * y^20000 made while reducing the S-polynomial x*y^20000 - y
+    ["x - y^20000", "x^2 - y"],
+    # y^20000 * y^20000 made inside the S-polynomial itself
+    ["x^2 + y^20000", "x*y^20000 + 1"],
+])
+def test_packed_exponent_overflow_is_inconclusive(field, gens):
+    # the true exponent 40000 does not fit below the guard bit of a 16-bit
+    # field; it must be reported, not wrapped into a bogus degree
+    text = "vars: x, y\norder: lex\n" + "\n".join(gens) + "\n"
+    ideal = read_ideal_text(text, field=field,
+                            budget=GroebnerBudget(max_degree=100_000))
+    with pytest.raises(Inconclusive, match="packed-field capacity") as exc:
+        groebner_basis(ideal)
+    assert exc.value.detail == {"exponent": 40000}
+
+
 def test_budget_does_not_trip_on_trivial_ideal():
     t = VarTable(["x", "y"])
     tight = GroebnerBudget(max_spairs=0, max_degree=5)

@@ -178,6 +178,9 @@ def test_minors_specialize_to_single_variable_matrix():
                for j in range(1, p[arm] + 1)}
     specialized = [m.rename(t1, mapping) for m in determinantal_minors(p)]
     assert tuple(specialized) == origin_fibre_minors(p)
+    # the minors of (w2, w3, v^2; v^3, w3 + v^2, w1), written out by hand
+    assert origin_fibre_minors(p) == tuple(parse_poly(s, t1) for s in (
+        "w2*(w3 + v^2) - v^3*w3", "w2*w1 - v^3*v^2", "w3*w1 - (w3 + v^2)*v^2"))
 
 
 def test_minors_vanish_under_phi():

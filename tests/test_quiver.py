@@ -6,17 +6,15 @@ import pytest
 
 from starquiver.poly import parse_poly
 from starquiver.quiver import (
+    BOTTOM,
+    EXTENDED,
     ArmParams,
     ChartId,
-    Support,
     all_chart_ids,
     build_star_quiver,
-    chart_supports,
     chart_unit_arrows,
     d_arrow,
-    full_down_arms,
-    is_relation_compatible,
-    is_stable_support,
+    support_predicates,
     u_arrow,
 )
 
@@ -105,37 +103,83 @@ def test_foreign_monomial_rejected():
 
 
 # ---------------------------------------------------------------------------
+# supports
+# ---------------------------------------------------------------------------
+
+def test_support_bits_round_trip():
+    Q = build_star_quiver((3, 2, 2))
+    S = support_predicates(Q)
+    names = Q.table.names
+    for i, name in enumerate(names):
+        assert S.bits([name]) == 1 << i
+        assert S.arrows(1 << i) == (name,)
+    assert S.bits([]) == 0 and S.arrows(0) == ()
+    assert S.bits(names) == (1 << len(names)) - 1
+    rng = random.Random(23)
+    for _ in range(50):
+        bits = rng.getrandbits(len(names))
+        assert S.bits(S.arrows(bits)) == bits
+        assert list(S.arrows(bits)) == [n for n in names if bits & S.bits([n])]
+
+
+def _reachable_from_top(Q, nonzero):
+    reached, frontier = {EXTENDED}, [EXTENDED]
+    while frontier:
+        v = frontier.pop()
+        for name, (tail, head) in Q.arrows.items():
+            if tail == v and name in nonzero and head not in reached:
+                reached.add(head)
+                frontier.append(head)
+    return reached
+
+
+def test_stability_is_reachability_of_every_vertex():
+    # every support of the smallest quiver against a search over vertex
+    # names; the bottom is only reached down a full arm
+    Q = build_star_quiver((2, 2, 2))
+    S = support_predicates(Q)
+    for bits in range(1 << len(Q.table)):
+        reached = _reachable_from_top(Q, set(S.arrows(bits)))
+        assert S.is_stable(bits) == (reached == set(Q.vertices))
+        assert (BOTTOM in reached) == bool(S.full_down_arms(bits))
+
+
+# ---------------------------------------------------------------------------
 # stability
 # ---------------------------------------------------------------------------
 
 def test_full_support_is_stable():
     Q = build_star_quiver((3, 3, 3))
-    assert is_stable_support(Support.all_nonzero(Q), Q)
+    S = support_predicates(Q)
+    assert S.is_stable(S.bits(Q.table.names))
 
 
 def test_empty_support_is_unstable():
     Q = build_star_quiver((2, 2, 2))
-    assert not is_stable_support(Support([]), Q)
+    S = support_predicates(Q)
+    assert not S.is_stable(S.bits([]))
 
 
 def test_stability_via_up_chain():
     # all d nonzero except d3_2; all u zero: the bottom is reached down arm 1
     # and every arm vertex directly from the top
     Q = build_star_quiver((2, 2, 2))
+    S = support_predicates(Q)
     nonzero = {d_arrow(i, j) for i in (1, 2, 3) for j in (1, 2)} - {d_arrow(3, 2)}
-    assert is_stable_support(Support(nonzero), Q)
+    assert S.is_stable(S.bits(nonzero))
 
 
 def test_reachability_monotone():
     rng = random.Random(22)
     Q = build_star_quiver((3, 2, 2))
+    S = support_predicates(Q)
     names = list(Q.table.names)
     for _ in range(100):
-        chosen = {n for n in names if rng.random() < 0.5}
-        if not is_stable_support(Support(chosen), Q):
+        chosen = S.bits(n for n in names if rng.random() < 0.5)
+        if not S.is_stable(chosen):
             continue
         extra = rng.choice(names)
-        assert is_stable_support(Support(chosen | {extra}), Q)
+        assert S.is_stable(chosen | S.bits([extra]))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +194,8 @@ def test_chart_count_formula():
 
 def test_full_support_lies_in_every_chart():
     Q = build_star_quiver((2, 2, 2))
-    found = chart_supports(Support.all_nonzero(Q), Q)
+    S = support_predicates(Q)
+    found = S.charts(S.bits(Q.table.names))
     assert len(found) == 12
 
 
@@ -159,9 +204,10 @@ def test_chart_support_with_empty_ranges():
     # the conditions of U1[2,1] (i.e. the V-chart with indices (1,0)) hold,
     # the arm-2 u-range being empty
     Q = build_star_quiver((2, 2, 2))
-    s = Support({d_arrow(1, 1), d_arrow(1, 2), d_arrow(2, 1), u_arrow(3, 2)})
-    assert ChartId(1, 2, 1) in chart_supports(s, Q)
-    assert set(chart_unit_arrows(ChartId(1, 2, 1), Q.p)) == set(s.nonzero)
+    S = support_predicates(Q)
+    s = S.bits({d_arrow(1, 1), d_arrow(1, 2), d_arrow(2, 1), u_arrow(3, 2)})
+    assert ChartId(1, 2, 1) in S.charts(s)
+    assert set(chart_unit_arrows(ChartId(1, 2, 1), Q.p)) == set(S.arrows(s))
 
 
 def test_chart_supports_purely_combinatorial():
@@ -169,12 +215,13 @@ def test_chart_supports_purely_combinatorial():
     # match a chart while failing relation-compatibility, and membership is
     # exactly the unit-arrow subset test
     Q = build_star_quiver((2, 2, 2))
-    bare = Support(chart_unit_arrows(ChartId(1, 1, 1), Q.p))
-    assert ChartId(1, 1, 1) in chart_supports(bare, Q)
-    assert not is_relation_compatible(bare, Q)
+    S = support_predicates(Q)
+    bare = S.bits(chart_unit_arrows(ChartId(1, 1, 1), Q.p))
+    assert ChartId(1, 1, 1) in S.charts(bare)
+    assert not S.is_relation_compatible(bare)
     for c in all_chart_ids(Q.p):
-        expected = set(chart_unit_arrows(c, Q.p)) <= bare.nonzero
-        assert (c in chart_supports(bare, Q)) == expected
+        expected = set(chart_unit_arrows(c, Q.p)) <= set(S.arrows(bare))
+        assert (c in S.charts(bare)) == expected
 
 
 def test_two_full_arms_support():
@@ -182,23 +229,25 @@ def test_two_full_arms_support():
     # chart family with maximal arm-2 index and minimal arm-3 index applies
     for p in [(2, 2, 2), (3, 2, 2)]:
         Q = build_star_quiver(p)
+        S = support_predicates(Q)
         nonzero = {d_arrow(1, j) for j in range(1, Q.p.p1 + 1)}
         nonzero |= {d_arrow(2, j) for j in range(1, Q.p.p2 + 1)}
         nonzero |= {u_arrow(i, j) for i in (1, 2, 3) for j in range(1, Q.p[i] + 1)}
-        s = Support(nonzero)
-        assert is_stable_support(s, Q)
-        assert full_down_arms(s, Q) == [1, 2]
-        assert is_relation_compatible(s, Q)
-        found = chart_supports(s, Q)
+        s = S.bits(nonzero)
+        assert S.is_stable(s)
+        assert S.full_down_arms(s) == [1, 2]
+        assert S.is_relation_compatible(s)
+        found = S.charts(s)
         assert ChartId(1, Q.p.p2, 1) in found
 
 
 def test_relation_compatibility_counts():
     Q = build_star_quiver((2, 2, 2))
-    assert is_relation_compatible(Support.all_nonzero(Q), Q)
-    assert is_relation_compatible(Support([]), Q)  # zero full arms
-    only_arm1 = Support({d_arrow(1, 1), d_arrow(1, 2)})
-    assert not is_relation_compatible(only_arm1, Q)
+    S = support_predicates(Q)
+    assert S.is_relation_compatible(S.bits(Q.table.names))
+    assert S.is_relation_compatible(S.bits([]))  # zero full arms
+    only_arm1 = S.bits({d_arrow(1, 1), d_arrow(1, 2)})
+    assert not S.is_relation_compatible(only_arm1)
 
 
 def test_quiver_summary_shape():
