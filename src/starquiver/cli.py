@@ -28,6 +28,7 @@ from .charts import (
     verify_cover,
 )
 from .groebner import (
+    DEFAULT_BUDGET,
     CheckFailed,
     GroebnerBudget,
     Inconclusive,
@@ -46,7 +47,7 @@ from .invariants import (
     verify_conjecture,
     verify_minors_vanish,
 )
-from .poly import QQ, parse_field
+from .poly import DEFAULT_PRIME, QQ, parse_field
 from .quiver import ArmParams, all_chart_ids, build_star_quiver
 from .reconstruction import (
     deformed_relations,
@@ -137,12 +138,12 @@ def _charts_status(items) -> tuple[str, int]:
 
 
 def _fibre_chart_item(task) -> dict:
-    p, gamma, c, field, budget = task
-    pres = fibre_chart(p, gamma, c, field)
+    Q, gamma, c, budget = task
+    pres = fibre_chart(Q.p, gamma, c, Q.field)
     item = _chart_item(pres, smoothness_certificate(pres, expected_dim=2, budget=budget),
                        witness=True)
     try:
-        item["oracle_match"] = oracle_matches(build_star_quiver(p, field), pres, budget)
+        item["oracle_match"] = oracle_matches(Q, pres, budget)
     except Inconclusive:
         item["oracle_match"] = None
     return item
@@ -153,7 +154,8 @@ def cmd_charts(args) -> int:
     field = parse_field(args.field)
     t0 = time.monotonic()
     gamma, budget = parse_gamma_spec(args.gamma, p, field), _budget(args)
-    tasks = [(p, gamma, c, field, budget) for c in all_chart_ids(p)]
+    Q = build_star_quiver(p, field)
+    tasks = [(Q, gamma, c, budget) for c in all_chart_ids(p)]
     items = _pmap(_fibre_chart_item, tasks, args.jobs)
     status, code = _charts_status(items)
     _report(args, t0, status, items=items)
@@ -251,6 +253,11 @@ def cmd_pi(args) -> int:
     if args.point:
         with open(args.point, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not (isinstance(data, dict) and isinstance(data.get("betas"), list)
+                and isinstance(data.get("alphas"), list)
+                and all(isinstance(arm, list) for arm in data["alphas"])):
+            raise ValueError("point JSON must be an object with a list of betas "
+                             "and a list of alphas per arm")
         pt = WVPoint(
             betas=tuple(QQ.coerce(str(v)) for v in data["betas"]),
             alphas=tuple(tuple(QQ.coerce(str(v)) for v in arm) for arm in data["alphas"]),
@@ -437,9 +444,9 @@ def cmd_props(args) -> int:
 _FLAGS = {
     "p": dict(default="2,2,2", help="arm parameters a,b,c (each >= 2)"),
     "field": dict(default="q", help="q (rationals) or fp:Q"),
-    "spair-cap": dict(type=int, default=200_000),
-    "deg-cap": dict(type=int, default=200),
-    "time-cap": dict(type=float, default=None, help="seconds"),
+    "spair-cap": dict(type=int, default=DEFAULT_BUDGET.max_spairs),
+    "deg-cap": dict(type=int, default=DEFAULT_BUDGET.max_degree),
+    "time-cap": dict(type=float, default=DEFAULT_BUDGET.time_cap, help="seconds"),
     "jobs": dict(type=int, default=1, help="worker processes for the per-chart work"),
     "gamma": dict(default="zero", help="zero | file:PATH | random:SEED"),
     "enum-cap": dict(type=int, default=24,
@@ -464,9 +471,9 @@ _SUBCOMMANDS = {
     "pi": ("deformation-map checks", ("p", "point"), {}),
     "minors": ("minors vanish under the cycle map", ("p",), {}),
     "kernel": ("kernel of the cycle map by elimination", ("p", "field", *_CAPS),
-               {"field": "fp:65521"}),
+               {"field": f"fp:{DEFAULT_PRIME}"}),
     "conjecture": ("kernel equals the minors ideal", ("p", "field", *_CAPS),
-                   {"field": "fp:65521"}),
+                   {"field": f"fp:{DEFAULT_PRIME}"}),
     "gb": ("reduced basis of an ideal file", ("field", *_CAPS, "input", "output"), {}),
     "props": ("property suites (identities, balances)",
               ("p", *_CAPS, "seed", "euler-samples", "nonunit-samples", "weight-samples"),

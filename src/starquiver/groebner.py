@@ -4,9 +4,12 @@ Monomials are packed into Python ints twice over: an order ``code`` whose
 integer comparison realises the active monomial order and whose integer
 addition realises monomial multiplication, and a ``packed`` exponent vector
 (16-bit fields, one guard bit each) supporting O(1) divisibility and lcm via
-bit tricks.  Coefficient arithmetic is integer-only in both field modes:
-fraction-free over the rationals (primitive integer polynomials, scaled
-during reduction) and modular over a prime field.
+bit tricks.  Coefficient arithmetic is integer-only, and the characteristic
+``q`` is the engine's only coefficient switch: ``q = 0`` is fraction-free
+over the rationals (primitive integer polynomials with a positive lead,
+scaled during reduction), and a prime ``q`` is modular over F_q (monic
+polynomials, every coefficient reduced mod q).  One reduction loop, one
+S-polynomial and one normaliser serve both.
 
 Budgets cap S-pairs processed, polynomial degree and wall-clock time; a
 breached budget raises :class:`Inconclusive`, never returns a wrong answer.
@@ -162,44 +165,42 @@ class _Codec:
 # engine polynomials: lists of (code, packed, int coeff), descending by code
 # ---------------------------------------------------------------------------
 
-def _to_engine(p: Poly, codec: _Codec, mode: str, q: int):
+def _to_engine(p: Poly, codec: _Codec, q: int):
+    """Engine terms of p: residues mod q, or (q = 0) p times its denominator lcm."""
     if not p.terms:
         return []
+    denlcm = 1 if q else lcm(*(c.denominator for c in p.terms.values()))
     items = []
-    if mode == "zz":
-        denlcm = lcm(*(c.denominator for c in p.terms.values()))
-        for exps, c in p.terms.items():
-            code, packed = codec.encode(exps)
-            items.append((code, packed, c.numerator * (denlcm // c.denominator)))
-    else:
-        for exps, c in p.terms.items():
-            code, packed = codec.encode(exps)
-            items.append((code, packed, c % q))
+    for exps, c in p.terms.items():
+        code, packed = codec.encode(exps)
+        items.append((code, packed, c % q if q else c.numerator * (denlcm // c.denominator)))
     items.sort(key=lambda t: t[0], reverse=True)
     return items
 
 
-def _from_engine(terms, codec: _Codec, table: VarTable, field, mode: str, q: int,
+def _from_engine(terms, codec: _Codec, table: VarTable, field, q: int,
                  monic: bool = True, scale: int = 1) -> Poly:
-    """Back to a Poly; with monic=False, ZZ coefficients are divided by scale."""
+    """Back to a Poly divided by its lead, or with monic=False by scale."""
     if not terms:
         return Poly.zero(table, field)
-    out = {}
-    if mode == "zz":
-        den = terms[0][2] if monic else scale
-        for code, packed, c in terms:
-            out[codec.decode(packed)] = Fraction(c, den)
+    den = terms[0][2] if monic else scale
+    if q:
+        inv = pow(den, -1, q)
+        out = {codec.decode(packed): c * inv % q for _, packed, c in terms}
     else:
-        inv = pow(terms[0][2], -1, q) if monic else 1
-        for code, packed, c in terms:
-            out[codec.decode(packed)] = c * inv % q
+        out = {codec.decode(packed): Fraction(c, den) for _, packed, c in terms}
     return Poly(table, field, out)
 
 
-def _normalize_zz(terms):
-    """Strip integer content and make the leading coefficient positive."""
+def _normalize(terms, q: int):
+    """Monic over F_q; over ZZ (q = 0) primitive with a positive lead."""
     if not terms:
         return terms
+    if q:
+        inv = pow(terms[0][2], -1, q)
+        if inv == 1:
+            return terms
+        return [(code, packed, c * inv % q) for code, packed, c in terms]
     g = 0
     for _, _, c in terms:
         g = gcd(g, c)
@@ -212,23 +213,15 @@ def _normalize_zz(terms):
     return [(code, packed, c // g) for code, packed, c in terms]
 
 
-def _make_monic_gf(terms, q):
-    lead = terms[0][2]
-    if lead == 1:
-        return terms
-    inv = pow(lead, -1, q)
-    return [(code, packed, c * inv % q) for code, packed, c in terms]
-
-
-def _reduce_full(terms, basis, codec: _Codec, mode: str, q: int,
+def _reduce_full(terms, basis, codec: _Codec, q: int,
                  bud: _BudgetState | None = None):
     """Full multivariate division of `terms` by `basis`: (remainder, scale).
 
     The remainder is descending, and it is the remainder of scale * terms:
     each ZZ step multiplies the work polynomial by a positive integer, whose
-    product is scale (always 1 over GF).  `basis` entries are (lt_code,
-    lt_packed, lt_coeff, tail) with tail the remaining terms.  GF basis
-    elements must be monic; ZZ elements primitive with positive lead.
+    product is scale (always 1 over F_q).  `basis` entries are (lt_code,
+    lt_packed, lt_coeff, tail) with tail the remaining terms, each
+    normalised by `_normalize`.
     """
     if not terms:
         return [], 1
@@ -243,7 +236,6 @@ def _reduce_full(terms, basis, codec: _Codec, mode: str, q: int,
     out = []
     steps = 0
     scale = 1
-    gf = mode == "gf"
     while heap:
         code = -heappop(heap)
         c = coeffs.pop(code, None)
@@ -265,56 +257,35 @@ def _reduce_full(terms, basis, codec: _Codec, mode: str, q: int,
         lt_code, lt_packed, lt_coeff, tail = red
         fcode = code - lt_code
         fpack = packed - lt_packed
-        if gf:
-            for tc, tp, tcf in tail:
-                nc = tc + fcode
-                cur = coeffs.get(nc)
-                if cur is None:
-                    v = -c * tcf % q
-                    if v:
-                        npk = tp + fpack
-                        if npk & guard:
-                            _exponent_overflow(max(codec.decode(npk)))
-                        coeffs[nc] = v
-                        packs[nc] = npk
-                        heappush(heap, -nc)
-                else:
-                    v = (cur - c * tcf) % q
-                    if v:
-                        coeffs[nc] = v
-                    else:
-                        del coeffs[nc]
-                        del packs[nc]
-        else:
-            # basis leads are positive, so d > 0 and mult > 0
+        if not q:
+            # scale the work polynomial so the lead cancels in ZZ; basis
+            # leads are positive, so d > 0 and mult > 0
             d = gcd(c, lt_coeff)
             mult = lt_coeff // d
-            fc = c // d
+            c //= d
             if mult != 1:
                 scale *= mult
                 for k in coeffs:
                     coeffs[k] *= mult
                 if out:
                     out = [(oc, op, ov * mult) for oc, op, ov in out]
-            for tc, tp, tcf in tail:
-                nc = tc + fcode
-                cur = coeffs.get(nc)
-                if cur is None:
-                    v = -fc * tcf
-                    if v:
-                        npk = tp + fpack
-                        if npk & guard:
-                            _exponent_overflow(max(codec.decode(npk)))
-                        coeffs[nc] = v
-                        packs[nc] = npk
-                        heappush(heap, -nc)
-                else:
-                    v = cur - fc * tcf
-                    if v:
-                        coeffs[nc] = v
-                    else:
-                        del coeffs[nc]
-                        del packs[nc]
+        for tc, tp, tcf in tail:
+            nc = tc + fcode
+            cur = coeffs.get(nc, 0)  # stored coefficients are never 0
+            v = cur - c * tcf
+            if q:
+                v %= q
+            if v:
+                if not cur:
+                    npk = tp + fpack
+                    if npk & guard:
+                        _exponent_overflow(max(codec.decode(npk)))
+                    packs[nc] = npk
+                    heappush(heap, -nc)
+                coeffs[nc] = v
+            elif cur:
+                del coeffs[nc]
+                del packs[nc]
     return out, scale
 
 
@@ -323,16 +294,14 @@ def _as_basis_elem(terms):
     return (code, packed, c, tuple(terms[1:]))
 
 
-def _spoly(gi, gj, lcm_code, lcm_packed, codec: _Codec, mode, q):
+def _spoly(gi, gj, lcm_code, lcm_packed, codec: _Codec, q: int):
     ci, pi, ai = gi[0]
     cj, pj, aj = gj[0]
     acc = {}
     packs = {}
-    if mode == "gf":
-        mi, mj = 1, 1
-    else:
-        lam = ai * aj // gcd(ai, aj)
-        mi, mj = lam // ai, lam // aj
+    # both leads are positive, and over F_q both are 1, so lam is 1 there
+    lam = lcm(ai, aj)
+    mi, mj = lam // ai, lam // aj
     fci, fpi = lcm_code - ci, lcm_packed - pi
     for tc, tp, tcf in gi:
         nc = tc + fci
@@ -343,34 +312,34 @@ def _spoly(gi, gj, lcm_code, lcm_packed, codec: _Codec, mode, q):
         nc = tc + fcj
         acc[nc] = acc.get(nc, 0) - mj * tcf
         packs[nc] = tp + fpj
-    if mode == "gf":
-        items = [(c, packs[c], v % q) for c, v in acc.items() if v % q]
-    else:
-        items = [(c, packs[c], v) for c, v in acc.items() if v]
     guard = codec.guard
-    for _, npk, _ in items:
-        if npk & guard:
-            _exponent_overflow(max(codec.decode(npk)))
+    items = []
+    for c, v in acc.items():
+        if q:
+            v %= q
+        if v:
+            npk = packs[c]
+            if npk & guard:
+                _exponent_overflow(max(codec.decode(npk)))
+            items.append((c, npk, v))
     items.sort(key=lambda t: t[0], reverse=True)
     return items
 
 
-def _buchberger(gens, codec: _Codec, mode: str, q: int, bud: _BudgetState):
+def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
     """Buchberger with the coprime and chain criteria, normal selection.
 
     A nonzero constant in the basis short-circuits to the unit ideal, which
     is sound: the reduced basis is then exactly {1}.
     """
-    norm = (lambda t: _make_monic_gf(t, q)) if mode == "gf" else _normalize_zz
-
     G: list = []
     lt_packs: list[int] = []
     # seed basis by interreducing the input generators
     for g in sorted((g for g in gens if g), key=lambda t: t[0][0]):
-        h = _reduce_full(g, [_as_basis_elem(x) for x in G], codec, mode, q, bud)[0]
+        h = _reduce_full(g, [_as_basis_elem(x) for x in G], codec, q, bud)[0]
         if not h:
             continue
-        h = norm(h)
+        h = _normalize(h, q)
         if h[0][1] == 0:  # constant: unit ideal
             return [[(0, 0, 1)]]
         G.append(h)
@@ -412,11 +381,11 @@ def _buchberger(gens, codec: _Codec, mode: str, q: int, bud: _BudgetState):
                     break
         if skip:
             continue
-        s = _spoly(G[i], G[j], lcm_code, lcm_packed, codec, mode, q)
-        h = _reduce_full(s, basis_elems, codec, mode, q, bud)[0]
+        s = _spoly(G[i], G[j], lcm_code, lcm_packed, codec, q)
+        h = _reduce_full(s, basis_elems, codec, q, bud)[0]
         if not h:
             continue
-        h = norm(h)
+        h = _normalize(h, q)
         if h[0][1] == 0:
             return [[(0, 0, 1)]]
         bud.check_degree(codec.deg(h[0][1]))
@@ -426,12 +395,11 @@ def _buchberger(gens, codec: _Codec, mode: str, q: int, bud: _BudgetState):
         basis_elems.append(_as_basis_elem(h))
         push_pairs(t)
 
-    return _reduced_basis(G, codec, mode, q, bud)
+    return _reduced_basis(G, codec, q, bud)
 
 
-def _reduced_basis(G, codec: _Codec, mode: str, q: int, bud: _BudgetState):
+def _reduced_basis(G, codec: _Codec, q: int, bud: _BudgetState):
     """Minimalize and tail-reduce; the result is the unique reduced basis."""
-    norm = (lambda t: _make_monic_gf(t, q)) if mode == "gf" else _normalize_zz
     order = sorted(range(len(G)), key=lambda k: G[k][0][0])
     kept: list = []
     for k in order:
@@ -442,8 +410,8 @@ def _reduced_basis(G, codec: _Codec, mode: str, q: int, bud: _BudgetState):
     final = []
     for idx, g in enumerate(kept):
         others = [_as_basis_elem(h) for j, h in enumerate(kept) if j != idx]
-        r = _reduce_full(g, others, codec, mode, q, bud)[0]
-        final.append(norm(r))
+        r = _reduce_full(g, others, codec, q, bud)[0]
+        final.append(_normalize(r, q))
     final.sort(key=lambda t: t[0][0])
     return final
 
@@ -487,7 +455,6 @@ class Ideal:
         self.gens = gens
         self.budget = budget
         self._codec = _Codec(table, order)
-        self._mode = "gf" if isinstance(field, PrimeField) else "zz"
         self._q = field.q if isinstance(field, PrimeField) else 0
         self._basis_engine = None
         self._basis_poly = None
@@ -497,12 +464,12 @@ class Ideal:
     def _ensure_basis(self):
         if self._basis_engine is not None:
             return
-        gens_engine = [_to_engine(g, self._codec, self._mode, self._q) for g in self.gens]
+        gens_engine = [_to_engine(g, self._codec, self._q) for g in self.gens]
         bud = self.budget.fresh()
-        basis = _buchberger(gens_engine, self._codec, self._mode, self._q, bud)
+        basis = _buchberger(gens_engine, self._codec, self._q, bud)
         self._basis_engine = basis
         self._basis_poly = tuple(
-            _from_engine(t, self._codec, self.table, self.field, self._mode, self._q)
+            _from_engine(t, self._codec, self.table, self.field, self._q)
             for t in basis
         )
 
@@ -520,7 +487,7 @@ class Ideal:
         self._basis_engine = basis_engine
         self._codec = codec
         self._basis_poly = tuple(
-            _from_engine(t, codec, self.table, self.field, self._mode, self._q)
+            _from_engine(t, codec, self.table, self.field, self._q)
             for t in basis_engine
         )
 
@@ -531,23 +498,23 @@ class Ideal:
         if p.table != self.table or p.field != self.field:
             raise ValueError("polynomial incompatible with ideal")
         elems = self._basis_elems()
-        terms = _to_engine(p, self._codec, self._mode, self._q)
+        terms = _to_engine(p, self._codec, self._q)
         bud = self.budget.fresh()
-        r, scale = _reduce_full(terms, elems, self._codec, self._mode, self._q, bud)
-        if self._mode == "zz":
+        r, scale = _reduce_full(terms, elems, self._codec, self._q, bud)
+        if not self._q:
             # undo the fraction-free scaling and _to_engine's denominator lcm
             scale *= lcm(*(c.denominator for c in p.terms.values()))
-        return _from_engine(r, self._codec, self.table, self.field, self._mode,
-                            self._q, monic=False, scale=scale)
+        return _from_engine(r, self._codec, self.table, self.field, self._q,
+                            monic=False, scale=scale)
 
     def contains(self, p: Poly) -> bool:
         """Exact ideal membership via normal form."""
         if p.is_zero():
             return True
         elems = self._basis_elems()
-        terms = _to_engine(p, self._codec, self._mode, self._q)
+        terms = _to_engine(p, self._codec, self._q)
         bud = self.budget.fresh()
-        return not _reduce_full(terms, elems, self._codec, self._mode, self._q, bud)[0]
+        return not _reduce_full(terms, elems, self._codec, self._q, bud)[0]
 
     def contains_one(self) -> bool:
         """True iff the ideal is the whole ring (empty variety)."""
@@ -606,9 +573,9 @@ def eliminate(ideal: Ideal, drop: Iterable[str],
     new_codec = _Codec(new_table, GREVLEX)
     remapped = []
     for t in survivors:
-        p = _from_engine(t, codec, ideal.table, ideal.field, work._mode, work._q)
+        p = _from_engine(t, codec, ideal.table, ideal.field, work._q)
         p2 = p.rename(new_table)
-        remapped.append((_to_engine(p2, new_codec, work._mode, work._q), p2))
+        remapped.append((_to_engine(p2, new_codec, work._q), p2))
     remapped.sort(key=lambda tp: tp[0][0][0])
     out = Ideal(new_table, [p for _, p in remapped], order=GREVLEX,
                 field=ideal.field, budget=budget or ideal.budget)
@@ -623,14 +590,13 @@ def krull_dimension(ideal: Ideal) -> DimensionReport:
     variable set is independent iff it contains no leading support entirely,
     i.e. iff its complement hits every support.
     """
-    basis = ideal.groebner_basis()
     n = len(ideal.table)
     if ideal.contains_one():
         return DimensionReport(-1, ())
-    supports = []
-    for bp in basis:
-        lexps = bp.sorted_terms(ideal.order)[0][0]
-        supports.append(frozenset(i for i, e in enumerate(lexps) if e))
+    # leading monomials under the order the engine ran, straight from its basis
+    decode = ideal._codec.decode
+    supports = [frozenset(i for i, e in enumerate(decode(t[0][1])) if e)
+                for t in ideal._basis_engine]
     # minimalize: keep only inclusion-minimal supports
     supports.sort(key=len)
     minimal: list[frozenset] = []

@@ -21,7 +21,7 @@ from .groebner import (
     eliminate,
     ideals_equal,
 )
-from .poly import Poly, PrimeField, QQ, VarTable, poly_prod
+from .poly import DEFAULT_PRIME, Poly, PrimeField, QQ, VarTable, poly_prod
 from .quiver import ArmParams, StarQuiver, build_star_quiver
 from .reconstruction import DeformParams, canonical_relation, in_delta, make_gamma
 
@@ -255,7 +255,7 @@ def kernel_ideal(p, field=None, budget: GroebnerBudget | None = None) -> Ideal:
     """
     p = ArmParams.parse(p)
     if field is None:
-        field = PrimeField(65521)
+        field = PrimeField(DEFAULT_PRIME)
     if budget is None:
         budget = GroebnerBudget(max_spairs=2_000_000, max_degree=120, time_cap=870.0)
     Q = build_star_quiver(p, field)
@@ -295,7 +295,7 @@ def verify_conjecture(p, field=None, budget: GroebnerBudget | None = None) -> Co
     """
     p = ArmParams.parse(p)
     if field is None:
-        field = PrimeField(65521)
+        field = PrimeField(DEFAULT_PRIME)
     t0 = time.monotonic()
     minors_ok = verify_minors_vanish(p, QQ)
     try:
@@ -312,7 +312,7 @@ def verify_conjecture(p, field=None, budget: GroebnerBudget | None = None) -> Co
     elapsed = int((time.monotonic() - t0) * 1000)
     return ConjectureReport(
         p=p,
-        field_name=getattr(field, "name", "QQ"),
+        field_name=field.name,
         probabilistic=isinstance(field, PrimeField),
         minors_in_kernel=minors_ok,
         equal=equal,
@@ -362,7 +362,7 @@ def fibre_zero_presentation(p, field=None, budget: GroebnerBudget | None = None,
     computation (inconclusive if it times out)."""
     p = ArmParams.parse(p)
     if field is None:
-        field = PrimeField(65521)
+        field = PrimeField(DEFAULT_PRIME)
     table = origin_fibre_table()
     targets = origin_fibre_minors(p, field)
     try:
@@ -375,10 +375,10 @@ def fibre_zero_presentation(p, field=None, budget: GroebnerBudget | None = None,
         equal = ideals_equal(spec_ideal, target_ideal)
         status = "confirmed" if equal else "refuted"
     except Inconclusive:
-        return OriginFibreReport(p, getattr(field, "name", "QQ"), None,
+        return OriginFibreReport(p, field.name, None,
                                  "inconclusive", (), tuple(t.to_str() for t in targets))
     return OriginFibreReport(
-        p, getattr(field, "name", "QQ"), equal, status,
+        p, field.name, equal, status,
         tuple(g.to_str() for g in specialized),
         tuple(t.to_str() for t in targets),
     )

@@ -218,18 +218,16 @@ def random_gamma(p: ArmParams, seed: int, height: int = 10, field=QQ,
 
 
 def gamma_from_json(obj, p: ArmParams, field=QQ) -> DeformParams:
-    """Decode a gamma JSON object (rationals as 'n/d' strings or ints);
-    the string specifiers 'zero' and 'random(seed)' are also accepted."""
-    if isinstance(obj, str):
-        spec = obj.strip()
-        if spec == "zero":
-            return zero_gamma(p, field)
-        if spec.startswith("random(") and spec.endswith(")"):
-            return random_gamma(p, int(spec[len("random("):-1]), field=field)
-        raise ValueError(f"unknown gamma specifier {spec!r}")
+    """Decode a gamma JSON object: list-valued gamma1..gamma3 and scalars
+    a, b, A, B, each rational an 'n/d' string or an int."""
+    if not isinstance(obj, dict):
+        raise ValueError("gamma JSON must be an object")
     missing = [k for k in ("gamma1", "gamma2", "gamma3", "a", "b", "A", "B") if k not in obj]
     if missing:
         raise ValueError(f"gamma JSON missing keys {missing}")
+    for k in ("gamma1", "gamma2", "gamma3"):
+        if not isinstance(obj[k], list):
+            raise ValueError(f"gamma JSON {k} must be a list")
     return make_gamma(
         p,
         [Fraction(str(v)) for v in obj["gamma1"]],
@@ -241,17 +239,13 @@ def gamma_from_json(obj, p: ArmParams, field=QQ) -> DeformParams:
     )
 
 
-def gamma_from_file(path: str, p: ArmParams, field=QQ) -> DeformParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return gamma_from_json(json.load(fh), p, field)
-
-
 def parse_gamma_spec(spec: str, p: ArmParams, field=QQ) -> DeformParams:
     """CLI gamma source: zero | file:PATH | random:SEED."""
     if spec == "zero":
         return zero_gamma(p, field)
     if spec.startswith("file:"):
-        return gamma_from_file(spec[len("file:"):], p, field)
+        with open(spec[len("file:"):], "r", encoding="utf-8") as fh:
+            return gamma_from_json(json.load(fh), p, field)
     if spec.startswith("random:"):
         return random_gamma(p, int(spec[len("random:"):]), field=field)
     raise ValueError(f"unknown gamma source {spec!r} (zero|file:PATH|random:SEED)")

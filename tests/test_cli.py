@@ -204,6 +204,24 @@ def test_usage_errors():
                         "--gamma", "random:0"]) == 3
 
 
+_GAMMA_REST = '"gamma2": ["0"], "gamma3": ["0"], "a": "0", "b": "0", "A": "0", "B": "0"'
+
+
+@pytest.mark.parametrize("command, flag, content", [
+    ("fibre", "--gamma", "42"),
+    ("fibre", "--gamma", '{"gamma1": 5, ' + _GAMMA_REST + "}"),
+    # a string is not a vector: "12" must not be read as the entries 1, 2
+    ("fibre", "--gamma", '{"gamma1": "12", ' + _GAMMA_REST + "}"),
+    ("pi", "--point", "[1, 2]"),
+    ("pi", "--point", '{"betas": ["0", "0", "0"], "alphas": 5}'),
+], ids=["gamma-scalar", "gamma1-scalar", "gamma1-string", "point-list", "alphas-scalar"])
+def test_malformed_json_inputs_are_usage_errors(tmp_path, command, flag, content):
+    path = tmp_path / "input.json"
+    path.write_text(content, encoding="utf-8")
+    value = f"file:{path}" if flag == "--gamma" else str(path)
+    assert run_command([command, "--p", "3,2,2", flag, value]) == 3
+
+
 def test_failed_check_exits_one(monkeypatch):
     def broken(*args):
         raise CheckFailed("witness point misses the chart")

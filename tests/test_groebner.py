@@ -21,7 +21,16 @@ from starquiver.groebner import (
     read_ideal_text,
     write_ideal_text,
 )
-from starquiver.poly import GREVLEX, LEX, Poly, PrimeField, QQ, VarTable, parse_poly
+from starquiver.poly import (
+    GREVLEX,
+    LEX,
+    BlockOrder,
+    Poly,
+    PrimeField,
+    QQ,
+    VarTable,
+    parse_poly,
+)
 
 
 def _ideal(table, texts, order=GREVLEX, field=QQ, budget=None):
@@ -291,6 +300,44 @@ def test_prime_field_verdicts_match_exact_ones():
         assert krull_dimension(I_qq).dimension == krull_dimension(I_gf).dimension
         for s in probe_texts:
             assert contains(parse_poly(s, t), I_qq) == contains(parse_poly(s, t, gf), I_gf)
+
+
+ORDERS = [LEX, GREVLEX, BlockOrder([["x"], ["y", "z"]])]
+
+
+def _random_ideals(seed, count):
+    """Seeded QQ ideals of one to three cubic generators in x, y, z."""
+    t = VarTable(["x", "y", "z"])
+    rng = random.Random(seed)
+    return [[_random_poly(t, rng) for _ in range(rng.randint(1, 3))]
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.spec())
+def test_prime_field_basis_is_the_exact_basis_reduced(order):
+    # F_65521 and QQ run one engine, switched by the characteristic; on
+    # these ideals the prime is lucky, so both sides must agree term by term
+    gf = PrimeField(65521)
+    rng = random.Random(11)
+    for gens in _random_ideals(3, 12):
+        t = gens[0].table
+        I_qq = Ideal(t, gens, order=order)
+        I_gf = Ideal(t, [g.to_field(gf) for g in gens], order=order)
+        assert I_gf.groebner_basis() == tuple(g.to_field(gf) for g in I_qq.groebner_basis())
+        for _ in range(3):
+            probe = _random_poly(t, rng, terms=4, deg=3)
+            assert (normal_form(probe.to_field(gf), I_gf)
+                    == normal_form(probe, I_qq).to_field(gf))
+
+
+def test_dimension_does_not_depend_on_the_order():
+    dims = []
+    for gens in _random_ideals(8, 12):
+        t = gens[0].table
+        by_order = {krull_dimension(Ideal(t, gens, order=o)).dimension for o in ORDERS}
+        assert len(by_order) == 1
+        dims += by_order
+    assert set(dims) == {0, 1, 2}
 
 
 def test_budget_exhaustion_is_inconclusive():
