@@ -11,8 +11,11 @@ scaled during reduction), and a prime ``q`` is modular over F_q (monic
 polynomials, every coefficient reduced mod q).  One reduction loop, one
 S-polynomial and one normaliser serve both.
 
-Budgets cap S-pairs processed, polynomial degree and wall-clock time; a
-breached budget raises :class:`Inconclusive`, never returns a wrong answer.
+Pairs are installed by the Gebauer-Moeller update (M, F and B criteria,
+coprime leads), and the run's counters come back as :class:`EngineStats`.
+Budgets cap S-pairs (those left after the M and F criteria), polynomial
+degree and wall-clock time; a breached budget raises :class:`Inconclusive`,
+never returns a wrong answer.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappush, heappop
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -326,14 +329,88 @@ def _spoly(gi, gj, lcm_code, lcm_packed, codec: _Codec, q: int):
     return items
 
 
-def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
-    """Buchberger with the coprime and chain criteria, normal selection.
+@dataclass(frozen=True, slots=True)
+class EngineStats:
+    """Deterministic counters of one Buchberger run.
 
-    A nonzero constant in the basis short-circuits to the unit ideal, which
-    is sound: the reduced basis is then exactly {1}.
+    Pairs are counted as the Gebauer-Moeller update installs them: every new
+    pair formed is pruned by the M/F criteria, dropped as coprime, or queued;
+    a queued pair is later dropped by the B criterion or reduced.
+    `elements_added` counts the nonzero reductions, not the seed generators.
+    """
+
+    pairs_formed: int
+    pruned_mf: int
+    pruned_coprime: int
+    pruned_b: int
+    pairs_reduced: int
+    zero_reductions: int
+    elements_added: int
+    basis_peak: int
+    degree_peak: int
+
+
+def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
+    """Buchberger with the Gebauer-Moeller pair update, normal selection.
+
+    Returns (reduced basis, EngineStats).  A nonzero constant in the basis
+    short-circuits to the unit ideal, which is sound: the reduced basis is
+    then exactly {1}.
     """
     G: list = []
     lt_packs: list[int] = []
+    guard = codec.guard
+    pairs: list = []  # heap of (deg, code, lcm_packed, i, j)
+    active: list[int] = []  # indices whose lead no later lead divides
+    formed = pruned_mf = pruned_coprime = pruned_b = 0
+    reduced = zero = added = degree_peak = 0
+
+    def stats():
+        return EngineStats(formed, pruned_mf, pruned_coprime, pruned_b, reduced,
+                           zero, added, len(G), degree_peak)
+
+    def update(t: int):
+        """Install the pairs of G[t] (Gebauer & Moeller, JSC 1988)."""
+        nonlocal formed, pruned_mf, pruned_coprime, pruned_b, degree_peak
+        h = lt_packs[t]
+        degree_peak = max(degree_peak, codec.deg(h))
+        # a divisor's packed int is never larger, so every lcm sorts after
+        # its divisors; on ties a coprime pair comes first (F criterion)
+        new = []
+        for i in active:
+            lp = codec.lcm(lt_packs[i], h)
+            new.append((lp, lp != lt_packs[i] + h, i))
+        new.sort()
+        formed += len(new)
+        kept: list[int] = []
+        installed = []
+        for lp, not_coprime, i in new:
+            # M and F: the lcm of a kept pair divides this one
+            lpg = lp | guard
+            if any(k <= lp and (lpg - k) & guard == guard for k in kept):
+                pruned_mf += 1
+                continue
+            kept.append(lp)
+            deg = codec.deg(lp)
+            bud.check_degree(deg)
+            bud.tick_spair()
+            if not_coprime:
+                installed.append((deg, codec.code_of_packed(lp), lp, i, t))
+            else:
+                pruned_coprime += 1
+        # B: drop an old pair whose lcm LT(h) divides, unless the lcm equals
+        # lcm(LT(i), LT(h)) or lcm(LT(j), LT(h))
+        old = len(pairs)
+        pairs[:] = [pr for pr in pairs
+                    if not (h <= pr[2] and ((pr[2] | guard) - h) & guard == guard
+                            and codec.lcm(lt_packs[pr[3]], h) != pr[2]
+                            and codec.lcm(lt_packs[pr[4]], h) != pr[2])]
+        pruned_b += old - len(pairs)
+        pairs.extend(installed)
+        heapify(pairs)
+        active[:] = [i for i in active if not codec.divides(h, lt_packs[i])]
+        active.append(t)
+
     # seed basis by interreducing the input generators
     for g in sorted((g for g in gens if g), key=lambda t: t[0][0]):
         h = _reduce_full(g, [_as_basis_elem(x) for x in G], codec, q, bud)[0]
@@ -341,61 +418,35 @@ def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
             continue
         h = _normalize(h, q)
         if h[0][1] == 0:  # constant: unit ideal
-            return [[(0, 0, 1)]]
+            return [[(0, 0, 1)]], stats()
         G.append(h)
         lt_packs.append(h[0][1])
 
-    pairs: list = []
-    pending = set()
-
-    def push_pairs(t: int):
-        for i in range(t):
-            lp = codec.lcm(lt_packs[i], lt_packs[t])
-            deg = codec.deg(lp)
-            bud.check_degree(deg)
-            heappush(pairs, (deg, codec.code_of_packed(lp), lp, i, t))
-            pending.add((i, t))
-
     for t in range(len(G)):
-        push_pairs(t)
+        update(t)
 
     basis_elems = [_as_basis_elem(g) for g in G]
     while pairs:
-        deg, lcm_code, lcm_packed, i, j = heappop(pairs)
-        pending.discard((i, j))
-        bud.tick_spair()
-        # coprime leading terms: S-pair reduces to zero
-        if lcm_packed == lt_packs[i] + lt_packs[j]:
-            continue
-        # chain criterion: some LT(k) divides the lcm and both companion
-        # pairs were already treated
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            if codec.divides(lt_packs[k], lcm_packed):
-                a = (i, k) if i < k else (k, i)
-                b = (j, k) if j < k else (k, j)
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
+        _, lcm_code, lcm_packed, i, j = heappop(pairs)
+        bud.check_time()
         s = _spoly(G[i], G[j], lcm_code, lcm_packed, codec, q)
         h = _reduce_full(s, basis_elems, codec, q, bud)[0]
+        reduced += 1
         if not h:
+            zero += 1
             continue
         h = _normalize(h, q)
+        added += 1
         if h[0][1] == 0:
-            return [[(0, 0, 1)]]
+            return [[(0, 0, 1)]], stats()
         bud.check_degree(codec.deg(h[0][1]))
         t = len(G)
         G.append(h)
         lt_packs.append(h[0][1])
         basis_elems.append(_as_basis_elem(h))
-        push_pairs(t)
+        update(t)
 
-    return _reduced_basis(G, codec, q, bud)
+    return _reduced_basis(G, codec, q, bud), stats()
 
 
 def _reduced_basis(G, codec: _Codec, q: int, bud: _BudgetState):
@@ -458,6 +509,7 @@ class Ideal:
         self._q = field.q if isinstance(field, PrimeField) else 0
         self._basis_engine = None
         self._basis_poly = None
+        self.stats: EngineStats | None = None
 
     # -- basis ---------------------------------------------------------------
 
@@ -466,7 +518,7 @@ class Ideal:
             return
         gens_engine = [_to_engine(g, self._codec, self._q) for g in self.gens]
         bud = self.budget.fresh()
-        basis = _buchberger(gens_engine, self._codec, self._q, bud)
+        basis, self.stats = _buchberger(gens_engine, self._codec, self._q, bud)
         self._basis_engine = basis
         self._basis_poly = tuple(
             _from_engine(t, self._codec, self.table, self.field, self._q)
@@ -482,10 +534,12 @@ class Ideal:
         self._ensure_basis()
         return [_as_basis_elem(t) for t in self._basis_engine]
 
-    def _seed_basis(self, basis_engine, codec):
-        # used by eliminate(): the filtered basis is already reduced
+    def _seed_basis(self, basis_engine, codec, stats):
+        # used by eliminate(): the filtered basis is already reduced, and
+        # stats are those of the elimination run that built it
         self._basis_engine = basis_engine
         self._codec = codec
+        self.stats = stats
         self._basis_poly = tuple(
             _from_engine(t, codec, self.table, self.field, self._q)
             for t in basis_engine
@@ -558,17 +612,16 @@ def eliminate(ideal: Ideal, drop: Iterable[str],
     if not drop_set:
         return ideal
     keep = [n for n in ideal.table.names if n not in drop_set]
+    if not keep:
+        raise ValueError("cannot eliminate every variable")
     drop_ordered = [n for n in ideal.table.names if n in drop_set]
-    order = BlockOrder([drop_ordered, keep]) if keep else GREVLEX
-    work = Ideal(ideal.table, ideal.gens, order=order, field=ideal.field,
-                 budget=budget or ideal.budget)
+    work = Ideal(ideal.table, ideal.gens, order=BlockOrder([drop_ordered, keep]),
+                 field=ideal.field, budget=budget or ideal.budget)
     work._ensure_basis()
     codec = work._codec
     dmask = codec.vars_mask([ideal.table.index(n) for n in drop_ordered])
     survivors = [t for t in work._basis_engine
                  if all(p & dmask == 0 for _, p, _ in t)]
-    if not keep:
-        raise ValueError("cannot eliminate every variable")
     new_table = VarTable(keep)
     new_codec = _Codec(new_table, GREVLEX)
     remapped = []
@@ -579,7 +632,7 @@ def eliminate(ideal: Ideal, drop: Iterable[str],
     remapped.sort(key=lambda tp: tp[0][0][0])
     out = Ideal(new_table, [p for _, p in remapped], order=GREVLEX,
                 field=ideal.field, budget=budget or ideal.budget)
-    out._seed_basis([t for t, _ in remapped], new_codec)
+    out._seed_basis([t for t, _ in remapped], new_codec, work.stats)
     return out
 
 

@@ -246,7 +246,7 @@ def minors_ideal(p: ArmParams, field=QQ,
 # the kernel and the conjecture
 # ---------------------------------------------------------------------------
 
-def kernel_ideal(p, field=None, budget: GroebnerBudget | None = None) -> Ideal:
+def kernel_ideal(p, field=None, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
     """ker(phi), by eliminating the arrow variables from the graph ideal.
 
     The joint ring holds arrows and w/v symbols; the ideal is the canonical
@@ -256,8 +256,6 @@ def kernel_ideal(p, field=None, budget: GroebnerBudget | None = None) -> Ideal:
     p = ArmParams.parse(p)
     if field is None:
         field = PrimeField(DEFAULT_PRIME)
-    if budget is None:
-        budget = GroebnerBudget(max_spairs=2_000_000, max_degree=120, time_cap=870.0)
     Q = build_star_quiver(p, field)
     wv = wv_table(p)
     joint = VarTable(tuple(Q.table.names) + tuple(wv.names))
@@ -285,7 +283,7 @@ class ConjectureReport:
     kernel: Ideal | None = dc_field(default=None, compare=False, repr=False)
 
 
-def verify_conjecture(p, field=None, budget: GroebnerBudget | None = None) -> ConjectureReport:
+def verify_conjecture(p, field=None, budget: GroebnerBudget = DEFAULT_BUDGET) -> ConjectureReport:
     """Compare ker(phi) with the minors ideal.
 
     The containment minors-inside-kernel is asserted independently and must
@@ -355,7 +353,7 @@ class OriginFibreReport:
     target_minors: tuple
 
 
-def fibre_zero_presentation(p, field=None, budget: GroebnerBudget | None = None,
+def fibre_zero_presentation(p, field=None, budget: GroebnerBudget = DEFAULT_BUDGET,
                             kernel: Ideal | None = None) -> OriginFibreReport:
     """Specialize the kernel by sending every v<i>_j to a single v and compare
     with the minors of the one-variable matrix.  Conditional on the kernel
@@ -368,10 +366,8 @@ def fibre_zero_presentation(p, field=None, budget: GroebnerBudget | None = None,
     try:
         kern = kernel if kernel is not None else kernel_ideal(p, field, budget)
         specialized = [g.rename(table, _single_v(p)) for g in kern.groebner_basis()]
-        spec_ideal = Ideal(table, specialized, field=field,
-                           budget=budget or DEFAULT_BUDGET)
-        target_ideal = Ideal(table, targets, field=field,
-                             budget=budget or DEFAULT_BUDGET)
+        spec_ideal = Ideal(table, specialized, field=field, budget=budget)
+        target_ideal = Ideal(table, targets, field=field, budget=budget)
         equal = ideals_equal(spec_ideal, target_ideal)
         status = "confirmed" if equal else "refuted"
     except Inconclusive:

@@ -155,6 +155,13 @@ def test_kernel_report_schema(tmp_path):
     assert isinstance(report["elapsed_ms"], int)
 
 
+def test_kernel_largest_case_confirmed_within_default_caps(tmp_path):
+    code, report = _run(tmp_path, "kernel", "--p", "3,3,3", "--field", "fp:65521")
+    assert code == 0
+    assert report["status"] == "confirmed"
+    assert report["config"]["budgets"]["spair_cap"] == 200_000
+
+
 def test_conjecture_inconclusive_under_zero_budget(tmp_path):
     code, report = _run(tmp_path, "conjecture", "--p", "2,2,2",
                         "--spair-cap", "0")

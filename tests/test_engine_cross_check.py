@@ -46,25 +46,58 @@ def _from_sympy(expr, table, syms):
     return Poly(table, QQ, out)
 
 
+def _sympy_basis(gens, table, order, sym_order):
+    syms = sympy.symbols(table.names)
+    theirs = sympy.groebner([_to_sympy(g, syms) for g in gens], *syms, order=sym_order)
+    converted = set()
+    for e in theirs.exprs:
+        p = _from_sympy(e, table, syms)
+        # sympy emits primitive integer polynomials; compare monic forms
+        converted.add(p.scale(QQ.inv(leading_term(p, order)[1])))
+    return converted
+
+
 @pytest.mark.parametrize("order,sym_order", [(GREVLEX, "grevlex"), (LEX, "lex")])
 def test_reduced_bases_match_sympy(order, sym_order):
     rng = random.Random(f"cross:{sym_order}")
     table = VarTable(NAMES)
-    syms = sympy.symbols(NAMES)
     for trial in range(15):
         gens = [_random_poly(table, rng) for _ in range(rng.randint(1, 3))]
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             continue
         ours = groebner_basis(Ideal(table, gens, order=order))
-        theirs = sympy.groebner([_to_sympy(g, syms) for g in gens],
-                                *syms, order=sym_order)
-        converted = set()
-        for e in theirs.exprs:
-            p = _from_sympy(e, table, syms)
-            # sympy emits primitive integer polynomials; compare monic forms
-            converted.add(p.scale(QQ.inv(leading_term(p, order)[1])))
-        assert set(ours) == converted, f"trial {trial}"
+        assert set(ours) == _sympy_basis(gens, table, order, sym_order), f"trial {trial}"
+
+
+def _random_binomial(table, rng, deg=3):
+    def monomial():
+        exps = [0] * len(table)
+        for _ in range(rng.randint(1, deg)):
+            exps[rng.randrange(len(table))] += 1
+        return tuple(exps)
+
+    return (Poly.monomial(table, QQ, monomial(), Fraction(1))
+            - Poly.monomial(table, QQ, monomial(), Fraction(rng.choice([1, 2, -3]))))
+
+
+@pytest.mark.parametrize("order,sym_order", [(GREVLEX, "grevlex"), (LEX, "lex")])
+def test_binomial_bases_match_sympy(order, sym_order):
+    # binomial ideals with many generators give many pairs with shared
+    # lcms, so every pair criterion of the engine prunes something here
+    rng = random.Random(f"binomial:{sym_order}")
+    pruned = {"mf": 0, "coprime": 0, "b": 0}
+    for trial in range(12):
+        table = VarTable(("x", "y", "z", "w", "v")[:rng.randint(4, 5)])
+        gens = [g for g in (_random_binomial(table, rng) for _ in range(rng.randint(4, 6)))
+                if not g.is_zero()]
+        ideal = Ideal(table, gens, order=order)
+        ours = groebner_basis(ideal)
+        assert set(ours) == _sympy_basis(gens, table, order, sym_order), f"trial {trial}"
+        pruned["mf"] += ideal.stats.pruned_mf
+        pruned["coprime"] += ideal.stats.pruned_coprime
+        pruned["b"] += ideal.stats.pruned_b
+    assert all(pruned.values()), pruned
 
 
 def test_membership_verdicts_match_sympy():

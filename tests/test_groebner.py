@@ -7,6 +7,7 @@ import pytest
 
 from starquiver.groebner import (
     DimensionReport,
+    EngineStats,
     GroebnerBudget,
     Ideal,
     Inconclusive,
@@ -219,6 +220,15 @@ def test_eliminate_nothing_returns_same_ideal():
     assert eliminate(I, []) is I
 
 
+def test_eliminate_every_variable_is_refused_before_any_basis():
+    t = VarTable(["x", "y", "z"])
+    starved = GroebnerBudget(max_spairs=0)
+    # a starved budget would raise Inconclusive if a basis were computed
+    with pytest.raises(ValueError, match="every variable"):
+        eliminate(_ideal(t, ["x^2 + y^2 - 1", "x - y", "z^3 - x*y"]), ["x", "y", "z"],
+                  budget=starved)
+
+
 def test_eliminate_unknown_variable():
     t = VarTable(["x", "y"])
     with pytest.raises(KeyError):
@@ -366,6 +376,19 @@ def test_packed_exponent_overflow_is_inconclusive(field, gens):
     with pytest.raises(Inconclusive, match="packed-field capacity") as exc:
         groebner_basis(ideal)
     assert exc.value.detail == {"exponent": 40000}
+
+
+def test_engine_stats_account_for_every_pair():
+    t = VarTable(["x", "y", "z"])
+    I = _ideal(t, ["x^2 + y^2 - 1", "x - y", "z^3 - x*y"])
+    assert I.stats is None
+    groebner_basis(I)
+    s = I.stats
+    assert isinstance(s, EngineStats)
+    # every formed pair is pruned by one criterion or reduced
+    assert s.pairs_formed == s.pruned_mf + s.pruned_coprime + s.pruned_b + s.pairs_reduced
+    assert s.pairs_reduced == s.zero_reductions + s.elements_added
+    assert s.basis_peak >= len(groebner_basis(I))
 
 
 def test_budget_does_not_trip_on_trivial_ideal():

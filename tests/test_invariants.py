@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from starquiver.groebner import GroebnerBudget, contains, ideals_equal, normal_form, Ideal
+from starquiver.groebner import (
+    EngineStats,
+    GroebnerBudget,
+    Ideal,
+    contains,
+    ideals_equal,
+    normal_form,
+)
 from starquiver.invariants import (
     WVPoint,
     apply_phi,
@@ -215,6 +222,16 @@ def test_kernel_smallest_case_prime_field():
     for m in mins.gens:
         assert contains(m, kern)
     assert ideals_equal(kern, mins)
+
+
+def test_kernel_engine_counters_pinned():
+    # the elimination basis of ker(phi) at 3,3,2 over F_65521: the counters
+    # are deterministic, so a change in pair handling shows up here
+    kern = kernel_ideal(ArmParams(3, 3, 2), GF)
+    assert kern.stats == EngineStats(
+        pairs_formed=132190, pruned_mf=122587, pruned_coprime=1324, pruned_b=3168,
+        pairs_reduced=5111, zero_reductions=4500, elements_added=611,
+        basis_peak=623, degree_peak=8)
 
 
 def test_kernel_joint_ring_arithmetic():
