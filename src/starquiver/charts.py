@@ -56,8 +56,7 @@ class ChartPresentation:
     gamma: DeformParams | None
 
     def ideal(self, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
-        field = self.relations[0].field if self.relations else QQ
-        return Ideal(self.table, self.relations, field=field, budget=budget)
+        return Ideal(self.table, self.relations, budget=budget)
 
 
 def _check_chart_range(c: ChartId, p: ArmParams):
@@ -254,10 +253,8 @@ def chart_by_substitution(Q: StarQuiver, gamma: DeformParams | None,
     if gamma is None:
         # total-space mode: only the canonical relation exists
         pres = total_space_chart(p, c, field)
-        img = canonical_relation(Q).substitute(
-            {a: e.rename(Q.table) for a, e in pres.substitution.items()})
-        return ChartPresentation(c, pres.table, (img.rename(pres.table),),
-                                 pres.substitution, p, None)
+        img = canonical_relation(Q).substitute(pres.substitution, pres.table)
+        return ChartPresentation(c, pres.table, (img,), pres.substitution, p, None)
 
     if not in_delta(gamma, field):
         raise ValueError("gamma outside the parameter subspace: empty fibre")
@@ -296,22 +293,20 @@ def chart_by_substitution(Q: StarQuiver, gamma: DeformParams | None,
             break
     if solved_label is None:
         raise CheckFailed("no relation available to solve the leftover variable")
-    sol = _solve_linear(images[solved_label], leftover)
-    B = {a: e.substitute({leftover: sol}) for a, e in B.items()}
-    B[leftover] = sol
-    for arm, idx in ((arm_a, c.i), (arm_b, c.j)):
-        B[d_arrow(arm, idx)] = Poly.var(Q.table, field, d_arrow(arm, idx))
-        B[u_arrow(arm, idx)] = Poly.var(Q.table, field, u_arrow(arm, idx))
-
     table = _chart_table(c)
+    leftover_sol = {leftover: _solve_linear(images[solved_label], leftover).rename(table)}
+    subs = {a: e.substitute(leftover_sol, table) for a, e in B.items()}
+    subs.update(leftover_sol)
+    for name in table:
+        subs[name] = Poly.var(table, field, name)
+
     survivors = []
     for lbl in ("(a)", "(b)", "(c)", "(d)", "(x)"):
         if lbl == solved_label:
             continue
-        img = images[lbl].substitute({leftover: sol})
+        img = images[lbl].substitute(leftover_sol, table)
         if not img.is_zero():
-            survivors.append(img.rename(table))
-    subs = {a: e.rename(table) for a, e in B.items()}
+            survivors.append(img)
     return ChartPresentation(c, table, tuple(survivors), subs, p, gamma)
 
 
@@ -361,10 +356,9 @@ def smoothness_certificate(pres: ChartPresentation,
                            expected_dim: int | None = None,
                            budget: GroebnerBudget = DEFAULT_BUDGET) -> SmoothnessCertificate:
     """Jacobian smoothness check, optionally pinned to a dimension target."""
-    field = pres.relations[0].field if pres.relations else QQ
     jac_gens = jacobian_ideal_generators(pres)
     try:
-        jac_ideal = Ideal(pres.table, jac_gens, field=field, budget=budget)
+        jac_ideal = Ideal(pres.table, jac_gens, budget=budget)
         one_in = contains_one(jac_ideal)
         dim = krull_dimension(pres.ideal(budget))
     except Inconclusive:

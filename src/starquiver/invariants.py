@@ -163,7 +163,8 @@ def pi_delta_forms_symbolic(p: ArmParams) -> tuple[Poly, Poly]:
 
 def phi_map(Q: StarQuiver) -> dict:
     """Images of the w/v symbols: w1 -> D1 U2, w2 -> D2 U1, w3 -> -D2 U3,
-    v<i>_j -> d<i>_j u<i>_j."""
+    v<i>_j -> d<i>_j u<i>_j.  `f.substitute(phi_map(Q), Q.table)` applies
+    phi to any polynomial f in the w/v ring."""
     images = {
         w_name(1): crossing_cycle(Q, 1, 2),
         w_name(2): crossing_cycle(Q, 2, 1),
@@ -173,28 +174,6 @@ def phi_map(Q: StarQuiver) -> dict:
         for j in range(1, Q.p[arm] + 1):
             images[v_name(arm, j)] = Q.two_cycle(arm, j)
     return images
-
-
-def apply_phi(poly: Poly, Q: StarQuiver) -> Poly:
-    """Extend phi to any polynomial in the w/v ring by substitution."""
-    images = phi_map(Q)
-    field = Q.field
-    result = Poly.zero(Q.table, field)
-    powers: dict = {}
-    names = poly.table.names
-    for exps, c in poly.terms.items():
-        term = Poly.const(Q.table, field, c)
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            key = (names[i], e)
-            pw = powers.get(key)
-            if pw is None:
-                pw = images[names[i]] ** e
-                powers[key] = pw
-            term = term * pw
-        result = result + term
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +209,9 @@ def verify_minors_vanish(p, field=QQ) -> bool:
     p = ArmParams.parse(p)
     Q = build_star_quiver(p, field)
     principal = Ideal(Q.table, [canonical_relation(Q)], field=field)
+    phi = phi_map(Q)
     for m in determinantal_minors(p, field):
-        if not principal.normal_form(apply_phi(m, Q)).is_zero():
+        if not principal.normal_form(m.substitute(phi, Q.table)).is_zero():
             return False
     return True
 

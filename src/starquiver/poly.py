@@ -9,6 +9,9 @@ threads or processes.
 
 The zero polynomial is the empty dict, so equal polynomials always compare
 equal (canonical form).
+
+`Poly.substitute` is the one map of variables, within a VarTable or into
+another one: `rename` and `evaluate` are calls into it.
 """
 
 from __future__ import annotations
@@ -539,85 +542,78 @@ class Poly:
             out[nexps] = nc if cur is None else f.add(cur, nc)
         return Poly(self.table, f, out)
 
-    def substitute(self, bindings: Mapping[str, "Poly"]) -> "Poly":
-        """Simultaneous substitution; unbound variables map to themselves."""
-        idx_bind = {}
-        for name, target in bindings.items():
-            i = self.table.index(name)
-            if not isinstance(target, Poly):
-                target = Poly.const(self.table, self.field, target)
-            if target.table != self.table or target.field != self.field:
-                raise ValueError("binding target on a different VarTable or field")
-            idx_bind[i] = target
+    def substitute(self, bindings: Mapping[str, "Poly"], table: VarTable | None = None) -> "Poly":
+        """Simultaneous substitution into `table` (default: this polynomial's).
+
+        A bound variable maps to its target, a Poly on `table` or a constant;
+        an unbound one maps by name, and raises ValueError only if it occurs
+        and `table` has no variable of that name.
+        """
+        src = self.table
+        table = src if table is None else table
         f = self.field
-        result = Poly.zero(self.table, f)
+        images = {}
+        for name, target in bindings.items():
+            i = src.index(name)
+            if not isinstance(target, Poly):
+                target = Poly.const(table, f, target)
+            elif (target.table, target.field) != (table, f):
+                raise ValueError("binding target on a different VarTable or field")
+            images[i] = target
+        by_name: dict = {}   # unbound source index -> target index
         powers: dict = {}
+        out: dict = {}
+        n = len(table)
+        zero = f.zero
         for exps, c in self.terms.items():
-            residual = list(exps)
-            factors = []
-            for i, target in idx_bind.items():
-                e = exps[i]
-                if e == 0:
+            residual = [0] * n
+            term = None
+            for i, e in enumerate(exps):
+                if not e:
                     continue
-                residual[i] = 0
-                key = (i, e)
-                pw = powers.get(key)
-                if pw is None:
-                    pw = target ** e
-                    powers[key] = pw
-                factors.append(pw)
-            term = Poly._raw(self.table, f, {tuple(residual): c})
-            for pw in factors:
-                term = term * pw
-            result = result + term
-        return result
+                target = images.get(i)
+                if target is None:
+                    j = by_name.get(i)
+                    if j is None:
+                        name = src.names[i]
+                        if name not in table:
+                            raise ValueError(f"variable {name!r} has no image in target table")
+                        j = by_name[i] = table.index(name)
+                    residual[j] += e
+                    continue
+                if e > 1:
+                    key = (i, e)
+                    target = powers.get(key)
+                    if target is None:
+                        target = powers[key] = images[i] ** e
+                term = target if term is None else term * target
+            mono = Poly._raw(table, f, {tuple(residual): c})
+            for ex, v in (mono if term is None else mono * term).terms.items():
+                cur = out.get(ex)
+                if cur is None:
+                    out[ex] = v
+                else:
+                    s = f.add(cur, v)
+                    if s == zero:
+                        del out[ex]
+                    else:
+                        out[ex] = s
+        return Poly._raw(table, f, out)
 
     def evaluate(self, point: Mapping[str, Coeff]):
         """Evaluate at a scalar point; every variable occurring must be bound."""
-        f = self.field
-        vals = {}
-        for name, v in point.items():
-            vals[self.table.index(name)] = f.coerce(v)
-        total = f.zero
-        for exps, c in self.terms.items():
-            acc = c
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if i not in vals:
-                    raise KeyError(f"variable {self.table.names[i]!r} unbound in evaluation")
-                for _ in range(e):
-                    acc = f.mul(acc, vals[i])
-            total = f.add(total, acc)
-        return total
+        return self.substitute(point, VarTable(())).constant_value()
 
     def to_field(self, field) -> "Poly":
         """Re-coerce all coefficients into another field (e.g. QQ -> F_q)."""
         return Poly(self.table, field, self.terms)
 
     def rename(self, table: VarTable, mapping: Mapping[str, str] | None = None) -> "Poly":
-        """Move to another VarTable; variables map by name (or via mapping)."""
-        n = len(table)
-        pos = {}
-        for i, name in enumerate(self.table.names):
-            target = mapping.get(name, name) if mapping else name
-            pos[i] = table.index(target) if target in table else None
-        out = {}
-        for exps, c in self.terms.items():
-            nexps = [0] * n
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                j = pos[i]
-                if j is None:
-                    raise ValueError(
-                        f"variable {self.table.names[i]!r} has no image in target table"
-                    )
-                nexps[j] += e
-            key = tuple(nexps)
-            cur = out.get(key)
-            out[key] = c if cur is None else self.field.add(cur, c)
-        return Poly(table, self.field, out)
+        """Move to another VarTable; a variable maps to `mapping[name]` where
+        that is in `table`, otherwise by name."""
+        return self.substitute({a: Poly.var(table, self.field, b)
+                                for a, b in (mapping or {}).items()
+                                if a in self.table and b in table}, table)
 
     # -- printing -----------------------------------------------------------
 

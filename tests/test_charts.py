@@ -144,9 +144,8 @@ def test_fibre_substitution_covers_arrows_and_lands_in_ideal():
             assert set(pres.substitution) == set(Q.table.names)
             chart_ideal = pres.ideal()
             for _, rel in rels:
-                image = rel.substitute(
-                    {a: e.rename(Q.table) for a, e in pres.substitution.items()})
-                assert contains(image.rename(pres.table), chart_ideal)
+                image = rel.substitute(pres.substitution, pres.table)
+                assert contains(image, chart_ideal)
 
 
 # ---------------------------------------------------------------------------

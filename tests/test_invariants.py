@@ -14,7 +14,6 @@ from starquiver.groebner import (
 )
 from starquiver.invariants import (
     WVPoint,
-    apply_phi,
     determinantal_minors,
     fibre_zero_presentation,
     generating_sets,
@@ -157,7 +156,7 @@ def test_phi_is_multiplicative():
     Q = build_star_quiver(P222)
     t = wv_table(P222)
     w1w2 = parse_poly("w1*w2", t)
-    assert apply_phi(w1w2, Q) == (Q.D(1) * Q.U(2)) * (Q.D(2) * Q.U(1))
+    assert w1w2.substitute(phi_map(Q), Q.table) == (Q.D(1) * Q.U(2)) * (Q.D(2) * Q.U(1))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +197,7 @@ def test_minors_vanish_under_phi():
 def test_outer_minor_vanishes_before_reduction():
     Q = build_star_quiver(P222)
     _, m13, _ = determinantal_minors(P222)
-    assert apply_phi(m13, Q).is_zero()
+    assert m13.substitute(phi_map(Q), Q.table).is_zero()
 
 
 def test_middle_minors_need_the_canonical_relation():
@@ -206,7 +205,7 @@ def test_middle_minors_need_the_canonical_relation():
     m12, _, m23 = determinantal_minors(P222)
     principal = Ideal(Q.table, [canonical_relation(Q)])
     for m in (m12, m23):
-        img = apply_phi(m, Q)
+        img = m.substitute(phi_map(Q), Q.table)
         assert not img.is_zero()
         assert normal_form(img, principal).is_zero()
 

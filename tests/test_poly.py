@@ -179,6 +179,96 @@ def test_substitute_unknown_variable_rejected():
         Poly.var(t, QQ, "x").substitute({"nope": Poly.var(t, QQ, "x")})
 
 
+def test_rename_merging_variables_cancels_to_canonical_zero():
+    t = VarTable(["x", "y"])
+    tv = VarTable(["v"])
+    image = parse_poly("x - y", t).rename(tv, {"x": "v", "y": "v"})
+    assert image == Poly.zero(tv, QQ)
+    assert image.terms == {}
+    assert parse_poly("x*y + x", t).rename(tv, {"x": "v", "y": "v"}) == parse_poly("v^2 + v", tv)
+
+
+def test_rename_raises_only_for_an_occurring_variable_without_image():
+    t = VarTable(["x", "y", "z"])
+    t2 = VarTable(["y", "x"])
+    with pytest.raises(ValueError, match="'z'"):
+        parse_poly("x + z", t).rename(t2)
+    assert parse_poly("x^2 - 3*y", t).rename(t2) == parse_poly("x^2 - 3*y", t2)
+
+
+def test_evaluate_is_substitution_by_constants():
+    rng = random.Random(11)
+    t = VarTable(["x", "y", "z"])
+    for field in (QQ, PrimeField(11)):
+        for _ in range(15):
+            p = _random_poly(t, rng, field)
+            point = {n: field.coerce(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                     for n in t}
+            value = p.evaluate(point)
+            assert p.substitute(point) == Poly.const(t, field, value)
+
+
+def test_evaluate_rejects_an_occurring_unbound_variable():
+    t = VarTable(["x", "y"])
+    p = parse_poly("x*y + 1", t)
+    with pytest.raises((KeyError, ValueError)):
+        p.evaluate({"x": 2})
+    assert parse_poly("2*x + 1", t).evaluate({"x": 3}) == 7
+
+
+def _reference_rename(p, table):
+    """Move to `table` by name, one exponent vector per term."""
+    out = {}
+    for exps, c in p.terms.items():
+        nexps = [0] * len(table)
+        for name, e in zip(p.table.names, exps):
+            if e:
+                nexps[table.index(name)] += e
+        key = tuple(nexps)
+        out[key] = p.field.add(out[key], c) if key in out else c
+    return Poly(table, p.field, out)
+
+
+def _reference_substitute(p, bindings, table):
+    """Cross-table substitution the long way: targets renamed into the
+    source table, a term-by-term loop summing one Poly per term, and a
+    rename of the result into `table`."""
+    f = p.field
+    idx_bind = {p.table.index(n): _reference_rename(t, p.table) for n, t in bindings.items()}
+    result = Poly.zero(p.table, f)
+    for exps, c in p.terms.items():
+        residual = list(exps)
+        term = Poly.const(p.table, f, 1)
+        for i, target in idx_bind.items():
+            if exps[i]:
+                residual[i] = 0
+                term = term * target ** exps[i]
+        result = result + Poly.monomial(p.table, f, tuple(residual), c) * term
+    return _reference_rename(result, table)
+
+
+def test_cross_table_substitute_matches_term_by_term_reference():
+    rng = random.Random(12)
+    src = VarTable(["x", "y", "z", "w"])
+    dst = VarTable(["w", "y"])
+    for field in (QQ, PrimeField(11)):
+        for k in range(40):
+            x_img = _random_poly(dst, rng, field, terms=3, deg=2)
+            z_img = (Poly.zero(dst, field), Poly.const(dst, field, rng.randint(1, 20)),
+                     x_img, _random_poly(dst, rng, field, terms=2, deg=2))[k % 4]
+            bindings = {"x": x_img, "z": z_img}
+            if k % 3 == 0:
+                bindings["y"] = _random_poly(dst, rng, field, terms=2, deg=1)
+            p = _random_poly(src, rng, field, terms=6)
+            # with z bound like x, x - z cancels term by term
+            p = p + _random_poly(src, rng, field, terms=2) * parse_poly("x - z", src, field)
+            got = p.substitute(bindings, dst)
+            assert got == _reference_substitute(p, bindings, dst)
+            assert all(c != field.zero for c in got.terms.values())
+            if z_img == x_img:
+                assert parse_poly("x - z", src, field).substitute(bindings, dst).terms == {}
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 # ---------------------------------------------------------------------------
