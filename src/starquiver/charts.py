@@ -412,46 +412,45 @@ def fibre_witness_point(p: ArmParams, gamma: DeformParams, field=QQ) -> dict:
 # lemma checks
 # ---------------------------------------------------------------------------
 
-def euler_identity_check(n: int, alphas, field=QQ) -> bool:
+def euler_identity_check(n: int, alphas) -> bool:
     """For f = x*(xy - a_1)...(xy - a_n): check x f_x - y f_y = f exactly."""
-    alphas = [field.coerce(v) for v in alphas]
+    alphas = [QQ.coerce(v) for v in alphas]
     if len(alphas) != n:
         raise ValueError("expected one scalar per factor")
     table = VarTable(["x", "y"])
-    x = Poly.var(table, field, "x")
-    y = Poly.var(table, field, "y")
+    x = Poly.var(table, QQ, "x")
+    y = Poly.var(table, QQ, "y")
     xy = x * y
     f = x
     for a in alphas:
-        f = f * (xy - Poly.const(table, field, a))
+        f = f * (xy - Poly.const(table, QQ, a))
     return x * f.derivative("x") - y * f.derivative("y") == f
 
 
-def quotient_nonzero_check(alphas, betas, field=QQ,
-                           budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
+def quotient_nonzero_check(alphas, betas, budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
     """Nonvanishing of C[a,b,x,y]/(f1, f2) for the two chart-shaped relations.
 
     alphas = (a_1, ..., a_n) with a_1 the constant of f1; betas =
     (b_2, ..., b_m).  Returns True iff 1 is not in the ideal.
     """
-    alphas = [field.coerce(v) for v in alphas]
-    betas = [field.coerce(v) for v in betas]
+    alphas = [QQ.coerce(v) for v in alphas]
+    betas = [QQ.coerce(v) for v in betas]
     if not alphas:
         raise ValueError("need at least the constant alpha_1")
     table = VarTable(["a", "b", "x", "y"])
-    a = Poly.var(table, field, "a")
-    b = Poly.var(table, field, "b")
-    x = Poly.var(table, field, "x")
-    y = Poly.var(table, field, "y")
-    f1 = a * b - x * y + Poly.const(table, field, alphas[0])
+    a = Poly.var(table, QQ, "a")
+    b = Poly.var(table, QQ, "b")
+    x = Poly.var(table, QQ, "x")
+    y = Poly.var(table, QQ, "y")
+    f1 = a * b - x * y + Poly.const(table, QQ, alphas[0])
     prod_a = a
     for v in alphas[1:]:
-        prod_a = prod_a * (a * b - Poly.const(table, field, v))
+        prod_a = prod_a * (a * b - Poly.const(table, QQ, v))
     prod_x = x
     for v in betas:
-        prod_x = prod_x * (x * y - Poly.const(table, field, v))
-    f2 = Poly.const(table, field, 1) - prod_a + prod_x
-    return not contains_one(Ideal(table, [f1, f2], field=field, budget=budget))
+        prod_x = prod_x * (x * y - Poly.const(table, QQ, v))
+    f2 = Poly.const(table, QQ, 1) - prod_a + prod_x
+    return not contains_one(Ideal(table, [f1, f2], field=QQ, budget=budget))
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +471,11 @@ class CoverReport:
         return not self.counterexamples
 
 
-def verify_cover(p, enumeration_cap: int = 24, field=QQ) -> CoverReport:
+def verify_cover(p, enumeration_cap: int = 24) -> CoverReport:
     """Enumerate all arrow supports; every stable, relation-compatible one
     must satisfy the conditions of at least one chart."""
     p = ArmParams.parse(p)
-    Q = build_star_quiver(p, field)
+    Q = build_star_quiver(p)
     n = len(Q.table)
     if n > enumeration_cap:
         raise ValueError(

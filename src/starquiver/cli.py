@@ -47,7 +47,7 @@ from .invariants import (
     verify_conjecture,
     verify_minors_vanish,
 )
-from .poly import DEFAULT_PRIME, QQ, parse_field
+from .poly import QQ, parse_field
 from .quiver import ArmParams, all_chart_ids, build_star_quiver
 from .reconstruction import (
     deformed_relations,
@@ -461,23 +461,20 @@ _FLAGS = {
 }
 _CAPS = ("spair-cap", "deg-cap", "time-cap")
 
-# subcommand -> (help, the flags it applies besides --json, defaults overridden)
+# subcommand -> (help, the flags it applies besides --json)
 _SUBCOMMANDS = {
     "charts": ("fibre-chart smoothness + oracle equality",
-               ("p", "field", *_CAPS, "jobs", "gamma"), {}),
-    "smooth": ("total-space chart smoothness", ("p", "field", *_CAPS, "jobs"), {}),
-    "cover": ("brute-force chart cover over all supports", ("p", "enum-cap"), {}),
-    "fibre": ("empty/nonempty fibre verification", ("p", "field", *_CAPS, "gamma"), {}),
-    "pi": ("deformation-map checks", ("p", "point"), {}),
-    "minors": ("minors vanish under the cycle map", ("p",), {}),
-    "kernel": ("kernel of the cycle map by elimination", ("p", "field", *_CAPS),
-               {"field": f"fp:{DEFAULT_PRIME}"}),
-    "conjecture": ("kernel equals the minors ideal", ("p", "field", *_CAPS),
-                   {"field": f"fp:{DEFAULT_PRIME}"}),
-    "gb": ("reduced basis of an ideal file", ("field", *_CAPS, "input", "output"), {}),
+               ("p", "field", *_CAPS, "jobs", "gamma")),
+    "smooth": ("total-space chart smoothness", ("p", "field", *_CAPS, "jobs")),
+    "cover": ("brute-force chart cover over all supports", ("p", "enum-cap")),
+    "fibre": ("empty/nonempty fibre verification", ("p", "field", *_CAPS, "gamma")),
+    "pi": ("deformation-map checks", ("p", "point")),
+    "minors": ("minors vanish under the cycle map", ("p",)),
+    "kernel": ("kernel of the cycle map by elimination", ("p", "field", *_CAPS)),
+    "conjecture": ("kernel equals the minors ideal", ("p", "field", *_CAPS)),
+    "gb": ("reduced basis of an ideal file", ("field", *_CAPS, "input", "output")),
     "props": ("property suites (identities, balances)",
-              ("p", *_CAPS, "seed", "euler-samples", "nonunit-samples", "weight-samples"),
-              {}),
+              ("p", *_CAPS, "seed", "euler-samples", "nonunit-samples", "weight-samples")),
 }
 
 
@@ -488,12 +485,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and determinantal presentations.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags, defaults) in _SUBCOMMANDS.items():
+    for command, (help_text, flags) in _SUBCOMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
         for flag in flags:
             sp.add_argument(f"--{flag}", **_FLAGS[flag])
         sp.add_argument("--json", default=None, help="write the JSON report here")
-        sp.set_defaults(**defaults)
     return ap
 
 

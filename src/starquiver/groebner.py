@@ -636,6 +636,22 @@ def eliminate(ideal: Ideal, drop: Iterable[str],
     return out
 
 
+def _min_hitting_set(minimal: list, idx: int, hitting: set, best: list) -> None:
+    """Branch and bound: extend `hitting` to hit minimal[idx:], keeping the
+    smallest complete hitting set found so far in best[0]."""
+    if best[0] is not None and len(hitting) >= len(best[0]):
+        return
+    while idx < len(minimal) and minimal[idx] & hitting:
+        idx += 1
+    if idx == len(minimal):
+        best[0] = set(hitting)
+        return
+    for v in sorted(minimal[idx]):
+        hitting.add(v)
+        _min_hitting_set(minimal, idx + 1, hitting, best)
+        hitting.remove(v)
+
+
 def krull_dimension(ideal: Ideal) -> DimensionReport:
     """Combinatorial dimension from the leading-term ideal.
 
@@ -659,21 +675,7 @@ def krull_dimension(ideal: Ideal) -> DimensionReport:
     if not minimal:
         return DimensionReport(n, tuple(ideal.table.names))
     best: list = [None]
-
-    def search(idx: int, hitting: set):
-        if best[0] is not None and len(hitting) >= len(best[0]):
-            return
-        while idx < len(minimal) and minimal[idx] & hitting:
-            idx += 1
-        if idx == len(minimal):
-            best[0] = set(hitting)
-            return
-        for v in sorted(minimal[idx]):
-            hitting.add(v)
-            search(idx + 1, hitting)
-            hitting.remove(v)
-
-    search(0, set())
+    _min_hitting_set(minimal, 0, set(), best)
     hit = best[0]
     witness = tuple(ideal.table.names[i] for i in range(n) if i not in hit)
     return DimensionReport(n - len(hit), witness)

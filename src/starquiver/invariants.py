@@ -9,7 +9,6 @@ computed exactly by eliminating the arrow variables.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dc_field
 
 from .groebner import (
@@ -21,7 +20,7 @@ from .groebner import (
     eliminate,
     ideals_equal,
 )
-from .poly import DEFAULT_PRIME, Poly, PrimeField, QQ, VarTable, poly_prod
+from .poly import Poly, PrimeField, QQ, VarTable, poly_prod
 from .quiver import ArmParams, StarQuiver, build_star_quiver
 from .reconstruction import DeformParams, canonical_relation, in_delta, make_gamma
 
@@ -113,7 +112,7 @@ class WVPoint:
         return tuple(len(a) for a in self.alphas) == tuple(p) and len(self.betas) == 3
 
 
-def pi_map(pt: WVPoint, p: ArmParams, field=QQ) -> DeformParams:
+def pi_map(pt: WVPoint, p: ArmParams) -> DeformParams:
     """Consecutive differences of the 2-cycle coordinates; lands in the
     parameter subspace identically."""
     p = ArmParams.parse(p)
@@ -121,18 +120,17 @@ def pi_map(pt: WVPoint, p: ArmParams, field=QQ) -> DeformParams:
         raise ValueError("point coordinates do not match arm parameters")
     al = pt.alpha
     gammas = [
-        tuple(field.sub(al(arm, i), al(arm, i + 1)) for i in range(1, p[arm]))
+        tuple(QQ.sub(al(arm, i), al(arm, i + 1)) for i in range(1, p[arm]))
         for arm in (1, 2, 3)
     ]
     gamma = make_gamma(
         p, gammas[0], gammas[1], gammas[2],
-        a=field.sub(al(2, 1), al(1, 1)),
-        b=field.sub(al(2, 1), al(3, 1)),
-        A=field.sub(al(1, p.p1), al(2, p.p2)),
-        B=field.sub(al(3, p.p3), al(2, p.p2)),
-        field=field,
+        a=QQ.sub(al(2, 1), al(1, 1)),
+        b=QQ.sub(al(2, 1), al(3, 1)),
+        A=QQ.sub(al(1, p.p1), al(2, p.p2)),
+        B=QQ.sub(al(3, p.p3), al(2, p.p2)),
     )
-    if not in_delta(gamma, field):
+    if not in_delta(gamma):
         raise CheckFailed("pi image left the parameter subspace")
     return gamma
 
@@ -226,16 +224,15 @@ def minors_ideal(p: ArmParams, field=QQ,
 # the kernel and the conjecture
 # ---------------------------------------------------------------------------
 
-def kernel_ideal(p, field=None, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
+def kernel_ideal(p, field=QQ, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
     """ker(phi), by eliminating the arrow variables from the graph ideal.
 
     The joint ring holds arrows and w/v symbols; the ideal is the canonical
-    relation plus one tag relation per symbol.  Defaults to the probabilistic
-    prime-field mode; pass QQ for the exact pass.
+    relation plus one tag relation per symbol.  Exact over QQ by default; a
+    prime field gives the modular image, which `verify_conjecture` reports
+    as probabilistic.
     """
     p = ArmParams.parse(p)
-    if field is None:
-        field = PrimeField(DEFAULT_PRIME)
     Q = build_star_quiver(p, field)
     wv = wv_table(p)
     joint = VarTable(tuple(Q.table.names) + tuple(wv.names))
@@ -257,24 +254,21 @@ class ConjectureReport:
     minors_in_kernel: bool
     equal: bool | None
     status: str  # confirmed | refuted | inconclusive
-    elapsed_ms: int
     kernel_generators: tuple
     minors: tuple
     kernel: Ideal | None = dc_field(default=None, compare=False, repr=False)
 
 
-def verify_conjecture(p, field=None, budget: GroebnerBudget = DEFAULT_BUDGET) -> ConjectureReport:
+def verify_conjecture(p, field=QQ, budget: GroebnerBudget = DEFAULT_BUDGET) -> ConjectureReport:
     """Compare ker(phi) with the minors ideal.
 
     The containment minors-inside-kernel is asserted independently and must
-    always hold (exact, over the rationals).  Equality over a prime field is
-    reported as a probabilistic confirmation.  The report carries the
-    kernel ideal, with its basis cached, unless the run was inconclusive.
+    always hold (exact, over the rationals).  Equality is decided over QQ by
+    default, so "confirmed" is a proof; over a prime field it is reported as
+    a probabilistic confirmation.  The report carries the kernel ideal, with
+    its basis cached, unless the run was inconclusive.
     """
     p = ArmParams.parse(p)
-    if field is None:
-        field = PrimeField(DEFAULT_PRIME)
-    t0 = time.monotonic()
     minors_ok = verify_minors_vanish(p, QQ)
     try:
         kern = kernel_ideal(p, field, budget)
@@ -287,7 +281,6 @@ def verify_conjecture(p, field=None, budget: GroebnerBudget = DEFAULT_BUDGET) ->
         equal = None
         status = "inconclusive"
         kgens = ()
-    elapsed = int((time.monotonic() - t0) * 1000)
     return ConjectureReport(
         p=p,
         field_name=field.name,
@@ -295,7 +288,6 @@ def verify_conjecture(p, field=None, budget: GroebnerBudget = DEFAULT_BUDGET) ->
         minors_in_kernel=minors_ok,
         equal=equal,
         status=status,
-        elapsed_ms=elapsed,
         kernel_generators=kgens,
         minors=tuple(m.to_str() for m in determinantal_minors(p, field)),
         kernel=kern,
@@ -333,14 +325,12 @@ class OriginFibreReport:
     target_minors: tuple
 
 
-def fibre_zero_presentation(p, field=None, budget: GroebnerBudget = DEFAULT_BUDGET,
+def fibre_zero_presentation(p, field=QQ, budget: GroebnerBudget = DEFAULT_BUDGET,
                             kernel: Ideal | None = None) -> OriginFibreReport:
     """Specialize the kernel by sending every v<i>_j to a single v and compare
     with the minors of the one-variable matrix.  Conditional on the kernel
     computation (inconclusive if it times out)."""
     p = ArmParams.parse(p)
-    if field is None:
-        field = PrimeField(DEFAULT_PRIME)
     table = origin_fibre_table()
     targets = origin_fibre_minors(p, field)
     try:

@@ -160,19 +160,15 @@ class PrimeField:
 
 QQ = RationalField()
 
-#: Default probabilistic modulus: the largest 16-bit prime.
-DEFAULT_PRIME = 65521
-
 
 def parse_field(spec: str):
-    """Parse a field spec: ``q`` for the rationals or ``fp:65521`` for F_q."""
+    """Parse a field spec: ``q`` for the rationals or ``fp:65521`` for F_q,
+    ignoring case and outer spaces."""
     spec = spec.strip().lower()
-    if spec in ("q", "qq", "rational", "rationals"):
+    if spec == "q":
         return QQ
     if spec.startswith("fp:"):
         return PrimeField(int(spec[3:]))
-    if spec == "fp":
-        return PrimeField(DEFAULT_PRIME)
     raise ValueError(f"unknown field spec {spec!r} (expected 'q' or 'fp:Q')")
 
 

@@ -187,31 +187,30 @@ def rep_ideal(Q: StarQuiver, gamma: DeformParams,
 # gamma input: JSON, zero, seeded random
 # ---------------------------------------------------------------------------
 
-def _random_fraction(rng: random.Random, height: int) -> Fraction:
-    return Fraction(rng.randint(-height, height), rng.randint(1, height))
+def _random_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-10, 10), rng.randint(1, 10))
 
 
-def random_gamma(p: ArmParams, seed: int, height: int = 10, field=QQ,
-                 inside_delta: bool = True) -> DeformParams:
-    """Seeded random parameter of bounded height.
+def random_gamma(p: ArmParams, seed: int, field=QQ, inside_delta: bool = True) -> DeformParams:
+    """Seeded random parameter of height at most 10.
 
     Inside the subspace: all coordinates free except a and b, which are
     solved from the two defining equations.  Outside: fully free, resampled
     on the rare draw that lands inside.
     """
-    rng = random.Random(f"gamma:{seed}:{p.label()}:{height}:{inside_delta}")
+    rng = random.Random(f"gamma:{seed}:{p.label()}:10:{inside_delta}")
     while True:
-        g1 = tuple(_random_fraction(rng, height) for _ in range(p.p1 - 1))
-        g2 = tuple(_random_fraction(rng, height) for _ in range(p.p2 - 1))
-        g3 = tuple(_random_fraction(rng, height) for _ in range(p.p3 - 1))
-        A = _random_fraction(rng, height)
-        B = _random_fraction(rng, height)
+        g1 = tuple(_random_fraction(rng) for _ in range(p.p1 - 1))
+        g2 = tuple(_random_fraction(rng) for _ in range(p.p2 - 1))
+        g3 = tuple(_random_fraction(rng) for _ in range(p.p3 - 1))
+        A = _random_fraction(rng)
+        B = _random_fraction(rng)
         if inside_delta:
             a = sum(g2, Fraction(0)) - sum(g1, Fraction(0)) - A
             b = sum(g2, Fraction(0)) - sum(g3, Fraction(0)) - B
         else:
-            a = _random_fraction(rng, height)
-            b = _random_fraction(rng, height)
+            a = _random_fraction(rng)
+            b = _random_fraction(rng)
         gamma = make_gamma(p, g1, g2, g3, a, b, A, B, field=field)
         if in_delta(gamma, field) == inside_delta:
             return gamma

@@ -1,6 +1,10 @@
 """CLI: subcommands, exit codes, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +171,45 @@ def test_conjecture_inconclusive_under_zero_budget(tmp_path):
                         "--spair-cap", "0")
     assert code == 2
     assert report["status"] == "inconclusive"
+
+
+@pytest.mark.parametrize("command", ["kernel", "conjecture"])
+def test_kernel_and_conjecture_are_exact_by_default(tmp_path, command):
+    code, report = _run(tmp_path, command, "--p", "2,2,2")
+    assert code == 0
+    assert report["config"]["field"] == "q"
+    assert report["field"] == "QQ"
+    assert report["status"] == "confirmed"
+    if command == "conjecture":
+        assert report["probabilistic"] is False
+
+
+# only the documented `q` and `fp:Q`, in any case and with outer spaces
+@pytest.mark.parametrize("spec, code", [
+    ("fp", 3), ("qq", 3), ("rational", 3), ("Q", 0), (" FP:11 ", 0)])
+def test_field_grammar(tmp_path, spec, code):
+    ideal = tmp_path / "ideal.txt"
+    ideal.write_text("vars: x, y\nx^2 - y\n", encoding="utf-8")
+    assert run_command(["gb", "--input", str(ideal), "--field", spec]) == code
+
+
+def _workbench(*argv, cwd):
+    """Run `python -m starquiver.cli` in a fresh interpreter, so that
+    `main()` and its `sys.exit` are exercised too."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "starquiver.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_module_entry_point(tmp_path):
+    done = _workbench("kernel", "--p", "2,2,2", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "field=QQ" in done.stdout
+    done = _workbench("kernel", "--p", "2,2,2", "--field", "fp", cwd=tmp_path)
+    assert done.returncode == 3
+    assert "unknown field spec" in done.stderr
 
 
 def test_gb_subcommand(tmp_path):

@@ -1,5 +1,6 @@
 """Groebner engine: bases, normal forms, elimination, dimension, budgets."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -247,6 +248,21 @@ def test_dimension_fixtures():
     assert hyper.witness in (("x",), ("y",))
     assert krull_dimension(_ideal(t, ["x", "y"])) == DimensionReport(0, ())
     assert krull_dimension(_ideal(t, ["x", "1 - x"])).dimension == -1
+
+
+def test_dimension_leaves_no_reference_cycles():
+    t = VarTable(["x", "y", "z", "w"])
+    I = _ideal(t, ["x*y - z^2", "y*w - x"])
+    I.groebner_basis()
+    expected = krull_dimension(I)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            assert krull_dimension(I) == expected
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_dimension_witness_is_independent():
