@@ -114,24 +114,23 @@ def _chart_table(c: ChartId) -> VarTable:
     ])
 
 
-def _arm_cycle_product(cycle: Poly, d_var: Poly, gammas, m: int, p_arm: int, field):
-    """d * prod_{t=m}^{p-1} (cycle - sum_{l=m}^{t} gamma_l); empty product = 1."""
-    table = d_var.table
+def _arm_cycle_product(cycle: Poly, d_var: Poly, gammas, m: int):
+    """d * prod_{t=m}^{len(gammas)} (cycle - sum_{l=m}^{t} gamma_l); empty product = 1."""
+    table, field = d_var.table, d_var.field
     acc = d_var
     partial = field.zero
-    for t in range(m, p_arm):
+    for t in range(m, len(gammas) + 1):
         partial = field.add(partial, gammas[t - 1])
         acc = acc * (cycle - Poly.const(table, field, partial))
     return acc
 
 
-def fibre_chart(p: ArmParams, gamma: DeformParams, c: ChartId, field=QQ) -> ChartPresentation:
-    """Closed-form presentation of the chart of the fibre at gamma."""
-    p = ArmParams.parse(p)
+def fibre_chart(gamma: DeformParams, c: ChartId) -> ChartPresentation:
+    """Closed-form presentation of the chart of the fibre at gamma, over
+    gamma's field and arm lengths."""
+    p, field = gamma.p, gamma.field
     _check_chart_range(c, p)
-    if not gamma.matches(p):
-        raise ValueError("gamma component lengths do not match arm parameters")
-    if not in_delta(gamma, field):
+    if not in_delta(gamma):
         raise ValueError("gamma outside the parameter subspace: empty fibre")
     arm_a, arm_b = c.other_arms()
     table = _chart_table(c)
@@ -153,8 +152,8 @@ def fibre_chart(p: ArmParams, gamma: DeformParams, c: ChartId, field=QQ) -> Char
     else:
         f1 = cyc_b + pref_b - cyc_a - pref_a - Poly.const(table, field, gamma.a)
 
-    Fa = _arm_cycle_product(cyc_a, da, ga, c.i, p[arm_a], field)
-    Fb = _arm_cycle_product(cyc_b, db, gb, c.j, p[arm_b], field)
+    Fa = _arm_cycle_product(cyc_a, da, ga, c.i)
+    Fb = _arm_cycle_product(cyc_b, db, gb, c.j)
     one = Poly.const(table, field, 1)
     if c.k == 1:
         f2 = one - Fa + Fb
@@ -163,13 +162,13 @@ def fibre_chart(p: ArmParams, gamma: DeformParams, c: ChartId, field=QQ) -> Char
     else:
         f2 = Fa - Fb + one
 
-    subs = _fibre_substitution(p, gamma, c, table, field)
+    subs = _fibre_substitution(gamma, c, table)
     return ChartPresentation(c, table, (f1, f2), subs, p, gamma)
 
 
-def _fibre_substitution(p: ArmParams, gamma: DeformParams, c: ChartId,
-                        table: VarTable, field) -> dict:
+def _fibre_substitution(gamma: DeformParams, c: ChartId, table: VarTable) -> dict:
     """Arrow expressions in chart variables, transcribed from the chain solve."""
+    p, field = gamma.p, gamma.field
     arm_a, arm_b = c.other_arms()
     one = Poly.const(table, field, 1)
     subs = {}
@@ -256,7 +255,7 @@ def chart_by_substitution(Q: StarQuiver, gamma: DeformParams | None,
         img = canonical_relation(Q).substitute(pres.substitution, pres.table)
         return ChartPresentation(c, pres.table, (img,), pres.substitution, p, None)
 
-    if not in_delta(gamma, field):
+    if not in_delta(gamma):
         raise ValueError("gamma outside the parameter subspace: empty fibre")
     rels = deformed_relations(Q, gamma)
     arm_a, arm_b = c.other_arms()
@@ -382,16 +381,16 @@ def oracle_matches(Q: StarQuiver, pres: ChartPresentation,
     return ideals_equal(pres.ideal(budget), derived.ideal(budget))
 
 
-def fibre_witness_point(p: ArmParams, gamma: DeformParams, field=QQ) -> dict:
+def fibre_witness_point(gamma: DeformParams) -> dict:
     """An exact scalar point of the fibre at gamma, read off a boundary chart.
 
     On the chart with both indices maximal the second relation is linear, so
-    a rational solution exists; pushing it through the substitution
+    a solution in gamma's field exists; pushing it through the substitution
     dictionary gives values for every arrow.
     """
-    p = ArmParams.parse(p)
-    c = ChartId(1, p.p2, p.p3)
-    pres = fibre_chart(p, gamma, c, field)
+    field = gamma.field
+    c = ChartId(1, gamma.p.p2, gamma.p.p3)
+    pres = fibre_chart(gamma, c)
     arm_a, arm_b = c.other_arms()
     ga, gb = gamma.gamma(arm_a), gamma.gamma(arm_b)
     pref_a = field.sum(ga[: c.i - 1])

@@ -139,7 +139,7 @@ def _charts_status(items) -> tuple[str, int]:
 
 def _fibre_chart_item(task) -> dict:
     Q, gamma, c, budget = task
-    pres = fibre_chart(Q.p, gamma, c, Q.field)
+    pres = fibre_chart(gamma, c)
     item = _chart_item(pres, smoothness_certificate(pres, expected_dim=2, budget=budget),
                        witness=True)
     try:
@@ -212,16 +212,16 @@ def cmd_fibre(args) -> int:
     field = parse_field(args.field)
     t0 = time.monotonic()
     gamma = parse_gamma_spec(args.gamma, p, field)
-    inside = in_delta(gamma, field)
+    inside = in_delta(gamma)
     item: dict = {
         "gamma": gamma.to_json(),
         "in_delta": inside,
-        "delta_forms": [str(f) for f in delta_forms(gamma, field)],
+        "delta_forms": [str(f) for f in delta_forms(gamma)],
     }
     Q = build_star_quiver(p, field)
     inconclusive = False
     if inside:
-        point = fibre_witness_point(p, gamma, field)
+        point = fibre_witness_point(gamma)
         ok = all(r.evaluate(point) == field.zero for _, r in deformed_relations(Q, gamma))
         item["witness_point"] = {a: str(v) for a, v in sorted(point.items())}
         item["witness_satisfies_relations"] = ok
@@ -276,7 +276,7 @@ def cmd_pi(args) -> int:
 def cmd_minors(args) -> int:
     p = ArmParams.parse(args.p)
     t0 = time.monotonic()
-    ok = verify_minors_vanish(p, QQ)
+    ok = verify_minors_vanish(p)
     status, code = _status_exit(ok, False)
     _report(args, t0, status,
             minors=[m.to_str() for m in determinantal_minors(p, QQ)],

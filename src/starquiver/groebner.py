@@ -547,14 +547,19 @@ class Ideal:
 
     # -- queries -------------------------------------------------------------
 
-    def normal_form(self, p: Poly) -> Poly:
-        """Remainder of p on division by the reduced basis; 0 iff p is a member."""
+    def _reduce(self, p: Poly):
+        """Engine remainder and scale of p on division by the reduced basis;
+        p must lie in the ideal's ring.  Zero needs no basis."""
         if p.table != self.table or p.field != self.field:
             raise ValueError("polynomial incompatible with ideal")
-        elems = self._basis_elems()
+        if p.is_zero():
+            return [], 1
         terms = _to_engine(p, self._codec, self._q)
-        bud = self.budget.fresh()
-        r, scale = _reduce_full(terms, elems, self._codec, self._q, bud)
+        return _reduce_full(terms, self._basis_elems(), self._codec, self._q, self.budget.fresh())
+
+    def normal_form(self, p: Poly) -> Poly:
+        """Remainder of p on division by the reduced basis; 0 iff p is a member."""
+        r, scale = self._reduce(p)
         if not self._q:
             # undo the fraction-free scaling and _to_engine's denominator lcm
             scale *= lcm(*(c.denominator for c in p.terms.values()))
@@ -563,12 +568,7 @@ class Ideal:
 
     def contains(self, p: Poly) -> bool:
         """Exact ideal membership via normal form."""
-        if p.is_zero():
-            return True
-        elems = self._basis_elems()
-        terms = _to_engine(p, self._codec, self._q)
-        bud = self.budget.fresh()
-        return not _reduce_full(terms, elems, self._codec, self._q, bud)[0]
+        return not self._reduce(p)[0]
 
     def contains_one(self) -> bool:
         """True iff the ideal is the whole ring (empty variety)."""
@@ -703,10 +703,10 @@ def leading_term(p: Poly, order: MonomialOrder = GREVLEX):
 # ideal text files
 # ---------------------------------------------------------------------------
 
-def write_ideal_text(ideal: Ideal, order_spec: str | None = None) -> str:
+def write_ideal_text(ideal: Ideal) -> str:
     lines = [
         "vars: " + ", ".join(ideal.table.names),
-        "order: " + (order_spec or ideal.order.spec()),
+        "order: " + ideal.order.spec(),
     ]
     for g in ideal.gens:
         lines.append(g.to_str(ideal.order))

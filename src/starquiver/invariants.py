@@ -202,13 +202,13 @@ def determinantal_minors(p: ArmParams, field=QQ) -> tuple:
     return tuple(out)
 
 
-def verify_minors_vanish(p, field=QQ) -> bool:
-    """Each minor maps to zero under phi modulo the canonical relation."""
+def verify_minors_vanish(p) -> bool:
+    """Each minor maps to zero under phi modulo the canonical relation, over QQ."""
     p = ArmParams.parse(p)
-    Q = build_star_quiver(p, field)
-    principal = Ideal(Q.table, [canonical_relation(Q)], field=field)
+    Q = build_star_quiver(p)
+    principal = Ideal(Q.table, [canonical_relation(Q)])
     phi = phi_map(Q)
-    for m in determinantal_minors(p, field):
+    for m in determinantal_minors(p):
         if not principal.normal_form(m.substitute(phi, Q.table)).is_zero():
             return False
     return True
@@ -269,7 +269,7 @@ def verify_conjecture(p, field=QQ, budget: GroebnerBudget = DEFAULT_BUDGET) -> C
     its basis cached, unless the run was inconclusive.
     """
     p = ArmParams.parse(p)
-    minors_ok = verify_minors_vanish(p, QQ)
+    minors_ok = verify_minors_vanish(p)
     try:
         kern = kernel_ideal(p, field, budget)
         mins = minors_ideal(p, field)

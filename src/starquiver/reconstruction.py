@@ -1,7 +1,8 @@
 """Deformed relation systems of the star quiver and the parameter space.
 
 A deformation parameter packs three vectors (one per arm, length p_i - 1)
-and four scalars a, b, A, B, accessed by name throughout.  The parameter
+and four scalars a, b, A, B, accessed by name throughout, and the field they
+lie in; functions read its field and arm lengths off it.  The parameter
 space of interest is the affine subspace cut out by two linear trace-type
 conditions; off it the scalar representation variety is empty, which the
 representation ideal certifies by containing 1.
@@ -21,7 +22,8 @@ from .quiver import ArmParams, StarQuiver, d_arrow, u_arrow
 
 @dataclass(frozen=True)
 class DeformParams:
-    """gamma = (gamma1, gamma2, gamma3, a, b, A, B), all exact field elements."""
+    """gamma = (gamma1, gamma2, gamma3, a, b, A, B), all exact elements of
+    `field`; the arm lengths are p_i = len(gamma_i) + 1."""
 
     gamma1: tuple
     gamma2: tuple
@@ -30,12 +32,14 @@ class DeformParams:
     b: object
     A: object
     B: object
+    field: object
 
     def gamma(self, arm: int) -> tuple:
         return (self.gamma1, self.gamma2, self.gamma3)[arm - 1]
 
-    def matches(self, p: ArmParams) -> bool:
-        return tuple(len(self.gamma(i)) for i in (1, 2, 3)) == (p.p1 - 1, p.p2 - 1, p.p3 - 1)
+    @property
+    def p(self) -> ArmParams:
+        return ArmParams(len(self.gamma1) + 1, len(self.gamma2) + 1, len(self.gamma3) + 1)
 
     def is_zero(self) -> bool:
         vals = list(self.gamma1) + list(self.gamma2) + list(self.gamma3)
@@ -43,17 +47,14 @@ class DeformParams:
         return all(v == 0 for v in vals)
 
     def to_json(self) -> dict:
-        def enc(v):
-            return str(v)
-
         return {
-            "gamma1": [enc(v) for v in self.gamma1],
-            "gamma2": [enc(v) for v in self.gamma2],
-            "gamma3": [enc(v) for v in self.gamma3],
-            "a": enc(self.a),
-            "b": enc(self.b),
-            "A": enc(self.A),
-            "B": enc(self.B),
+            "gamma1": [str(v) for v in self.gamma1],
+            "gamma2": [str(v) for v in self.gamma2],
+            "gamma3": [str(v) for v in self.gamma3],
+            "a": str(self.a),
+            "b": str(self.b),
+            "A": str(self.A),
+            "B": str(self.B),
         }
 
 
@@ -63,7 +64,7 @@ def zero_gamma(p: ArmParams, field=QQ) -> DeformParams:
         gamma1=(z,) * (p.p1 - 1),
         gamma2=(z,) * (p.p2 - 1),
         gamma3=(z,) * (p.p3 - 1),
-        a=z, b=z, A=z, B=z,
+        a=z, b=z, A=z, B=z, field=field,
     )
 
 
@@ -73,9 +74,9 @@ def make_gamma(p: ArmParams, gamma1, gamma2, gamma3, a, b, A, B, field=QQ) -> De
         gamma2=tuple(field.coerce(v) for v in gamma2),
         gamma3=tuple(field.coerce(v) for v in gamma3),
         a=field.coerce(a), b=field.coerce(b),
-        A=field.coerce(A), B=field.coerce(B),
+        A=field.coerce(A), B=field.coerce(B), field=field,
     )
-    if not g.matches(p):
+    if any(len(g.gamma(arm)) != p[arm] - 1 for arm in (1, 2, 3)):
         raise ValueError("gamma component lengths do not match arm parameters")
     return g
 
@@ -84,8 +85,9 @@ def make_gamma(p: ArmParams, gamma1, gamma2, gamma3, a, b, A, B, field=QQ) -> De
 # the parameter subspace
 # ---------------------------------------------------------------------------
 
-def delta_forms(gamma: DeformParams, field=QQ) -> tuple:
-    """The two defining linear forms, evaluated exactly."""
+def delta_forms(gamma: DeformParams) -> tuple:
+    """The two defining linear forms, evaluated exactly in gamma's field."""
+    field = gamma.field
     neg = field.neg
     return (
         field.sum((*gamma.gamma1, *map(neg, gamma.gamma2), gamma.A, gamma.a)),
@@ -93,10 +95,11 @@ def delta_forms(gamma: DeformParams, field=QQ) -> tuple:
     )
 
 
-def in_delta(gamma: DeformParams, field=QQ) -> bool:
+def in_delta(gamma: DeformParams) -> bool:
     """Membership in the parameter subspace; when true the derived third
     identity (difference of the two forms) is checked as a consequence."""
-    f1, f2 = delta_forms(gamma, field)
+    field = gamma.field
+    f1, f2 = delta_forms(gamma)
     ok = f1 == field.zero and f2 == field.zero
     if ok:
         neg = field.neg
@@ -138,10 +141,12 @@ def deformed_relations(Q: StarQuiver, gamma: DeformParams) -> RelationSystem:
 
     Arm chains: u<i>_k d<i>_k - d<i>_{k+1} u<i>_{k+1} = gamma_{ik}; the four
     scalar relations tie the arm tops and bottoms together; the canonical
-    relation stays undeformed.
+    relation stays undeformed.  The one check of a gamma against a quiver:
+    its arm lengths and field must be the quiver's.
     """
-    if not gamma.matches(Q.p):
-        raise ValueError("gamma component lengths do not match quiver arms")
+    if (gamma.p, gamma.field) != (Q.p, Q.field):
+        raise ValueError(f"gamma for arms {gamma.p.label()} over {gamma.field!r} on a quiver "
+                         f"with arms {Q.p.label()} over {Q.field!r}")
     field = Q.field
     av = Q.arrow_poly
     labels = []
@@ -212,30 +217,24 @@ def random_gamma(p: ArmParams, seed: int, field=QQ, inside_delta: bool = True) -
             a = _random_fraction(rng)
             b = _random_fraction(rng)
         gamma = make_gamma(p, g1, g2, g3, a, b, A, B, field=field)
-        if in_delta(gamma, field) == inside_delta:
+        if in_delta(gamma) == inside_delta:
             return gamma
 
 
 def gamma_from_json(obj, p: ArmParams, field=QQ) -> DeformParams:
     """Decode a gamma JSON object: list-valued gamma1..gamma3 and scalars
     a, b, A, B, each rational an 'n/d' string or an int."""
+    keys = ("gamma1", "gamma2", "gamma3", "a", "b", "A", "B")
     if not isinstance(obj, dict):
         raise ValueError("gamma JSON must be an object")
-    missing = [k for k in ("gamma1", "gamma2", "gamma3", "a", "b", "A", "B") if k not in obj]
+    missing = [k for k in keys if k not in obj]
     if missing:
         raise ValueError(f"gamma JSON missing keys {missing}")
-    for k in ("gamma1", "gamma2", "gamma3"):
+    for k in keys[:3]:
         if not isinstance(obj[k], list):
             raise ValueError(f"gamma JSON {k} must be a list")
-    return make_gamma(
-        p,
-        [Fraction(str(v)) for v in obj["gamma1"]],
-        [Fraction(str(v)) for v in obj["gamma2"]],
-        [Fraction(str(v)) for v in obj["gamma3"]],
-        Fraction(str(obj["a"])), Fraction(str(obj["b"])),
-        Fraction(str(obj["A"])), Fraction(str(obj["B"])),
-        field=field,
-    )
+    vectors = ([str(v) for v in obj[k]] for k in keys[:3])
+    return make_gamma(p, *vectors, *(str(obj[k]) for k in keys[3:]), field=field)
 
 
 def parse_gamma_spec(spec: str, p: ArmParams, field=QQ) -> DeformParams:

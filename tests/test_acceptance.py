@@ -66,7 +66,7 @@ def test_criterion_01_fibre_chart_certificates():
     for p in P_SUITE:
         for gamma in _suite_gammas(p):
             for c in all_chart_ids(p):
-                cert = smoothness_certificate(fibre_chart(p, gamma, c),
+                cert = smoothness_certificate(fibre_chart(gamma, c),
                                               expected_dim=2)
                 charts += 1
                 if not (cert.status == "smooth" and cert.one_in_jacobian
@@ -101,7 +101,7 @@ def test_criterion_03_oracle_equivalence():
         Q = build_star_quiver(p)
         for gamma in _suite_gammas(p):
             for c in all_chart_ids(p):
-                closed = fibre_chart(p, gamma, c)
+                closed = fibre_chart(gamma, c)
                 derived = chart_by_substitution(Q, gamma, c)
                 charts += 1
                 if not ideals_equal(closed.ideal(), derived.ideal()):

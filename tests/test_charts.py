@@ -96,7 +96,7 @@ def test_fibre_chart_smallest_case():
     gamma = make_gamma(P222, ["1/2"], ["1/3"], ["1/4"],
                        a="-1/6", b="1/12", A=0, B=0)
     assert not (Fraction(1, 2) - Fraction(1, 3) + 0 + Fraction(-1, 6))
-    pres = fibre_chart(P222, gamma, ChartId(1, 1, 1))
+    pres = fibre_chart(gamma, ChartId(1, 1, 1))
     t = pres.table
     assert t.names == ("d2_1", "u2_1", "d3_1", "u3_1")
     assert pres.relations[0] == parse_poly("d2_1*u2_1 - d3_1*u3_1 - 1/12", t)
@@ -106,7 +106,7 @@ def test_fibre_chart_smallest_case():
 
 def test_fibre_chart_zero_gamma_power_form():
     p = ArmParams(3, 3, 3)
-    pres = fibre_chart(p, zero_gamma(p), ChartId(1, 1, 2))
+    pres = fibre_chart(zero_gamma(p), ChartId(1, 1, 2))
     t = pres.table
     # with all gammas zero: f2 = 1 - d^(p-i+1) u^(p-i) + d^(p-j+1) u^(p-j)
     assert pres.relations[1] == parse_poly(
@@ -116,7 +116,7 @@ def test_fibre_chart_zero_gamma_power_form():
 def test_fibre_chart_boundary_collapses_to_single_factor():
     p = ArmParams(2, 3, 2)
     gamma = random_gamma(p, seed=17)
-    pres = fibre_chart(p, gamma, ChartId(1, 3, 1))
+    pres = fibre_chart(gamma, ChartId(1, 3, 1))
     f2 = pres.relations[1]
     # i = p2: the arm-2 product is the bare chart variable
     d = parse_poly("d2_3", pres.table)
@@ -130,7 +130,7 @@ def test_fibre_chart_boundary_collapses_to_single_factor():
 def test_fibre_chart_rejects_gamma_outside_delta():
     gamma = make_gamma(P222, [1], [0], [0], a=0, b=0, A=0, B=0)
     with pytest.raises(ValueError, match="subspace"):
-        fibre_chart(P222, gamma, ChartId(1, 1, 1))
+        fibre_chart(gamma, ChartId(1, 1, 1))
 
 
 def test_fibre_substitution_covers_arrows_and_lands_in_ideal():
@@ -140,7 +140,7 @@ def test_fibre_substitution_covers_arrows_and_lands_in_ideal():
         gamma = random_gamma(p, seed=23)
         rels = deformed_relations(Q, gamma)
         for c in all_chart_ids(p):
-            pres = fibre_chart(p, gamma, c)
+            pres = fibre_chart(gamma, c)
             assert set(pres.substitution) == set(Q.table.names)
             chart_ideal = pres.ideal()
             for _, rel in rels:
@@ -156,7 +156,7 @@ def test_oracle_agreement_zero_gamma_smallest_case():
     Q = build_star_quiver(P222)
     gamma = zero_gamma(P222)
     for c in all_chart_ids(P222):
-        closed = fibre_chart(P222, gamma, c)
+        closed = fibre_chart(gamma, c)
         derived = chart_by_substitution(Q, gamma, c)
         assert ideals_equal(closed.ideal(), derived.ideal())
 
@@ -166,7 +166,7 @@ def test_oracle_agreement_random_gamma_all_charts():
     Q = build_star_quiver(p)
     gamma = random_gamma(p, seed=31)
     for c in all_chart_ids(p):
-        closed = fibre_chart(p, gamma, c)
+        closed = fibre_chart(gamma, c)
         derived = chart_by_substitution(Q, gamma, c)
         assert ideals_equal(closed.ideal(), derived.ideal())
 
@@ -178,12 +178,22 @@ def test_fibre_charts_and_witness_in_every_field(spec):
     Q = build_star_quiver(p, field)
     gamma = random_gamma(p, seed=31, field=field)
     for c in all_chart_ids(p):
-        pres = fibre_chart(p, gamma, c, field)
+        pres = fibre_chart(gamma, c)
         assert smoothness_certificate(pres, expected_dim=2).status == "smooth"
         assert oracle_matches(Q, pres)
-    point = fibre_witness_point(p, gamma, field)
+    point = fibre_witness_point(gamma)
     for _, rel in deformed_relations(Q, gamma):
         assert rel.evaluate(point) == field.zero
+
+
+def test_oracle_rejects_gamma_of_another_field_or_arms():
+    p = ArmParams(3, 2, 2)
+    Q = build_star_quiver(p)
+    for gamma in (random_gamma(p, 1, field=parse_field("fp:11")),
+                  random_gamma(ArmParams(2, 3, 2), 1)):
+        for c in all_chart_ids(p):
+            with pytest.raises(ValueError, match="on a quiver"):
+                chart_by_substitution(Q, gamma, c)
 
 
 def test_oracle_survivors_contain_plus_minus_first_relation():
@@ -192,7 +202,7 @@ def test_oracle_survivors_contain_plus_minus_first_relation():
     Q = build_star_quiver(P222)
     gamma = random_gamma(P222, seed=37)
     for c in all_chart_ids(P222):
-        closed = fibre_chart(P222, gamma, c)
+        closed = fibre_chart(gamma, c)
         derived = chart_by_substitution(Q, gamma, c)
         f1 = closed.relations[0]
         assert len(derived.relations) == 3
@@ -213,7 +223,7 @@ def test_oracle_substitutions_match_closed_form():
     Q = build_star_quiver(P222)
     gamma = random_gamma(P222, seed=41)
     for c in all_chart_ids(P222):
-        closed = fibre_chart(P222, gamma, c)
+        closed = fibre_chart(gamma, c)
         derived = chart_by_substitution(Q, gamma, c)
         assert derived.substitution == closed.substitution
 
@@ -232,7 +242,7 @@ def test_undeformed_chart_is_smooth():
 def test_deformed_chart_smooth_of_dimension_two():
     p = ArmParams(3, 3, 3)
     gamma = random_gamma(p, seed=43)
-    pres = fibre_chart(p, gamma, ChartId(2, 2, 1))
+    pres = fibre_chart(gamma, ChartId(2, 2, 1))
     cert = smoothness_certificate(pres, expected_dim=2)
     assert cert.status == "smooth"
     assert cert.dimension.dimension == 2
@@ -240,7 +250,7 @@ def test_deformed_chart_smooth_of_dimension_two():
 
 def test_jacobian_generator_count_for_two_relations():
     gamma = random_gamma(P222, seed=47)
-    pres = fibre_chart(P222, gamma, ChartId(1, 1, 1))
+    pres = fibre_chart(gamma, ChartId(1, 1, 1))
     gens = jacobian_ideal_generators(pres)
     assert len(gens) == 2 + 6  # both relations plus all six 2x2 minors
 
@@ -254,7 +264,7 @@ def test_control_presentation_is_singular():
 
 def test_certificate_budget_inconclusive():
     gamma = random_gamma(P222, seed=53)
-    pres = fibre_chart(P222, gamma, ChartId(1, 1, 1))
+    pres = fibre_chart(gamma, ChartId(1, 1, 1))
     cert = smoothness_certificate(pres, expected_dim=2,
                                   budget=GroebnerBudget(max_spairs=0))
     assert cert.status == "inconclusive"
@@ -263,7 +273,7 @@ def test_certificate_budget_inconclusive():
 
 def test_dimension_mismatch_is_not_smooth():
     gamma = random_gamma(P222, seed=59)
-    pres = fibre_chart(P222, gamma, ChartId(1, 1, 1))
+    pres = fibre_chart(gamma, ChartId(1, 1, 1))
     cert = smoothness_certificate(pres, expected_dim=3)
     assert cert.status == "singular"
     assert cert.one_in_jacobian  # smooth Jacobian, wrong dimension target
@@ -278,7 +288,7 @@ def test_witness_point_satisfies_every_relation():
         p = ArmParams.parse(p)
         Q = build_star_quiver(p)
         gamma = random_gamma(p, seed=61)
-        point = fibre_witness_point(p, gamma)
+        point = fibre_witness_point(gamma)
         for _, rel in deformed_relations(Q, gamma):
             assert rel.evaluate(point) == 0
 
@@ -290,7 +300,7 @@ def test_chart_relations_never_generate_the_unit_ideal():
         p = ArmParams.parse(p)
         gamma = random_gamma(p, seed=73)
         for c in all_chart_ids(p):
-            pres = fibre_chart(p, gamma, c)
+            pres = fibre_chart(gamma, c)
             assert not contains_one(pres.ideal())
 
 

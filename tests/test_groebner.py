@@ -182,6 +182,20 @@ def test_contains_zero_in_any_ideal():
     assert contains(Poly.zero(t, QQ), Ideal(t, []))
 
 
+def test_contains_checks_ring_like_normal_form():
+    # a polynomial of another table or field is rejected, even where its
+    # packed exponents would reduce to zero on the ideal's basis
+    xy, ab = VarTable(["x", "y"]), VarTable(["a", "b"])
+    I = _ideal(xy, ["x^2 - y"])
+    F = PrimeField(11)
+    for p, ideal in [(parse_poly("a^2 - b", ab), I),
+                     (parse_poly("x^2 - y", xy, QQ), _ideal(xy, ["x^2 - y"], field=F)),
+                     (Poly.zero(ab, QQ), I)]:
+        for query in (contains, normal_form):
+            with pytest.raises(ValueError, match="incompatible"):
+                query(p, ideal)
+
+
 def test_contains_one_from_unit_combination():
     # y*x - (xy - 1) = 1
     t = VarTable(["x", "y"])

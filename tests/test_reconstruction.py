@@ -116,8 +116,8 @@ def test_prime_field_delta_sums_are_reduced(q):
     F = PrimeField(q)
     # gamma1 = [1], a = -1: the first form is 1 + (-1), i.e. 1 + (q - 1) unreduced
     gamma = make_gamma(P222, [1], [0], [0], a=-1, b=0, A=0, B=0, field=F)
-    assert delta_forms(gamma, F) == (0, 0)
-    assert in_delta(gamma, F)
+    assert delta_forms(gamma) == (0, 0)
+    assert in_delta(gamma)
     p = ArmParams(3, 3, 3)
     for seed in range(10):
         g = random_gamma(p, seed)
@@ -153,6 +153,29 @@ def test_rep_ideal_not_unit_inside_delta():
     Q = build_star_quiver(P222)
     gamma = random_gamma(P222, seed=2)
     assert not contains_one(rep_ideal(Q, gamma))
+
+
+def test_gamma_carries_its_field_and_arm_lengths():
+    F = PrimeField(11)
+    p = ArmParams(3, 2, 2)
+    for g in (zero_gamma(p, F), random_gamma(p, 1, field=F),
+              parse_gamma_spec("random:1", p, F)):
+        assert g.p == p
+        assert g.field == F
+    assert random_gamma(p, 1).field == QQ
+    assert random_gamma(p, 1) != random_gamma(p, 1, field=F)
+
+
+def test_gamma_of_another_field_or_arms_is_rejected():
+    # over QQ the F_11 residues would be read as rationals: d1_1*u1_1 -
+    # d1_2*u1_2 - 9 instead of an error
+    p = ArmParams(3, 2, 2)
+    Q = build_star_quiver(p)
+    for gamma in (random_gamma(p, 1, field=PrimeField(11)), random_gamma(ArmParams(2, 3, 2), 1)):
+        with pytest.raises(ValueError, match="on a quiver"):
+            deformed_relations(Q, gamma)
+        with pytest.raises(ValueError, match="on a quiver"):
+            rep_ideal(Q, gamma)
 
 
 # ---------------------------------------------------------------------------
