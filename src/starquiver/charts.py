@@ -21,7 +21,6 @@ from .groebner import (
     GroebnerBudget,
     Ideal,
     Inconclusive,
-    contains_one,
     ideals_equal,
     krull_dimension,
 )
@@ -52,7 +51,6 @@ class ChartPresentation:
     table: VarTable
     relations: tuple
     substitution: dict
-    p: ArmParams
     gamma: DeformParams | None
 
     def ideal(self, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
@@ -99,7 +97,7 @@ def total_space_chart(p: ArmParams, c: ChartId, field=QQ) -> ChartPresentation:
         subs[arrow] = one
     for name in names:
         subs[name] = Poly.var(table, field, name)
-    return ChartPresentation(c, table, (rel,), subs, p, None)
+    return ChartPresentation(c, table, (rel,), subs, None)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +161,7 @@ def fibre_chart(gamma: DeformParams, c: ChartId) -> ChartPresentation:
         f2 = Fa - Fb + one
 
     subs = _fibre_substitution(gamma, c, table)
-    return ChartPresentation(c, table, (f1, f2), subs, p, gamma)
+    return ChartPresentation(c, table, (f1, f2), subs, gamma)
 
 
 def _fibre_substitution(gamma: DeformParams, c: ChartId, table: VarTable) -> dict:
@@ -253,7 +251,7 @@ def chart_by_substitution(Q: StarQuiver, gamma: DeformParams | None,
         # total-space mode: only the canonical relation exists
         pres = total_space_chart(p, c, field)
         img = canonical_relation(Q).substitute(pres.substitution, pres.table)
-        return ChartPresentation(c, pres.table, (img,), pres.substitution, p, None)
+        return ChartPresentation(c, pres.table, (img,), pres.substitution, None)
 
     if not in_delta(gamma):
         raise ValueError("gamma outside the parameter subspace: empty fibre")
@@ -306,7 +304,7 @@ def chart_by_substitution(Q: StarQuiver, gamma: DeformParams | None,
         img = images[lbl].substitute(leftover_sol, table)
         if not img.is_zero():
             survivors.append(img)
-    return ChartPresentation(c, table, tuple(survivors), subs, p, gamma)
+    return ChartPresentation(c, table, tuple(survivors), subs, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +356,7 @@ def smoothness_certificate(pres: ChartPresentation,
     jac_gens = jacobian_ideal_generators(pres)
     try:
         jac_ideal = Ideal(pres.table, jac_gens, budget=budget)
-        one_in = contains_one(jac_ideal)
+        one_in = jac_ideal.contains_one()
         dim = krull_dimension(pres.ideal(budget))
     except Inconclusive:
         return SmoothnessCertificate(pres.chart, jac_gens, None, None, "inconclusive")
@@ -370,7 +368,7 @@ def smoothness_certificate(pres: ChartPresentation,
 def certify_presentation(table: VarTable, relations, expected_dim=None,
                          budget: GroebnerBudget = DEFAULT_BUDGET) -> SmoothnessCertificate:
     """Certificate for a bare presentation (used for control examples)."""
-    pres = ChartPresentation(None, table, tuple(relations), {}, None, None)
+    pres = ChartPresentation(None, table, tuple(relations), {}, None)
     return smoothness_certificate(pres, expected_dim, budget)
 
 
@@ -449,7 +447,7 @@ def quotient_nonzero_check(alphas, betas, budget: GroebnerBudget = DEFAULT_BUDGE
     for v in betas:
         prod_x = prod_x * (x * y - Poly.const(table, QQ, v))
     f2 = Poly.const(table, QQ, 1) - prod_a + prod_x
-    return not contains_one(Ideal(table, [f1, f2], field=QQ, budget=budget))
+    return not Ideal(table, [f1, f2], field=QQ, budget=budget).contains_one()
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .groebner import (
     GroebnerBudget,
     Inconclusive,
     Ideal,
-    contains_one,
     krull_dimension,
     read_ideal_text,
     write_ideal_text,
@@ -228,7 +227,7 @@ def cmd_fibre(args) -> int:
         kind = "nonempty (witness point found)"
     else:
         try:
-            ok = contains_one(rep_ideal(Q=Q, gamma=gamma, budget=_budget(args)))
+            ok = rep_ideal(Q=Q, gamma=gamma, budget=_budget(args)).contains_one()
             item["one_in_rep_ideal"] = ok
             kind = "empty (1 in relation ideal)"
         except Inconclusive as exc:
@@ -358,7 +357,7 @@ def cmd_gb(args) -> int:
             reduced_basis=[g.to_str(ideal.order) for g in basis],
             dimension=dim.dimension,
             witness=list(dim.witness),
-            is_unit_ideal=contains_one(ideal))
+            is_unit_ideal=ideal.contains_one())
     print(f"gb: {len(ideal.gens)} generators -> reduced basis of "
           f"{len(basis)} elements, dimension {dim.dimension}")
     for g in basis:
@@ -418,8 +417,7 @@ def cmd_props(args) -> int:
             tail, head = Q.arrows[name]
             inout[head] += e
             inout[tail] -= e
-        if (all(w == 0 for w in weight.values())
-                != all(w == 0 for w in inout.values())) or weight != inout:
+        if weight != inout:
             balanced_ok = False
             break
         n_checks += 1

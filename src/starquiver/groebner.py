@@ -1,8 +1,9 @@
 """Buchberger engine: reduced Groebner bases and the certificates built on them.
 
-Monomials are packed into Python ints twice over: an order ``code`` whose
-integer comparison realises the active monomial order and whose integer
-addition realises monomial multiplication, and a ``packed`` exponent vector
+Monomials are packed into Python ints twice over: an order ``code`` that
+packs the key of the one order type, ``MonomialOrder.sort_key``, so that
+integer comparison realises the order and integer addition realises
+monomial multiplication, and a ``packed`` exponent vector
 (16-bit fields, one guard bit each) supporting O(1) divisibility and lcm via
 bit tricks.  Coefficient arithmetic is integer-only, and the characteristic
 ``q`` is the engine's only coefficient switch: ``q = 0`` is fraction-free
@@ -29,7 +30,6 @@ from typing import Iterable, Sequence
 
 from .poly import (
     GREVLEX,
-    BlockOrder,
     MonomialOrder,
     Poly,
     QQ,
@@ -108,14 +108,20 @@ def _exponent_overflow(exponent: int):
 
 
 class _Codec:
-    """Packs exponent vectors for one (VarTable, MonomialOrder) pair."""
+    """Packs exponent vectors for one (VarTable, MonomialOrder) pair.
+
+    The order code packs `MonomialOrder.sort_key`, one 32-bit field per part,
+    so integer comparison of codes is the order itself.  Every part is a sum
+    of exponents, so the packed key is linear in them: a monomial's code is
+    the sum of its exponents times the packed keys of the single variables.
+    """
 
     def __init__(self, table: VarTable, order: MonomialOrder):
         n = len(table)
-        self.n = n
-        self.table = table
-        self.order = order
-        self.blocks = order.blocks_for(table)
+        key = order.sort_key(table)
+        self._weights = tuple(
+            sum(part << (_CODE_BITS * k) for k, part in enumerate(reversed(key(unit))))
+            for unit in ((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
         self._pshift = tuple(_FIELD_BITS * (n - 1 - i) for i in range(n))
         self.guard = 0
         for s in self._pshift:
@@ -125,24 +131,18 @@ class _Codec:
     def encode(self, exps) -> tuple[int, int]:
         packed = 0
         code = 0
-        for i, e in enumerate(exps):
+        for e, s, w in zip(exps, self._pshift, self._weights):
             if e > _MAX_EXP:
                 _exponent_overflow(e)
-            packed += e << self._pshift[i]
-        for block in self.blocks:
-            bdeg = 0
-            for i in block:
-                bdeg += exps[i]
-            code = (code << _CODE_BITS) | bdeg
-            for i in reversed(block[1:]):
-                code = (code << _CODE_BITS) | (bdeg - exps[i])
+            packed += e << s
+            code += e * w
         return code, packed
 
     def decode(self, packed: int) -> tuple:
         return tuple((packed >> s) & 0xFFFF for s in self._pshift)
 
     def code_of_packed(self, packed: int) -> int:
-        return self.encode(self.decode(packed))[0]
+        return sum(((packed >> s) & 0xFFFF) * w for s, w in zip(self._pshift, self._weights))
 
     def deg(self, packed: int) -> int:
         return sum((packed >> s) & 0xFFFF for s in self._pshift)
@@ -534,14 +534,13 @@ class Ideal:
         self._ensure_basis()
         return [_as_basis_elem(t) for t in self._basis_engine]
 
-    def _seed_basis(self, basis_engine, codec, stats):
-        # used by eliminate(): the filtered basis is already reduced, and
-        # stats are those of the elimination run that built it
+    def _seed_basis(self, basis_engine, stats):
+        # used by eliminate(): the filtered basis is already reduced, so it
+        # is also the generators, and stats are those of the elimination run
         self._basis_engine = basis_engine
-        self._codec = codec
         self.stats = stats
-        self._basis_poly = tuple(
-            _from_engine(t, codec, self.table, self.field, self._q)
+        self.gens = self._basis_poly = tuple(
+            _from_engine(t, self._codec, self.table, self.field, self._q)
             for t in basis_engine
         )
 
@@ -580,29 +579,14 @@ class Ideal:
         return f"Ideal({len(self.gens)} gens over {self.field!r}, order {self.order!r})"
 
 
-def groebner_basis(ideal: Ideal) -> tuple:
-    return ideal.groebner_basis()
-
-
-def normal_form(p: Poly, ideal: Ideal) -> Poly:
-    return ideal.normal_form(p)
-
-
-def contains(p: Poly, ideal: Ideal) -> bool:
-    return ideal.contains(p)
-
-
-def contains_one(ideal: Ideal) -> bool:
-    return ideal.contains_one()
-
-
-def eliminate(ideal: Ideal, drop: Iterable[str],
-              budget: GroebnerBudget | None = None) -> Ideal:
+def eliminate(ideal: Ideal, drop: Iterable[str]) -> Ideal:
     """Intersect with the subring omitting `drop`, via a block elimination order.
 
-    The result lives on the reduced VarTable and arrives with its reduced
-    basis already cached (the filtered basis is one, by the elimination
-    property of block orders).
+    The result lives on the reduced VarTable, under grevlex, with the
+    ideal's field and budget.  Its generators are its reduced basis (the
+    filtered basis is one, by the elimination property of block orders,
+    and grevlex agrees with the block order on the kept variables), packed
+    straight from the engine terms of the elimination run.
     """
     drop = list(drop)
     for name in drop:
@@ -615,24 +599,22 @@ def eliminate(ideal: Ideal, drop: Iterable[str],
     if not keep:
         raise ValueError("cannot eliminate every variable")
     drop_ordered = [n for n in ideal.table.names if n in drop_set]
-    work = Ideal(ideal.table, ideal.gens, order=BlockOrder([drop_ordered, keep]),
-                 field=ideal.field, budget=budget or ideal.budget)
+    work = Ideal(ideal.table, ideal.gens, order=MonomialOrder([drop_ordered, keep]),
+                 field=ideal.field, budget=ideal.budget)
     work._ensure_basis()
-    codec = work._codec
-    dmask = codec.vars_mask([ideal.table.index(n) for n in drop_ordered])
-    survivors = [t for t in work._basis_engine
-                 if all(p & dmask == 0 for _, p, _ in t)]
-    new_table = VarTable(keep)
-    new_codec = _Codec(new_table, GREVLEX)
-    remapped = []
-    for t in survivors:
-        p = _from_engine(t, codec, ideal.table, ideal.field, work._q)
-        p2 = p.rename(new_table)
-        remapped.append((_to_engine(p2, new_codec, work._q), p2))
-    remapped.sort(key=lambda tp: tp[0][0][0])
-    out = Ideal(new_table, [p for _, p in remapped], order=GREVLEX,
-                field=ideal.field, budget=budget or ideal.budget)
-    out._seed_basis([t for t, _ in remapped], new_codec, work.stats)
+    decode = work._codec.decode
+    dmask = work._codec.vars_mask([ideal.table.index(n) for n in drop_ordered])
+    kept = [ideal.table.index(n) for n in keep]
+    out = Ideal(VarTable(keep), (), order=GREVLEX, field=ideal.field, budget=ideal.budget)
+
+    def repack(packed):
+        exps = decode(packed)
+        return out._codec.encode(tuple(exps[i] for i in kept))
+
+    # grevlex on the kept variables is the block order restricted to them,
+    # so the repacked terms and basis elements stay in order
+    out._seed_basis([[(*repack(p), c) for _, p, c in t] for t in work._basis_engine
+                     if not any(p & dmask for _, p, _ in t)], work.stats)
     return out
 
 

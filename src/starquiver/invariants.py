@@ -240,7 +240,7 @@ def kernel_ideal(p, field=QQ, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
     for sym, image in phi_map(Q).items():
         gens.append(Poly.var(joint, field, sym) - image.rename(joint))
     ideal = Ideal(joint, gens, field=field, budget=budget)
-    result = eliminate(ideal, Q.table.names, budget=budget)
+    result = eliminate(ideal, Q.table.names)
     if result.table != wv:
         raise CheckFailed("the kept block is not exactly the w/v table")
     return result

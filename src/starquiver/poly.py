@@ -16,6 +16,7 @@ another one: `rename` and `evaluate` are calls into it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -220,101 +221,69 @@ class VarTable:
 # monomial orders
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, repr=False)
 class MonomialOrder:
-    """Base class: a total order on monomials compatible with multiplication.
+    """A total order on monomials compatible with multiplication.
 
-    Every order is realised as a block order (an ordered partition of the
-    variables, graded-reverse-lexicographic within each block, earlier blocks
-    dominating).  ``lex`` is the all-singleton partition and ``grevlex`` the
-    one-block partition.  ``sort_key(exps)`` returns a tuple that sorts
-    monomials ascending in the order.
+    Every order is an ordered partition of the variables, graded reverse
+    lexicographic within each block, earlier blocks dominating.  A ``block``
+    order names its blocks; the two orders that fit any table name none:
+    ``lex`` puts each variable in a block of its own and ``grevlex`` all of
+    them in one.
     """
 
-    def blocks_for(self, table: VarTable) -> tuple:
-        raise NotImplementedError
+    blocks: tuple = ()
+    kind: str = "block"
 
-    def sort_key(self, exps, table: VarTable):
-        key = []
-        for block in self.blocks_for(table):
-            deg = sum(exps[i] for i in block)
-            key.append(deg)
-            for i in reversed(block[1:]):
-                key.append(deg - exps[i])
-        return tuple(key)
-
-    def spec(self) -> str:
-        raise NotImplementedError
-
-
-class Lex(MonomialOrder):
-    def blocks_for(self, table):
-        return tuple((i,) for i in range(len(table)))
-
-    def spec(self):
-        return "lex"
-
-    def __eq__(self, other):
-        return isinstance(other, Lex)
-
-    def __hash__(self):
-        return hash("lex")
-
-    def __repr__(self):
-        return "lex"
-
-
-class GrevLex(MonomialOrder):
-    def blocks_for(self, table):
-        return (tuple(range(len(table))),)
-
-    def spec(self):
-        return "grevlex"
-
-    def __eq__(self, other):
-        return isinstance(other, GrevLex)
-
-    def __hash__(self):
-        return hash("grevlex")
-
-    def __repr__(self):
-        return "grevlex"
-
-
-class BlockOrder(MonomialOrder):
-    """Ordered partition of variable names; grevlex within each block."""
-
-    def __init__(self, blocks: Iterable[Iterable[str]]):
-        self.blocks = tuple(tuple(b) for b in blocks)
-        flat = [n for b in self.blocks for n in b]
+    def __post_init__(self):
+        blocks = tuple(tuple(b) for b in self.blocks)
+        flat = [n for b in blocks for n in b]
         if len(set(flat)) != len(flat):
             raise ValueError("variable repeated across blocks")
+        if self.kind not in ("block", "lex", "grevlex") or (self.kind == "block") != bool(blocks):
+            raise ValueError(f"malformed monomial order {self.kind!r} {blocks!r}")
+        object.__setattr__(self, "blocks", blocks)
 
-    def blocks_for(self, table):
-        seen = set()
-        resolved = []
-        for block in self.blocks:
-            resolved.append(tuple(table.index(n) for n in block))
-            seen.update(block)
-        missing = [n for n in table.names if n not in seen]
+    def blocks_for(self, table: VarTable) -> tuple:
+        """The blocks as tuples of variable indices of `table`."""
+        if self.kind == "lex":
+            return tuple((i,) for i in range(len(table)))
+        if self.kind == "grevlex":
+            return (tuple(range(len(table))),)
+        resolved = tuple(tuple(table.index(n) for n in b) for b in self.blocks)
+        covered = {i for b in resolved for i in b}
+        missing = [n for i, n in enumerate(table.names) if i not in covered]
         if missing:
             raise ValueError(f"block order does not cover variables {missing}")
-        return tuple(resolved)
+        return resolved
 
-    def spec(self):
+    def sort_key(self, table: VarTable):
+        """The order on `table`: a function from an exponent vector to a tuple
+        of non-negative ints, ascending with the monomial.  Each block gives
+        its degree, then its degree less each exponent from the last."""
+        blocks = self.blocks_for(table)
+
+        def key(exps) -> tuple:
+            out = []
+            for block in blocks:
+                deg = sum([exps[i] for i in block])
+                out.append(deg)
+                out.extend(deg - exps[i] for i in reversed(block[1:]))
+            return tuple(out)
+
+        return key
+
+    def spec(self) -> str:
+        if self.kind != "block":
+            return self.kind
         return "block(" + " | ".join(",".join(b) for b in self.blocks) + ")"
-
-    def __eq__(self, other):
-        return isinstance(other, BlockOrder) and other.blocks == self.blocks
-
-    def __hash__(self):
-        return hash(("block", self.blocks))
 
     def __repr__(self):
         return self.spec()
 
 
-LEX = Lex()
-GREVLEX = GrevLex()
+LEX = MonomialOrder(kind="lex")
+GREVLEX = MonomialOrder(kind="grevlex")
 
 
 def parse_order(spec: str) -> MonomialOrder:
@@ -332,7 +301,7 @@ def parse_order(spec: str) -> MonomialOrder:
             if not names:
                 raise ValueError(f"empty block in order spec {spec!r}")
             blocks.append(names)
-        return BlockOrder(blocks)
+        return MonomialOrder(blocks)
     raise ValueError(f"unknown monomial order {spec!r}")
 
 
@@ -615,11 +584,8 @@ class Poly:
 
     def sorted_terms(self, order: MonomialOrder = GREVLEX):
         """Terms in descending monomial order."""
-        return sorted(
-            self.terms.items(),
-            key=lambda item: order.sort_key(item[0], self.table),
-            reverse=True,
-        )
+        key = order.sort_key(self.table)
+        return sorted(self.terms.items(), key=lambda item: key(item[0]), reverse=True)
 
     def to_str(self, order: MonomialOrder = GREVLEX) -> str:
         if not self.terms:

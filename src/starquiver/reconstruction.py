@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groebner import CheckFailed, GroebnerBudget, DEFAULT_BUDGET, Ideal
-from .poly import Poly, QQ
+from .poly import Poly, PrimeField, QQ
 from .quiver import ArmParams, StarQuiver, d_arrow, u_arrow
 
 
@@ -192,30 +192,37 @@ def rep_ideal(Q: StarQuiver, gamma: DeformParams,
 # gamma input: JSON, zero, seeded random
 # ---------------------------------------------------------------------------
 
-def _random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-10, 10), rng.randint(1, 10))
+def _random_fraction(rng: random.Random, q: int) -> Fraction:
+    """n/d with |n| <= 10 and 1 <= d <= 10, d redrawn while the
+    characteristic q divides it (never for q = 0 or q > 10)."""
+    num, den = rng.randint(-10, 10), rng.randint(1, 10)
+    while q and den % q == 0:
+        den = rng.randint(1, 10)
+    return Fraction(num, den)
 
 
 def random_gamma(p: ArmParams, seed: int, field=QQ, inside_delta: bool = True) -> DeformParams:
-    """Seeded random parameter of height at most 10.
+    """Seeded random parameter of height at most 10, with every drawn
+    denominator prime to the field's characteristic.
 
     Inside the subspace: all coordinates free except a and b, which are
     solved from the two defining equations.  Outside: fully free, resampled
     on the rare draw that lands inside.
     """
     rng = random.Random(f"gamma:{seed}:{p.label()}:10:{inside_delta}")
+    q = field.q if isinstance(field, PrimeField) else 0
     while True:
-        g1 = tuple(_random_fraction(rng) for _ in range(p.p1 - 1))
-        g2 = tuple(_random_fraction(rng) for _ in range(p.p2 - 1))
-        g3 = tuple(_random_fraction(rng) for _ in range(p.p3 - 1))
-        A = _random_fraction(rng)
-        B = _random_fraction(rng)
+        g1 = tuple(_random_fraction(rng, q) for _ in range(p.p1 - 1))
+        g2 = tuple(_random_fraction(rng, q) for _ in range(p.p2 - 1))
+        g3 = tuple(_random_fraction(rng, q) for _ in range(p.p3 - 1))
+        A = _random_fraction(rng, q)
+        B = _random_fraction(rng, q)
         if inside_delta:
             a = sum(g2, Fraction(0)) - sum(g1, Fraction(0)) - A
             b = sum(g2, Fraction(0)) - sum(g3, Fraction(0)) - B
         else:
-            a = _random_fraction(rng)
-            b = _random_fraction(rng)
+            a = _random_fraction(rng, q)
+            b = _random_fraction(rng, q)
         gamma = make_gamma(p, g1, g2, g3, a, b, A, B, field=field)
         if in_delta(gamma) == inside_delta:
             return gamma

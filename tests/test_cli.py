@@ -101,11 +101,20 @@ def test_fibre_in_every_field(tmp_path, field):
     assert report["item"]["in_delta"] is True
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_random_gamma_over_a_small_prime(tmp_path, seed):
+    # random denominators are drawn prime to the characteristic
+    code, report = _run(tmp_path, "fibre", "--p", "3,3,3", "--field", "fp:7",
+                        "--gamma", f"random:{seed}")
+    assert code == 0
+    assert report["item"]["in_delta"] is True
+
+
 def test_fibre_summary_when_rep_ideal_inconclusive(tmp_path, capsys, monkeypatch):
     def exhausted(ideal):
         raise Inconclusive("S-pair budget exceeded")
 
-    monkeypatch.setattr("starquiver.cli.contains_one", exhausted)
+    monkeypatch.setattr("starquiver.groebner.Ideal.contains_one", exhausted)
     code, report = _run(tmp_path, "fibre", "--p", "2,2,2",
                         "--gamma", _write_gamma(tmp_path, ["1"], "0"))
     assert code == 2
@@ -245,13 +254,13 @@ def test_charts_and_smooth_in_every_field(tmp_path, field):
     assert all(it["certificate"]["dimension"] == 7 for it in report["items"])
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
     assert run_command(["charts", "--p", "1,2,2"]) == 3
     assert run_command(["gb", "--input", "/nonexistent/file.txt"]) == 3
     assert run_command(["nonsense"]) == 3
     # a gamma denominator that vanishes in the field
     assert run_command(["fibre", "--p", "2,2,2", "--field", "fp:7",
-                        "--gamma", "random:0"]) == 3
+                        "--gamma", _write_gamma(tmp_path, ["1/7"], "1/7")]) == 3
 
 
 _GAMMA_REST = '"gamma2": ["0"], "gamma3": ["0"], "a": "0", "b": "0", "A": "0", "B": "0"'

@@ -1,7 +1,8 @@
 """Cross-check the Buchberger engine against an independent implementation.
 
-Runs only when sympy is importable; compares reduced bases and membership
-verdicts on seeded random ideals under both supported global orders.
+Runs only when sympy is importable; compares reduced bases, membership
+verdicts and elimination ideals on seeded random ideals under both
+supported global orders.
 """
 
 import random
@@ -11,7 +12,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from starquiver.groebner import Ideal, contains, groebner_basis, leading_term
+from starquiver.groebner import Ideal, eliminate, leading_term
 from starquiver.poly import GREVLEX, LEX, Poly, QQ, VarTable
 
 NAMES = ("x", "y", "z")
@@ -66,7 +67,7 @@ def test_reduced_bases_match_sympy(order, sym_order):
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             continue
-        ours = groebner_basis(Ideal(table, gens, order=order))
+        ours = Ideal(table, gens, order=order).groebner_basis()
         assert set(ours) == _sympy_basis(gens, table, order, sym_order), f"trial {trial}"
 
 
@@ -92,7 +93,7 @@ def test_binomial_bases_match_sympy(order, sym_order):
         gens = [g for g in (_random_binomial(table, rng) for _ in range(rng.randint(4, 6)))
                 if not g.is_zero()]
         ideal = Ideal(table, gens, order=order)
-        ours = groebner_basis(ideal)
+        ours = ideal.groebner_basis()
         assert set(ours) == _sympy_basis(gens, table, order, sym_order), f"trial {trial}"
         pruned["mf"] += ideal.stats.pruned_mf
         pruned["coprime"] += ideal.stats.pruned_coprime
@@ -115,5 +116,29 @@ def test_membership_verdicts_match_sympy():
         for _ in range(5):
             probe = _random_poly(table, rng, terms=2, deg=2)
             remainder = G.reduce(_to_sympy(probe, syms))[1]
-            assert contains(probe, I) == (remainder == 0)
+            assert I.contains(probe) == (remainder == 0)
             assert I.normal_form(probe) == _from_sympy(remainder, table, syms)
+
+
+def test_elimination_ideals_match_sympy():
+    # sympy's side: a lex basis with the dropped variables first, its
+    # elements free of them, and the reduced grevlex basis of those
+    rng = random.Random("eliminate")
+    names = ("x", "y", "z", "w")
+    table = VarTable(names)
+    syms = sympy.symbols(names)
+    for trial in range(12):
+        gens = [g for g in (_random_poly(table, rng, deg=2) for _ in range(rng.randint(2, 3)))
+                if not g.is_zero()]
+        drop = sorted(rng.sample(names, rng.randint(1, 2)))
+        keep = VarTable([n for n in names if n not in drop])
+        ours = eliminate(Ideal(table, gens), drop)
+        assert ours.table == keep and ours.order == GREVLEX
+        assert ours.gens == ours.groebner_basis()
+        dropped = [s for s in syms if s.name in drop]
+        kept = [s for s in syms if s.name not in drop]
+        lex = sympy.groebner([_to_sympy(g, syms) for g in gens], *dropped, *kept, order="lex")
+        free = [_from_sympy(e, keep, kept) for e in lex.exprs
+                if not e.free_symbols & set(dropped)]
+        expected = _sympy_basis(free, keep, GREVLEX, "grevlex") if free else set()
+        assert set(ours.groebner_basis()) == expected, f"trial {trial}"

@@ -12,21 +12,18 @@ from starquiver.groebner import (
     GroebnerBudget,
     Ideal,
     Inconclusive,
-    contains,
-    contains_one,
     eliminate,
-    groebner_basis,
     ideals_equal,
     krull_dimension,
     leading_term,
-    normal_form,
     read_ideal_text,
     write_ideal_text,
+    _Codec,
 )
 from starquiver.poly import (
     GREVLEX,
     LEX,
-    BlockOrder,
+    MonomialOrder,
     Poly,
     PrimeField,
     QQ,
@@ -60,20 +57,20 @@ def _random_poly(table, rng, field=QQ, terms=4, deg=3):
 
 def test_single_generator_is_its_own_basis():
     t = VarTable(["x", "y"])
-    basis = groebner_basis(_ideal(t, ["x"]))
+    basis = _ideal(t, ["x"]).groebner_basis()
     assert basis == (parse_poly("x", t),)
 
 
 def test_lex_circle_line():
     t = VarTable(["x", "y"])
-    basis = groebner_basis(_ideal(t, ["x^2 + y^2 - 1", "x - y"], order=LEX))
+    basis = _ideal(t, ["x^2 + y^2 - 1", "x - y"], order=LEX).groebner_basis()
     assert set(basis) == {parse_poly("x - y", t), parse_poly("y^2 - 1/2", t)}
 
 
 def test_principal_ideal_basis_is_normalized_generator():
     t = VarTable(["d2_1", "d2_2", "d3_1", "d3_2"])
     g = parse_poly("1 - d2_1*d2_2 + d3_1*d3_2", t)
-    basis = groebner_basis(Ideal(t, [g]))
+    basis = Ideal(t, [g]).groebner_basis()
     # principal: the generator divided by its leading coefficient
     assert len(basis) == 1
     assert leading_term(basis[0])[1] == 1
@@ -89,11 +86,11 @@ def test_reduced_basis_unique_under_generator_permutation():
         ["x^2 - y", "y^2 - z", "z^2 - x"],
     ]
     for texts in fixtures:
-        reference = groebner_basis(_ideal(t, texts))
+        reference = _ideal(t, texts).groebner_basis()
         gens = [parse_poly(s, t) for s in texts]
         for _ in range(20):
             rng.shuffle(gens)
-            assert groebner_basis(Ideal(t, list(gens))) == reference
+            assert Ideal(t, list(gens)).groebner_basis() == reference
 
 
 def test_every_s_polynomial_reduces_to_zero():
@@ -107,7 +104,7 @@ def test_every_s_polynomial_reduces_to_zero():
     ]
     for texts in fixtures:
         I = _ideal(t, texts)
-        basis = groebner_basis(I)
+        basis = I.groebner_basis()
         for a in range(len(basis)):
             for b in range(a + 1, len(basis)):
                 ea, ca = leading_term(basis[a])
@@ -116,12 +113,12 @@ def test_every_s_polynomial_reduces_to_zero():
                 ma = Poly.monomial(t, QQ, tuple(l - e for l, e in zip(lcm, ea)), 1)
                 mb = Poly.monomial(t, QQ, tuple(l - e for l, e in zip(lcm, eb)), 1)
                 spoly = ma * basis[a].scale(QQ.inv(ca)) - mb * basis[b].scale(QQ.inv(cb))
-                assert normal_form(spoly, I).is_zero()
+                assert I.normal_form(spoly).is_zero()
 
 
 def test_basis_reducedness_properties():
     t = VarTable(["x", "y", "z"])
-    basis = groebner_basis(_ideal(t, ["x*y - z", "y*z - x", "x*z - y"]))
+    basis = _ideal(t, ["x*y - z", "y*z - x", "x*z - y"]).groebner_basis()
     leads = [leading_term(g)[0] for g in basis]
     for g in basis:
         assert leading_term(g)[1] == 1
@@ -143,13 +140,13 @@ def test_generator_reduces_to_zero():
         g = _random_poly(t, rng)
         if g.is_zero():
             continue
-        assert normal_form(g, Ideal(t, [g])).is_zero()
+        assert Ideal(t, [g]).normal_form(g).is_zero()
 
 
 def test_normal_form_not_reducible():
     t = VarTable(["x", "y"])
     I = _ideal(t, ["x*y - 1"])
-    assert normal_form(parse_poly("x", t), I) == parse_poly("x", t)
+    assert I.normal_form(parse_poly("x", t)) == parse_poly("x", t)
 
 
 def test_normal_form_idempotent():
@@ -158,9 +155,9 @@ def test_normal_form_idempotent():
     I = _ideal(t, ["x*y - z", "y^2 - 1"])
     for _ in range(15):
         p = _random_poly(t, rng)
-        r = normal_form(p, I)
-        assert normal_form(r, I) == r
-        assert contains(p - r, I)
+        r = I.normal_form(p)
+        assert I.normal_form(r) == r
+        assert I.contains(p - r)
 
 
 def test_membership_closure_under_combinations():
@@ -172,14 +169,14 @@ def test_membership_closure_under_combinations():
         p = sum((_random_poly(t, rng, terms=2) * g for g in gens), Poly.zero(t, QQ))
         q = sum((_random_poly(t, rng, terms=2) * g for g in gens), Poly.zero(t, QQ))
         r = _random_poly(t, rng, terms=2)
-        assert contains(p + q, I)
-        assert contains(r * p, I)
+        assert I.contains(p + q)
+        assert I.contains(r * p)
 
 
 def test_contains_zero_in_any_ideal():
     t = VarTable(["x"])
-    assert contains(Poly.zero(t, QQ), _ideal(t, ["x^2"]))
-    assert contains(Poly.zero(t, QQ), Ideal(t, []))
+    assert _ideal(t, ["x^2"]).contains(Poly.zero(t, QQ))
+    assert Ideal(t, []).contains(Poly.zero(t, QQ))
 
 
 def test_contains_checks_ring_like_normal_form():
@@ -191,16 +188,16 @@ def test_contains_checks_ring_like_normal_form():
     for p, ideal in [(parse_poly("a^2 - b", ab), I),
                      (parse_poly("x^2 - y", xy, QQ), _ideal(xy, ["x^2 - y"], field=F)),
                      (Poly.zero(ab, QQ), I)]:
-        for query in (contains, normal_form):
+        for query in (ideal.contains, ideal.normal_form):
             with pytest.raises(ValueError, match="incompatible"):
-                query(p, ideal)
+                query(p)
 
 
 def test_contains_one_from_unit_combination():
     # y*x - (xy - 1) = 1
     t = VarTable(["x", "y"])
-    assert contains_one(_ideal(t, ["x*y - 1", "x"]))
-    assert not contains_one(_ideal(t, ["x*y - 1"]))
+    assert _ideal(t, ["x*y - 1", "x"]).contains_one()
+    assert not _ideal(t, ["x*y - 1"]).contains_one()
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +210,7 @@ def test_twisted_cubic_elimination():
     E = eliminate(I, ["x"])
     assert E.table.names == ("w", "v")
     target = parse_poly("w^3 - v^2", E.table)
-    assert groebner_basis(E) == (target,)
+    assert E.groebner_basis() == (target,)
     # independent oracle: both containments.  Forward: every eliminated
     # generator vanishes under the parametrization w -> x^2, v -> x^3.
     tx = VarTable(["x"])
@@ -226,7 +223,7 @@ def test_twisted_cubic_elimination():
             lifted = lifted + term
         assert lifted.is_zero()
     # backward: the target reduces to zero against the eliminated ideal
-    assert contains(target, E)
+    assert E.contains(target)
 
 
 def test_eliminate_nothing_returns_same_ideal():
@@ -240,8 +237,8 @@ def test_eliminate_every_variable_is_refused_before_any_basis():
     starved = GroebnerBudget(max_spairs=0)
     # a starved budget would raise Inconclusive if a basis were computed
     with pytest.raises(ValueError, match="every variable"):
-        eliminate(_ideal(t, ["x^2 + y^2 - 1", "x - y", "z^3 - x*y"]), ["x", "y", "z"],
-                  budget=starved)
+        eliminate(_ideal(t, ["x^2 + y^2 - 1", "x - y", "z^3 - x*y"], budget=starved),
+                  ["x", "y", "z"])
 
 
 def test_eliminate_unknown_variable():
@@ -284,7 +281,7 @@ def test_dimension_witness_is_independent():
     I = _ideal(t, ["x*y - z^2", "y*w - x"])
     rep = krull_dimension(I)
     assert len(rep.witness) == rep.dimension
-    leads = [leading_term(g)[0] for g in groebner_basis(I)]
+    leads = [leading_term(g)[0] for g in I.groebner_basis()]
     witness_idx = {t.index(n) for n in rep.witness}
     for lt in leads:
         support = {i for i, e in enumerate(lt) if e}
@@ -336,13 +333,27 @@ def test_prime_field_verdicts_match_exact_ones():
     for gen_texts, probe_texts in FIXTURE_CORPUS:
         I_qq = _ideal(t, gen_texts)
         I_gf = _ideal(t, gen_texts, field=gf)
-        assert contains_one(I_qq) == contains_one(I_gf)
+        assert I_qq.contains_one() == I_gf.contains_one()
         assert krull_dimension(I_qq).dimension == krull_dimension(I_gf).dimension
         for s in probe_texts:
-            assert contains(parse_poly(s, t), I_qq) == contains(parse_poly(s, t, gf), I_gf)
+            assert I_qq.contains(parse_poly(s, t)) == I_gf.contains(parse_poly(s, t, gf))
 
 
-ORDERS = [LEX, GREVLEX, BlockOrder([["x"], ["y", "z"]])]
+ORDERS = [LEX, GREVLEX, MonomialOrder([["x"], ["y", "z"]])]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.spec())
+def test_engine_codes_realise_sort_key(order):
+    # the engine's order codes compare, and add, exactly as the order's key
+    t = VarTable(["x", "y", "z"])
+    codec, key = _Codec(t, order), order.sort_key(t)
+    rng = random.Random(order.spec())
+    for _ in range(200):
+        a, b = (tuple(rng.randint(0, 40) for _ in range(3)) for _ in range(2))
+        (ca, pa), (cb, pb) = codec.encode(a), codec.encode(b)
+        assert (ca < cb, ca == cb) == (key(a) < key(b), key(a) == key(b))
+        assert codec.code_of_packed(pa + pb) == ca + cb
+        assert codec.encode(tuple(map(int.__add__, a, b))) == (ca + cb, pa + pb)
 
 
 def _random_ideals(seed, count):
@@ -366,8 +377,8 @@ def test_prime_field_basis_is_the_exact_basis_reduced(order):
         assert I_gf.groebner_basis() == tuple(g.to_field(gf) for g in I_qq.groebner_basis())
         for _ in range(3):
             probe = _random_poly(t, rng, terms=4, deg=3)
-            assert (normal_form(probe.to_field(gf), I_gf)
-                    == normal_form(probe, I_qq).to_field(gf))
+            assert (I_gf.normal_form(probe.to_field(gf))
+                    == I_qq.normal_form(probe).to_field(gf))
 
 
 def test_dimension_does_not_depend_on_the_order():
@@ -384,10 +395,10 @@ def test_budget_exhaustion_is_inconclusive():
     t = VarTable(["x", "y", "z"])
     tight = GroebnerBudget(max_spairs=0, max_degree=200)
     with pytest.raises(Inconclusive):
-        groebner_basis(_ideal(t, ["x^2 + y^2 - 1", "x - y", "z^3 - x*y"], budget=tight))
+        _ideal(t, ["x^2 + y^2 - 1", "x - y", "z^3 - x*y"], budget=tight).groebner_basis()
     low_deg = GroebnerBudget(max_spairs=200_000, max_degree=1)
     with pytest.raises(Inconclusive):
-        groebner_basis(_ideal(t, ["x^2 - y", "y^2 - z"], budget=low_deg))
+        _ideal(t, ["x^2 - y", "y^2 - z"], budget=low_deg).groebner_basis()
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(65521)])
@@ -404,7 +415,7 @@ def test_packed_exponent_overflow_is_inconclusive(field, gens):
     ideal = read_ideal_text(text, field=field,
                             budget=GroebnerBudget(max_degree=100_000))
     with pytest.raises(Inconclusive, match="packed-field capacity") as exc:
-        groebner_basis(ideal)
+        ideal.groebner_basis()
     assert exc.value.detail == {"exponent": 40000}
 
 
@@ -412,19 +423,19 @@ def test_engine_stats_account_for_every_pair():
     t = VarTable(["x", "y", "z"])
     I = _ideal(t, ["x^2 + y^2 - 1", "x - y", "z^3 - x*y"])
     assert I.stats is None
-    groebner_basis(I)
+    I.groebner_basis()
     s = I.stats
     assert isinstance(s, EngineStats)
     # every formed pair is pruned by one criterion or reduced
     assert s.pairs_formed == s.pruned_mf + s.pruned_coprime + s.pruned_b + s.pairs_reduced
     assert s.pairs_reduced == s.zero_reductions + s.elements_added
-    assert s.basis_peak >= len(groebner_basis(I))
+    assert s.basis_peak >= len(I.groebner_basis())
 
 
 def test_budget_does_not_trip_on_trivial_ideal():
     t = VarTable(["x", "y"])
     tight = GroebnerBudget(max_spairs=0, max_degree=5)
-    assert groebner_basis(_ideal(t, ["x*y - 1"], budget=tight)) == (parse_poly("x*y - 1", t),)
+    assert _ideal(t, ["x*y - 1"], budget=tight).groebner_basis() == (parse_poly("x*y - 1", t),)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +456,7 @@ def test_ideal_text_block_order():
     text = "vars: x, w, v\norder: block(x | w,v)\nw - x^2\nv - x^3\n"
     I = read_ideal_text(text)
     assert I.order.spec() == "block(x | w,v)"
-    basis = groebner_basis(I)
+    basis = I.groebner_basis()
     assert parse_poly("w^3 - v^2", I.table) in basis
 
 

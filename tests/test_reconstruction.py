@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from starquiver.groebner import contains_one
 from starquiver.poly import Poly, PrimeField, QQ, parse_poly
 from starquiver.quiver import ArmParams, build_star_quiver
 from starquiver.reconstruction import (
@@ -111,6 +110,33 @@ def test_random_gamma_is_seeded_and_lands_where_asked():
     assert not in_delta(g3)
 
 
+def test_random_gamma_draws_are_pinned():
+    # `random:SEED` names the same gamma in every release
+    p = ArmParams(3, 3, 2)
+    assert random_gamma(p, 5).to_json() == {
+        "gamma1": ["-9/8", "5/3"], "gamma2": ["3/4", "2"], "gamma3": ["-1"],
+        "a": "121/120", "b": "7/4", "A": "6/5", "B": "2"}
+    assert random_gamma(p, 5, inside_delta=False).to_json() == {
+        "gamma1": ["4/9", "-3/7"], "gamma2": ["0", "2/7"], "gamma3": ["-1/2"],
+        "a": "-9", "b": "-1/2", "A": "1/2", "B": "-2/3"}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_random_gamma_over_small_primes(q):
+    # a denominator the characteristic divides is redrawn, so every seed
+    # gives a gamma over F_q, on the side of Delta that was asked for
+    F = PrimeField(q)
+    p = ArmParams(3, 3, 3)
+    for seed in range(10):
+        for inside in (True, False):
+            g = random_gamma(p, seed, field=F, inside_delta=inside)
+            assert g.field == F and g.p == p and in_delta(g) == inside
+    # a draw with no denominator divisible by 7 is the image of the QQ gamma
+    g = random_gamma(p, 3)
+    assert random_gamma(p, 3, field=PrimeField(7)) == make_gamma(
+        p, g.gamma1, g.gamma2, g.gamma3, g.a, g.b, g.A, g.B, field=PrimeField(7))
+
+
 @pytest.mark.parametrize("q", [65521, 11])
 def test_prime_field_delta_sums_are_reduced(q):
     F = PrimeField(q)
@@ -138,7 +164,7 @@ def test_rep_ideal_generator_count():
 def test_rep_ideal_unit_outside_delta():
     Q = build_star_quiver(P222)
     gamma = make_gamma(P222, [1], [0], [0], a=0, b=0, A=0, B=0)
-    assert contains_one(rep_ideal(Q, gamma))
+    assert rep_ideal(Q, gamma).contains_one()
 
 
 def test_rep_ideal_unit_outside_delta_all_suite_sizes():
@@ -146,13 +172,13 @@ def test_rep_ideal_unit_outside_delta_all_suite_sizes():
         p = ArmParams.parse(p)
         Q = build_star_quiver(p)
         gamma = random_gamma(p, seed=1, inside_delta=False)
-        assert contains_one(rep_ideal(Q, gamma)), p
+        assert rep_ideal(Q, gamma).contains_one(), p
 
 
 def test_rep_ideal_not_unit_inside_delta():
     Q = build_star_quiver(P222)
     gamma = random_gamma(P222, seed=2)
-    assert not contains_one(rep_ideal(Q, gamma))
+    assert not rep_ideal(Q, gamma).contains_one()
 
 
 def test_gamma_carries_its_field_and_arm_lengths():
