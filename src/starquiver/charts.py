@@ -3,10 +3,11 @@
 Each chart scales the full downward path of one arm, plus partial down/up
 paths on the other two arms, to 1.  The total space (one canonical relation)
 gets a hypersurface presentation; every fibre of the deformation family gets
-a two-relation presentation in four variables.  A second, substitution-based
-derivation of the fibre presentation acts as an independent oracle: it solves
-the arm chains mechanically from the relation system and must generate the
-same ideal as the closed form.
+a two-relation presentation in four variables; these closed forms carry only
+their relations.  A second, substitution-based derivation acts as an
+independent oracle: it solves the arm chains mechanically from the relation
+system, must generate the same ideal as the closed form, and is the one
+source of a chart's arrow substitution.
 """
 
 from __future__ import annotations
@@ -40,18 +41,19 @@ from .reconstruction import DeformParams, canonical_relation, deformed_relations
 
 @dataclass(frozen=True)
 class ChartPresentation:
-    """A chart's variables, defining relations and arrow substitutions.
+    """A chart's variables and defining relations.
 
-    The substitution dictionary expresses every arrow of the quiver as a
-    polynomial in the chart variables; pushing the full relation system
-    through it lands inside the ideal of `relations`.
+    `substitution` is set only by `chart_by_substitution` on a fibre chart
+    and is None elsewhere: it expresses every arrow of the quiver as a
+    polynomial in the chart variables, and pushing the deformed relation
+    system through it lands inside the ideal of `relations`.
     """
 
     chart: ChartId
     table: VarTable
     relations: tuple
-    substitution: dict
-    gamma: DeformParams | None
+    gamma: DeformParams | None = None
+    substitution: dict | None = None
 
     def ideal(self, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
         return Ideal(self.table, self.relations, budget=budget)
@@ -92,12 +94,7 @@ def total_space_chart(p: ArmParams, c: ChartId, field=QQ) -> ChartPresentation:
         rel = prod_a - one + prod_b
     else:
         rel = prod_a - prod_b + one
-    subs = {}
-    for arrow in chart_unit_arrows(c, p):
-        subs[arrow] = one
-    for name in names:
-        subs[name] = Poly.var(table, field, name)
-    return ChartPresentation(c, table, (rel,), subs, None)
+    return ChartPresentation(c, table, (rel,))
 
 
 # ---------------------------------------------------------------------------
@@ -159,53 +156,7 @@ def fibre_chart(gamma: DeformParams, c: ChartId) -> ChartPresentation:
         f2 = Fa - one + Fb
     else:
         f2 = Fa - Fb + one
-
-    subs = _fibre_substitution(gamma, c, table)
-    return ChartPresentation(c, table, (f1, f2), subs, gamma)
-
-
-def _fibre_substitution(gamma: DeformParams, c: ChartId, table: VarTable) -> dict:
-    """Arrow expressions in chart variables, transcribed from the chain solve."""
-    p, field = gamma.p, gamma.field
-    arm_a, arm_b = c.other_arms()
-    one = Poly.const(table, field, 1)
-    subs = {}
-
-    def const(v):
-        return Poly.const(table, field, v)
-
-    def solved_arm(arm: int, idx: int):
-        g = gamma.gamma(arm)
-        d_idx = Poly.var(table, field, d_arrow(arm, idx))
-        u_idx = Poly.var(table, field, u_arrow(arm, idx))
-        cyc = d_idx * u_idx
-        for m in range(1, idx):
-            subs[d_arrow(arm, m)] = one
-            subs[u_arrow(arm, m)] = cyc + const(field.sum(g[m - 1: idx - 1]))
-        subs[d_arrow(arm, idx)] = d_idx
-        subs[u_arrow(arm, idx)] = u_idx
-        for m in range(idx + 1, p[arm] + 1):
-            subs[u_arrow(arm, m)] = one
-            subs[d_arrow(arm, m)] = cyc - const(field.sum(g[idx - 1: m - 1]))
-        return cyc
-
-    cyc_a = solved_arm(arm_a, c.i)
-    cyc_b = solved_arm(arm_b, c.j)
-    ga, gb = gamma.gamma(arm_a), gamma.gamma(arm_b)
-    pref_a = field.sum(ga[: c.i - 1])
-    pref_b = field.sum(gb[: c.j - 1])
-    # base of the distinguished arm's u-chain, solved from relation (a) or (b)
-    if c.k == 1:
-        base = cyc_a + const(field.sub(pref_a, gamma.a))
-    elif c.k == 2:
-        base = cyc_a + const(field.add(pref_a, gamma.a))
-    else:
-        base = cyc_b + const(field.sub(pref_b, gamma.b))
-    gk = gamma.gamma(c.k)
-    for m in range(1, p[c.k] + 1):
-        subs[d_arrow(c.k, m)] = one
-        subs[u_arrow(c.k, m)] = base - const(field.sum(gk[: m - 1]))
-    return subs
+    return ChartPresentation(c, table, (f1, f2), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -240,18 +191,21 @@ def chart_by_substitution(Q: StarQuiver, gamma: DeformParams | None,
 
     Sets the chart's unit arrows to 1, solves the three arm chains by
     forward/backward substitution, pushes the remaining relations through,
-    solves the leftover linear variable, and returns the nonzero survivors.
-    Must generate the same ideal as the closed form (checked elsewhere via
-    ideal equality).
+    solves the leftover linear variable, and returns the nonzero survivors
+    with the arrow substitution the solve produced.  Must generate the same
+    ideal as the closed form (checked elsewhere via ideal equality).
+
+    With gamma None only the canonical relation exists: the arrows of
+    `chart_unit_arrows` become 1 and the rest must be total-space chart
+    variables.
     """
     p = Q.p
     _check_chart_range(c, p)
     field = Q.field
     if gamma is None:
-        # total-space mode: only the canonical relation exists
-        pres = total_space_chart(p, c, field)
-        img = canonical_relation(Q).substitute(pres.substitution, pres.table)
-        return ChartPresentation(c, pres.table, (img,), pres.substitution, None)
+        table = total_space_chart(p, c, field).table
+        img = canonical_relation(Q).substitute(dict.fromkeys(chart_unit_arrows(c, p), 1), table)
+        return ChartPresentation(c, table, (img,))
 
     if not in_delta(gamma):
         raise ValueError("gamma outside the parameter subspace: empty fibre")
@@ -304,7 +258,7 @@ def chart_by_substitution(Q: StarQuiver, gamma: DeformParams | None,
         img = images[lbl].substitute(leftover_sol, table)
         if not img.is_zero():
             survivors.append(img)
-    return ChartPresentation(c, table, tuple(survivors), subs, gamma)
+    return ChartPresentation(c, table, tuple(survivors), gamma, subs)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +267,6 @@ def chart_by_substitution(Q: StarQuiver, gamma: DeformParams | None,
 
 @dataclass(frozen=True)
 class SmoothnessCertificate:
-    chart: ChartId | None
-    jacobian_generators: tuple
     one_in_jacobian: bool | None
     dimension: DimensionReport | None
     status: str  # smooth | singular | inconclusive
@@ -353,23 +305,14 @@ def smoothness_certificate(pres: ChartPresentation,
                            expected_dim: int | None = None,
                            budget: GroebnerBudget = DEFAULT_BUDGET) -> SmoothnessCertificate:
     """Jacobian smoothness check, optionally pinned to a dimension target."""
-    jac_gens = jacobian_ideal_generators(pres)
     try:
-        jac_ideal = Ideal(pres.table, jac_gens, budget=budget)
-        one_in = jac_ideal.contains_one()
+        one_in = Ideal(pres.table, jacobian_ideal_generators(pres), budget=budget).contains_one()
         dim = krull_dimension(pres.ideal(budget))
     except Inconclusive:
-        return SmoothnessCertificate(pres.chart, jac_gens, None, None, "inconclusive")
+        return SmoothnessCertificate(None, None, "inconclusive")
     smooth = one_in and (expected_dim is None or dim.dimension == expected_dim)
     status = "smooth" if smooth else "singular"
-    return SmoothnessCertificate(pres.chart, jac_gens, one_in, dim, status)
-
-
-def certify_presentation(table: VarTable, relations, expected_dim=None,
-                         budget: GroebnerBudget = DEFAULT_BUDGET) -> SmoothnessCertificate:
-    """Certificate for a bare presentation (used for control examples)."""
-    pres = ChartPresentation(None, table, tuple(relations), {}, None)
-    return smoothness_certificate(pres, expected_dim, budget)
+    return SmoothnessCertificate(one_in, dim, status)
 
 
 def oracle_matches(Q: StarQuiver, pres: ChartPresentation,
@@ -382,9 +325,10 @@ def oracle_matches(Q: StarQuiver, pres: ChartPresentation,
 def fibre_witness_point(gamma: DeformParams) -> dict:
     """An exact scalar point of the fibre at gamma, read off a boundary chart.
 
-    On the chart with both indices maximal the second relation is linear, so
-    a solution in gamma's field exists; pushing it through the substitution
-    dictionary gives values for every arrow.
+    On the chart (1, p2, p3) the second closed-form relation is linear, so a
+    solution in gamma's field exists; the chain solve's arrow substitution on
+    that chart turns it into values for every arrow.  Raises CheckFailed if
+    the point misses the closed-form chart.
     """
     field = gamma.field
     c = ChartId(1, gamma.p.p2, gamma.p.p3)
@@ -402,7 +346,8 @@ def fibre_witness_point(gamma: DeformParams) -> dict:
     }
     if any(rel.evaluate(point) != field.zero for rel in pres.relations):
         raise CheckFailed("witness point misses the chart")
-    return {arrow: expr.evaluate(point) for arrow, expr in pres.substitution.items()}
+    derived = chart_by_substitution(build_star_quiver(gamma.p, field), gamma, c)
+    return {arrow: expr.evaluate(point) for arrow, expr in derived.substitution.items()}
 
 
 # ---------------------------------------------------------------------------

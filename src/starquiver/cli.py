@@ -11,6 +11,7 @@ fields.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -90,9 +91,13 @@ def _report(args, t0: float, status: str, **body) -> None:
 
 
 def _pmap(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
+    """fn over items in at most `jobs` worker processes, never more than items."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -506,13 +511,11 @@ _COMMANDS = {
 
 
 def run_command(argv) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        return _COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -522,6 +525,10 @@ def run_command(argv) -> int:
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    finally:
+        # the run's reference cycles (argparse's parser, the JSON encoder's closures)
+        # otherwise pin allocator arenas until some later full collection
+        gc.collect()
 
 
 def main() -> None:

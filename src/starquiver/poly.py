@@ -752,7 +752,10 @@ def parse_poly(text: str, table: VarTable, field=QQ) -> Poly:
             return inner
         raise ParseError(f"unexpected token {value!r}", pos)
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", tz.pos) from None
     tok, pos = tz.peek()
     if tok is not None:
         raise ParseError(f"trailing input {tok[1]!r}", pos)

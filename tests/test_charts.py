@@ -9,7 +9,7 @@ import pytest
 
 from starquiver import charts
 from starquiver.charts import (
-    certify_presentation,
+    ChartPresentation,
     chart_by_substitution,
     euler_identity_check,
     fibre_chart,
@@ -73,14 +73,6 @@ def test_total_space_sign_pattern():
     assert total_space_chart(p, ChartId(3, 1, 1)).relations[0].constant_value() == 1
 
 
-def test_total_space_substitution_covers_all_arrows():
-    p = ArmParams(3, 2, 2)
-    Q = build_star_quiver(p)
-    for c in all_chart_ids(p):
-        pres = total_space_chart(p, c)
-        assert set(pres.substitution) == set(Q.table.names)
-
-
 def test_total_space_chart_out_of_range():
     with pytest.raises(ValueError):
         total_space_chart(P222, ChartId(1, 3, 1))
@@ -132,17 +124,21 @@ def test_fibre_chart_rejects_gamma_outside_delta():
 
 
 def test_fibre_substitution_covers_arrows_and_lands_in_ideal():
+    # the chain solve's substitution carries every deformed relation into
+    # the ideal of the independently derived closed form
     for p in [(2, 2, 2), (3, 2, 2), (2, 2, 3)]:
         p = ArmParams.parse(p)
         Q = build_star_quiver(p)
         gamma = random_gamma(p, seed=23)
         rels = deformed_relations(Q, gamma)
         for c in all_chart_ids(p):
-            pres = fibre_chart(gamma, c)
-            assert set(pres.substitution) == set(Q.table.names)
-            chart_ideal = pres.ideal()
+            closed = fibre_chart(gamma, c)
+            derived = chart_by_substitution(Q, gamma, c)
+            assert closed.substitution is None
+            assert set(derived.substitution) == set(Q.table.names)
+            chart_ideal = closed.ideal()
             for _, rel in rels:
-                image = rel.substitute(pres.substitution, pres.table)
+                image = rel.substitute(derived.substitution, closed.table)
                 assert chart_ideal.contains(image)
 
 
@@ -217,13 +213,20 @@ def test_oracle_total_space_mode():
         assert derived.relations == closed.relations
 
 
-def test_oracle_substitutions_match_closed_form():
+def test_oracle_total_space_mode_checks_the_unit_arrows(monkeypatch):
+    # the oracle binds quiver.chart_unit_arrows to 1 and maps the rest by name
+    # into the closed form's variables: a unit list that drops an arrow, or
+    # that scales a chart variable, no longer matches the closed form
     Q = build_star_quiver(P222)
-    gamma = random_gamma(P222, seed=41)
-    for c in all_chart_ids(P222):
-        closed = fibre_chart(gamma, c)
-        derived = chart_by_substitution(Q, gamma, c)
-        assert derived.substitution == closed.substitution
+    c = ChartId(1, 1, 1)
+    assert total_space_chart(P222, c).substitution is None
+    units = charts.chart_unit_arrows(c, P222)
+    monkeypatch.setattr(charts, "chart_unit_arrows", lambda c, p: units[1:])
+    with pytest.raises(ValueError, match="no image"):
+        chart_by_substitution(Q, None, c)
+    monkeypatch.setattr(charts, "chart_unit_arrows", lambda c, p: units + ["d2_1"])
+    derived = chart_by_substitution(Q, None, c)
+    assert derived.relations != total_space_chart(P222, c).relations
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +258,7 @@ def test_jacobian_generator_count_for_two_relations():
 
 def test_control_presentation_is_singular():
     t = VarTable(["x", "y"])
-    cert = certify_presentation(t, [parse_poly("x*y", t)])
+    cert = smoothness_certificate(ChartPresentation(None, t, (parse_poly("x*y", t),)))
     assert cert.status == "singular"
     assert not cert.one_in_jacobian
 

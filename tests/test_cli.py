@@ -1,5 +1,6 @@
 """CLI: subcommands, exit codes, report determinism."""
 
+import gc
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from starquiver import cli
 from starquiver.cli import _build_parser, run_command
 from starquiver.groebner import CheckFailed, Inconclusive
 
@@ -234,6 +236,13 @@ def test_gb_subcommand(tmp_path):
     assert "vars: x, y" in out.read_text(encoding="utf-8")
 
 
+def test_gb_over_deep_nesting_is_a_usage_error(tmp_path, capsys):
+    ideal = tmp_path / "deep.txt"
+    ideal.write_text("vars: x\n" + "(" * 3000 + "x" + ")" * 3000 + "\n", encoding="utf-8")
+    assert run_command(["gb", "--input", str(ideal)]) == 3
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_props_suites(tmp_path):
     code, report = _run(tmp_path, "props", "--p", "2,2,2",
                         "--euler-samples", "25", "--nonunit-samples", "5",
@@ -355,3 +364,77 @@ def test_parallel_jobs_match_serial(tmp_path):
     rep1["config"].pop("jobs")
     rep2["config"].pop("jobs")
     assert rep1 == rep2
+
+
+@pytest.mark.parametrize("command", ["charts", "smooth"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, command, jobs):
+    assert _run(tmp_path, command, "--jobs", jobs) == (3, None)
+
+
+def test_jobs_never_exceed_the_chart_count(tmp_path, monkeypatch):
+    # a stand-in pool that records its size and maps serially: no process starts
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    code, report = _run(tmp_path, "charts", "--p", "2,2,2", "--jobs", "64")
+    assert code == 0 and len(report["items"]) == 12
+    assert asked == [12]
+
+
+
+def test_run_command_leaves_no_reference_cycles(tmp_path):
+    # cycles left to a later full collection pin allocator arenas, so memory
+    # grows over repeated in-process runs
+    gc.collect()
+    gc.disable()
+    try:
+        assert _run(tmp_path, "charts", "--p", "2,2,2")[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks() -> list:
+    """The fenced code blocks of README.md, as (language, text) pairs."""
+    blocks, lang, lines = [], None, []
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            if lang is None:
+                lang, lines = line[3:].strip(), []
+            else:
+                blocks.append((lang, "\n".join(lines) + "\n"))
+                lang = None
+        elif lang is not None:
+            lines.append(line)
+    return blocks
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    blocks = _readme_blocks()
+    commands = [line.split("#")[0].split()[1:]
+                for lang, text in blocks if lang == "sh"
+                for line in text.splitlines() if line.startswith("workbench ")]
+    (gamma,) = [text for lang, text in blocks if lang == "json"]
+    (ideal,) = [text for lang, text in blocks if text.startswith("vars:")]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(gamma, encoding="utf-8")
+    (tmp_path / "ideal.txt").write_text(ideal, encoding="utf-8")
+    assert len(commands) == 11
+    for argv in commands:
+        assert run_command(argv) == 0, argv

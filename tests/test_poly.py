@@ -69,6 +69,13 @@ def test_parse_errors_carry_position():
         parse_poly("x^y", t)
 
 
+def test_parse_deep_nesting_is_a_parse_error():
+    t = VarTable(["x"])
+    assert parse_poly("(" * 200 + "x" + ")" * 200, t) == parse_poly("x", t)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_poly("(" * 3000 + "x" + ")" * 3000, t)
+
+
 def test_parse_print_round_trip_random():
     rng = random.Random(7)
     t = VarTable(["x", "y", "z"])
