@@ -22,7 +22,6 @@ from .groebner import (
     GroebnerBudget,
     Ideal,
     Inconclusive,
-    ideals_equal,
     krull_dimension,
 )
 from .poly import Poly, QQ, VarTable, poly_prod
@@ -30,13 +29,15 @@ from .quiver import (
     ArmParams,
     ChartId,
     StarQuiver,
+    arm_window_units,
     build_star_quiver,
     chart_unit_arrows,
     d_arrow,
     support_predicates,
     u_arrow,
 )
-from .reconstruction import DeformParams, canonical_relation, deformed_relations, in_delta
+from .reconstruction import (DeformParams, RelationSystem, canonical_relation,
+                             deformed_relations, in_delta)
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,6 @@ class ChartPresentation:
     chart: ChartId
     table: VarTable
     relations: tuple
-    gamma: DeformParams | None = None
     substitution: dict | None = None
 
     def ideal(self, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
@@ -68,6 +68,14 @@ def _check_chart_range(c: ChartId, p: ArmParams):
 # ---------------------------------------------------------------------------
 # total-space charts (one relation)
 # ---------------------------------------------------------------------------
+
+def _scaled_canonical(k: int, prod_a: Poly, prod_b: Poly) -> Poly:
+    """The canonical sign pattern D1 - D2 + D3 with D_k scaled to 1 and the
+    other two arms, in arm order, given by prod_a and prod_b."""
+    paths = [prod_a, prod_b]
+    paths.insert(k - 1, Poly.const(prod_a.table, prod_a.field, 1))
+    return paths[0] - paths[1] + paths[2]
+
 
 def total_space_chart(p: ArmParams, c: ChartId, field=QQ) -> ChartPresentation:
     """Hypersurface presentation of the chart of the one-relation moduli."""
@@ -86,15 +94,7 @@ def total_space_chart(p: ArmParams, c: ChartId, field=QQ) -> ChartPresentation:
     prod_b = poly_prod(
         (Poly.var(table, field, d_arrow(arm_b, m)) for m in range(c.j, p[arm_b] + 1)),
         table, field)
-    one = Poly.const(table, field, 1)
-    # canonical sign pattern D1 - D2 + D3 with D_k scaled to 1
-    if c.k == 1:
-        rel = one - prod_a + prod_b
-    elif c.k == 2:
-        rel = prod_a - one + prod_b
-    else:
-        rel = prod_a - prod_b + one
-    return ChartPresentation(c, table, (rel,))
+    return ChartPresentation(c, table, (_scaled_canonical(c.k, prod_a, prod_b),))
 
 
 # ---------------------------------------------------------------------------
@@ -138,25 +138,14 @@ def fibre_chart(gamma: DeformParams, c: ChartId) -> ChartPresentation:
     pref_a = field.sum(ga[: c.i - 1])
     pref_b = field.sum(gb[: c.j - 1])
 
-    if c.k == 1:
-        const = gamma.b
-        f1 = cyc_a + pref_a - cyc_b - pref_b - Poly.const(table, field, const)
-    elif c.k == 2:
-        const = field.sub(gamma.b, gamma.a)
-        f1 = cyc_a + pref_a - cyc_b - pref_b - Poly.const(table, field, const)
-    else:
+    if c.k == 3:
         f1 = cyc_b + pref_b - cyc_a - pref_a - Poly.const(table, field, gamma.a)
-
-    Fa = _arm_cycle_product(cyc_a, da, ga, c.i)
-    Fb = _arm_cycle_product(cyc_b, db, gb, c.j)
-    one = Poly.const(table, field, 1)
-    if c.k == 1:
-        f2 = one - Fa + Fb
-    elif c.k == 2:
-        f2 = Fa - one + Fb
     else:
-        f2 = Fa - Fb + one
-    return ChartPresentation(c, table, (f1, f2), gamma)
+        const = gamma.b if c.k == 1 else field.sub(gamma.b, gamma.a)
+        f1 = cyc_a + pref_a - cyc_b - pref_b - Poly.const(table, field, const)
+    f2 = _scaled_canonical(c.k, _arm_cycle_product(cyc_a, da, ga, c.i),
+                           _arm_cycle_product(cyc_b, db, gb, c.j))
+    return ChartPresentation(c, table, (f1, f2))
 
 
 # ---------------------------------------------------------------------------
@@ -185,72 +174,77 @@ def _solve_linear(img: Poly, name: str) -> Poly:
     return Poly(img.table, field, {e: field.neg(field.mul(inv, v)) for e, v in rest.items()})
 
 
-def chart_by_substitution(Q: StarQuiver, gamma: DeformParams | None,
-                          c: ChartId) -> ChartPresentation:
-    """Derive the chart presentation directly from the relation system.
+@dataclass(frozen=True)
+class SubstitutionOracle:
+    """The oracle's per-gamma half.  `arms[arm, window]` maps every arrow of
+    the arm to 1, to its chain solution, or to itself: window 0 (a chart's
+    distinguished arm) keeps u_{arm,1}, window i keeps d_{arm,i} and u_{arm,i}.
+    Without gamma, `relations` is None and `arms` empty."""
 
-    Sets the chart's unit arrows to 1, solves the three arm chains by
-    forward/backward substitution, pushes the remaining relations through,
-    solves the leftover linear variable, and returns the nonzero survivors
-    with the arrow substitution the solve produced.  Must generate the same
-    ideal as the closed form (checked elsewhere via ideal equality).
+    Q: StarQuiver
+    relations: RelationSystem | None
+    arms: dict
 
-    With gamma None only the canonical relation exists: the arrows of
-    `chart_unit_arrows` become 1 and the rest must be total-space chart
-    variables.
-    """
-    p = Q.p
-    _check_chart_range(c, p)
-    field = Q.field
+
+def substitution_oracle(Q: StarQuiver, gamma: DeformParams | None) -> SubstitutionOracle:
+    """Build the deformed relations once and solve each arm chain once per
+    window, by forward/backward substitution from the window's unit arrows;
+    every window belongs to some chart.  A solved chain must vanish."""
     if gamma is None:
-        table = total_space_chart(p, c, field).table
-        img = canonical_relation(Q).substitute(dict.fromkeys(chart_unit_arrows(c, p), 1), table)
-        return ChartPresentation(c, table, (img,))
-
+        return SubstitutionOracle(Q, None, {})
     if not in_delta(gamma):
         raise ValueError("gamma outside the parameter subspace: empty fibre")
     rels = deformed_relations(Q, gamma)
-    arm_a, arm_b = c.other_arms()
-    one = Poly.const(Q.table, field, 1)
-    B: dict[str, Poly] = {a: one for a in chart_unit_arrows(c, p)}
-
-    def solve_from(label: str, unknown: str):
-        img = rels.by_label(label).substitute(B)
-        B[unknown] = _solve_linear(img, unknown)
-
-    # distinguished arm: all d's are units, the u-chain hangs off u_{k,1}
-    for m in range(1, p[c.k]):
-        solve_from(f"({c.k}).{m}", u_arrow(c.k, m + 1))
-    # other arms: express everything in the chart pair at index i (resp. j)
-    for arm, idx in ((arm_a, c.i), (arm_b, c.j)):
-        for m in range(idx - 1, 0, -1):
-            solve_from(f"({arm}).{m}", u_arrow(arm, m))
-        for m in range(idx, p[arm]):
-            solve_from(f"({arm}).{m}", d_arrow(arm, m + 1))
-
-    # the arm chains are now satisfied identically
+    p = Q.p
+    one = Poly.const(Q.table, Q.field, 1)
+    arms = {}
     for arm in (1, 2, 3):
-        for m in range(1, p[arm]):
-            residue = rels.by_label(f"({arm}).{m}").substitute(B)
-            if not residue.is_zero():
-                raise CheckFailed(f"chain relation ({arm}).{m} did not resolve")
+        chain = [rels.by_label(f"({arm}).{m}") for m in range(1, p[arm])]
+        for window in range(p[arm] + 1):
+            B = dict.fromkeys(arm_window_units(arm, window, p), one)
+            if window == 0:
+                kept = [u_arrow(arm, 1)]
+                steps = [(m, u_arrow(arm, m + 1)) for m in range(1, p[arm])]
+            else:
+                kept = [d_arrow(arm, window), u_arrow(arm, window)]
+                steps = [(m, u_arrow(arm, m)) for m in range(window - 1, 0, -1)]
+                steps += [(m, d_arrow(arm, m + 1)) for m in range(window, p[arm])]
+            B.update((a, Q.arrow_poly(a)) for a in kept)
+            for m, unknown in steps:
+                B[unknown] = _solve_linear(chain[m - 1].substitute(B), unknown)
+            for m, rel in enumerate(chain, 1):
+                if not rel.substitute(B).is_zero():
+                    raise CheckFailed(f"chain relation ({arm}).{m} did not resolve")
+            arms[arm, window] = B
+    return SubstitutionOracle(Q, rels, arms)
 
+
+def chart_by_substitution(oracle: SubstitutionOracle, c: ChartId) -> ChartPresentation:
+    """The oracle's per-chart half: merge the chart's three arm solutions,
+    push the remaining relations through, solve the leftover u_{k,1}, and
+    return the nonzero survivors with the arrow substitution the solve
+    produced; they must generate the closed form's ideal.  Without relations
+    the arrows of `chart_unit_arrows` become 1 in the canonical relation and
+    the rest must be total-space chart variables."""
+    Q = oracle.Q
+    p = Q.p
+    _check_chart_range(c, p)
+    if oracle.relations is None:
+        table = total_space_chart(p, c, Q.field).table
+        img = canonical_relation(Q).substitute(dict.fromkeys(chart_unit_arrows(c, p), 1), table)
+        return ChartPresentation(c, table, (img,))
+
+    arm_a, arm_b = c.other_arms()
+    B = {**oracle.arms[c.k, 0], **oracle.arms[arm_a, c.i], **oracle.arms[arm_b, c.j]}
+    images = {lbl: oracle.relations.by_label(lbl).substitute(B)
+              for lbl in ("(a)", "(b)", "(c)", "(d)", "(x)")}
     leftover = u_arrow(c.k, 1)
-    images = {lbl: rels.by_label(lbl).substitute(B) for lbl in ("(a)", "(b)", "(c)", "(d)", "(x)")}
-    solved_label = None
-    for lbl in ("(a)", "(b)", "(c)", "(d)"):
-        if leftover in images[lbl].variables_used():
-            solved_label = lbl
-            break
+    solved_label = next((lbl for lbl in ("(a)", "(b)", "(c)", "(d)")
+                         if leftover in images[lbl].variables_used()), None)
     if solved_label is None:
         raise CheckFailed("no relation available to solve the leftover variable")
     table = _chart_table(c)
     leftover_sol = {leftover: _solve_linear(images[solved_label], leftover).rename(table)}
-    subs = {a: e.substitute(leftover_sol, table) for a, e in B.items()}
-    subs.update(leftover_sol)
-    for name in table:
-        subs[name] = Poly.var(table, field, name)
-
     survivors = []
     for lbl in ("(a)", "(b)", "(c)", "(d)", "(x)"):
         if lbl == solved_label:
@@ -258,7 +252,8 @@ def chart_by_substitution(Q: StarQuiver, gamma: DeformParams | None,
         img = images[lbl].substitute(leftover_sol, table)
         if not img.is_zero():
             survivors.append(img)
-    return ChartPresentation(c, table, tuple(survivors), gamma, subs)
+    subs = {a: e.substitute(leftover_sol, table) for a, e in B.items()}
+    return ChartPresentation(c, table, tuple(survivors), subs)
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +310,6 @@ def smoothness_certificate(pres: ChartPresentation,
     return SmoothnessCertificate(one_in, dim, status)
 
 
-def oracle_matches(Q: StarQuiver, pres: ChartPresentation,
-                   budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
-    """Ideal equality of the closed-form and substitution-derived presentations."""
-    derived = chart_by_substitution(Q, pres.gamma, pres.chart)
-    return ideals_equal(pres.ideal(budget), derived.ideal(budget))
-
-
 def fibre_witness_point(gamma: DeformParams) -> dict:
     """An exact scalar point of the fibre at gamma, read off a boundary chart.
 
@@ -346,7 +334,8 @@ def fibre_witness_point(gamma: DeformParams) -> dict:
     }
     if any(rel.evaluate(point) != field.zero for rel in pres.relations):
         raise CheckFailed("witness point misses the chart")
-    derived = chart_by_substitution(build_star_quiver(gamma.p, field), gamma, c)
+    derived = chart_by_substitution(
+        substitution_oracle(build_star_quiver(gamma.p, field), gamma), c)
     return {arrow: expr.evaluate(point) for arrow, expr in derived.substitution.items()}
 
 

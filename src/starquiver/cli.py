@@ -16,15 +16,15 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .charts import (
+    chart_by_substitution,
     euler_identity_check,
     fibre_chart,
     fibre_witness_point,
-    oracle_matches,
     quotient_nonzero_check,
     smoothness_certificate,
+    substitution_oracle,
     total_space_chart,
     verify_cover,
 )
@@ -34,6 +34,7 @@ from .groebner import (
     GroebnerBudget,
     Inconclusive,
     Ideal,
+    ideals_equal,
     krull_dimension,
     read_ideal_text,
     write_ideal_text,
@@ -54,6 +55,7 @@ from .reconstruction import (
     delta_forms,
     in_delta,
     parse_gamma_spec,
+    read_json,
     rep_ideal,
 )
 
@@ -88,17 +90,6 @@ def _report(args, t0: float, status: str, **body) -> None:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, sort_keys=True, indent=2)
             fh.write("\n")
-
-
-def _pmap(fn, items, jobs):
-    """fn over items in at most `jobs` worker processes, never more than items."""
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
-    workers = min(jobs, len(items))
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _status_exit(items_ok: bool, inconclusive: bool) -> tuple[str, int]:
@@ -141,26 +132,23 @@ def _charts_status(items) -> tuple[str, int]:
     return _status_exit(not failed, inconc)
 
 
-def _fibre_chart_item(task) -> dict:
-    Q, gamma, c, budget = task
-    pres = fibre_chart(gamma, c)
-    item = _chart_item(pres, smoothness_certificate(pres, expected_dim=2, budget=budget),
-                       witness=True)
-    try:
-        item["oracle_match"] = oracle_matches(Q, pres, budget)
-    except Inconclusive:
-        item["oracle_match"] = None
-    return item
-
-
 def cmd_charts(args) -> int:
     p = ArmParams.parse(args.p)
     field = parse_field(args.field)
     t0 = time.monotonic()
     gamma, budget = parse_gamma_spec(args.gamma, p, field), _budget(args)
-    Q = build_star_quiver(p, field)
-    tasks = [(Q, gamma, c, budget) for c in all_chart_ids(p)]
-    items = _pmap(_fibre_chart_item, tasks, args.jobs)
+    oracle = substitution_oracle(build_star_quiver(p, field), gamma)
+    items = []
+    for c in all_chart_ids(p):
+        pres = fibre_chart(gamma, c)
+        item = _chart_item(pres, smoothness_certificate(pres, expected_dim=2, budget=budget),
+                           witness=True)
+        try:
+            derived = chart_by_substitution(oracle, c)
+            item["oracle_match"] = ideals_equal(pres.ideal(budget), derived.ideal(budget))
+        except Inconclusive:
+            item["oracle_match"] = None
+        items.append(item)
     status, code = _charts_status(items)
     _report(args, t0, status, items=items)
     smooth = sum(1 for it in items if it["certificate"]["status"] == "smooth")
@@ -170,26 +158,20 @@ def cmd_charts(args) -> int:
     return code
 
 
-def _total_chart_item(task) -> dict:
-    p, c, field, budget = task
-    pres = total_space_chart(p, c, field)
-    expected = p.p1 + p.p2 + p.p3 + 1
-    cert = smoothness_certificate(pres, expected_dim=expected, budget=budget)
-    return dict(_chart_item(pres, cert, witness=False), expected_dimension=expected)
-
-
 def cmd_smooth(args) -> int:
     p = ArmParams.parse(args.p)
     field = parse_field(args.field)
     t0 = time.monotonic()
-    budget = _budget(args)
-    tasks = [(p, c, field, budget) for c in all_chart_ids(p)]
-    items = _pmap(_total_chart_item, tasks, args.jobs)
+    budget, expected = _budget(args), p.p1 + p.p2 + p.p3 + 1
+    items = []
+    for c in all_chart_ids(p):
+        pres = total_space_chart(p, c, field)
+        cert = smoothness_certificate(pres, expected_dim=expected, budget=budget)
+        items.append(dict(_chart_item(pres, cert, witness=False), expected_dimension=expected))
     status, code = _charts_status(items)
     _report(args, t0, status, items=items)
     print(f"smooth: p={p.label()}: {sum(it['certificate']['status'] == 'smooth' for it in items)}"
-          f"/{len(items)} total-space charts smooth of dimension "
-          f"{p.p1 + p.p2 + p.p3 + 1} -> {status}")
+          f"/{len(items)} total-space charts smooth of dimension {expected} -> {status}")
     return code
 
 
@@ -255,8 +237,7 @@ def cmd_pi(args) -> int:
     item = {"symbolic_forms_vanish": symbolic_ok}
     ok = symbolic_ok
     if args.point:
-        with open(args.point, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(args.point)
         if not (isinstance(data, dict) and isinstance(data.get("betas"), list)
                 and isinstance(data.get("alphas"), list)
                 and all(isinstance(arm, list) for arm in data["alphas"])):
@@ -450,7 +431,6 @@ _FLAGS = {
     "spair-cap": dict(type=int, default=DEFAULT_BUDGET.max_spairs),
     "deg-cap": dict(type=int, default=DEFAULT_BUDGET.max_degree),
     "time-cap": dict(type=float, default=DEFAULT_BUDGET.time_cap, help="seconds"),
-    "jobs": dict(type=int, default=1, help="worker processes for the per-chart work"),
     "gamma": dict(default="zero", help="zero | file:PATH | random:SEED"),
     "enum-cap": dict(type=int, default=24,
                      help="maximum number of arrows to enumerate over"),
@@ -467,8 +447,8 @@ _CAPS = ("spair-cap", "deg-cap", "time-cap")
 # subcommand -> (help, the flags it applies besides --json)
 _SUBCOMMANDS = {
     "charts": ("fibre-chart smoothness + oracle equality",
-               ("p", "field", *_CAPS, "jobs", "gamma")),
-    "smooth": ("total-space chart smoothness", ("p", "field", *_CAPS, "jobs")),
+               ("p", "field", *_CAPS, "gamma")),
+    "smooth": ("total-space chart smoothness", ("p", "field", *_CAPS)),
     "cover": ("brute-force chart cover over all supports", ("p", "enum-cap")),
     "fibre": ("empty/nonempty fibre verification", ("p", "field", *_CAPS, "gamma")),
     "pi": ("deformation-map checks", ("p", "point")),

@@ -52,6 +52,19 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
+# Python's default limit on the digits of an int read from a string
+_MAX_EXPONENT = 4300
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), refusing a decimal exponent beyond _MAX_EXPONENT in
+    magnitude, whose power of ten would take unbounded time to build."""
+    exponent = text.lower().partition("e")[2].strip()
+    if exponent.lstrip("+-").replace("_", "").isdecimal() and abs(int(exponent)) > _MAX_EXPONENT:
+        raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} in magnitude")
+    return Fraction(text)
+
+
 class RationalField:
     """Exact rational coefficients (arbitrary-precision Fraction)."""
 
@@ -65,7 +78,7 @@ class RationalField:
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, str):
-            return Fraction(value)
+            return _fraction(value)
         raise TypeError(f"cannot coerce {value!r} into QQ")
 
     def add(self, a, b):
@@ -123,7 +136,7 @@ class PrimeField:
                 raise ZeroDivisionError(f"denominator divisible by {self.q}")
             return value.numerator % self.q * pow(den, -1, self.q) % self.q
         if isinstance(value, str):
-            return self.coerce(Fraction(value))
+            return self.coerce(_fraction(value))
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
 
     def add(self, a, b):

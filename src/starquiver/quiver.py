@@ -203,15 +203,21 @@ def all_chart_ids(p: ArmParams) -> list[ChartId]:
     return out
 
 
+def arm_window_units(arm: int, window: int, p: ArmParams) -> list[str]:
+    """The arrows of one arm that a chart scales to 1.  Window 0 is the
+    chart's distinguished arm: all its down arrows.  Window i is another arm
+    at the chart's index i: the down arrows before i and the up arrows after."""
+    if window == 0:
+        return [d_arrow(arm, m) for m in range(1, p[arm] + 1)]
+    return ([d_arrow(arm, m) for m in range(1, window)]
+            + [u_arrow(arm, m) for m in range(window + 1, p[arm] + 1)])
+
+
 def chart_unit_arrows(c: ChartId, p: ArmParams) -> list[str]:
     """Arrows required nonzero by the chart (scaled to 1 in presentations)."""
     arm_a, arm_b = c.other_arms()
-    units = [d_arrow(c.k, j) for j in range(1, p[c.k] + 1)]
-    units += [d_arrow(arm_a, m) for m in range(1, c.i)]
-    units += [u_arrow(arm_a, m) for m in range(c.i + 1, p[arm_a] + 1)]
-    units += [d_arrow(arm_b, m) for m in range(1, c.j)]
-    units += [u_arrow(arm_b, m) for m in range(c.j + 1, p[arm_b] + 1)]
-    return units
+    return (arm_window_units(c.k, 0, p) + arm_window_units(arm_a, c.i, p)
+            + arm_window_units(arm_b, c.j, p))
 
 
 # ---------------------------------------------------------------------------

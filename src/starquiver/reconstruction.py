@@ -244,13 +244,21 @@ def gamma_from_json(obj, p: ArmParams, field=QQ) -> DeformParams:
     return make_gamma(p, *vectors, *(str(obj[k]) for k in keys[3:]), field=field)
 
 
+def read_json(path: str):
+    """Decode a JSON input file; nesting too deep to decode is a ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def parse_gamma_spec(spec: str, p: ArmParams, field=QQ) -> DeformParams:
     """CLI gamma source: zero | file:PATH | random:SEED."""
     if spec == "zero":
         return zero_gamma(p, field)
     if spec.startswith("file:"):
-        with open(spec[len("file:"):], "r", encoding="utf-8") as fh:
-            return gamma_from_json(json.load(fh), p, field)
+        return gamma_from_json(read_json(spec[len("file:"):]), p, field)
     if spec.startswith("random:"):
         return random_gamma(p, int(spec[len("random:"):]), field=field)
     raise ValueError(f"unknown gamma source {spec!r} (zero|file:PATH|random:SEED)")

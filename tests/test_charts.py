@@ -15,9 +15,9 @@ from starquiver.charts import (
     fibre_chart,
     fibre_witness_point,
     jacobian_ideal_generators,
-    oracle_matches,
     quotient_nonzero_check,
     smoothness_certificate,
+    substitution_oracle,
     total_space_chart,
     verify_cover,
 )
@@ -131,9 +131,10 @@ def test_fibre_substitution_covers_arrows_and_lands_in_ideal():
         Q = build_star_quiver(p)
         gamma = random_gamma(p, seed=23)
         rels = deformed_relations(Q, gamma)
+        oracle = substitution_oracle(Q, gamma)
         for c in all_chart_ids(p):
             closed = fibre_chart(gamma, c)
-            derived = chart_by_substitution(Q, gamma, c)
+            derived = chart_by_substitution(oracle, c)
             assert closed.substitution is None
             assert set(derived.substitution) == set(Q.table.names)
             chart_ideal = closed.ideal()
@@ -149,9 +150,10 @@ def test_fibre_substitution_covers_arrows_and_lands_in_ideal():
 def test_oracle_agreement_zero_gamma_smallest_case():
     Q = build_star_quiver(P222)
     gamma = zero_gamma(P222)
+    oracle = substitution_oracle(Q, gamma)
     for c in all_chart_ids(P222):
         closed = fibre_chart(gamma, c)
-        derived = chart_by_substitution(Q, gamma, c)
+        derived = chart_by_substitution(oracle, c)
         assert ideals_equal(closed.ideal(), derived.ideal())
 
 
@@ -159,9 +161,10 @@ def test_oracle_agreement_random_gamma_all_charts():
     p = ArmParams(3, 2, 2)
     Q = build_star_quiver(p)
     gamma = random_gamma(p, seed=31)
+    oracle = substitution_oracle(Q, gamma)
     for c in all_chart_ids(p):
         closed = fibre_chart(gamma, c)
-        derived = chart_by_substitution(Q, gamma, c)
+        derived = chart_by_substitution(oracle, c)
         assert ideals_equal(closed.ideal(), derived.ideal())
 
 
@@ -171,10 +174,11 @@ def test_fibre_charts_and_witness_in_every_field(spec):
     p = ArmParams(3, 2, 2)
     Q = build_star_quiver(p, field)
     gamma = random_gamma(p, seed=31, field=field)
+    oracle = substitution_oracle(Q, gamma)
     for c in all_chart_ids(p):
         pres = fibre_chart(gamma, c)
         assert smoothness_certificate(pres, expected_dim=2).status == "smooth"
-        assert oracle_matches(Q, pres)
+        assert ideals_equal(pres.ideal(), chart_by_substitution(oracle, c).ideal())
     point = fibre_witness_point(gamma)
     for _, rel in deformed_relations(Q, gamma):
         assert rel.evaluate(point) == field.zero
@@ -185,9 +189,8 @@ def test_oracle_rejects_gamma_of_another_field_or_arms():
     Q = build_star_quiver(p)
     for gamma in (random_gamma(p, 1, field=parse_field("fp:11")),
                   random_gamma(ArmParams(2, 3, 2), 1)):
-        for c in all_chart_ids(p):
-            with pytest.raises(ValueError, match="on a quiver"):
-                chart_by_substitution(Q, gamma, c)
+        with pytest.raises(ValueError, match="on a quiver"):
+            substitution_oracle(Q, gamma)
 
 
 def test_oracle_survivors_contain_plus_minus_first_relation():
@@ -195,9 +198,10 @@ def test_oracle_survivors_contain_plus_minus_first_relation():
     # first chart relation up to sign
     Q = build_star_quiver(P222)
     gamma = random_gamma(P222, seed=37)
+    oracle = substitution_oracle(Q, gamma)
     for c in all_chart_ids(P222):
         closed = fibre_chart(gamma, c)
-        derived = chart_by_substitution(Q, gamma, c)
+        derived = chart_by_substitution(oracle, c)
         f1 = closed.relations[0]
         assert len(derived.relations) == 3
         signs = [r for r in derived.relations if r == f1 or r == -f1]
@@ -205,11 +209,25 @@ def test_oracle_survivors_contain_plus_minus_first_relation():
         assert closed.relations[1] in derived.relations
 
 
+def test_charts_run_solves_each_arm_window_once(monkeypatch):
+    # at 3,3,3: two chain solves for each of 3 distinguished arms and 9 arm
+    # windows, and one leftover solve for each of the 27 charts, on one
+    # relation system (a solve per chain per chart made 189)
+    solves, builds = [], []
+    solve, build = charts._solve_linear, charts.deformed_relations
+    monkeypatch.setattr(charts, "_solve_linear",
+                        lambda img, name: solves.append(name) or solve(img, name))
+    monkeypatch.setattr(charts, "deformed_relations",
+                        lambda Q, gamma: builds.append(gamma) or build(Q, gamma))
+    assert run_command(["charts", "--p", "3,3,3", "--gamma", "random:1"]) == 0
+    assert (len(solves), len(builds)) == (51, 1)
+
+
 def test_oracle_total_space_mode():
-    Q = build_star_quiver(P222)
+    oracle = substitution_oracle(build_star_quiver(P222), None)
     for c in all_chart_ids(P222):
         closed = total_space_chart(P222, c)
-        derived = chart_by_substitution(Q, None, c)
+        derived = chart_by_substitution(oracle, c)
         assert derived.relations == closed.relations
 
 
@@ -217,15 +235,15 @@ def test_oracle_total_space_mode_checks_the_unit_arrows(monkeypatch):
     # the oracle binds quiver.chart_unit_arrows to 1 and maps the rest by name
     # into the closed form's variables: a unit list that drops an arrow, or
     # that scales a chart variable, no longer matches the closed form
-    Q = build_star_quiver(P222)
+    oracle = substitution_oracle(build_star_quiver(P222), None)
     c = ChartId(1, 1, 1)
     assert total_space_chart(P222, c).substitution is None
     units = charts.chart_unit_arrows(c, P222)
     monkeypatch.setattr(charts, "chart_unit_arrows", lambda c, p: units[1:])
     with pytest.raises(ValueError, match="no image"):
-        chart_by_substitution(Q, None, c)
+        chart_by_substitution(oracle, c)
     monkeypatch.setattr(charts, "chart_unit_arrows", lambda c, p: units + ["d2_1"])
-    derived = chart_by_substitution(Q, None, c)
+    derived = chart_by_substitution(oracle, c)
     assert derived.relations != total_space_chart(P222, c).relations
 
 

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from starquiver import cli
 from starquiver.cli import _build_parser, run_command
 from starquiver.groebner import CheckFailed, Inconclusive
 
@@ -204,14 +203,27 @@ def test_field_grammar(tmp_path, spec, code):
     assert run_command(["gb", "--input", str(ideal), "--field", spec]) == code
 
 
-def _workbench(*argv, cwd):
-    """Run `python -m starquiver.cli` in a fresh interpreter, so that
-    `main()` and its `sys.exit` are exercised too."""
+def _python(*argv, cwd):
+    """Run this interpreter afresh with `src` on its path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "starquiver.cli", *argv], cwd=cwd,
+    return subprocess.run([sys.executable, *argv], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=300)
+
+
+def _workbench(*argv, cwd):
+    """Run `python -m starquiver.cli` in a fresh interpreter, so that
+    `main()` and its `sys.exit` are exercised too."""
+    return _python("-m", "starquiver.cli", *argv, cwd=cwd)
+
+
+def test_cli_import_loads_no_process_pool(tmp_path):
+    # every subcommand runs in the one process
+    done = _python("-c", "import sys, starquiver.cli; print(sorted(m for m in sys.modules "
+                   "if m.split('.')[0] in ('concurrent', 'multiprocessing')))", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_module_entry_point(tmp_path):
@@ -282,7 +294,14 @@ _GAMMA_REST = '"gamma2": ["0"], "gamma3": ["0"], "a": "0", "b": "0", "A": "0", "
     ("fibre", "--gamma", '{"gamma1": "12", ' + _GAMMA_REST + "}"),
     ("pi", "--point", "[1, 2]"),
     ("pi", "--point", '{"betas": ["0", "0", "0"], "alphas": 5}'),
-], ids=["gamma-scalar", "gamma1-scalar", "gamma1-string", "point-list", "alphas-scalar"])
+    # nesting too deep for the decoder
+    ("fibre", "--gamma", "[" * 100_000),
+    ("pi", "--point", "[" * 100_000),
+    # a decimal exponent whose power of ten would take minutes to build
+    ("fibre", "--gamma", '{"gamma1": ["0", "0"], "gamma2": ["0"], "gamma3": ["0"], '
+                         '"a": "1e999999999", "b": "0", "A": "0", "B": "0"}'),
+], ids=["gamma-scalar", "gamma1-scalar", "gamma1-string", "point-list", "alphas-scalar",
+        "gamma-deep", "point-deep", "gamma-exponent"])
 def test_malformed_json_inputs_are_usage_errors(tmp_path, command, flag, content):
     path = tmp_path / "input.json"
     path.write_text(content, encoding="utf-8")
@@ -302,8 +321,8 @@ def test_failed_check_exits_one(monkeypatch):
 # --output, with the three caps nested under "budgets"
 CAPS = {"spair_cap", "deg_cap", "time_cap"}
 CONFIG_KEYS = {
-    "charts": {"p", "field", "budgets", "jobs", "gamma"},
-    "smooth": {"p", "field", "budgets", "jobs"},
+    "charts": {"p", "field", "budgets", "gamma"},
+    "smooth": {"p", "field", "budgets"},
     "cover": {"p", "enum_cap"},
     "fibre": {"p", "field", "budgets", "gamma"},
     "pi": {"p", "point"},
@@ -348,52 +367,11 @@ def test_config_echoes_exactly_the_declared_flags(tmp_path):
     ["fibre", "--jobs", "2"],
     ["gb", "--p", "2,2,2", "--input", "ideal.txt"],
     ["props", "--field", "q"],
+    ["charts", "--jobs", "2"],
+    ["smooth", "--jobs", "2"],
 ])
 def test_removed_flags_are_usage_errors(argv):
     assert run_command(argv) == 3
-
-
-def test_parallel_jobs_match_serial(tmp_path):
-    code1, rep1 = _run(tmp_path, "charts", "--p", "2,2,2", "--gamma", "random:9",
-                       json_name="serial.json")
-    code2, rep2 = _run(tmp_path, "charts", "--p", "2,2,2", "--gamma", "random:9",
-                       "--jobs", "2", json_name="parallel.json")
-    assert code1 == code2 == 0
-    rep1.pop("elapsed_ms")
-    rep2.pop("elapsed_ms")
-    rep1["config"].pop("jobs")
-    rep2["config"].pop("jobs")
-    assert rep1 == rep2
-
-
-@pytest.mark.parametrize("command", ["charts", "smooth"])
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_is_a_usage_error(tmp_path, command, jobs):
-    assert _run(tmp_path, command, "--jobs", jobs) == (3, None)
-
-
-def test_jobs_never_exceed_the_chart_count(tmp_path, monkeypatch):
-    # a stand-in pool that records its size and maps serially: no process starts
-    asked = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    code, report = _run(tmp_path, "charts", "--p", "2,2,2", "--jobs", "64")
-    assert code == 0 and len(report["items"]) == 12
-    assert asked == [12]
-
 
 
 def test_run_command_leaves_no_reference_cycles(tmp_path):

@@ -341,6 +341,18 @@ def test_prime_field_validation():
     assert gf.inv(gf.coerce(7)) * 7 % 65521 == 1
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(65521)], ids=["QQ", "F65521"])
+def test_string_coercion_bounds_decimal_exponents(field):
+    # beyond 4300 the power of ten grows without bound: "1e999999999" would
+    # build a billion-digit integer
+    assert field.coerce("1e4300") == field.coerce(10 ** 4300)
+    assert field.coerce(" -25E-1_0 ") == field.coerce(Fraction(-25, 10 ** 10))
+    assert field.coerce("3/4") == field.coerce(Fraction(3, 4))
+    for text in ("1e4301", "1E-4301", "2.5e+999999999", "1e99_999_999"):
+        with pytest.raises(ValueError, match="exponent"):
+            field.coerce(text)
+
+
 # ---------------------------------------------------------------------------
 # monomial orders
 # ---------------------------------------------------------------------------
