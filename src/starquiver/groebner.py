@@ -1,16 +1,16 @@
 """Buchberger engine: reduced Groebner bases and the certificates built on them.
 
-Monomials are packed into Python ints twice over: an order ``code`` that
-packs the key of the one order type, ``MonomialOrder.sort_key``, so that
-integer comparison realises the order and integer addition realises
-monomial multiplication, and a ``packed`` exponent vector
-(16-bit fields, one guard bit each) supporting O(1) divisibility and lcm via
-bit tricks.  Coefficient arithmetic is integer-only, and the characteristic
-``q`` is the engine's only coefficient switch: ``q = 0`` is fraction-free
-over the rationals (primitive integer polynomials with a positive lead,
-scaled during reduction), and a prime ``q`` is modular over F_q (monic
-polynomials, every coefficient reduced mod q).  One reduction loop, one
-S-polynomial and one normaliser serve both.
+Each monomial is one Python int: the key of the one order type,
+``MonomialOrder.sort_key``, packed above the exponent vector (16-bit fields,
+one guard bit each), so that integer comparison realises the order, integer
+addition realises monomial multiplication, and divisibility and lcm are O(1)
+bit tricks on the low half.  A basis element is stored once, as its lead
+monomial, lead coefficient and tail terms.  Coefficient arithmetic is
+integer-only, and the characteristic ``q`` is the engine's only coefficient
+switch: ``q = 0`` is fraction-free over the rationals (primitive integer
+polynomials with a positive lead, scaled during reduction), and a prime
+``q`` is modular over F_q (monic polynomials, every coefficient reduced
+mod q).  One reduction loop, one S-polynomial and one normaliser serve both.
 
 Pairs are installed by the Gebauer-Moeller update (M, F and B criteria,
 coprime leads), and the run's counters come back as :class:`EngineStats`.
@@ -41,7 +41,6 @@ from .poly import (
 
 _FIELD_BITS = 16
 _GUARD_BIT = 15
-_CODE_BITS = 32
 _MAX_EXP = (1 << _GUARD_BIT) - 1
 
 
@@ -101,57 +100,71 @@ DEFAULT_BUDGET = GroebnerBudget()
 def _exponent_overflow(exponent: int):
     """Raise for an exponent that does not fit below a field's guard bit.
 
-    A product of two packed monomials, each field below 2^15, still holds
-    every exponent exactly in its 16-bit field, and it overflows iff it sets
-    a guard bit; every product made in the engine is checked that way."""
+    A product of two monomials, each exponent below 2^15, still holds every
+    exponent exactly in its 16-bit field, and it overflows iff it sets a
+    guard bit; every product made in the engine is checked that way."""
     raise Inconclusive("exponent exceeds packed-field capacity", exponent=exponent)
 
 
 class _Codec:
-    """Packs exponent vectors for one (VarTable, MonomialOrder) pair.
+    """Packs the monomials of one (VarTable, MonomialOrder) pair into ints.
 
-    The order code packs `MonomialOrder.sort_key`, one 32-bit field per part,
-    so integer comparison of codes is the order itself.  Every part is a sum
-    of exponents, so the packed key is linear in them: a monomial's code is
-    the sum of its exponents times the packed keys of the single variables.
+    A monomial is one int of two halves.  The high half packs
+    `MonomialOrder.sort_key`, one field per part; the low half is the
+    exponent vector, one 16-bit field per variable whose top bit is a guard.
+    Every part of the key is a sum of exponents, so both halves are linear
+    in them: a monomial is the sum of its exponents times the monomials of
+    the single variables.  Integer comparison is the order itself, integer
+    addition is monomial multiplication, and the guard-bit tests of
+    divisibility and lcm read only the low half: a borrow never runs out of
+    it, and ``& guard`` ignores the high half even of a negative difference.
+
+    A part is at most a block's degree, below n * 2^16 for n variables even
+    in a product of two monomials, so a field of 16 + n.bit_length() bits
+    holds it.  No wider field is used: every monomial, and every int op on
+    it, grows with the field width.
     """
 
     def __init__(self, table: VarTable, order: MonomialOrder):
         n = len(table)
         key = order.sort_key(table)
-        self._weights = tuple(
-            sum(part << (_CODE_BITS * k) for k, part in enumerate(reversed(key(unit))))
-            for unit in ((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
-        self._pshift = tuple(_FIELD_BITS * (n - 1 - i) for i in range(n))
+        low = _FIELD_BITS * n
+        part_bits = _FIELD_BITS + n.bit_length()
+        self._shifts = tuple(_FIELD_BITS * (n - 1 - i) for i in range(n))
+        self._units = tuple(
+            (sum(part << (part_bits * k) for k, part in enumerate(reversed(key(unit)))) << low)
+            + (1 << s)
+            for s, unit in zip(self._shifts,
+                               ((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))))
         self.guard = 0
-        for s in self._pshift:
+        for s in self._shifts:
             self.guard |= 1 << (s + _GUARD_BIT)
-        self.mask_all = (1 << (_FIELD_BITS * n)) - 1
+        self.mask_all = (1 << low) - 1
 
-    def encode(self, exps) -> tuple[int, int]:
-        packed = 0
-        code = 0
-        for e, s, w in zip(exps, self._pshift, self._weights):
+    def encode(self, exps) -> int:
+        mono = 0
+        for e, u in zip(exps, self._units):
             if e > _MAX_EXP:
                 _exponent_overflow(e)
-            packed += e << s
-            code += e * w
-        return code, packed
+            mono += e * u
+        return mono
 
-    def decode(self, packed: int) -> tuple:
-        return tuple((packed >> s) & 0xFFFF for s in self._pshift)
+    def decode(self, mono: int) -> tuple:
+        return tuple((mono >> s) & 0xFFFF for s in self._shifts)
 
-    def code_of_packed(self, packed: int) -> int:
-        return sum(((packed >> s) & 0xFFFF) * w for s, w in zip(self._pshift, self._weights))
+    def lift(self, low: int) -> int:
+        """The monomial whose exponent half is `low` (an lcm, say)."""
+        return sum(((low >> s) & 0xFFFF) * u for s, u in zip(self._shifts, self._units))
 
-    def deg(self, packed: int) -> int:
-        return sum((packed >> s) & 0xFFFF for s in self._pshift)
+    def deg(self, mono: int) -> int:
+        return sum((mono >> s) & 0xFFFF for s in self._shifts)
 
-    def divides(self, divisor_packed: int, packed: int) -> bool:
+    def divides(self, divisor: int, mono: int) -> bool:
         g = self.guard
-        return ((packed | g) - divisor_packed) & g == g
+        return ((mono | g) - divisor) & g == g
 
     def lcm(self, a: int, b: int) -> int:
+        """The exponent half of lcm(a, b); `lift` gives the monomial."""
         g = self.guard
         sel = ((a | g) - b) & g
         mask = (sel >> _GUARD_BIT) * 0xFFFF
@@ -160,12 +173,13 @@ class _Codec:
     def vars_mask(self, indices: Iterable[int]) -> int:
         m = 0
         for i in indices:
-            m |= 0xFFFF << self._pshift[i]
+            m |= 0xFFFF << self._shifts[i]
         return m
 
 
 # ---------------------------------------------------------------------------
-# engine polynomials: lists of (code, packed, int coeff), descending by code
+# engine polynomials: lists of (monomial, int coeff), descending; a basis
+# element is stored once, as (lead, lead coeff, tail terms)
 # ---------------------------------------------------------------------------
 
 def _to_engine(p: Poly, codec: _Codec, q: int):
@@ -173,159 +187,127 @@ def _to_engine(p: Poly, codec: _Codec, q: int):
     if not p.terms:
         return []
     denlcm = 1 if q else lcm(*(c.denominator for c in p.terms.values()))
-    items = []
-    for exps, c in p.terms.items():
-        code, packed = codec.encode(exps)
-        items.append((code, packed, c % q if q else c.numerator * (denlcm // c.denominator)))
-    items.sort(key=lambda t: t[0], reverse=True)
+    items = [(codec.encode(exps), c % q if q else c.numerator * (denlcm // c.denominator))
+             for exps, c in p.terms.items()]
+    items.sort(reverse=True)
     return items
 
 
-def _from_engine(terms, codec: _Codec, table: VarTable, field, q: int,
-                 monic: bool = True, scale: int = 1) -> Poly:
-    """Back to a Poly divided by its lead, or with monic=False by scale."""
-    if not terms:
-        return Poly.zero(table, field)
-    den = terms[0][2] if monic else scale
+def _from_engine(terms, den: int, codec: _Codec, table: VarTable, field, q: int) -> Poly:
+    """The Poly of engine terms divided by den."""
     if q:
         inv = pow(den, -1, q)
-        out = {codec.decode(packed): c * inv % q for _, packed, c in terms}
+        out = {codec.decode(m): c * inv % q for m, c in terms}
     else:
-        out = {codec.decode(packed): Fraction(c, den) for _, packed, c in terms}
+        out = {codec.decode(m): Fraction(c, den) for m, c in terms}
     return Poly(table, field, out)
 
 
 def _normalize(terms, q: int):
-    """Monic over F_q; over ZZ (q = 0) primitive with a positive lead."""
-    if not terms:
-        return terms
+    """The basis element of nonzero descending terms: monic over F_q; over
+    ZZ (q = 0) primitive with a positive lead."""
+    lead, lc = terms[0]
     if q:
-        inv = pow(terms[0][2], -1, q)
-        if inv == 1:
-            return terms
-        return [(code, packed, c * inv % q) for code, packed, c in terms]
-    g = 0
-    for _, _, c in terms:
-        g = gcd(g, c)
-        if g == 1:
-            break
-    if terms[0][2] < 0:
-        g = -g
-    if g == 1:
-        return terms
-    return [(code, packed, c // g) for code, packed, c in terms]
+        inv = pow(lc, -1, q)
+        if inv != 1:
+            terms = [(m, c * inv % q) for m, c in terms]
+    else:
+        g = 0
+        for _, c in terms:
+            g = gcd(g, c)
+            if g == 1:
+                break
+        if lc < 0:
+            g = -g
+        if g != 1:
+            terms = [(m, c // g) for m, c in terms]
+    return lead, terms[0][1], tuple(terms[1:])
 
 
-def _reduce_full(terms, basis, codec: _Codec, q: int,
-                 bud: _BudgetState | None = None):
+def _reduce_full(terms, basis, codec: _Codec, q: int, bud: _BudgetState):
     """Full multivariate division of `terms` by `basis`: (remainder, scale).
 
     The remainder is descending, and it is the remainder of scale * terms:
     each ZZ step multiplies the work polynomial by a positive integer, whose
-    product is scale (always 1 over F_q).  `basis` entries are (lt_code,
-    lt_packed, lt_coeff, tail) with tail the remaining terms, each
-    normalised by `_normalize`.
+    product is scale (always 1 over F_q).  `basis` holds elements made by
+    `_normalize`.
     """
     if not terms:
         return [], 1
     guard = codec.guard
-    coeffs = {}
-    packs = {}
-    heap = []
-    for code, packed, c in terms:
-        coeffs[code] = c
-        packs[code] = packed
-        heappush(heap, -code)
+    coeffs = dict(terms)
+    heap = [-m for m, _ in terms]
+    heapify(heap)
     out = []
     steps = 0
     scale = 1
     while heap:
-        code = -heappop(heap)
-        c = coeffs.pop(code, None)
+        m = -heappop(heap)
+        c = coeffs.pop(m, None)
         if c is None:
             continue
-        packed = packs.pop(code)
-        red = None
-        for be in basis:
-            lp = be[1]
-            if lp <= packed and ((packed | guard) - lp) & guard == guard:
-                red = be
+        for lead, lc, tail in basis:
+            if lead <= m and ((m | guard) - lead) & guard == guard:
                 break
-        if red is None:
-            out.append((code, packed, c))
+        else:
+            out.append((m, c))
             continue
         steps += 1
-        if bud is not None and steps % 1024 == 0:
+        if steps % 1024 == 0:
             bud.check_time()
-        lt_code, lt_packed, lt_coeff, tail = red
-        fcode = code - lt_code
-        fpack = packed - lt_packed
+        f = m - lead
         if not q:
             # scale the work polynomial so the lead cancels in ZZ; basis
             # leads are positive, so d > 0 and mult > 0
-            d = gcd(c, lt_coeff)
-            mult = lt_coeff // d
+            d = gcd(c, lc)
+            mult = lc // d
             c //= d
             if mult != 1:
                 scale *= mult
                 for k in coeffs:
                     coeffs[k] *= mult
                 if out:
-                    out = [(oc, op, ov * mult) for oc, op, ov in out]
-        for tc, tp, tcf in tail:
-            nc = tc + fcode
-            cur = coeffs.get(nc, 0)  # stored coefficients are never 0
-            v = cur - c * tcf
+                    out = [(om, ov * mult) for om, ov in out]
+        for t, tc in tail:
+            k = t + f
+            cur = coeffs.get(k, 0)  # stored coefficients are never 0
+            v = cur - c * tc
             if q:
                 v %= q
             if v:
                 if not cur:
-                    npk = tp + fpack
-                    if npk & guard:
-                        _exponent_overflow(max(codec.decode(npk)))
-                    packs[nc] = npk
-                    heappush(heap, -nc)
-                coeffs[nc] = v
+                    if k & guard:
+                        _exponent_overflow(max(codec.decode(k)))
+                    heappush(heap, -k)
+                coeffs[k] = v
             elif cur:
-                del coeffs[nc]
-                del packs[nc]
+                del coeffs[k]
     return out, scale
 
 
-def _as_basis_elem(terms):
-    code, packed, c = terms[0]
-    return (code, packed, c, tuple(terms[1:]))
-
-
-def _spoly(gi, gj, lcm_code, lcm_packed, codec: _Codec, q: int):
-    ci, pi, ai = gi[0]
-    cj, pj, aj = gj[0]
-    acc = {}
-    packs = {}
+def _spoly(gi, gj, lcm_mono: int, codec: _Codec, q: int):
+    """Descending terms of the S-polynomial; the leads cancel, so only the
+    two tails are multiplied out."""
+    li, ai, ti = gi
+    lj, aj, tj = gj
     # both leads are positive, and over F_q both are 1, so lam is 1 there
     lam = lcm(ai, aj)
     mi, mj = lam // ai, lam // aj
-    fci, fpi = lcm_code - ci, lcm_packed - pi
-    for tc, tp, tcf in gi:
-        nc = tc + fci
-        acc[nc] = acc.get(nc, 0) + mi * tcf
-        packs[nc] = tp + fpi
-    fcj, fpj = lcm_code - cj, lcm_packed - pj
-    for tc, tp, tcf in gj:
-        nc = tc + fcj
-        acc[nc] = acc.get(nc, 0) - mj * tcf
-        packs[nc] = tp + fpj
+    fi, fj = lcm_mono - li, lcm_mono - lj
+    acc = {t + fi: mi * c for t, c in ti}
+    for t, c in tj:
+        k = t + fj
+        acc[k] = acc.get(k, 0) - mj * c
     guard = codec.guard
     items = []
-    for c, v in acc.items():
+    for k, v in acc.items():
         if q:
             v %= q
         if v:
-            npk = packs[c]
-            if npk & guard:
-                _exponent_overflow(max(codec.decode(npk)))
-            items.append((c, npk, v))
-    items.sort(key=lambda t: t[0], reverse=True)
+            if k & guard:
+                _exponent_overflow(max(codec.decode(k)))
+            items.append((k, v))
+    items.sort(reverse=True)
     return items
 
 
@@ -357,10 +339,9 @@ def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
     short-circuits to the unit ideal, which is sound: the reduced basis is
     then exactly {1}.
     """
-    G: list = []
-    lt_packs: list[int] = []
-    guard = codec.guard
-    pairs: list = []  # heap of (deg, code, lcm_packed, i, j)
+    G: list = []  # basis elements (lead, lead coeff, tail)
+    guard, mask_all = codec.guard, codec.mask_all
+    pairs: list = []  # heap of (deg, lcm, i, j)
     active: list[int] = []  # indices whose lead no later lead divides
     formed = pruned_mf = pruned_coprime = pruned_b = 0
     reduced = zero = added = degree_peak = 0
@@ -372,14 +353,16 @@ def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
     def update(t: int):
         """Install the pairs of G[t] (Gebauer & Moeller, JSC 1988)."""
         nonlocal formed, pruned_mf, pruned_coprime, pruned_b, degree_peak
-        h = lt_packs[t]
+        h = G[t][0]
         degree_peak = max(degree_peak, codec.deg(h))
-        # a divisor's packed int is never larger, so every lcm sorts after
-        # its divisors; on ties a coprime pair comes first (F criterion)
+        # the new lcms are kept as exponent halves: a divisor's is never
+        # larger, so every lcm sorts after its divisors; on ties a coprime
+        # pair comes first (F criterion)
         new = []
         for i in active:
-            lp = codec.lcm(lt_packs[i], h)
-            new.append((lp, lp != lt_packs[i] + h, i))
+            a = G[i][0]
+            lp = codec.lcm(a, h)
+            new.append((lp, lp != (a + h) & mask_all, i))
         new.sort()
         formed += len(new)
         kept: list[int] = []
@@ -395,75 +378,66 @@ def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
             bud.check_degree(deg)
             bud.tick_spair()
             if not_coprime:
-                installed.append((deg, codec.code_of_packed(lp), lp, i, t))
+                installed.append((deg, codec.lift(lp), i, t))
             else:
                 pruned_coprime += 1
         # B: drop an old pair whose lcm LT(h) divides, unless the lcm equals
         # lcm(LT(i), LT(h)) or lcm(LT(j), LT(h))
         old = len(pairs)
         pairs[:] = [pr for pr in pairs
-                    if not (h <= pr[2] and ((pr[2] | guard) - h) & guard == guard
-                            and codec.lcm(lt_packs[pr[3]], h) != pr[2]
-                            and codec.lcm(lt_packs[pr[4]], h) != pr[2])]
+                    if not (h <= pr[1] and ((pr[1] | guard) - h) & guard == guard
+                            and codec.lcm(G[pr[2]][0], h) != pr[1] & mask_all
+                            and codec.lcm(G[pr[3]][0], h) != pr[1] & mask_all)]
         pruned_b += old - len(pairs)
         pairs.extend(installed)
         heapify(pairs)
-        active[:] = [i for i in active if not codec.divides(h, lt_packs[i])]
+        active[:] = [i for i in active if not codec.divides(h, G[i][0])]
         active.append(t)
 
     # seed basis by interreducing the input generators
     for g in sorted((g for g in gens if g), key=lambda t: t[0][0]):
-        h = _reduce_full(g, [_as_basis_elem(x) for x in G], codec, q, bud)[0]
+        h = _reduce_full(g, G, codec, q, bud)[0]
         if not h:
             continue
-        h = _normalize(h, q)
-        if h[0][1] == 0:  # constant: unit ideal
-            return [[(0, 0, 1)]], stats()
-        G.append(h)
-        lt_packs.append(h[0][1])
+        if h[0][0] == 0:  # constant: unit ideal
+            return [(0, 1, ())], stats()
+        G.append(_normalize(h, q))
 
     for t in range(len(G)):
         update(t)
 
-    basis_elems = [_as_basis_elem(g) for g in G]
     while pairs:
-        _, lcm_code, lcm_packed, i, j = heappop(pairs)
+        _, lcm_mono, i, j = heappop(pairs)
         bud.check_time()
-        s = _spoly(G[i], G[j], lcm_code, lcm_packed, codec, q)
-        h = _reduce_full(s, basis_elems, codec, q, bud)[0]
+        s = _spoly(G[i], G[j], lcm_mono, codec, q)
+        h = _reduce_full(s, G, codec, q, bud)[0]
         reduced += 1
         if not h:
             zero += 1
             continue
-        h = _normalize(h, q)
         added += 1
-        if h[0][1] == 0:
-            return [[(0, 0, 1)]], stats()
-        bud.check_degree(codec.deg(h[0][1]))
-        t = len(G)
-        G.append(h)
-        lt_packs.append(h[0][1])
-        basis_elems.append(_as_basis_elem(h))
-        update(t)
+        if h[0][0] == 0:
+            return [(0, 1, ())], stats()
+        bud.check_degree(codec.deg(h[0][0]))
+        G.append(_normalize(h, q))
+        update(len(G) - 1)
 
     return _reduced_basis(G, codec, q, bud), stats()
 
 
 def _reduced_basis(G, codec: _Codec, q: int, bud: _BudgetState):
     """Minimalize and tail-reduce; the result is the unique reduced basis."""
-    order = sorted(range(len(G)), key=lambda k: G[k][0][0])
     kept: list = []
-    for k in order:
-        lt = G[k][0][1]
-        if any(codec.divides(e[0][1], lt) for e in kept):
-            continue
-        kept.append(G[k])
+    for e in sorted(G, key=lambda e: e[0]):
+        if not any(codec.divides(k[0], e[0]) for k in kept):
+            kept.append(e)
+    # no other kept lead divides a kept lead, and a lead divides no smaller
+    # monomial, so reducing a tail by all of `kept` reduces it by the others
     final = []
-    for idx, g in enumerate(kept):
-        others = [_as_basis_elem(h) for j, h in enumerate(kept) if j != idx]
-        r = _reduce_full(g, others, codec, q, bud)[0]
-        final.append(_normalize(r, q))
-    final.sort(key=lambda t: t[0][0])
+    for lead, lc, tail in kept:
+        r, scale = _reduce_full(tail, kept, codec, q, bud)
+        final.append(_normalize([(lead, lc * scale), *r], q))
+    final.sort(key=lambda e: e[0])
     return final
 
 
@@ -519,10 +493,13 @@ class Ideal:
         gens_engine = [_to_engine(g, self._codec, self._q) for g in self.gens]
         bud = self.budget.fresh()
         basis, self.stats = _buchberger(gens_engine, self._codec, self._q, bud)
+        self._set_basis(basis)
+
+    def _set_basis(self, basis):
         self._basis_engine = basis
         self._basis_poly = tuple(
-            _from_engine(t, self._codec, self.table, self.field, self._q)
-            for t in basis
+            _from_engine([(lead, lc), *tail], lc, self._codec, self.table, self.field, self._q)
+            for lead, lc, tail in basis
         )
 
     def groebner_basis(self) -> tuple:
@@ -530,19 +507,12 @@ class Ideal:
         self._ensure_basis()
         return self._basis_poly
 
-    def _basis_elems(self):
-        self._ensure_basis()
-        return [_as_basis_elem(t) for t in self._basis_engine]
-
     def _seed_basis(self, basis_engine, stats):
         # used by eliminate(): the filtered basis is already reduced, so it
         # is also the generators, and stats are those of the elimination run
-        self._basis_engine = basis_engine
+        self._set_basis(basis_engine)
         self.stats = stats
-        self.gens = self._basis_poly = tuple(
-            _from_engine(t, self._codec, self.table, self.field, self._q)
-            for t in basis_engine
-        )
+        self.gens = self._basis_poly
 
     # -- queries -------------------------------------------------------------
 
@@ -553,8 +523,9 @@ class Ideal:
             raise ValueError("polynomial incompatible with ideal")
         if p.is_zero():
             return [], 1
+        self._ensure_basis()
         terms = _to_engine(p, self._codec, self._q)
-        return _reduce_full(terms, self._basis_elems(), self._codec, self._q, self.budget.fresh())
+        return _reduce_full(terms, self._basis_engine, self._codec, self._q, self.budget.fresh())
 
     def normal_form(self, p: Poly) -> Poly:
         """Remainder of p on division by the reduced basis; 0 iff p is a member."""
@@ -562,8 +533,7 @@ class Ideal:
         if not self._q:
             # undo the fraction-free scaling and _to_engine's denominator lcm
             scale *= lcm(*(c.denominator for c in p.terms.values()))
-        return _from_engine(r, self._codec, self.table, self.field, self._q,
-                            monic=False, scale=scale)
+        return _from_engine(r, scale, self._codec, self.table, self.field, self._q)
 
     def contains(self, p: Poly) -> bool:
         """Exact ideal membership via normal form."""
@@ -573,7 +543,7 @@ class Ideal:
         """True iff the ideal is the whole ring (empty variety)."""
         self._ensure_basis()
         b = self._basis_engine
-        return len(b) == 1 and b[0][0][1] == 0
+        return len(b) == 1 and b[0][0] == 0
 
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens over {self.field!r}, order {self.order!r})"
@@ -607,14 +577,16 @@ def eliminate(ideal: Ideal, drop: Iterable[str]) -> Ideal:
     kept = [ideal.table.index(n) for n in keep]
     out = Ideal(VarTable(keep), (), order=GREVLEX, field=ideal.field, budget=ideal.budget)
 
-    def repack(packed):
-        exps = decode(packed)
+    def repack(mono):
+        exps = decode(mono)
         return out._codec.encode(tuple(exps[i] for i in kept))
 
-    # grevlex on the kept variables is the block order restricted to them,
-    # so the repacked terms and basis elements stay in order
-    out._seed_basis([[(*repack(p), c) for _, p, c in t] for t in work._basis_engine
-                     if not any(p & dmask for _, p, _ in t)], work.stats)
+    # an element whose lead is free of `drop` lies in the subring, by the
+    # elimination property; grevlex on the kept variables is the block order
+    # restricted to them, so the repacked terms and elements stay in order
+    out._seed_basis([(repack(lead), lc, tuple((repack(m), c) for m, c in tail))
+                     for lead, lc, tail in work._basis_engine if not lead & dmask],
+                    work.stats)
     return out
 
 
@@ -646,8 +618,8 @@ def krull_dimension(ideal: Ideal) -> DimensionReport:
         return DimensionReport(-1, ())
     # leading monomials under the order the engine ran, straight from its basis
     decode = ideal._codec.decode
-    supports = [frozenset(i for i, e in enumerate(decode(t[0][1])) if e)
-                for t in ideal._basis_engine]
+    supports = [frozenset(i for i, e in enumerate(decode(lead)) if e)
+                for lead, _, _ in ideal._basis_engine]
     # minimalize: keep only inclusion-minimal supports
     supports.sort(key=len)
     minimal: list[frozenset] = []

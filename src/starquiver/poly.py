@@ -101,9 +101,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of 0 in QQ")
         return 1 / a
 
-    def to_str(self, a) -> str:
-        return str(a)
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -158,9 +155,6 @@ class PrimeField:
         if a % self.q == 0:
             raise ZeroDivisionError(f"inverse of 0 in {self.name}")
         return pow(a, -1, self.q)
-
-    def to_str(self, a) -> str:
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.q == self.q
@@ -616,11 +610,11 @@ class Poly:
             else:
                 sign, mag = "+", coeff
             if not mono:
-                body = f.to_str(mag)
+                body = str(mag)
             elif mag == f.one:
                 body = mono
             else:
-                body = f"{f.to_str(mag)}*{mono}"
+                body = f"{mag}*{mono}"
             if k == 0:
                 parts.append(body if sign == "+" else f"-{body}")
             else:

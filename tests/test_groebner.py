@@ -344,16 +344,36 @@ ORDERS = [LEX, GREVLEX, MonomialOrder([["x"], ["y", "z"]])]
 
 @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.spec())
 def test_engine_codes_realise_sort_key(order):
-    # the engine's order codes compare, and add, exactly as the order's key
+    # one int per monomial: it compares as the order's key, adds as monomial
+    # multiplication, decodes back, and its guard-bit divisibility and lcm
+    # read the exponent half whatever the key half above it holds
     t = VarTable(["x", "y", "z"])
     codec, key = _Codec(t, order), order.sort_key(t)
     rng = random.Random(order.spec())
-    for _ in range(200):
-        a, b = (tuple(rng.randint(0, 40) for _ in range(3)) for _ in range(2))
-        (ca, pa), (cb, pb) = codec.encode(a), codec.encode(b)
-        assert (ca < cb, ca == cb) == (key(a) < key(b), key(a) == key(b))
-        assert codec.code_of_packed(pa + pb) == ca + cb
-        assert codec.encode(tuple(map(int.__add__, a, b))) == (ca + cb, pa + pb)
+    for k in range(200):
+        # small exponents, then large ones whose products come just under
+        # the guard bit, where the key's parts are largest
+        top = 40 if k % 2 else 16383
+        a, b = (tuple(rng.randint(0, top) for _ in range(3)) for _ in range(2))
+        ma, mb = codec.encode(a), codec.encode(b)
+        assert (ma < mb, ma == mb) == (key(a) < key(b), key(a) == key(b))
+        ab, bb = tuple(map(int.__add__, a, b)), tuple(2 * y for y in b)
+        assert codec.encode(ab) == ma + mb
+        assert (ma + mb < 2 * mb, ma + mb == 2 * mb) == (key(ab) < key(bb), key(ab) == key(bb))
+        assert codec.decode(ma) == a
+        assert codec.divides(ma, mb) == all(x <= y for x, y in zip(a, b))
+        assert codec.divides(ma, ma + mb) and codec.divides(mb, ma + mb)
+        join = tuple(map(max, a, b))
+        assert codec.lcm(ma, mb) == codec.encode(join) & codec.mask_all
+        assert codec.lift(codec.lcm(ma, mb)) == codec.encode(join)
+    # products that tie on one part of the key and differ by more than 2^15
+    # on the next: the key's fields are wide enough for a product's parts
+    pa = codec.encode((20000, 0, 1)) + codec.encode((20000, 0, 0))
+    pb = codec.encode((0, 20001, 0)) + codec.encode((0, 20000, 0))
+    assert (pa < pb) == (key((40000, 0, 1)) < key((0, 40001, 0)))
+    assert codec.decode(codec.encode((32767, 0, 1))) == (32767, 0, 1)
+    with pytest.raises(Inconclusive, match="packed-field capacity"):
+        codec.encode((0, 32768, 0))
 
 
 def _random_ideals(seed, count):

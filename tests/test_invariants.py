@@ -221,10 +221,12 @@ def test_kernel_smallest_case_prime_field():
     assert ideals_equal(kern, mins)
 
 
-def test_kernel_engine_counters_pinned():
-    # the elimination basis of ker(phi) at 3,3,2 over F_65521: the counters
-    # are deterministic, so a change in pair handling shows up here
-    kern = kernel_ideal(ArmParams(3, 3, 2), GF)
+@pytest.mark.parametrize("field", [GF, QQ], ids=["F65521", "QQ"])
+def test_kernel_engine_counters_pinned(field):
+    # the elimination basis of ker(phi) at 3,3,2: the counters are
+    # deterministic, so a change in pair handling shows up here, and they
+    # agree over F_65521 and over QQ (the fraction-free path)
+    kern = kernel_ideal(ArmParams(3, 3, 2), field)
     assert kern.stats == EngineStats(
         pairs_formed=132190, pruned_mf=122587, pruned_coprime=1324, pruned_b=3168,
         pairs_reduced=5111, zero_reductions=4500, elements_added=611,
