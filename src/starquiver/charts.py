@@ -1,13 +1,13 @@
-"""Chart presentations of the moduli space and their smoothness certificates.
+"""Charts of the moduli space and their smoothness certificates.
 
 Each chart scales the full downward path of one arm, plus partial down/up
-paths on the other two arms, to 1.  The total space (one canonical relation)
-gets a hypersurface presentation; every fibre of the deformation family gets
-a two-relation presentation in four variables; these closed forms carry only
-their relations.  A second, substitution-based derivation acts as an
-independent oracle: it solves the arm chains mechanically from the relation
-system, must generate the same ideal as the closed form, and is the one
-source of a chart's arrow substitution.
+paths on the other two arms, to 1.  A chart is the `Ideal` of its relations
+in its chart variables: the total space (one canonical relation) gives a
+hypersurface, every fibre of the deformation family two relations in four
+variables.  A second, substitution-based derivation acts as an independent
+oracle: it solves the arm chains mechanically from the relation system and
+must generate the same ideal as the closed form.  The same solve is the one
+source of a chart's arrow substitution, which `chart_substitution` returns.
 """
 
 from __future__ import annotations
@@ -40,25 +40,6 @@ from .reconstruction import (DeformParams, RelationSystem, canonical_relation,
                              deformed_relations, in_delta)
 
 
-@dataclass(frozen=True)
-class ChartPresentation:
-    """A chart's variables and defining relations.
-
-    `substitution` is set only by `chart_by_substitution` on a fibre chart
-    and is None elsewhere: it expresses every arrow of the quiver as a
-    polynomial in the chart variables, and pushing the deformed relation
-    system through it lands inside the ideal of `relations`.
-    """
-
-    chart: ChartId
-    table: VarTable
-    relations: tuple
-    substitution: dict | None = None
-
-    def ideal(self, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
-        return Ideal(self.table, self.relations, budget=budget)
-
-
 def _check_chart_range(c: ChartId, p: ArmParams):
     arm_a, arm_b = c.other_arms()
     if c.k not in (1, 2, 3) or not (1 <= c.i <= p[arm_a]) or not (1 <= c.j <= p[arm_b]):
@@ -77,8 +58,9 @@ def _scaled_canonical(k: int, prod_a: Poly, prod_b: Poly) -> Poly:
     return paths[0] - paths[1] + paths[2]
 
 
-def total_space_chart(p: ArmParams, c: ChartId, field=QQ) -> ChartPresentation:
-    """Hypersurface presentation of the chart of the one-relation moduli."""
+def total_space_chart(p: ArmParams, c: ChartId, field=QQ,
+                      budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
+    """The hypersurface ideal of the chart of the one-relation moduli."""
     p = ArmParams.parse(p)
     _check_chart_range(c, p)
     arm_a, arm_b = c.other_arms()
@@ -94,7 +76,7 @@ def total_space_chart(p: ArmParams, c: ChartId, field=QQ) -> ChartPresentation:
     prod_b = poly_prod(
         (Poly.var(table, field, d_arrow(arm_b, m)) for m in range(c.j, p[arm_b] + 1)),
         table, field)
-    return ChartPresentation(c, table, (_scaled_canonical(c.k, prod_a, prod_b),))
+    return Ideal(table, (_scaled_canonical(c.k, prod_a, prod_b),), field=field, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +102,10 @@ def _arm_cycle_product(cycle: Poly, d_var: Poly, gammas, m: int):
     return acc
 
 
-def fibre_chart(gamma: DeformParams, c: ChartId) -> ChartPresentation:
-    """Closed-form presentation of the chart of the fibre at gamma, over
-    gamma's field and arm lengths."""
+def fibre_chart(gamma: DeformParams, c: ChartId,
+                budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
+    """The closed-form ideal of the chart of the fibre at gamma, over gamma's
+    field and arm lengths."""
     p, field = gamma.p, gamma.field
     _check_chart_range(c, p)
     if not in_delta(gamma):
@@ -145,7 +128,7 @@ def fibre_chart(gamma: DeformParams, c: ChartId) -> ChartPresentation:
         f1 = cyc_a + pref_a - cyc_b - pref_b - Poly.const(table, field, const)
     f2 = _scaled_canonical(c.k, _arm_cycle_product(cyc_a, da, ga, c.i),
                            _arm_cycle_product(cyc_b, db, gb, c.j))
-    return ChartPresentation(c, table, (f1, f2))
+    return Ideal(table, (f1, f2), field=field, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -219,41 +202,52 @@ def substitution_oracle(Q: StarQuiver, gamma: DeformParams | None) -> Substituti
     return SubstitutionOracle(Q, rels, arms)
 
 
-def chart_by_substitution(oracle: SubstitutionOracle, c: ChartId) -> ChartPresentation:
-    """The oracle's per-chart half: merge the chart's three arm solutions,
-    push the remaining relations through, solve the leftover u_{k,1}, and
-    return the nonzero survivors with the arrow substitution the solve
-    produced; they must generate the closed form's ideal.  Without relations
-    the arrows of `chart_unit_arrows` become 1 in the canonical relation and
-    the rest must be total-space chart variables."""
-    Q = oracle.Q
-    p = Q.p
-    _check_chart_range(c, p)
-    if oracle.relations is None:
-        table = total_space_chart(p, c, Q.field).table
-        img = canonical_relation(Q).substitute(dict.fromkeys(chart_unit_arrows(c, p), 1), table)
-        return ChartPresentation(c, table, (img,))
+_CROSS_LABELS = ("(a)", "(b)", "(c)", "(d)", "(x)")
 
+
+def _chart_solve(oracle: SubstitutionOracle, c: ChartId):
+    """Merge the chart's three arm solutions, push the cross relations
+    through, and solve the leftover u_{k,1}: the merged arm substitution,
+    the leftover's solution on the chart table, and the other images."""
+    _check_chart_range(c, oracle.Q.p)
+    if oracle.relations is None:
+        raise ValueError("an oracle without gamma has no arrow substitution")
     arm_a, arm_b = c.other_arms()
     B = {**oracle.arms[c.k, 0], **oracle.arms[arm_a, c.i], **oracle.arms[arm_b, c.j]}
-    images = {lbl: oracle.relations.by_label(lbl).substitute(B)
-              for lbl in ("(a)", "(b)", "(c)", "(d)", "(x)")}
+    images = {lbl: oracle.relations.by_label(lbl).substitute(B) for lbl in _CROSS_LABELS}
     leftover = u_arrow(c.k, 1)
-    solved_label = next((lbl for lbl in ("(a)", "(b)", "(c)", "(d)")
+    solved_label = next((lbl for lbl in _CROSS_LABELS[:4]
                          if leftover in images[lbl].variables_used()), None)
     if solved_label is None:
         raise CheckFailed("no relation available to solve the leftover variable")
+    solved = _solve_linear(images.pop(solved_label), leftover).rename(_chart_table(c))
+    return B, {leftover: solved}, tuple(images.values())
+
+
+def chart_by_substitution(oracle: SubstitutionOracle, c: ChartId,
+                          budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
+    """The oracle's per-chart half: the ideal of the nonzero images left by
+    the chain solve, which must equal the closed form's.  Without relations
+    the arrows of `chart_unit_arrows` become 1 in the canonical relation and
+    the rest must be total-space chart variables."""
+    Q = oracle.Q
+    if oracle.relations is None:
+        table = total_space_chart(Q.p, c, Q.field).table
+        img = canonical_relation(Q).substitute(dict.fromkeys(chart_unit_arrows(c, Q.p), 1), table)
+        return Ideal(table, (img,), field=Q.field, budget=budget)
+    _, leftover, rest = _chart_solve(oracle, c)
     table = _chart_table(c)
-    leftover_sol = {leftover: _solve_linear(images[solved_label], leftover).rename(table)}
-    survivors = []
-    for lbl in ("(a)", "(b)", "(c)", "(d)", "(x)"):
-        if lbl == solved_label:
-            continue
-        img = images[lbl].substitute(leftover_sol, table)
-        if not img.is_zero():
-            survivors.append(img)
-    subs = {a: e.substitute(leftover_sol, table) for a, e in B.items()}
-    return ChartPresentation(c, table, tuple(survivors), subs)
+    images = [img.substitute(leftover, table) for img in rest]
+    return Ideal(table, [img for img in images if not img.is_zero()], field=Q.field, budget=budget)
+
+
+def chart_substitution(oracle: SubstitutionOracle, c: ChartId) -> dict:
+    """Every arrow of the quiver as a polynomial in the fibre chart's
+    variables, as the chain solve gives it; pushing the deformed relations
+    through it lands in the chart's ideal.  The oracle needs a gamma."""
+    B, leftover, _ = _chart_solve(oracle, c)
+    table = _chart_table(c)
+    return {a: e.substitute(leftover, table) for a, e in B.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +274,14 @@ def _determinant(rows):
     return total
 
 
-def jacobian_ideal_generators(pres: ChartPresentation) -> tuple:
-    """Relations plus all maximal minors of their Jacobian matrix.
+def jacobian_ideal_generators(ideal: Ideal) -> tuple:
+    """Generators plus all maximal minors of their Jacobian matrix.
 
     One relation: all partial derivatives.  Two relations in n variables:
     all two-by-two minors (six of them for n = 4).
     """
-    rels = pres.relations
-    names = pres.table.names
+    rels = ideal.gens
+    names = ideal.table.names
     jac = [[f.derivative(v) for v in names] for f in rels]
     r = len(rels)
     minors = []
@@ -296,13 +290,14 @@ def jacobian_ideal_generators(pres: ChartPresentation) -> tuple:
     return tuple(rels) + tuple(minors)
 
 
-def smoothness_certificate(pres: ChartPresentation,
-                           expected_dim: int | None = None,
-                           budget: GroebnerBudget = DEFAULT_BUDGET) -> SmoothnessCertificate:
-    """Jacobian smoothness check, optionally pinned to a dimension target."""
+def smoothness_certificate(ideal: Ideal,
+                           expected_dim: int | None = None) -> SmoothnessCertificate:
+    """Jacobian smoothness check, optionally pinned to a dimension target,
+    under the ideal's own budget; the dimension caches the ideal's basis."""
     try:
-        one_in = Ideal(pres.table, jacobian_ideal_generators(pres), budget=budget).contains_one()
-        dim = krull_dimension(pres.ideal(budget))
+        one_in = Ideal(ideal.table, jacobian_ideal_generators(ideal), field=ideal.field,
+                       budget=ideal.budget).contains_one()
+        dim = krull_dimension(ideal)
     except Inconclusive:
         return SmoothnessCertificate(None, None, "inconclusive")
     smooth = one_in and (expected_dim is None or dim.dimension == expected_dim)
@@ -320,7 +315,7 @@ def fibre_witness_point(gamma: DeformParams) -> dict:
     """
     field = gamma.field
     c = ChartId(1, gamma.p.p2, gamma.p.p3)
-    pres = fibre_chart(gamma, c)
+    chart = fibre_chart(gamma, c)
     arm_a, arm_b = c.other_arms()
     ga, gb = gamma.gamma(arm_a), gamma.gamma(arm_b)
     pref_a = field.sum(ga[: c.i - 1])
@@ -332,11 +327,10 @@ def fibre_witness_point(gamma: DeformParams) -> dict:
         d_arrow(arm_b, c.j): field.zero,
         u_arrow(arm_b, c.j): field.zero,
     }
-    if any(rel.evaluate(point) != field.zero for rel in pres.relations):
+    if any(rel.evaluate(point) != field.zero for rel in chart.gens):
         raise CheckFailed("witness point misses the chart")
-    derived = chart_by_substitution(
-        substitution_oracle(build_star_quiver(gamma.p, field), gamma), c)
-    return {arrow: expr.evaluate(point) for arrow, expr in derived.substitution.items()}
+    arrows = chart_substitution(substitution_oracle(build_star_quiver(gamma.p, field), gamma), c)
+    return {arrow: expr.evaluate(point) for arrow, expr in arrows.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def _status_exit(items_ok: bool, inconclusive: bool) -> tuple[str, int]:
 # chart pipelines
 # ---------------------------------------------------------------------------
 
-def _chart_item(pres, cert, witness: bool) -> dict:
+def _chart_item(c, chart: Ideal, cert, witness: bool) -> dict:
     """One chart and its smoothness certificate, as reported by charts/smooth."""
     dim = cert.dimension
     certificate = {
@@ -115,9 +115,9 @@ def _chart_item(pres, cert, witness: bool) -> dict:
     if witness:
         certificate["witness"] = None if dim is None else list(dim.witness)
     return {
-        "id": pres.chart.label(),
-        "variables": list(pres.table.names),
-        "relations": [r.to_str() for r in pres.relations],
+        "id": c.label(),
+        "variables": list(chart.table.names),
+        "relations": [r.to_str() for r in chart.gens],
         "certificate": certificate,
     }
 
@@ -140,12 +140,10 @@ def cmd_charts(args) -> int:
     oracle = substitution_oracle(build_star_quiver(p, field), gamma)
     items = []
     for c in all_chart_ids(p):
-        pres = fibre_chart(gamma, c)
-        item = _chart_item(pres, smoothness_certificate(pres, expected_dim=2, budget=budget),
-                           witness=True)
+        chart = fibre_chart(gamma, c, budget)
+        item = _chart_item(c, chart, smoothness_certificate(chart, expected_dim=2), witness=True)
         try:
-            derived = chart_by_substitution(oracle, c)
-            item["oracle_match"] = ideals_equal(pres.ideal(budget), derived.ideal(budget))
+            item["oracle_match"] = ideals_equal(chart, chart_by_substitution(oracle, c, budget))
         except Inconclusive:
             item["oracle_match"] = None
         items.append(item)
@@ -165,9 +163,9 @@ def cmd_smooth(args) -> int:
     budget, expected = _budget(args), p.p1 + p.p2 + p.p3 + 1
     items = []
     for c in all_chart_ids(p):
-        pres = total_space_chart(p, c, field)
-        cert = smoothness_certificate(pres, expected_dim=expected, budget=budget)
-        items.append(dict(_chart_item(pres, cert, witness=False), expected_dimension=expected))
+        chart = total_space_chart(p, c, field, budget)
+        cert = smoothness_certificate(chart, expected_dim=expected)
+        items.append(dict(_chart_item(c, chart, cert, witness=False), expected_dimension=expected))
     status, code = _charts_status(items)
     _report(args, t0, status, items=items)
     print(f"smooth: p={p.label()}: {sum(it['certificate']['status'] == 'smooth' for it in items)}"
@@ -356,6 +354,8 @@ def cmd_gb(args) -> int:
 
 
 def cmd_props(args) -> int:
+    if min(args.euler_samples, args.nonunit_samples, args.weight_samples) < 0:
+        raise ValueError("sample counts must be at least 0")
     t0 = time.monotonic()
     rng = random.Random(args.seed)
     suites = {}

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from starquiver import charts
+from starquiver import charts, groebner
 from starquiver.charts import (
-    ChartPresentation,
     chart_by_substitution,
+    chart_substitution,
     euler_identity_check,
     fibre_chart,
     fibre_witness_point,
@@ -50,27 +50,27 @@ P222 = ArmParams(2, 2, 2)
 # ---------------------------------------------------------------------------
 
 def test_total_space_chart_smallest_case():
-    pres = total_space_chart(P222, ChartId(1, 1, 1))
-    assert len(pres.table) == 8
-    assert pres.relations == (parse_poly("1 - d2_1*d2_2 + d3_1*d3_2", pres.table),)
+    chart = total_space_chart(P222, ChartId(1, 1, 1))
+    assert len(chart.table) == 8
+    assert chart.gens == (parse_poly("1 - d2_1*d2_2 + d3_1*d3_2", chart.table),)
 
 
 def test_total_space_variable_count():
     for p in [(2, 2, 2), (3, 2, 2), (4, 3, 2)]:
         p = ArmParams.parse(p)
         for c in all_chart_ids(p):
-            pres = total_space_chart(p, c)
-            assert len(pres.table) == p.p1 + p.p2 + p.p3 + 2
-            assert len(pres.relations) == 1
+            chart = total_space_chart(p, c)
+            assert len(chart.table) == p.p1 + p.p2 + p.p3 + 2
+            assert len(chart.gens) == 1
 
 
 def test_total_space_sign_pattern():
     # the scaled-out arm keeps the canonical sign: +1 for arms 1 and 3,
     # -1 for arm 2
     p = ArmParams(2, 3, 2)
-    assert total_space_chart(p, ChartId(1, 1, 1)).relations[0].constant_value() == 1
-    assert total_space_chart(p, ChartId(2, 1, 1)).relations[0].constant_value() == -1
-    assert total_space_chart(p, ChartId(3, 1, 1)).relations[0].constant_value() == 1
+    assert total_space_chart(p, ChartId(1, 1, 1)).gens[0].constant_value() == 1
+    assert total_space_chart(p, ChartId(2, 1, 1)).gens[0].constant_value() == -1
+    assert total_space_chart(p, ChartId(3, 1, 1)).gens[0].constant_value() == 1
 
 
 def test_total_space_chart_out_of_range():
@@ -86,34 +86,34 @@ def test_fibre_chart_smallest_case():
     gamma = make_gamma(P222, ["1/2"], ["1/3"], ["1/4"],
                        a="-1/6", b="1/12", A=0, B=0)
     assert not (Fraction(1, 2) - Fraction(1, 3) + 0 + Fraction(-1, 6))
-    pres = fibre_chart(gamma, ChartId(1, 1, 1))
-    t = pres.table
+    chart = fibre_chart(gamma, ChartId(1, 1, 1))
+    t = chart.table
     assert t.names == ("d2_1", "u2_1", "d3_1", "u3_1")
-    assert pres.relations[0] == parse_poly("d2_1*u2_1 - d3_1*u3_1 - 1/12", t)
-    assert pres.relations[1] == parse_poly(
+    assert chart.gens[0] == parse_poly("d2_1*u2_1 - d3_1*u3_1 - 1/12", t)
+    assert chart.gens[1] == parse_poly(
         "1 - d2_1*(d2_1*u2_1 - 1/3) + d3_1*(d3_1*u3_1 - 1/4)", t)
 
 
 def test_fibre_chart_zero_gamma_power_form():
     p = ArmParams(3, 3, 3)
-    pres = fibre_chart(zero_gamma(p), ChartId(1, 1, 2))
-    t = pres.table
+    chart = fibre_chart(zero_gamma(p), ChartId(1, 1, 2))
+    t = chart.table
     # with all gammas zero: f2 = 1 - d^(p-i+1) u^(p-i) + d^(p-j+1) u^(p-j)
-    assert pres.relations[1] == parse_poly(
+    assert chart.gens[1] == parse_poly(
         "1 - d2_1^3*u2_1^2 + d3_2^2*u3_2", t)
 
 
 def test_fibre_chart_boundary_collapses_to_single_factor():
     p = ArmParams(2, 3, 2)
     gamma = random_gamma(p, seed=17)
-    pres = fibre_chart(gamma, ChartId(1, 3, 1))
-    f2 = pres.relations[1]
+    chart = fibre_chart(gamma, ChartId(1, 3, 1))
+    t = chart.table
+    f2 = chart.gens[1]
     # i = p2: the arm-2 product is the bare chart variable
-    d = parse_poly("d2_3", pres.table)
+    d = parse_poly("d2_3", t)
     g3 = gamma.gamma3
-    expected = parse_poly("1", pres.table) - d + parse_poly("d3_1", pres.table) * (
-        parse_poly("d3_1*u3_1", pres.table)
-        - parse_poly("1", pres.table).scale(g3[0]))
+    expected = parse_poly("1", t) - d + parse_poly("d3_1", t) * (
+        parse_poly("d3_1*u3_1", t) - parse_poly("1", t).scale(g3[0]))
     assert f2 == expected
 
 
@@ -123,24 +123,29 @@ def test_fibre_chart_rejects_gamma_outside_delta():
         fibre_chart(gamma, ChartId(1, 1, 1))
 
 
-def test_fibre_substitution_covers_arrows_and_lands_in_ideal():
+@pytest.mark.parametrize("spec", ["q", "fp:65521", "fp:11"])
+def test_fibre_substitution_covers_arrows_and_lands_in_ideal(spec):
     # the chain solve's substitution carries every deformed relation into
     # the ideal of the independently derived closed form
+    field = parse_field(spec)
     for p in [(2, 2, 2), (3, 2, 2), (2, 2, 3)]:
         p = ArmParams.parse(p)
-        Q = build_star_quiver(p)
-        gamma = random_gamma(p, seed=23)
+        Q = build_star_quiver(p, field)
+        gamma = random_gamma(p, seed=23, field=field)
         rels = deformed_relations(Q, gamma)
         oracle = substitution_oracle(Q, gamma)
         for c in all_chart_ids(p):
             closed = fibre_chart(gamma, c)
-            derived = chart_by_substitution(oracle, c)
-            assert closed.substitution is None
-            assert set(derived.substitution) == set(Q.table.names)
-            chart_ideal = closed.ideal()
+            arrows = chart_substitution(oracle, c)
+            assert set(arrows) == set(Q.table.names)
             for _, rel in rels:
-                image = rel.substitute(derived.substitution, closed.table)
-                assert chart_ideal.contains(image)
+                assert closed.contains(rel.substitute(arrows, closed.table))
+
+
+def test_chart_substitution_needs_gamma():
+    oracle = substitution_oracle(build_star_quiver(P222), None)
+    with pytest.raises(ValueError, match="without gamma"):
+        chart_substitution(oracle, ChartId(1, 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +157,7 @@ def test_oracle_agreement_zero_gamma_smallest_case():
     gamma = zero_gamma(P222)
     oracle = substitution_oracle(Q, gamma)
     for c in all_chart_ids(P222):
-        closed = fibre_chart(gamma, c)
-        derived = chart_by_substitution(oracle, c)
-        assert ideals_equal(closed.ideal(), derived.ideal())
+        assert ideals_equal(fibre_chart(gamma, c), chart_by_substitution(oracle, c))
 
 
 def test_oracle_agreement_random_gamma_all_charts():
@@ -163,9 +166,7 @@ def test_oracle_agreement_random_gamma_all_charts():
     gamma = random_gamma(p, seed=31)
     oracle = substitution_oracle(Q, gamma)
     for c in all_chart_ids(p):
-        closed = fibre_chart(gamma, c)
-        derived = chart_by_substitution(oracle, c)
-        assert ideals_equal(closed.ideal(), derived.ideal())
+        assert ideals_equal(fibre_chart(gamma, c), chart_by_substitution(oracle, c))
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:65521", "fp:11"])
@@ -176,9 +177,9 @@ def test_fibre_charts_and_witness_in_every_field(spec):
     gamma = random_gamma(p, seed=31, field=field)
     oracle = substitution_oracle(Q, gamma)
     for c in all_chart_ids(p):
-        pres = fibre_chart(gamma, c)
-        assert smoothness_certificate(pres, expected_dim=2).status == "smooth"
-        assert ideals_equal(pres.ideal(), chart_by_substitution(oracle, c).ideal())
+        chart = fibre_chart(gamma, c)
+        assert smoothness_certificate(chart, expected_dim=2).status == "smooth"
+        assert ideals_equal(chart, chart_by_substitution(oracle, c))
     point = fibre_witness_point(gamma)
     for _, rel in deformed_relations(Q, gamma):
         assert rel.evaluate(point) == field.zero
@@ -202,25 +203,43 @@ def test_oracle_survivors_contain_plus_minus_first_relation():
     for c in all_chart_ids(P222):
         closed = fibre_chart(gamma, c)
         derived = chart_by_substitution(oracle, c)
-        f1 = closed.relations[0]
-        assert len(derived.relations) == 3
-        signs = [r for r in derived.relations if r == f1 or r == -f1]
+        f1 = closed.gens[0]
+        assert len(derived.gens) == 3
+        signs = [r for r in derived.gens if r == f1 or r == -f1]
         assert len(signs) == 2
-        assert closed.relations[1] in derived.relations
+        assert closed.gens[1] in derived.gens
+
+
+def _count_bases(monkeypatch) -> list:
+    bases, buchberger = [], groebner._buchberger
+    monkeypatch.setattr(groebner, "_buchberger",
+                        lambda *args: bases.append(args) or buchberger(*args))
+    return bases
 
 
 def test_charts_run_solves_each_arm_window_once(monkeypatch):
     # at 3,3,3: two chain solves for each of 3 distinguished arms and 9 arm
     # windows, and one leftover solve for each of the 27 charts, on one
-    # relation system (a solve per chain per chart made 189)
+    # relation system (a solve per chain per chart made 189).  Each chart
+    # computes three bases: its Jacobian ideal, its closed form (shared by
+    # the dimension and the oracle comparison) and the derived ideal; a
+    # second basis of the closed form made 108
     solves, builds = [], []
     solve, build = charts._solve_linear, charts.deformed_relations
     monkeypatch.setattr(charts, "_solve_linear",
                         lambda img, name: solves.append(name) or solve(img, name))
     monkeypatch.setattr(charts, "deformed_relations",
                         lambda Q, gamma: builds.append(gamma) or build(Q, gamma))
+    bases = _count_bases(monkeypatch)
     assert run_command(["charts", "--p", "3,3,3", "--gamma", "random:1"]) == 0
-    assert (len(solves), len(builds)) == (51, 1)
+    assert (len(solves), len(builds), len(bases)) == (51, 1, 81)
+
+
+def test_smooth_run_computes_two_bases_per_chart(monkeypatch):
+    # the Jacobian ideal and the chart of each of the 27 total-space charts
+    bases = _count_bases(monkeypatch)
+    assert run_command(["smooth", "--p", "3,3,3"]) == 0
+    assert len(bases) == 54
 
 
 def test_oracle_total_space_mode():
@@ -228,7 +247,7 @@ def test_oracle_total_space_mode():
     for c in all_chart_ids(P222):
         closed = total_space_chart(P222, c)
         derived = chart_by_substitution(oracle, c)
-        assert derived.relations == closed.relations
+        assert derived.gens == closed.gens
 
 
 def test_oracle_total_space_mode_checks_the_unit_arrows(monkeypatch):
@@ -237,14 +256,13 @@ def test_oracle_total_space_mode_checks_the_unit_arrows(monkeypatch):
     # that scales a chart variable, no longer matches the closed form
     oracle = substitution_oracle(build_star_quiver(P222), None)
     c = ChartId(1, 1, 1)
-    assert total_space_chart(P222, c).substitution is None
     units = charts.chart_unit_arrows(c, P222)
     monkeypatch.setattr(charts, "chart_unit_arrows", lambda c, p: units[1:])
     with pytest.raises(ValueError, match="no image"):
         chart_by_substitution(oracle, c)
     monkeypatch.setattr(charts, "chart_unit_arrows", lambda c, p: units + ["d2_1"])
     derived = chart_by_substitution(oracle, c)
-    assert derived.relations != total_space_chart(P222, c).relations
+    assert derived.gens != total_space_chart(P222, c).gens
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +270,7 @@ def test_oracle_total_space_mode_checks_the_unit_arrows(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_undeformed_chart_is_smooth():
-    pres = total_space_chart(P222, ChartId(1, 1, 1))
-    cert = smoothness_certificate(pres)
+    cert = smoothness_certificate(total_space_chart(P222, ChartId(1, 1, 1)))
     assert cert.status == "smooth"
     assert cert.one_in_jacobian
 
@@ -261,39 +278,35 @@ def test_undeformed_chart_is_smooth():
 def test_deformed_chart_smooth_of_dimension_two():
     p = ArmParams(3, 3, 3)
     gamma = random_gamma(p, seed=43)
-    pres = fibre_chart(gamma, ChartId(2, 2, 1))
-    cert = smoothness_certificate(pres, expected_dim=2)
+    cert = smoothness_certificate(fibre_chart(gamma, ChartId(2, 2, 1)), expected_dim=2)
     assert cert.status == "smooth"
     assert cert.dimension.dimension == 2
 
 
 def test_jacobian_generator_count_for_two_relations():
     gamma = random_gamma(P222, seed=47)
-    pres = fibre_chart(gamma, ChartId(1, 1, 1))
-    gens = jacobian_ideal_generators(pres)
+    gens = jacobian_ideal_generators(fibre_chart(gamma, ChartId(1, 1, 1)))
     assert len(gens) == 2 + 6  # both relations plus all six 2x2 minors
 
 
 def test_control_presentation_is_singular():
     t = VarTable(["x", "y"])
-    cert = smoothness_certificate(ChartPresentation(None, t, (parse_poly("x*y", t),)))
+    cert = smoothness_certificate(Ideal(t, [parse_poly("x*y", t)]))
     assert cert.status == "singular"
     assert not cert.one_in_jacobian
 
 
 def test_certificate_budget_inconclusive():
     gamma = random_gamma(P222, seed=53)
-    pres = fibre_chart(gamma, ChartId(1, 1, 1))
-    cert = smoothness_certificate(pres, expected_dim=2,
-                                  budget=GroebnerBudget(max_spairs=0))
+    chart = fibre_chart(gamma, ChartId(1, 1, 1), GroebnerBudget(max_spairs=0))
+    cert = smoothness_certificate(chart, expected_dim=2)
     assert cert.status == "inconclusive"
     assert cert.one_in_jacobian is None
 
 
 def test_dimension_mismatch_is_not_smooth():
     gamma = random_gamma(P222, seed=59)
-    pres = fibre_chart(gamma, ChartId(1, 1, 1))
-    cert = smoothness_certificate(pres, expected_dim=3)
+    cert = smoothness_certificate(fibre_chart(gamma, ChartId(1, 1, 1)), expected_dim=3)
     assert cert.status == "singular"
     assert cert.one_in_jacobian  # smooth Jacobian, wrong dimension target
 
@@ -319,8 +332,7 @@ def test_chart_relations_never_generate_the_unit_ideal():
         p = ArmParams.parse(p)
         gamma = random_gamma(p, seed=73)
         for c in all_chart_ids(p):
-            pres = fibre_chart(gamma, c)
-            assert not pres.ideal().contains_one()
+            assert not fibre_chart(gamma, c).contains_one()
 
 
 # ---------------------------------------------------------------------------

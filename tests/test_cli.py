@@ -282,6 +282,11 @@ def test_usage_errors(tmp_path):
     # a gamma denominator that vanishes in the field
     assert run_command(["fibre", "--p", "2,2,2", "--field", "fp:7",
                         "--gamma", _write_gamma(tmp_path, ["1/7"], "1/7")]) == 3
+    # a negative sample count checks nothing; zero stays valid
+    flags = ("--euler-samples", "--nonunit-samples", "--weight-samples")
+    for flag in flags:
+        assert run_command(["props", flag, "-1"]) == 3
+    assert run_command(["props", *(arg for flag in flags for arg in (flag, "0"))]) == 0
 
 
 _GAMMA_REST = '"gamma2": ["0"], "gamma3": ["0"], "a": "0", "b": "0", "A": "0", "B": "0"'

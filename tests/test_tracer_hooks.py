@@ -2,7 +2,8 @@
 
 `perfbench/tracing.py` wraps `Poly` methods and the public functions of each
 layer by name; a renamed or deleted method would otherwise only show up as a
-crashed `--trace 1` benchmark pass.
+crashed `--trace 1` benchmark pass, and a renamed chart function as a
+per-layer metric that silently reads zero.
 """
 
 import importlib.util
@@ -34,3 +35,7 @@ def test_tracer_counts_substitute_and_rename_on_charts_and_kernel():
     metrics = tracer.metrics(1.0, 1.0)
     assert metrics["poly.substitute.calls"][0] > 0
     assert metrics["poly.rename.calls"][0] > 0
+    # the chart layer's metrics look its functions up by name
+    for name in ("charts.fibre_chart.s", "charts.chart_by_substitution.s",
+                 "charts.smoothness_certificate.s", "groebner.basis.calls"):
+        assert metrics[name][0] > 0, name
