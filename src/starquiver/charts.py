@@ -13,6 +13,7 @@ source of a chart's arrow substitution, which `chart_substitution` returns.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .groebner import (
@@ -29,6 +30,7 @@ from .quiver import (
     ArmParams,
     ChartId,
     StarQuiver,
+    all_chart_ids,
     arm_window_units,
     build_star_quiver,
     chart_unit_arrows,
@@ -162,7 +164,8 @@ class SubstitutionOracle:
     """The oracle's per-gamma half.  `arms[arm, window]` maps every arrow of
     the arm to 1, to its chain solution, or to itself: window 0 (a chart's
     distinguished arm) keeps u_{arm,1}, window i keeps d_{arm,i} and u_{arm,i}.
-    Without gamma, `relations` is None and `arms` empty."""
+    A window is solved on its first use, by `_arm_window`.  Without gamma,
+    `relations` is None and `arms` stays empty."""
 
     Q: StarQuiver
     relations: RelationSystem | None
@@ -170,36 +173,40 @@ class SubstitutionOracle:
 
 
 def substitution_oracle(Q: StarQuiver, gamma: DeformParams | None) -> SubstitutionOracle:
-    """Build the deformed relations once and solve each arm chain once per
-    window, by forward/backward substitution from the window's unit arrows;
-    every window belongs to some chart.  A solved chain must vanish."""
+    """Build the deformed relations once; each arm chain is then solved once
+    per window that some chart reads."""
     if gamma is None:
         return SubstitutionOracle(Q, None, {})
     if not in_delta(gamma):
         raise ValueError("gamma outside the parameter subspace: empty fibre")
-    rels = deformed_relations(Q, gamma)
-    p = Q.p
-    one = Poly.const(Q.table, Q.field, 1)
-    arms = {}
-    for arm in (1, 2, 3):
-        chain = [rels.by_label(f"({arm}).{m}") for m in range(1, p[arm])]
-        for window in range(p[arm] + 1):
-            B = dict.fromkeys(arm_window_units(arm, window, p), one)
-            if window == 0:
-                kept = [u_arrow(arm, 1)]
-                steps = [(m, u_arrow(arm, m + 1)) for m in range(1, p[arm])]
-            else:
-                kept = [d_arrow(arm, window), u_arrow(arm, window)]
-                steps = [(m, u_arrow(arm, m)) for m in range(window - 1, 0, -1)]
-                steps += [(m, d_arrow(arm, m + 1)) for m in range(window, p[arm])]
-            B.update((a, Q.arrow_poly(a)) for a in kept)
-            for m, unknown in steps:
-                B[unknown] = _solve_linear(chain[m - 1].substitute(B), unknown)
-            for m, rel in enumerate(chain, 1):
-                if not rel.substitute(B).is_zero():
-                    raise CheckFailed(f"chain relation ({arm}).{m} did not resolve")
-            arms[arm, window] = B
-    return SubstitutionOracle(Q, rels, arms)
+    return SubstitutionOracle(Q, deformed_relations(Q, gamma), {})
+
+
+def _arm_window(oracle: SubstitutionOracle, arm: int, window: int) -> dict:
+    """The arm's chain solved by forward/backward substitution from the
+    window's unit arrows, on first use; every window belongs to some chart.
+    A solved chain must vanish."""
+    B = oracle.arms.get((arm, window))
+    if B is not None:
+        return B
+    Q, p = oracle.Q, oracle.Q.p
+    chain = [oracle.relations.by_label(f"({arm}).{m}") for m in range(1, p[arm])]
+    B = dict.fromkeys(arm_window_units(arm, window, p), Poly.const(Q.table, Q.field, 1))
+    if window == 0:
+        kept = [u_arrow(arm, 1)]
+        steps = [(m, u_arrow(arm, m + 1)) for m in range(1, p[arm])]
+    else:
+        kept = [d_arrow(arm, window), u_arrow(arm, window)]
+        steps = [(m, u_arrow(arm, m)) for m in range(window - 1, 0, -1)]
+        steps += [(m, d_arrow(arm, m + 1)) for m in range(window, p[arm])]
+    B.update((a, Q.arrow_poly(a)) for a in kept)
+    for m, unknown in steps:
+        B[unknown] = _solve_linear(chain[m - 1].substitute(B), unknown)
+    for m, rel in enumerate(chain, 1):
+        if not rel.substitute(B).is_zero():
+            raise CheckFailed(f"chain relation ({arm}).{m} did not resolve")
+    oracle.arms[arm, window] = B
+    return B
 
 
 _CROSS_LABELS = ("(a)", "(b)", "(c)", "(d)", "(x)")
@@ -213,7 +220,8 @@ def _chart_solve(oracle: SubstitutionOracle, c: ChartId):
     if oracle.relations is None:
         raise ValueError("an oracle without gamma has no arrow substitution")
     arm_a, arm_b = c.other_arms()
-    B = {**oracle.arms[c.k, 0], **oracle.arms[arm_a, c.i], **oracle.arms[arm_b, c.j]}
+    B = {**_arm_window(oracle, c.k, 0), **_arm_window(oracle, arm_a, c.i),
+         **_arm_window(oracle, arm_b, c.j)}
     images = {lbl: oracle.relations.by_label(lbl).substitute(B) for lbl in _CROSS_LABELS}
     leftover = u_arrow(c.k, 1)
     solved_label = next((lbl for lbl in _CROSS_LABELS[:4]
@@ -379,7 +387,7 @@ def quotient_nonzero_check(alphas, betas, budget: GroebnerBudget = DEFAULT_BUDGE
 
 
 # ---------------------------------------------------------------------------
-# brute-force cover check
+# cover check, counted per arm
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -396,27 +404,99 @@ class CoverReport:
         return not self.counterexamples
 
 
+def _arm_classes(Q: StarQuiver, S, arm: int, down: dict) -> list:
+    """Arm `arm`'s stable local supports in ascending order, each with its
+    class (full, windows): whether its down path is full, and the bit set of
+    the `arm_window_units` windows it satisfies.  A local support is stable
+    when the whole support is, with the other two arms' down paths full."""
+    p = Q.p
+    # the arm's 2 p_arm arrows are consecutive in the table, from d_{arm,1}
+    low = Q.table.index(d_arrow(arm, 1))
+    others = sum(mask for b, mask in down.items() if b != arm)
+    windows = [S.bits(arm_window_units(arm, w, p)) for w in range(p[arm] + 1)]
+    out = []
+    for local in range(1 << 2 * p[arm]):
+        support = local << low
+        if S.is_stable(support | others):
+            hit = sum(1 << w for w, mask in enumerate(windows) if support & mask == mask)
+            out.append((support, (support & down[arm] == down[arm], hit)))
+    return out
+
+
+def _chart_reach(p: ArmParams, window_sets: dict) -> dict:
+    """For each arm k and each window set of its first other arm, the bit
+    set of the windows j of its second other arm that complete a chart
+    U^k_{i,j} with a window i of the set."""
+    reach = {k: {} for k in (1, 2, 3)}
+    for c in all_chart_ids(p):
+        arm_a, _ = c.other_arms()
+        for w in window_sets[arm_a]:
+            if w >> c.i & 1:
+                reach[c.k][w] = reach[c.k].get(w, 0) | 1 << c.j
+    return reach
+
+
+def _first_supports(ordered: list, triples: set, limit: int) -> list:
+    """The first `limit` supports, in ascending order, whose class triple is
+    in `triples`.  A support's bits run arm 1, arm 2, arm 3 upwards, so
+    ascending order is lexicographic in the (arm 3, arm 2, arm 1) local
+    supports; each prefix is kept only if some triple completes it."""
+    pairs = {(c2, c3) for _, c2, c3 in triples}
+    lasts = {c3 for _, c3 in pairs}
+    out = []
+    for s3, c3 in ordered[2]:
+        if c3 not in lasts:
+            continue
+        for s2, c2 in ordered[1]:
+            if (c2, c3) not in pairs:
+                continue
+            for s1, c1 in ordered[0]:
+                if (c1, c2, c3) in triples:
+                    out.append(s1 | s2 | s3)
+                    if len(out) == limit:
+                        return out
+    return out
+
+
 def verify_cover(p, enumeration_cap: int = 24) -> CoverReport:
-    """Enumerate all arrow supports; every stable, relation-compatible one
-    must satisfy the conditions of at least one chart."""
+    """Every stable, relation-compatible arrow support must satisfy the
+    conditions of at least one chart; the supports are counted arm by arm.
+
+    Arm k's arrows touch only its own stations, the extended vertex and the
+    bottom, and the bottom is reached exactly when some arm's full down path
+    is nonzero.  So a support is stable when some arm is full and each arm's
+    local support is stable given the bottom; relation-compatible (two full
+    arms, or none, which is unstable) when at least two arms are full; and
+    covered when some chart U^k_{i,j} finds arm k in window 0 and its other
+    arms in windows i and j.  Each arm's 4^{p_k} local supports are
+    classified once, and the class counts combine over the three arms.
+    `enumeration_cap` bounds the 2 p_k arrows of one arm.
+    """
     p = ArmParams.parse(p)
+    for arm in (1, 2, 3):
+        if 2 * p[arm] > enumeration_cap:
+            raise ValueError(f"arm {arm} has {2 * p[arm]} arrows, over the "
+                             f"enumeration cap {enumeration_cap}")
     Q = build_star_quiver(p)
-    n = len(Q.table)
-    if n > enumeration_cap:
-        raise ValueError(
-            f"{n} arrows exceed the enumeration cap {enumeration_cap}")
     S = support_predicates(Q)
+    down = {arm: S.bits(d_arrow(arm, j) for j in range(1, p[arm] + 1)) for arm in (1, 2, 3)}
+    ordered = [_arm_classes(Q, S, arm, down) for arm in (1, 2, 3)]
+    counts = [Counter(c for _, c in arm_supports) for arm_supports in ordered]
+    reach = _chart_reach(p, {arm: {w for _, w in counts[arm - 1]} for arm in (1, 2, 3)})
     stable = checked = covered = 0
-    counterexamples = []
-    for bits in range(1 << n):
-        if not S.is_stable(bits):
+    uncovered = set()
+    for (c1, n1), (c2, n2), (c3, n3) in itertools.product(*(c.items() for c in counts)):
+        (full1, w1), (full2, w2), (full3, w3) = c1, c2, c3
+        n_full, n = full1 + full2 + full3, n1 * n2 * n3
+        if n_full:
+            stable += n
+        if n_full < 2:
             continue
-        stable += 1
-        if not S.is_relation_compatible(bits):
-            continue
-        checked += 1
-        if S.charts(bits):
-            covered += 1
-        elif len(counterexamples) < 16:
-            counterexamples.append(S.arrows(bits))
-    return CoverReport(p, 1 << n, stable, checked, covered, tuple(counterexamples))
+        checked += n
+        if (w1 & 1 and reach[1].get(w2, 0) & w3 or w2 & 1 and reach[2].get(w1, 0) & w3
+                or w3 & 1 and reach[3].get(w1, 0) & w2):
+            covered += n
+        else:
+            uncovered.add((c1, c2, c3))
+    return CoverReport(p, 1 << len(Q.table), stable, checked, covered,
+                       tuple(S.arrows(bits) for bits in _first_supports(ordered, uncovered, 16)))

@@ -433,7 +433,7 @@ _FLAGS = {
     "time-cap": dict(type=float, default=DEFAULT_BUDGET.time_cap, help="seconds"),
     "gamma": dict(default="zero", help="zero | file:PATH | random:SEED"),
     "enum-cap": dict(type=int, default=24,
-                     help="maximum number of arrows to enumerate over"),
+                     help="maximum number of arrows of one arm to enumerate over"),
     "point": dict(default=None, help="JSON file with betas/alphas to push through the map"),
     "input": dict(required=True, help="ideal text file"),
     "output": dict(default=None, help="write the basis as an ideal file"),
@@ -449,7 +449,7 @@ _SUBCOMMANDS = {
     "charts": ("fibre-chart smoothness + oracle equality",
                ("p", "field", *_CAPS, "gamma")),
     "smooth": ("total-space chart smoothness", ("p", "field", *_CAPS)),
-    "cover": ("brute-force chart cover over all supports", ("p", "enum-cap")),
+    "cover": ("chart cover of every stable support, counted per arm", ("p", "enum-cap")),
     "fibre": ("empty/nonempty fibre verification", ("p", "field", *_CAPS, "gamma")),
     "pi": ("deformation-map checks", ("p", "point")),
     "minors": ("minors vanish under the cycle map", ("p",)),

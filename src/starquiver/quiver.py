@@ -235,14 +235,11 @@ class SupportPredicates:
     bits: Callable[[Iterable[str]], int]
     arrows: Callable[[int], tuple]
     is_stable: Callable[[int], bool]
-    full_down_arms: Callable[[int], list]
-    is_relation_compatible: Callable[[int], bool]
-    charts: Callable[[int], list]
 
 
 def support_predicates(Q: StarQuiver) -> SupportPredicates:
-    """Build the edge, full-down-path and chart masks of Q once, and the
-    predicates that read a support against them."""
+    """Build the edge masks of Q once, and the predicates that read a
+    support against them."""
     table = Q.table
 
     def bits(arrows: Iterable[str]) -> int:
@@ -274,25 +271,4 @@ def support_predicates(Q: StarQuiver) -> SupportPredicates:
                     stack.append(head)
         return reached == every_vertex
 
-    down_paths = tuple(
-        (arm, bits(d_arrow(arm, j) for j in range(1, Q.p[arm] + 1))) for arm in (1, 2, 3))
-
-    def full_down_arms(support: int) -> list:
-        """Arms whose complete downward path is nonzero."""
-        return [arm for arm, mask in down_paths if support & mask == mask]
-
-    def is_relation_compatible(support: int) -> bool:
-        """Necessary support condition from the canonical relation at scalar
-        points: at least two full downward paths, or none at all."""
-        return len(full_down_arms(support)) != 1
-
-    chart_masks = tuple((c, bits(chart_unit_arrows(c, Q.p))) for c in all_chart_ids(Q.p))
-
-    def charts(support: int) -> list:
-        """All charts whose unit arrows are nonzero.  Purely combinatorial:
-        empty index ranges hold vacuously, and no stability or relation
-        check is applied."""
-        return [c for c, mask in chart_masks if support & mask == mask]
-
-    return SupportPredicates(bits, arrows, is_stable, full_down_arms,
-                             is_relation_compatible, charts)
+    return SupportPredicates(bits, arrows, is_stable)

@@ -112,11 +112,15 @@ def test_criterion_04_cover():
     t0 = time.monotonic()
     rep_a = verify_cover((2, 2, 2))
     rep_b = verify_cover((3, 2, 2))
+    rep_c = verify_cover((5, 5, 5))
     ok = (rep_a.ok and rep_a.total_supports == 4096
-          and rep_b.ok and rep_b.total_supports == 16384)
+          and rep_b.ok and rep_b.total_supports == 16384
+          and rep_c.ok and rep_c.total_supports == 2 ** 30
+          and rep_c.checked_supports == rep_c.covered_supports == 524288)
     _report("criterion 4 (every stable compatible support is covered)", ok,
             time.monotonic() - t0, 10,
-            f"{rep_a.checked_supports}+{rep_b.checked_supports} checked")
+            f"{rep_a.checked_supports}+{rep_b.checked_supports}"
+            f"+{rep_c.checked_supports} checked")
 
 
 def test_criterion_05_empty_fibres_outside_delta():

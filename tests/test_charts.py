@@ -1,14 +1,15 @@
 """Chart presentations, the substitution oracle, certificates, cover."""
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from starquiver import charts, groebner
+from starquiver import charts, groebner, quiver
 from starquiver.charts import (
+    CoverReport,
     chart_by_substitution,
     chart_substitution,
     euler_identity_check,
@@ -33,7 +34,9 @@ from starquiver.quiver import (
     ChartId,
     all_chart_ids,
     build_star_quiver,
+    d_arrow,
     support_predicates,
+    u_arrow,
 )
 from starquiver.reconstruction import (
     deformed_relations,
@@ -235,6 +238,22 @@ def test_charts_run_solves_each_arm_window_once(monkeypatch):
     assert (len(solves), len(builds), len(bases)) == (51, 1, 81)
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["fibre", "--p", "3,3,3"], 7),
+    (["fibre", "--p", "8,8,8", "--gamma", "random:1"], 22),
+])
+def test_fibre_run_solves_only_the_witness_windows(monkeypatch, argv, expected):
+    # the witness chart (1, p2, p3) reads three arm windows, each solved
+    # with p_i - 1 chain solves, plus one leftover solve; solving every
+    # window of the oracle made 25 and 190
+    solves = []
+    solve = charts._solve_linear
+    monkeypatch.setattr(charts, "_solve_linear",
+                        lambda img, name: solves.append(name) or solve(img, name))
+    assert run_command(argv) == 0
+    assert len(solves) == expected
+
+
 def test_smooth_run_computes_two_bases_per_chart(monkeypatch):
     # the Jacobian ideal and the chart of each of the 27 total-space charts
     bases = _count_bases(monkeypatch)
@@ -403,22 +422,138 @@ def test_cover_counters_pinned(p, counts):
     assert rep.counterexamples == ()
 
 
-def test_cover_reports_uncovered_supports(monkeypatch, tmp_path):
-    # with chart membership emptied every checked support is uncovered: the
-    # report keeps the first 16, and the CLI exits 1
-    def no_charts(Q):
-        return dataclasses.replace(support_predicates(Q), charts=lambda bits: [])
+# the brute-force oracle: every support of the quiver, read against the
+# program's stability predicate and against relation-compatibility and chart
+# membership, which only the oracle and the quiver tests read
 
-    monkeypatch.setattr(charts, "support_predicates", no_charts)
+def oracle_predicates(Q):
+    """full_down_arms, is_relation_compatible and charts of a bitmask
+    support, as closures over the down-path and chart masks of Q.  Chart
+    membership reads `quiver.all_chart_ids` and `quiver.chart_unit_arrows`
+    at build time, so a fault injected there reaches the oracle too."""
+    bits = support_predicates(Q).bits
+    down_paths = tuple(
+        (arm, bits(d_arrow(arm, j) for j in range(1, Q.p[arm] + 1))) for arm in (1, 2, 3))
+    chart_masks = tuple((c, bits(quiver.chart_unit_arrows(c, Q.p)))
+                        for c in quiver.all_chart_ids(Q.p))
+
+    def full_down_arms(support: int) -> list:
+        """Arms whose complete downward path is nonzero."""
+        return [arm for arm, mask in down_paths if support & mask == mask]
+
+    def is_relation_compatible(support: int) -> bool:
+        """Necessary support condition from the canonical relation at scalar
+        points: at least two full downward paths, or none at all."""
+        return len(full_down_arms(support)) != 1
+
+    def charts(support: int) -> list:
+        """All charts whose unit arrows are nonzero.  Purely combinatorial:
+        empty index ranges hold vacuously, and no stability or relation
+        check is applied."""
+        return [c for c, mask in chart_masks if support & mask == mask]
+
+    return SimpleNamespace(full_down_arms=full_down_arms,
+                           is_relation_compatible=is_relation_compatible, charts=charts)
+
+
+def brute_force_cover(p) -> CoverReport:
+    """`verify_cover` by enumerating all 2^n supports, for up to 18 arrows."""
+    p = ArmParams.parse(p)
+    Q = build_star_quiver(p)
+    n = len(Q.table)
+    if n > 18:
+        raise ValueError(f"{n} arrows are too many for the brute-force oracle")
+    S, O = support_predicates(Q), oracle_predicates(Q)
+    stable = checked = covered = 0
+    counterexamples = []
+    for bits in range(1 << n):
+        if not S.is_stable(bits):
+            continue
+        stable += 1
+        if not O.is_relation_compatible(bits):
+            continue
+        checked += 1
+        if O.charts(bits):
+            covered += 1
+        elif len(counterexamples) < 16:
+            counterexamples.append(S.arrows(bits))
+    return CoverReport(p, 1 << n, stable, checked, covered, tuple(counterexamples))
+
+
+def _inject(monkeypatch, name, fault):
+    """Replace a quiver function both where the per-arm count and where the
+    oracle look it up."""
+    monkeypatch.setattr(quiver, name, fault)
+    monkeypatch.setattr(charts, name, fault)
+
+
+def _only_charts(monkeypatch, keep):
+    ids = quiver.all_chart_ids
+    _inject(monkeypatch, "all_chart_ids", lambda p: [c for c in ids(p) if keep(c)])
+
+
+def _perturbed_window(monkeypatch, bad):
+    # arm `bad` asks for u_1 in every window i >= 1 and for u_2 in window 0,
+    # so a support with u_1 zero on that arm lies only in the charts U^bad,
+    # and only when u_2 is nonzero: a full down path is no longer window 0
+    units = quiver.arm_window_units
+
+    def perturbed(arm, window, p):
+        extra = [u_arrow(arm, 1) if window else u_arrow(arm, 2)] if arm == bad else []
+        return units(arm, window, p) + extra
+
+    _inject(monkeypatch, "arm_window_units", perturbed)
+
+
+@pytest.mark.parametrize("p", [(2, 2, 2), (3, 2, 2), (3, 3, 2)])
+def test_cover_matches_brute_force(p):
+    assert verify_cover(p) == brute_force_cover(p)
+
+
+@pytest.mark.parametrize("p", [(2, 2, 2), (3, 2, 2)])
+def test_cover_matches_brute_force_without_charts(monkeypatch, p):
+    _only_charts(monkeypatch, lambda c: False)
+    rep = verify_cover(p)
+    assert rep == brute_force_cover(p)
+    assert rep.covered_supports == 0 < rep.checked_supports
+    assert len(rep.counterexamples) == 16
+    if p == (2, 2, 2):
+        assert rep.checked_supports == 448
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cover_matches_brute_force_with_one_chart_family(monkeypatch, k):
+    # only the charts U^k: a support whose arm k is not full is uncovered
+    _only_charts(monkeypatch, lambda c: c.k == k)
+    rep = verify_cover((3, 2, 2))
+    assert rep == brute_force_cover((3, 2, 2))
+    assert 0 < rep.covered_supports < rep.checked_supports
+
+
+@pytest.mark.parametrize("bad", [1, 2, 3])
+@pytest.mark.parametrize("p", [(2, 2, 2), (3, 2, 2), (3, 3, 2)])
+def test_cover_matches_brute_force_with_perturbed_window(monkeypatch, p, bad):
+    _perturbed_window(monkeypatch, bad)
+    rep = verify_cover(p)
+    assert rep == brute_force_cover(p)
+    assert 0 < rep.covered_supports < rep.checked_supports
+    assert rep.counterexamples
+
+
+def test_cover_reports_uncovered_supports(monkeypatch, tmp_path):
+    # with no charts every checked support is uncovered: the report keeps
+    # the first 16, and the CLI exits 1
+    Q = build_star_quiver((2, 2, 2))
+    S, O = support_predicates(Q), oracle_predicates(Q)
+    _only_charts(monkeypatch, lambda c: False)
     rep = verify_cover((2, 2, 2))
     assert (rep.checked_supports, rep.covered_supports) == (448, 0)
     assert not rep.ok and len(rep.counterexamples) == 16
-    S = support_predicates(build_star_quiver((2, 2, 2)))
     for nonzero in rep.counterexamples:
         bits = S.bits(nonzero)
         assert S.arrows(bits) == nonzero
-        assert S.is_stable(bits) and S.is_relation_compatible(bits)
-        assert S.charts(bits)  # covered once membership is restored
+        assert S.is_stable(bits) and O.is_relation_compatible(bits)
+        assert O.charts(bits)  # covered by the charts built before the fault
 
     path = tmp_path / "cover.json"
     assert run_command(["cover", "--p", "2,2,2", "--json", str(path)]) == 1
@@ -427,6 +562,23 @@ def test_cover_reports_uncovered_supports(monkeypatch, tmp_path):
     assert report["counterexamples"] == [list(c) for c in rep.counterexamples]
 
 
+@pytest.mark.parametrize("p", [(4, 3, 3), (5, 3, 2), (5, 5, 5), (8, 8, 8)])
+def test_cover_counts_beyond_brute_force(p):
+    # an arm has 2^p_i local supports with a full down path and p_i 2^p_i
+    # stable ones without, so 2^(sum p) (prod (p_i + 1) - prod p_i) supports
+    # are stable and 2^(sum p) (1 + sum p) have at least two full arms:
+    # 45056 and 11264 at 4,3,3, 2981888 and 524288 at 5,5,5
+    free = 2 ** sum(p)
+    stable = free * ((p[0] + 1) * (p[1] + 1) * (p[2] + 1) - p[0] * p[1] * p[2])
+    checked = free * (1 + sum(p))
+    rep = verify_cover(p)
+    assert (rep.total_supports, rep.stable_supports, rep.checked_supports,
+            rep.covered_supports) == (4 ** sum(p), stable, checked, checked)
+    assert rep.ok
+
+
 def test_cover_cap_enforced():
-    with pytest.raises(ValueError, match="cap"):
-        verify_cover((4, 4, 4), enumeration_cap=20)
+    # the cap bounds the 2 p_i arrows of one arm, not the 24 of the quiver
+    with pytest.raises(ValueError, match="arm 1 has 8 arrows, over the enumeration cap 7"):
+        verify_cover((4, 4, 4), enumeration_cap=7)
+    assert verify_cover((4, 4, 4), enumeration_cap=8).ok

@@ -59,6 +59,25 @@ def test_cover_report(tmp_path):
     assert report["quiver"]["D"]["1"] == "d1_1*d1_2"
 
 
+def test_cover_decides_thirty_arrows(tmp_path):
+    # 5,5,5 has 30 arrows but 10 per arm, within the default cap of 24
+    code, report = _run(tmp_path, "cover", "--p", "5,5,5")
+    assert code == 0 and report["status"] == "ok"
+    assert report["config"]["enum_cap"] == 24
+    assert (report["total_supports"], report["stable_supports"], report["checked_supports"],
+            report["covered_supports"]) == (2 ** 30, 2981888, 524288, 524288)
+
+
+@pytest.mark.parametrize("p, cap, arm", [
+    ("2,2,2", "-1", 1),
+    ("3,5,2", "9", 2),
+    ("2,2,13", "24", 3),
+])
+def test_cover_cap_below_an_arm_is_a_usage_error(capsys, p, cap, arm):
+    assert run_command(["cover", "--p", p, "--enum-cap", cap]) == 3
+    assert f"arm {arm} has" in capsys.readouterr().err
+
+
 def test_fibre_outside_delta(tmp_path):
     gamma = tmp_path / "gamma.json"
     gamma.write_text(
@@ -418,6 +437,6 @@ def test_readme_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "g.json").write_text(gamma, encoding="utf-8")
     (tmp_path / "ideal.txt").write_text(ideal, encoding="utf-8")
-    assert len(commands) == 11
+    assert len(commands) == 12
     for argv in commands:
         assert run_command(argv) == 0, argv
