@@ -13,10 +13,13 @@ polynomials with a positive lead, scaled during reduction), and a prime
 mod q).  One reduction loop, one S-polynomial and one normaliser serve both.
 
 Pairs are installed by the Gebauer-Moeller update (M, F and B criteria,
-coprime leads), and the run's counters come back as :class:`EngineStats`.
-Budgets cap S-pairs (those left after the M and F criteria), polynomial
-degree and wall-clock time; a breached budget raises :class:`Inconclusive`,
-never returns a wrong answer.
+coprime leads) and selected by the weighted degree of their lcm under the
+ideal's positive weights, read off the packed int.  For a weighted-homogeneous
+input that is the sugar strategy (Giovini et al., ISSAC 1991); with every
+weight 1 it is normal selection.  The run's counters come back as
+:class:`EngineStats`.  Budgets cap S-pairs (those left after the M and F
+criteria), total degree and wall-clock time; a breached budget raises
+:class:`Inconclusive`, never returns a wrong answer.
 """
 
 from __future__ import annotations
@@ -109,33 +112,48 @@ def _exponent_overflow(exponent: int):
 class _Codec:
     """Packs the monomials of one (VarTable, MonomialOrder) pair into ints.
 
-    A monomial is one int of two halves.  The high half packs
-    `MonomialOrder.sort_key`, one field per part; the low half is the
-    exponent vector, one 16-bit field per variable whose top bit is a guard.
-    Every part of the key is a sum of exponents, so both halves are linear
-    in them: a monomial is the sum of its exponents times the monomials of
-    the single variables.  Integer comparison is the order itself, integer
-    addition is monomial multiplication, and the guard-bit tests of
-    divisibility and lcm read only the low half: a borrow never runs out of
-    it, and ``& guard`` ignores the high half even of a negative difference.
+    A monomial is one int of three parts.  The top part packs
+    `MonomialOrder.sort_key`, one field per part of the key; below it sits
+    the weighted degree under a positive weight vector (every weight 1 when
+    none is given); the low half is the exponent vector, one 16-bit field
+    per variable whose top bit is a guard.  Every part is a sum of
+    exponents, so the whole int is linear in them: a monomial is the sum of
+    its exponents times the monomials of the single variables.  Integer
+    comparison is the order itself (equal keys mean equal exponents, so the
+    weighted degree below never decides a comparison), integer addition is
+    monomial multiplication, and the guard-bit tests of divisibility and lcm
+    read only the low half: a borrow never runs out of it, and ``& guard``
+    ignores the parts above even of a negative difference.
 
-    A part is at most a block's degree, below n * 2^16 for n variables even
-    in a product of two monomials, so a field of 16 + n.bit_length() bits
-    holds it.  No wider field is used: every monomial, and every int op on
-    it, grows with the field width.
+    A key part is at most a block's degree, below n * 2^16 for n variables
+    even in a product of two monomials, so a field of 16 + n.bit_length()
+    bits holds it, and the weighted degree needs the bits of the largest
+    weight on top of that.  No wider field is used: every monomial, and
+    every int op on it, grows with the field width.
     """
 
-    def __init__(self, table: VarTable, order: MonomialOrder):
+    def __init__(self, table: VarTable, order: MonomialOrder,
+                 weights: Sequence[int] | None = None):
         n = len(table)
+        if weights is None:
+            weights = (1,) * n
+        weights = tuple(weights)
+        if len(weights) != n:
+            raise ValueError(f"{len(weights)} weights for {n} variables")
+        if any(not isinstance(w, int) or w <= 0 for w in weights):
+            raise ValueError(f"weights must be positive integers, got {weights}")
         key = order.sort_key(table)
         low = _FIELD_BITS * n
         part_bits = _FIELD_BITS + n.bit_length()
+        self._weight_shift = low
+        self._weight_mask = (1 << (part_bits + max(weights).bit_length())) - 1
+        high = low + self._weight_mask.bit_length()
         self._shifts = tuple(_FIELD_BITS * (n - 1 - i) for i in range(n))
         self._units = tuple(
-            (sum(part << (part_bits * k) for k, part in enumerate(reversed(key(unit)))) << low)
-            + (1 << s)
-            for s, unit in zip(self._shifts,
-                               ((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))))
+            (sum(part << (part_bits * k) for k, part in enumerate(reversed(key(unit)))) << high)
+            + (w << low) + (1 << s)
+            for s, w, unit in zip(self._shifts, weights,
+                                  ((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))))
         self.guard = 0
         for s in self._shifts:
             self.guard |= 1 << (s + _GUARD_BIT)
@@ -157,7 +175,12 @@ class _Codec:
         return sum(((low >> s) & 0xFFFF) * u for s, u in zip(self._shifts, self._units))
 
     def deg(self, mono: int) -> int:
+        """Total degree, read off the exponent half."""
         return sum((mono >> s) & 0xFFFF for s in self._shifts)
+
+    def weighted_deg(self, mono: int) -> int:
+        """Weighted degree of a whole monomial (not of an exponent half)."""
+        return (mono >> self._weight_shift) & self._weight_mask
 
     def divides(self, divisor: int, mono: int) -> bool:
         g = self.guard
@@ -319,6 +342,8 @@ class EngineStats:
     pair formed is pruned by the M/F criteria, dropped as coprime, or queued;
     a queued pair is later dropped by the B criterion or reduced.
     `elements_added` counts the nonzero reductions, not the seed generators.
+    `degree_peak` is the largest total degree of a basis lead, whatever the
+    weights that select the pairs.
     """
 
     pairs_formed: int
@@ -333,7 +358,8 @@ class EngineStats:
 
 
 def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
-    """Buchberger with the Gebauer-Moeller pair update, normal selection.
+    """Buchberger with the Gebauer-Moeller pair update; the pair of least
+    weighted lcm degree is reduced first, ties broken by the order.
 
     Returns (reduced basis, EngineStats).  A nonzero constant in the basis
     short-circuits to the unit ideal, which is sound: the reduced basis is
@@ -341,7 +367,7 @@ def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
     """
     G: list = []  # basis elements (lead, lead coeff, tail)
     guard, mask_all = codec.guard, codec.mask_all
-    pairs: list = []  # heap of (deg, lcm, i, j)
+    pairs: list = []  # heap of (weighted degree of lcm, lcm, i, j)
     active: list[int] = []  # indices whose lead no later lead divides
     formed = pruned_mf = pruned_coprime = pruned_b = 0
     reduced = zero = added = degree_peak = 0
@@ -374,23 +400,29 @@ def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
                 pruned_mf += 1
                 continue
             kept.append(lp)
-            deg = codec.deg(lp)
-            bud.check_degree(deg)
+            bud.check_degree(codec.deg(lp))
             bud.tick_spair()
             if not_coprime:
-                installed.append((deg, codec.lift(lp), i, t))
+                mono = codec.lift(lp)
+                installed.append((codec.weighted_deg(mono), mono, i, t))
             else:
                 pruned_coprime += 1
         # B: drop an old pair whose lcm LT(h) divides, unless the lcm equals
         # lcm(LT(i), LT(h)) or lcm(LT(j), LT(h))
-        old = len(pairs)
-        pairs[:] = [pr for pr in pairs
-                    if not (h <= pr[1] and ((pr[1] | guard) - h) & guard == guard
-                            and codec.lcm(G[pr[2]][0], h) != pr[1] & mask_all
-                            and codec.lcm(G[pr[3]][0], h) != pr[1] & mask_all)]
-        pruned_b += old - len(pairs)
-        pairs.extend(installed)
-        heapify(pairs)
+        dropped = [pr for pr in pairs
+                   if h <= pr[1] and ((pr[1] | guard) - h) & guard == guard
+                   and codec.lcm(G[pr[2]][0], h) != pr[1] & mask_all
+                   and codec.lcm(G[pr[3]][0], h) != pr[1] & mask_all]
+        if dropped:
+            pruned_b += len(dropped)
+            gone = set(dropped)
+            pairs[:] = [pr for pr in pairs if pr not in gone]
+            pairs.extend(installed)
+            heapify(pairs)
+        else:
+            # heap keys are unique, so pushing pops in the same order
+            for pr in installed:
+                heappush(pairs, pr)
         active[:] = [i for i in active if not codec.divides(h, G[i][0])]
         active.append(t)
 
@@ -460,11 +492,18 @@ class DimensionReport:
 
 
 class Ideal:
-    """Generators plus a lazily cached reduced Groebner basis."""
+    """Generators plus a lazily cached reduced Groebner basis.
+
+    `weights`, one positive int per variable of `table`, grade the pair
+    selection: pairs are reduced in order of the weighted degree of their
+    lcm.  They change neither the order nor the basis, only the work done to
+    reach it; without them every weight is 1 (normal selection).
+    """
 
     def __init__(self, table: VarTable, gens: Sequence[Poly],
                  order: MonomialOrder = GREVLEX, field=None,
-                 budget: GroebnerBudget = DEFAULT_BUDGET):
+                 budget: GroebnerBudget = DEFAULT_BUDGET,
+                 weights: Sequence[int] | None = None):
         gens = tuple(gens)
         for g in gens:
             if g.table != table:
@@ -479,7 +518,8 @@ class Ideal:
         self.order = order
         self.gens = gens
         self.budget = budget
-        self._codec = _Codec(table, order)
+        self.weights = None if weights is None else tuple(weights)
+        self._codec = _Codec(table, order, self.weights)
         self._q = field.q if isinstance(field, PrimeField) else 0
         self._basis_engine = None
         self._basis_poly = None
@@ -552,11 +592,12 @@ class Ideal:
 def eliminate(ideal: Ideal, drop: Iterable[str]) -> Ideal:
     """Intersect with the subring omitting `drop`, via a block elimination order.
 
-    The result lives on the reduced VarTable, under grevlex, with the
-    ideal's field and budget.  Its generators are its reduced basis (the
-    filtered basis is one, by the elimination property of block orders,
-    and grevlex agrees with the block order on the kept variables), packed
-    straight from the engine terms of the elimination run.
+    The elimination run keeps the ideal's weights.  The result lives on the
+    reduced VarTable, under grevlex, with the ideal's field and budget.  Its
+    generators are its reduced basis (the filtered basis is one, by the
+    elimination property of block orders, and grevlex agrees with the block
+    order on the kept variables), packed straight from the engine terms of
+    the elimination run.
     """
     drop = list(drop)
     for name in drop:
@@ -570,7 +611,7 @@ def eliminate(ideal: Ideal, drop: Iterable[str]) -> Ideal:
         raise ValueError("cannot eliminate every variable")
     drop_ordered = [n for n in ideal.table.names if n in drop_set]
     work = Ideal(ideal.table, ideal.gens, order=MonomialOrder([drop_ordered, keep]),
-                 field=ideal.field, budget=ideal.budget)
+                 field=ideal.field, budget=ideal.budget, weights=ideal.weights)
     work._ensure_basis()
     decode = work._codec.decode
     dmask = work._codec.vars_mask([ideal.table.index(n) for n in drop_ordered])

@@ -10,6 +10,7 @@ computed exactly by eliminating the arrow variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import lcm
 
 from .groebner import (
     DEFAULT_BUDGET,
@@ -21,7 +22,7 @@ from .groebner import (
     ideals_equal,
 )
 from .poly import Poly, PrimeField, QQ, VarTable, poly_prod
-from .quiver import ArmParams, StarQuiver, build_star_quiver
+from .quiver import ArmParams, StarQuiver, build_star_quiver, d_arrow, u_arrow
 from .reconstruction import DeformParams, canonical_relation, in_delta, make_gamma
 
 
@@ -174,6 +175,36 @@ def phi_map(Q: StarQuiver) -> dict:
     return images
 
 
+def weighted_degree(f: Poly, weights: dict) -> int:
+    """The weighted degree of f, each variable weighing `weights[name]`;
+    CheckFailed unless f is nonzero and weighted-homogeneous."""
+    names = f.table.names
+    degrees = {sum(weights[n] * e for n, e in zip(names, exps) if e) for exps in f.terms}
+    if len(degrees) != 1:
+        raise CheckFailed(f"not weighted-homogeneous: {f.to_str()} has degrees {sorted(degrees)}")
+    return degrees.pop()
+
+
+def kernel_grading(Q: StarQuiver) -> dict:
+    """The grading of the arrow and w/v names under which phi is homogeneous.
+
+    A d-arrow of arm i weighs lcm(p)/p_i, so every full downward path D_i
+    weighs lcm(p) and the canonical relation is homogeneous; a u-arrow
+    weighs 1.  Each w/v symbol weighs what its phi image weighs, so every
+    tag ``y - phi(y)`` is homogeneous too; an inhomogeneous image raises
+    CheckFailed.
+    """
+    top = lcm(*Q.p)
+    weights = {}
+    for arm in (1, 2, 3):
+        for j in range(1, Q.p[arm] + 1):
+            weights[d_arrow(arm, j)] = top // Q.p[arm]
+            weights[u_arrow(arm, j)] = 1
+    for sym, image in phi_map(Q).items():
+        weights[sym] = weighted_degree(image, weights)
+    return weights
+
+
 # ---------------------------------------------------------------------------
 # determinantal matrix and minors
 # ---------------------------------------------------------------------------
@@ -224,24 +255,32 @@ def minors_ideal(p: ArmParams, field=QQ,
 # the kernel and the conjecture
 # ---------------------------------------------------------------------------
 
-def kernel_ideal(p, field=QQ, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
-    """ker(phi), by eliminating the arrow variables from the graph ideal.
+def graph_ideal(Q: StarQuiver, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
+    """The graph ideal of phi over Q's field, graded by `kernel_grading`.
 
-    The joint ring holds arrows and w/v symbols; the ideal is the canonical
-    relation plus one tag relation per symbol.  Exact over QQ by default; a
-    prime field gives the modular image, which `verify_conjecture` reports
-    as probabilistic.
+    The joint ring holds the arrows, then the w/v symbols; the ideal is the
+    canonical relation plus one tag relation ``y - phi(y)`` per symbol.
     """
-    p = ArmParams.parse(p)
-    Q = build_star_quiver(p, field)
-    wv = wv_table(p)
+    wv = wv_table(Q.p)
     joint = VarTable(tuple(Q.table.names) + tuple(wv.names))
     gens = [canonical_relation(Q).rename(joint)]
     for sym, image in phi_map(Q).items():
-        gens.append(Poly.var(joint, field, sym) - image.rename(joint))
-    ideal = Ideal(joint, gens, field=field, budget=budget)
-    result = eliminate(ideal, Q.table.names)
-    if result.table != wv:
+        gens.append(Poly.var(joint, Q.field, sym) - image.rename(joint))
+    grading = kernel_grading(Q)
+    return Ideal(joint, gens, field=Q.field, budget=budget,
+                 weights=[grading[n] for n in joint.names])
+
+
+def kernel_ideal(p, field=QQ, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
+    """ker(phi), by eliminating the arrow variables from the graph ideal.
+
+    Exact over QQ by default; a prime field gives the modular image, which
+    `verify_conjecture` reports as probabilistic.
+    """
+    p = ArmParams.parse(p)
+    Q = build_star_quiver(p, field)
+    result = eliminate(graph_ideal(Q, budget), Q.table.names)
+    if result.table != wv_table(p):
         raise CheckFailed("the kept block is not exactly the w/v table")
     return result
 

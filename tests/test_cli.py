@@ -195,6 +195,14 @@ def test_kernel_largest_case_confirmed_within_default_caps(tmp_path):
     assert report["config"]["budgets"]["spair_cap"] == 200_000
 
 
+def test_kernel_confirmed_under_the_normal_selection_degree_cap(tmp_path):
+    # graded selection never needs a higher total-degree cap: 9 was the
+    # smallest that confirmed the exact 2,2,2 kernel under normal selection
+    code, report = _run(tmp_path, "kernel", "--p", "2,2,2", "--deg-cap", "9")
+    assert code == 0
+    assert report["status"] == "confirmed"
+
+
 def test_conjecture_inconclusive_under_zero_budget(tmp_path):
     code, report = _run(tmp_path, "conjecture", "--p", "2,2,2",
                         "--spair-cap", "0")

@@ -376,6 +376,26 @@ def test_engine_codes_realise_sort_key(order):
         codec.encode((0, 32768, 0))
 
 
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.spec())
+def test_engine_codes_carry_the_weighted_degree(order):
+    # the weighted degree sits below the order's key: it reads off the int,
+    # adds with it, and never changes a comparison, whatever the weights
+    t = VarTable(["x", "y", "z"])
+    weights = (3, 1, 40000)
+    codec, plain, key = _Codec(t, order, weights), _Codec(t, order), order.sort_key(t)
+    rng = random.Random(order.spec())
+    for k in range(200):
+        top = 40 if k % 2 else 16383
+        a, b = (tuple(rng.randint(0, top) for _ in range(3)) for _ in range(2))
+        ma, mb = codec.encode(a), codec.encode(b)
+        ab = tuple(map(int.__add__, a, b))
+        assert (ma < mb, ma == mb) == (key(a) < key(b), key(a) == key(b))
+        assert codec.weighted_deg(ma + mb) == sum(map(int.__mul__, weights, ab))
+        assert plain.weighted_deg(plain.encode(ab)) == sum(ab)
+        assert codec.decode(ma + mb) == ab
+        assert codec.lift(codec.lcm(ma, mb)) == codec.encode(tuple(map(max, a, b)))
+
+
 def _random_ideals(seed, count):
     """Seeded QQ ideals of one to three cubic generators in x, y, z."""
     t = VarTable(["x", "y", "z"])

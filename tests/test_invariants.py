@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from starquiver.groebner import (
+    CheckFailed,
     EngineStats,
     GroebnerBudget,
     Ideal,
+    eliminate,
     ideals_equal,
 )
 from starquiver.invariants import (
@@ -15,6 +17,8 @@ from starquiver.invariants import (
     determinantal_minors,
     fibre_zero_presentation,
     generating_sets,
+    graph_ideal,
+    kernel_grading,
     kernel_ideal,
     minors_ideal,
     origin_fibre_minors,
@@ -24,9 +28,10 @@ from starquiver.invariants import (
     verify_conjecture,
     verify_generating_equivalence,
     verify_minors_vanish,
+    weighted_degree,
     wv_table,
 )
-from starquiver.poly import PrimeField, QQ, parse_poly
+from starquiver.poly import PrimeField, QQ, VarTable, parse_poly
 from starquiver.quiver import ArmParams, build_star_quiver
 from starquiver.reconstruction import canonical_relation, in_delta
 
@@ -221,16 +226,75 @@ def test_kernel_smallest_case_prime_field():
     assert ideals_equal(kern, mins)
 
 
+def _unit_weight(ideal):
+    """The same ideal with every weight 1: normal selection."""
+    return Ideal(ideal.table, ideal.gens, field=ideal.field, budget=ideal.budget)
+
+
 @pytest.mark.parametrize("field", [GF, QQ], ids=["F65521", "QQ"])
 def test_kernel_engine_counters_pinned(field):
     # the elimination basis of ker(phi) at 3,3,2: the counters are
     # deterministic, so a change in pair handling shows up here, and they
-    # agree over F_65521 and over QQ (the fraction-free path)
+    # agree over F_65521 and over QQ (the fraction-free path); pairs are
+    # selected by the weighted degree of `kernel_grading`, while
+    # degree_peak stays in total degree
     kern = kernel_ideal(ArmParams(3, 3, 2), field)
+    assert kern.stats == EngineStats(
+        pairs_formed=61437, pruned_mf=56636, pruned_coprime=753, pruned_b=362,
+        pairs_reduced=3686, zero_reductions=3346, elements_added=340,
+        basis_peak=352, degree_peak=7)
+
+
+@pytest.mark.parametrize("field", [GF, QQ], ids=["F65521", "QQ"])
+def test_kernel_engine_counters_pinned_unit_weights(field):
+    # the same joint ideal without weights keeps normal selection's counts
+    Q = build_star_quiver(ArmParams(3, 3, 2), field)
+    kern = eliminate(_unit_weight(graph_ideal(Q)), Q.table.names)
     assert kern.stats == EngineStats(
         pairs_formed=132190, pruned_mf=122587, pruned_coprime=1324, pruned_b=3168,
         pairs_reduced=5111, zero_reductions=4500, elements_added=611,
         basis_peak=623, degree_peak=8)
+
+
+@pytest.mark.parametrize("p, field", [((3, 2, 2), GF), ((2, 2, 2), QQ)],
+                         ids=["3,2,2-F65521", "2,2,2-QQ"])
+def test_graded_selection_keeps_the_reduced_basis(p, field):
+    Q = build_star_quiver(ArmParams(*p), field)
+    joint = graph_ideal(Q)
+    graded = eliminate(joint, Q.table.names)
+    unit = eliminate(_unit_weight(joint), Q.table.names)
+    assert graded.stats != unit.stats
+    assert graded.groebner_basis() == unit.groebner_basis()
+
+
+@pytest.mark.parametrize("p", [(2, 2, 2), (3, 3, 2), (4, 3, 3), (5, 4, 3)],
+                         ids=lambda p: ",".join(map(str, p)))
+def test_graph_ideal_is_weighted_homogeneous(p):
+    Q = build_star_quiver(ArmParams(*p))
+    grading = kernel_grading(Q)
+    joint = graph_ideal(Q)
+    assert joint.weights == tuple(grading[n] for n in joint.table.names)
+    assert all(w > 0 for w in joint.weights)
+    for g in joint.gens:
+        weighted_degree(g, grading)
+    # the determinantal minors are homogeneous under the w/v weights alone
+    wv = {n: grading[n] for n in wv_table(Q.p).names}
+    for m in determinantal_minors(Q.p):
+        weighted_degree(m, wv)
+
+
+def test_weighted_degree_rejects_an_inhomogeneous_polynomial():
+    t = VarTable(["x", "y"])
+    assert weighted_degree(parse_poly("x^2 - y", t), {"x": 1, "y": 2}) == 2
+    with pytest.raises(CheckFailed, match="not weighted-homogeneous"):
+        weighted_degree(parse_poly("x^2 - y", t), {"x": 1, "y": 1})
+
+
+@pytest.mark.parametrize("weights", [(1, 0), (1, -2), (1,), (1, 1, 1), (1, 1.5)])
+def test_ideal_rejects_a_bad_weight_vector(weights):
+    t = VarTable(["x", "y"])
+    with pytest.raises(ValueError):
+        Ideal(t, [parse_poly("x - y", t)], weights=weights)
 
 
 def test_kernel_joint_ring_arithmetic():
