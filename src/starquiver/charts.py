@@ -6,8 +6,11 @@ in its chart variables: the total space (one canonical relation) gives a
 hypersurface, every fibre of the deformation family two relations in four
 variables.  A second, substitution-based derivation acts as an independent
 oracle: it solves the arm chains mechanically from the relation system and
-must generate the same ideal as the closed form.  The same solve is the one
-source of a chart's arrow substitution, which `chart_substitution` returns.
+must generate the same ideal as the closed form.  Each arm chain is solved
+once per arm window, and the cross relations are pushed through each window
+once, part by arm-local part; a chart multiplies its three windows' parts.
+The same solve is the one source of a chart's arrow substitution, which
+`chart_substitution` returns.
 """
 
 from __future__ import annotations
@@ -38,8 +41,7 @@ from .quiver import (
     support_predicates,
     u_arrow,
 )
-from .reconstruction import (DeformParams, RelationSystem, canonical_relation,
-                             deformed_relations, in_delta)
+from .reconstruction import DeformParams, RelationSystem, canonical_relation, deformed_relations
 
 
 def _check_chart_range(c: ChartId, p: ArmParams):
@@ -110,7 +112,7 @@ def fibre_chart(gamma: DeformParams, c: ChartId,
     field and arm lengths."""
     p, field = gamma.p, gamma.field
     _check_chart_range(c, p)
-    if not in_delta(gamma):
+    if not gamma.inside_delta:
         raise ValueError("gamma outside the parameter subspace: empty fibre")
     arm_a, arm_b = c.other_arms()
     table = _chart_table(c)
@@ -161,34 +163,60 @@ def _solve_linear(img: Poly, name: str) -> Poly:
 
 @dataclass(frozen=True)
 class SubstitutionOracle:
-    """The oracle's per-gamma half.  `arms[arm, window]` maps every arrow of
-    the arm to 1, to its chain solution, or to itself: window 0 (a chart's
-    distinguished arm) keeps u_{arm,1}, window i keeps d_{arm,i} and u_{arm,i}.
-    A window is solved on its first use, by `_arm_window`.  Without gamma,
-    `relations` is None and `arms` stays empty."""
+    """The oracle's per-gamma half.  `cross` holds the cross relations
+    (a)-(d) and (x) by label, each term as its coefficient and its arm-local
+    parts (`_arm_parts`).  `arms[arm, window]` holds the window's solution,
+    which maps every arrow of the arm to 1, to its chain solution or to
+    itself (window 0, a chart's distinguished arm, keeps u_{arm,1}; window i
+    keeps d_{arm,i} and u_{arm,i}), and beside it the image of each of the
+    arm's cross parts under that solution.  A window is solved, and its
+    parts pushed through, on its first use by `_arm_window`.  Without gamma,
+    `relations` is None and `cross` and `arms` stay empty."""
 
     Q: StarQuiver
     relations: RelationSystem | None
+    cross: tuple
     arms: dict
+
+
+_CROSS_LABELS = ("(a)", "(b)", "(c)", "(d)", "(x)")
+
+
+def _arm_span(Q: StarQuiver, arm: int) -> slice:
+    """The arm's 2 p_arm arrows, consecutive in the table from d_{arm,1}."""
+    low = Q.table.index(d_arrow(arm, 1))
+    return slice(low, low + 2 * Q.p[arm])
+
+
+def _arm_parts(Q: StarQuiver, rel: Poly) -> tuple:
+    """The relation's terms as (coefficient, parts): a part is (arm, the
+    term's exponents on the arm's arrows), one for each arm the term
+    touches; a term without parts is a constant."""
+    spans = [(arm, _arm_span(Q, arm)) for arm in (1, 2, 3)]
+    return tuple((coeff, tuple((arm, exps[s]) for arm, s in spans if any(exps[s])))
+                 for exps, coeff in rel.terms.items())
 
 
 def substitution_oracle(Q: StarQuiver, gamma: DeformParams | None) -> SubstitutionOracle:
     """Build the deformed relations once; each arm chain is then solved once
     per window that some chart reads."""
     if gamma is None:
-        return SubstitutionOracle(Q, None, {})
-    if not in_delta(gamma):
+        return SubstitutionOracle(Q, None, (), {})
+    if not gamma.inside_delta:
         raise ValueError("gamma outside the parameter subspace: empty fibre")
-    return SubstitutionOracle(Q, deformed_relations(Q, gamma), {})
+    relations = deformed_relations(Q, gamma)
+    cross = tuple((lbl, _arm_parts(Q, relations.by_label(lbl))) for lbl in _CROSS_LABELS)
+    return SubstitutionOracle(Q, relations, cross, {})
 
 
-def _arm_window(oracle: SubstitutionOracle, arm: int, window: int) -> dict:
+def _arm_window(oracle: SubstitutionOracle, arm: int, window: int) -> tuple:
     """The arm's chain solved by forward/backward substitution from the
-    window's unit arrows, on first use; every window belongs to some chart.
-    A solved chain must vanish."""
-    B = oracle.arms.get((arm, window))
-    if B is not None:
-        return B
+    window's unit arrows, and the images of the arm's cross parts under it,
+    on first use; every window belongs to some chart.  A solved chain must
+    vanish."""
+    solved = oracle.arms.get((arm, window))
+    if solved is not None:
+        return solved
     Q, p = oracle.Q, oracle.Q.p
     chain = [oracle.relations.by_label(f"({arm}).{m}") for m in range(1, p[arm])]
     B = dict.fromkeys(arm_window_units(arm, window, p), Poly.const(Q.table, Q.field, 1))
@@ -205,24 +233,51 @@ def _arm_window(oracle: SubstitutionOracle, arm: int, window: int) -> dict:
     for m, rel in enumerate(chain, 1):
         if not rel.substitute(B).is_zero():
             raise CheckFailed(f"chain relation ({arm}).{m} did not resolve")
-    oracle.arms[arm, window] = B
-    return B
+    span, parts = _arm_span(Q, arm), {}
+    for local in {local for _, terms in oracle.cross for _, term_parts in terms
+                  for part_arm, local in term_parts if part_arm == arm}:
+        exps = [0] * len(Q.table)
+        exps[span] = local
+        parts[local] = Poly.monomial(Q.table, Q.field, exps).substitute(B)
+    solved = oracle.arms[arm, window] = (B, parts)
+    return solved
 
 
-_CROSS_LABELS = ("(a)", "(b)", "(c)", "(d)", "(x)")
+def _cross_images(oracle: SubstitutionOracle, c: ChartId) -> tuple[dict, dict]:
+    """The chart's merged arm substitution B, and the image under B of each
+    cross relation by label.  B binds each arm's arrows to polynomials in
+    that arm's arrows only, so a term coeff * m_1 m_2 m_3 maps to
+    coeff * phi_1(m_1) phi_2(m_2) phi_3(m_3), each factor read from its arm
+    window's parts."""
+    arm_a, arm_b = c.other_arms()
+    windows = [(arm, _arm_window(oracle, arm, w))
+               for arm, w in ((c.k, 0), (arm_a, c.i), (arm_b, c.j))]
+    B = {a: e for _, (arrows, _) in windows for a, e in arrows.items()}
+    parts = {arm: arm_parts for arm, (_, arm_parts) in windows}
+    table, field = oracle.Q.table, oracle.Q.field
+    one = Poly.const(table, field, 1)
+    images = {}
+    for lbl, terms in oracle.cross:
+        out: dict = {}
+        for coeff, term_parts in terms:
+            factors = [parts[arm][local] for arm, local in term_parts]
+            term = factors[0] if factors else one
+            for f in factors[1:]:
+                term = term * f
+            for exps, v in term.terms.items():
+                out[exps] = field.add(out.get(exps, field.zero), field.mul(coeff, v))
+        images[lbl] = Poly(table, field, out)  # drops the cancelled terms
+    return B, images
 
 
 def _chart_solve(oracle: SubstitutionOracle, c: ChartId):
-    """Merge the chart's three arm solutions, push the cross relations
-    through, and solve the leftover u_{k,1}: the merged arm substitution,
-    the leftover's solution on the chart table, and the other images."""
+    """Solve the leftover u_{k,1} from the chart's cross images: the merged
+    arm substitution, the leftover's solution on the chart table, and the
+    other images."""
     _check_chart_range(c, oracle.Q.p)
     if oracle.relations is None:
         raise ValueError("an oracle without gamma has no arrow substitution")
-    arm_a, arm_b = c.other_arms()
-    B = {**_arm_window(oracle, c.k, 0), **_arm_window(oracle, arm_a, c.i),
-         **_arm_window(oracle, arm_b, c.j)}
-    images = {lbl: oracle.relations.by_label(lbl).substitute(B) for lbl in _CROSS_LABELS}
+    B, images = _cross_images(oracle, c)
     leftover = u_arrow(c.k, 1)
     solved_label = next((lbl for lbl in _CROSS_LABELS[:4]
                          if leftover in images[lbl].variables_used()), None)

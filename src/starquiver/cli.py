@@ -53,7 +53,6 @@ from .quiver import ArmParams, all_chart_ids, build_star_quiver
 from .reconstruction import (
     deformed_relations,
     delta_forms,
-    in_delta,
     parse_gamma_spec,
     read_json,
     rep_ideal,
@@ -196,7 +195,7 @@ def cmd_fibre(args) -> int:
     field = parse_field(args.field)
     t0 = time.monotonic()
     gamma = parse_gamma_spec(args.gamma, p, field)
-    inside = in_delta(gamma)
+    inside = gamma.inside_delta
     item: dict = {
         "gamma": gamma.to_json(),
         "in_delta": inside,
@@ -247,7 +246,7 @@ def cmd_pi(args) -> int:
         )
         gamma = pi_map(pt, p)
         item["gamma"] = gamma.to_json()
-        item["in_delta"] = in_delta(gamma)
+        item["in_delta"] = gamma.inside_delta
         ok = ok and item["in_delta"]
     status, code = _status_exit(ok, False)
     _report(args, t0, status, item=item)

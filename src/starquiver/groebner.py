@@ -454,22 +454,20 @@ def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
         G.append(_normalize(h, q))
         update(len(G) - 1)
 
-    return _reduced_basis(G, codec, q, bud), stats()
+    # every element enters reduced by the earlier ones, so no earlier lead
+    # divides a later one, and `active` is exactly the minimal basis
+    return _reduced_basis([G[i] for i in active], codec, q, bud), stats()
 
 
-def _reduced_basis(G, codec: _Codec, q: int, bud: _BudgetState):
-    """Minimalize and tail-reduce; the result is the unique reduced basis."""
-    kept: list = []
-    for e in sorted(G, key=lambda e: e[0]):
-        if not any(codec.divides(k[0], e[0]) for k in kept):
-            kept.append(e)
+def _reduced_basis(minimal, codec: _Codec, q: int, bud: _BudgetState):
+    """Tail-reduce a minimal basis; the result is the unique reduced basis."""
+    kept = sorted(minimal, key=lambda e: e[0])
     # no other kept lead divides a kept lead, and a lead divides no smaller
     # monomial, so reducing a tail by all of `kept` reduces it by the others
     final = []
     for lead, lc, tail in kept:
         r, scale = _reduce_full(tail, kept, codec, q, bud)
         final.append(_normalize([(lead, lc * scale), *r], q))
-    final.sort(key=lambda e: e[0])
     return final
 
 
@@ -685,13 +683,6 @@ def ideals_equal(a: Ideal, b: Ideal) -> bool:
     if a.order == b.order:
         return a.groebner_basis() == b.groebner_basis()
     return all(a.contains(g) for g in b.gens) and all(b.contains(g) for g in a.gens)
-
-
-def leading_term(p: Poly, order: MonomialOrder = GREVLEX):
-    """(exponents, coefficient) of the leading term under the given order."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has no leading term")
-    return p.sorted_terms(order)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .groebner import (
 )
 from .poly import Poly, PrimeField, QQ, VarTable, poly_prod
 from .quiver import ArmParams, StarQuiver, build_star_quiver, d_arrow, u_arrow
-from .reconstruction import DeformParams, canonical_relation, in_delta, make_gamma
+from .reconstruction import DeformParams, canonical_relation, make_gamma
 
 
 def w_name(k: int) -> str:
@@ -41,57 +41,8 @@ def wv_table(p: ArmParams) -> VarTable:
     return VarTable(names)
 
 
-# ---------------------------------------------------------------------------
-# generating sets
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GeneratingSet:
-    name: str
-    generators: tuple  # (label, Poly) pairs
-
-    def labels(self) -> tuple:
-        return tuple(lbl for lbl, _ in self.generators)
-
-    def polys(self) -> tuple:
-        return tuple(p for _, p in self.generators)
-
-
 def crossing_cycle(Q: StarQuiver, i: int, j: int) -> Poly:
     return Q.D(i) * Q.U(j)
-
-
-def generating_sets(Q: StarQuiver) -> tuple[GeneratingSet, GeneratingSet, GeneratingSet]:
-    """The nested generating sets of the invariant ring: all nine crossing
-    cycles, four of them, three of them — each together with all 2-cycles."""
-    two = Q.two_cycles()
-    crossings = {(i, j): (f"D{i}U{j}", crossing_cycle(Q, i, j))
-                 for i in (1, 2, 3) for j in (1, 2, 3)}
-    tier1 = [crossings[k] for k in sorted(crossings)]
-    tier2 = [crossings[k] for k in ((1, 2), (1, 3), (2, 1), (2, 3))]
-    tier3 = [crossings[k] for k in ((1, 2), (2, 1), (2, 3))]
-    return (
-        GeneratingSet("S1", tuple(two) + tuple(tier1)),
-        GeneratingSet("S2", tuple(two) + tuple(tier2)),
-        GeneratingSet("S3", tuple(two) + tuple(tier3)),
-    )
-
-
-def verify_generating_equivalence(Q: StarQuiver) -> bool:
-    """The three tiers generate the same subalgebra modulo the canonical
-    relation: the column identities D3 U_i - D2 U_i + D1 U_i reduce to zero,
-    and each diagonal crossing cycle is a product of 2-cycles."""
-    principal = Ideal(Q.table, [canonical_relation(Q)], field=Q.field)
-    for i in (1, 2, 3):
-        combo = crossing_cycle(Q, 3, i) - crossing_cycle(Q, 2, i) + crossing_cycle(Q, 1, i)
-        if not principal.normal_form(combo).is_zero():
-            return False
-    for arm in (1, 2, 3):
-        prod = poly_prod((Q.two_cycle(arm, j) for j in range(1, Q.p[arm] + 1)),
-                         Q.table, Q.field)
-        if crossing_cycle(Q, arm, arm) != prod:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +82,7 @@ def pi_map(pt: WVPoint, p: ArmParams) -> DeformParams:
         A=QQ.sub(al(1, p.p1), al(2, p.p2)),
         B=QQ.sub(al(3, p.p3), al(2, p.p2)),
     )
-    if not in_delta(gamma):
+    if not gamma.inside_delta:
         raise CheckFailed("pi image left the parameter subspace")
     return gamma
 

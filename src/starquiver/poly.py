@@ -376,12 +376,6 @@ class Poly:
         """The coefficient of the constant monomial (zero if absent)."""
         return self.terms.get((0,) * len(self.table), self.field.zero)
 
-    def total_degree(self) -> int:
-        """Maximum term degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def variables_used(self) -> tuple:
         used = set()
         for exps in self.terms:
@@ -389,9 +383,6 @@ class Poly:
                 if e:
                     used.add(i)
         return tuple(self.table.names[i] for i in sorted(used))
-
-    def coeff_of(self, exps: Exponents):
-        return self.terms.get(tuple(exps), self.field.zero)
 
     def __bool__(self):
         return bool(self.terms)

@@ -155,9 +155,6 @@ class StarQuiver:
             weight[tail] -= e
         return weight
 
-    def is_weight_zero(self, monomial) -> bool:
-        return all(w == 0 for w in self.torus_weight(monomial).values())
-
     def summary(self) -> dict:
         """JSON-ready description: vertices, arrows, stability, path products."""
         return {

@@ -14,6 +14,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .groebner import CheckFailed, GroebnerBudget, DEFAULT_BUDGET, Ideal
 from .poly import Poly, PrimeField, QQ
@@ -36,6 +37,11 @@ class DeformParams:
 
     def gamma(self, arm: int) -> tuple:
         return (self.gamma1, self.gamma2, self.gamma3)[arm - 1]
+
+    @cached_property
+    def inside_delta(self) -> bool:
+        """`in_delta` of this gamma, decided on first read and then kept."""
+        return in_delta(self)
 
     @property
     def p(self) -> ArmParams:
@@ -224,7 +230,7 @@ def random_gamma(p: ArmParams, seed: int, field=QQ, inside_delta: bool = True) -
             a = _random_fraction(rng, q)
             b = _random_fraction(rng, q)
         gamma = make_gamma(p, g1, g2, g3, a, b, A, B, field=field)
-        if in_delta(gamma) == inside_delta:
+        if gamma.inside_delta == inside_delta:
             return gamma
 
 

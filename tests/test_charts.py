@@ -27,7 +27,7 @@ from starquiver.groebner import (
     Ideal,
     ideals_equal,
 )
-from starquiver.poly import VarTable, parse_field, parse_poly
+from starquiver.poly import Poly, VarTable, parse_field, parse_poly
 from starquiver.cli import run_command
 from starquiver.quiver import (
     ArmParams,
@@ -213,6 +213,25 @@ def test_oracle_survivors_contain_plus_minus_first_relation():
         assert closed.gens[1] in derived.gens
 
 
+@pytest.mark.parametrize("spec", ["q", "fp:65521", "fp:11"])
+def test_cross_images_match_the_merged_substitution(spec):
+    # each arm window pushes its arm-local parts of the cross relations
+    # through its own solution once; a chart's image of every cross relation
+    # must equal the whole relation pushed through the merged arrow map
+    field = parse_field(spec)
+    for p in [(2, 2, 2), (3, 3, 2), (4, 3, 3), (2, 3, 4)]:
+        p = ArmParams.parse(p)
+        Q = build_star_quiver(p, field)
+        for gamma in (zero_gamma(p, field), random_gamma(p, seed=5, field=field)):
+            oracle = substitution_oracle(Q, gamma)
+            for c in all_chart_ids(p):
+                B, images = charts._cross_images(oracle, c)
+                assert set(B) == set(Q.table.names)
+                assert tuple(images) == ("(a)", "(b)", "(c)", "(d)", "(x)")
+                for lbl, img in images.items():
+                    assert img == oracle.relations.by_label(lbl).substitute(B), (c, lbl)
+
+
 def _count_bases(monkeypatch) -> list:
     bases, buchberger = [], groebner._buchberger
     monkeypatch.setattr(groebner, "_buchberger",
@@ -226,16 +245,23 @@ def test_charts_run_solves_each_arm_window_once(monkeypatch):
     # relation system (a solve per chain per chart made 189).  Each chart
     # computes three bases: its Jacobian ideal, its closed form (shared by
     # the dimension and the oracle comparison) and the derived ideal; a
-    # second basis of the closed form made 108
-    solves, builds = [], []
-    solve, build = charts._solve_linear, charts.deformed_relations
+    # second basis of the closed form made 108.  Substitutions: each chart
+    # pushes its four images left after the leftover solve and renames the
+    # solution (135), and each of the 12 arm windows makes two chain solves
+    # and two chain checks (48) and pushes its arm's three cross parts (36);
+    # pushing the five cross relations through each chart's merged map
+    # made 318
+    solves, builds, subs = [], [], []
+    solve, build, substitute = charts._solve_linear, charts.deformed_relations, Poly.substitute
     monkeypatch.setattr(charts, "_solve_linear",
                         lambda img, name: solves.append(name) or solve(img, name))
     monkeypatch.setattr(charts, "deformed_relations",
                         lambda Q, gamma: builds.append(gamma) or build(Q, gamma))
+    monkeypatch.setattr(Poly, "substitute",
+                        lambda p, *args, **kw: subs.append(p) or substitute(p, *args, **kw))
     bases = _count_bases(monkeypatch)
     assert run_command(["charts", "--p", "3,3,3", "--gamma", "random:1"]) == 0
-    assert (len(solves), len(builds), len(bases)) == (51, 1, 81)
+    assert (len(solves), len(builds), len(bases), len(subs)) == (51, 1, 81, 219)
 
 
 @pytest.mark.parametrize("argv, expected", [

@@ -15,7 +15,6 @@ from starquiver.groebner import (
     eliminate,
     ideals_equal,
     krull_dimension,
-    leading_term,
     read_ideal_text,
     write_ideal_text,
     _Codec,
@@ -30,6 +29,13 @@ from starquiver.poly import (
     VarTable,
     parse_poly,
 )
+
+
+def leading_term(p: Poly, order: MonomialOrder = GREVLEX):
+    """(exponents, coefficient) of the leading term under the given order."""
+    if p.is_zero():
+        raise ValueError("zero polynomial has no leading term")
+    return p.sorted_terms(order)[0]
 
 
 def _ideal(table, texts, order=GREVLEX, field=QQ, budget=None):
