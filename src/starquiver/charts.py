@@ -469,10 +469,14 @@ def _arm_classes(Q: StarQuiver, S, arm: int, down: dict) -> list:
     low = Q.table.index(d_arrow(arm, 1))
     others = sum(mask for b, mask in down.items() if b != arm)
     windows = [S.bits(arm_window_units(arm, w, p)) for w in range(p[arm] + 1)]
+    # the other arms' down paths reach the same vertices under every local
+    # support; each search resumes from those with an arrow of this arm
+    base = S.reach(others)
+    frontier = base & S.tails(((1 << 2 * p[arm]) - 1) << low)
     out = []
     for local in range(1 << 2 * p[arm]):
         support = local << low
-        if S.is_stable(support | others):
+        if S.is_stable(support | others, base, frontier):
             hit = sum(1 << w for w, mask in enumerate(windows) if support & mask == mask)
             out.append((support, (support & down[arm] == down[arm], hit)))
     return out

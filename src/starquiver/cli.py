@@ -353,8 +353,6 @@ def cmd_gb(args) -> int:
 
 
 def cmd_props(args) -> int:
-    if min(args.euler_samples, args.nonunit_samples, args.weight_samples) < 0:
-        raise ValueError("sample counts must be at least 0")
     t0 = time.monotonic()
     rng = random.Random(args.seed)
     suites = {}
@@ -423,13 +421,32 @@ def cmd_props(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _nonnegative(parse, kind: str):
+    """An argparse type: the text parsed by `parse`, finite and at least 0
+    (a negative cap makes every run inconclusive, and NaN and infinity are
+    not JSON)."""
+    def check(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not 0 <= value < float("inf"):
+            raise argparse.ArgumentTypeError(f"expected {kind} at least 0, got {text!r}")
+        return value
+    return check
+
+
+_count = _nonnegative(int, "an integer")
+_seconds = _nonnegative(float, "a finite number")
+
+
 # every flag a subcommand may declare: name -> add_argument keywords
 _FLAGS = {
     "p": dict(default="2,2,2", help="arm parameters a,b,c (each >= 2)"),
     "field": dict(default="q", help="q (rationals) or fp:Q"),
-    "spair-cap": dict(type=int, default=DEFAULT_BUDGET.max_spairs),
-    "deg-cap": dict(type=int, default=DEFAULT_BUDGET.max_degree),
-    "time-cap": dict(type=float, default=DEFAULT_BUDGET.time_cap, help="seconds"),
+    "spair-cap": dict(type=_count, default=DEFAULT_BUDGET.max_spairs),
+    "deg-cap": dict(type=_count, default=DEFAULT_BUDGET.max_degree),
+    "time-cap": dict(type=_seconds, default=DEFAULT_BUDGET.time_cap, help="seconds"),
     "gamma": dict(default="zero", help="zero | file:PATH | random:SEED"),
     "enum-cap": dict(type=int, default=24,
                      help="maximum number of arrows of one arm to enumerate over"),
@@ -437,9 +454,9 @@ _FLAGS = {
     "input": dict(required=True, help="ideal text file"),
     "output": dict(default=None, help="write the basis as an ideal file"),
     "seed": dict(type=int, default=0),
-    "euler-samples": dict(type=int, default=200),
-    "nonunit-samples": dict(type=int, default=50),
-    "weight-samples": dict(type=int, default=500),
+    "euler-samples": dict(type=_count, default=200),
+    "nonunit-samples": dict(type=_count, default=50),
+    "weight-samples": dict(type=_count, default=500),
 }
 _CAPS = ("spair-cap", "deg-cap", "time-cap")
 

@@ -154,6 +154,7 @@ class _Codec:
             + (w << low) + (1 << s)
             for s, w, unit in zip(self._shifts, weights,
                                   ((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))))
+        self._field_units = self._units[::-1]  # by field, lowest first
         self.guard = 0
         for s in self._shifts:
             self.guard |= 1 << (s + _GUARD_BIT)
@@ -171,8 +172,16 @@ class _Codec:
         return tuple((mono >> s) & 0xFFFF for s in self._shifts)
 
     def lift(self, low: int) -> int:
-        """The monomial whose exponent half is `low` (an lcm, say)."""
-        return sum(((low >> s) & 0xFFFF) * u for s, u in zip(self._shifts, self._units))
+        """The monomial whose exponent half is `low` (an lcm, say); only its
+        nonzero fields are visited, top down."""
+        mono = 0
+        units = self._field_units
+        while low:
+            f = (low.bit_length() - 1) // _FIELD_BITS
+            e = low >> (f * _FIELD_BITS)
+            mono += e * units[f]
+            low ^= e << (f * _FIELD_BITS)
+        return mono
 
     def deg(self, mono: int) -> int:
         """Total degree, read off the exponent half."""
@@ -361,12 +370,21 @@ def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
     """Buchberger with the Gebauer-Moeller pair update; the pair of least
     weighted lcm degree is reduced first, ties broken by the order.
 
+    Each element's lead total degree is recorded once, as it enters the
+    basis.  A kept pair's lcm degree is at most the sum of its two lead
+    degrees, so it is computed, and checked against the degree budget, only
+    when that sum is over the cap: the budget trips at the same pair, with
+    the same degree, as a check on every kept pair.
+
     Returns (reduced basis, EngineStats).  A nonzero constant in the basis
     short-circuits to the unit ideal, which is sound: the reduced basis is
     then exactly {1}.
     """
     G: list = []  # basis elements (lead, lead coeff, tail)
+    degs: list[int] = []  # total degree of each element's lead
     guard, mask_all = codec.guard, codec.mask_all
+    lcm_of, deg = codec.lcm, codec.deg
+    max_degree = bud.cfg.max_degree
     pairs: list = []  # heap of (weighted degree of lcm, lcm, i, j)
     active: list[int] = []  # indices whose lead no later lead divides
     formed = pruned_mf = pruned_coprime = pruned_b = 0
@@ -377,42 +395,48 @@ def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
                            zero, added, len(G), degree_peak)
 
     def update(t: int):
-        """Install the pairs of G[t] (Gebauer & Moeller, JSC 1988)."""
+        """Install the pairs of G[t] (Gebauer & Moeller, JSC 1988).  A pair's
+        lcm degree is computed only when its lead degrees sum over the cap."""
         nonlocal formed, pruned_mf, pruned_coprime, pruned_b, degree_peak
         h = G[t][0]
-        degree_peak = max(degree_peak, codec.deg(h))
+        dh = degs[t]
+        degree_peak = max(degree_peak, dh)
         # the new lcms are kept as exponent halves: a divisor's is never
         # larger, so every lcm sorts after its divisors; on ties a coprime
         # pair comes first (F criterion)
         new = []
         for i in active:
             a = G[i][0]
-            lp = codec.lcm(a, h)
+            lp = lcm_of(a, h)
             new.append((lp, lp != (a + h) & mask_all, i))
         new.sort()
         formed += len(new)
         kept: list[int] = []
         installed = []
         for lp, not_coprime, i in new:
-            # M and F: the lcm of a kept pair divides this one
+            # M and F: the lcm of a kept pair divides this one (kept lcms
+            # come earlier in the sort, so none is larger)
             lpg = lp | guard
-            if any(k <= lp and (lpg - k) & guard == guard for k in kept):
-                pruned_mf += 1
-                continue
-            kept.append(lp)
-            bud.check_degree(codec.deg(lp))
-            bud.tick_spair()
-            if not_coprime:
-                mono = codec.lift(lp)
-                installed.append((codec.weighted_deg(mono), mono, i, t))
+            for k in kept:
+                if (lpg - k) & guard == guard:
+                    pruned_mf += 1
+                    break
             else:
-                pruned_coprime += 1
+                kept.append(lp)
+                if degs[i] + dh > max_degree:
+                    bud.check_degree(deg(lp))
+                bud.tick_spair()
+                if not_coprime:
+                    mono = codec.lift(lp)
+                    installed.append((codec.weighted_deg(mono), mono, i, t))
+                else:
+                    pruned_coprime += 1
         # B: drop an old pair whose lcm LT(h) divides, unless the lcm equals
         # lcm(LT(i), LT(h)) or lcm(LT(j), LT(h))
         dropped = [pr for pr in pairs
                    if h <= pr[1] and ((pr[1] | guard) - h) & guard == guard
-                   and codec.lcm(G[pr[2]][0], h) != pr[1] & mask_all
-                   and codec.lcm(G[pr[3]][0], h) != pr[1] & mask_all]
+                   and lcm_of(G[pr[2]][0], h) != pr[1] & mask_all
+                   and lcm_of(G[pr[3]][0], h) != pr[1] & mask_all]
         if dropped:
             pruned_b += len(dropped)
             gone = set(dropped)
@@ -423,8 +447,13 @@ def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
             # heap keys are unique, so pushing pops in the same order
             for pr in installed:
                 heappush(pairs, pr)
-        active[:] = [i for i in active if not codec.divides(h, G[i][0])]
+        # LT(h) divides LT(i) exactly when their lcm is LT(i)
+        active[:] = [i for lp, _, i in new if lp != G[i][0] & mask_all]
         active.append(t)
+
+    def enter(h):
+        G.append(_normalize(h, q))
+        degs.append(deg(h[0][0]))
 
     # seed basis by interreducing the input generators
     for g in sorted((g for g in gens if g), key=lambda t: t[0][0]):
@@ -433,7 +462,7 @@ def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
             continue
         if h[0][0] == 0:  # constant: unit ideal
             return [(0, 1, ())], stats()
-        G.append(_normalize(h, q))
+        enter(h)
 
     for t in range(len(G)):
         update(t)
@@ -450,8 +479,8 @@ def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
         added += 1
         if h[0][0] == 0:
             return [(0, 1, ())], stats()
-        bud.check_degree(codec.deg(h[0][0]))
-        G.append(_normalize(h, q))
+        enter(h)
+        bud.check_degree(degs[-1])
         update(len(G) - 1)
 
     # every element enters reduced by the earlier ones, so no earlier lead

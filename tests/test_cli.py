@@ -316,6 +316,34 @@ def test_usage_errors(tmp_path):
     assert run_command(["props", *(arg for flag in flags for arg in (flag, "0"))]) == 0
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--spair-cap", "-5"), ("--deg-cap", "-1"), ("--time-cap", "-1"),
+    ("--time-cap", "nan"), ("--time-cap", "inf"), ("--time-cap", "-inf"),
+    ("--spair-cap", "x"), ("--time-cap", "1e400"),
+])
+def test_malformed_budget_caps_are_usage_errors(tmp_path, flag, value):
+    # a negative cap makes every run inconclusive, and a non-finite time
+    # cap is no cap at all and cannot be echoed as JSON
+    code, report = _run(tmp_path, "kernel", "--p", "2,2,2", flag, value)
+    assert code == 3
+    assert report is None
+
+
+def test_zero_and_finite_caps_stay_valid(tmp_path):
+    for flag in ("--spair-cap", "--deg-cap"):
+        code, report = _run(tmp_path, "kernel", "--p", "2,2,2", flag, "0")
+        assert code == 2
+        assert report["status"] == "inconclusive"
+    path = tmp_path / "report.json"
+    assert run_command(["kernel", "--p", "2,2,2", "--time-cap", "60", "--json", str(path)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+    assert report["config"]["budgets"]["time_cap"] == 60.0
+
+
 _GAMMA_REST = '"gamma2": ["0"], "gamma3": ["0"], "a": "0", "b": "0", "A": "0", "B": "0"'
 
 

@@ -10,6 +10,7 @@ from starquiver.groebner import (
     EngineStats,
     GroebnerBudget,
     Ideal,
+    Inconclusive,
     eliminate,
     ideals_equal,
 )
@@ -301,6 +302,21 @@ def test_kernel_engine_counters_pinned_unit_weights(field):
         pairs_formed=132190, pruned_mf=122587, pruned_coprime=1324, pruned_b=3168,
         pairs_reduced=5111, zero_reductions=4500, elements_added=611,
         basis_peak=623, degree_peak=8)
+
+
+@pytest.mark.parametrize("p, field, cap, last_failing, detail", [
+    ((2, 2, 2), QQ, "max_degree", 7, {"degree": 8}),
+    ((3, 2, 2), GF, "max_degree", 9, {"degree": 10}),
+    ((2, 2, 2), QQ, "max_spairs", 1074, {"spairs": 1075}),
+    ((3, 2, 2), GF, "max_spairs", 2380, {"spairs": 2381}),
+], ids=["2,2,2-QQ-degree", "3,2,2-F65521-degree", "2,2,2-QQ-spairs", "3,2,2-F65521-spairs"])
+def test_kernel_budget_boundaries_pinned(p, field, cap, last_failing, detail):
+    # the largest cap under which the kernel elimination is inconclusive,
+    # with the count it tripped on; one more and it completes
+    with pytest.raises(Inconclusive) as exc:
+        kernel_ideal(p, field, GroebnerBudget(**{cap: last_failing}))
+    assert exc.value.detail == detail
+    assert len(kernel_ideal(p, field, GroebnerBudget(**{cap: last_failing + 1})).gens) == 3
 
 
 @pytest.mark.parametrize("p, field", [((3, 2, 2), GF), ((2, 2, 2), QQ)],
