@@ -41,7 +41,7 @@ from .quiver import (
     support_predicates,
     u_arrow,
 )
-from .reconstruction import DeformParams, RelationSystem, canonical_relation, deformed_relations
+from .reconstruction import DeformParams, canonical_relation, deformed_relations
 
 
 def _check_chart_range(c: ChartId, p: ArmParams):
@@ -174,7 +174,7 @@ class SubstitutionOracle:
     `relations` is None and `cross` and `arms` stay empty."""
 
     Q: StarQuiver
-    relations: RelationSystem | None
+    relations: dict | None
     cross: tuple
     arms: dict
 
@@ -205,7 +205,7 @@ def substitution_oracle(Q: StarQuiver, gamma: DeformParams | None) -> Substituti
     if not gamma.inside_delta:
         raise ValueError("gamma outside the parameter subspace: empty fibre")
     relations = deformed_relations(Q, gamma)
-    cross = tuple((lbl, _arm_parts(Q, relations.by_label(lbl))) for lbl in _CROSS_LABELS)
+    cross = tuple((lbl, _arm_parts(Q, relations[lbl])) for lbl in _CROSS_LABELS)
     return SubstitutionOracle(Q, relations, cross, {})
 
 
@@ -218,7 +218,7 @@ def _arm_window(oracle: SubstitutionOracle, arm: int, window: int) -> tuple:
     if solved is not None:
         return solved
     Q, p = oracle.Q, oracle.Q.p
-    chain = [oracle.relations.by_label(f"({arm}).{m}") for m in range(1, p[arm])]
+    chain = [oracle.relations[f"({arm}).{m}"] for m in range(1, p[arm])]
     B = dict.fromkeys(arm_window_units(arm, window, p), Poly.const(Q.table, Q.field, 1))
     if window == 0:
         kept = [u_arrow(arm, 1)]
@@ -380,16 +380,10 @@ def fibre_witness_point(gamma: DeformParams) -> dict:
     c = ChartId(1, gamma.p.p2, gamma.p.p3)
     chart = fibre_chart(gamma, c)
     arm_a, arm_b = c.other_arms()
-    ga, gb = gamma.gamma(arm_a), gamma.gamma(arm_b)
-    pref_a = field.sum(ga[: c.i - 1])
-    pref_b = field.sum(gb[: c.j - 1])
-    # with d_a = 1 and d_b = 0: f2 = 1 - d_a + d_b = 0 and f1 solves u_a
-    point = {
-        d_arrow(arm_a, c.i): field.one,
-        u_arrow(arm_a, c.i): field.sub(field.add(gamma.b, pref_b), pref_a),
-        d_arrow(arm_b, c.j): field.zero,
-        u_arrow(arm_b, c.j): field.zero,
-    }
+    point = {d_arrow(arm_a, c.i): field.one, u_arrow(arm_a, c.i): field.zero,
+             d_arrow(arm_b, c.j): field.zero, u_arrow(arm_b, c.j): field.zero}
+    # with d_a = 1 and d_b = u_b = 0: f2 = 1 - d_a + d_b = 0 and f1 = u_a + f1(u_a = 0)
+    point[u_arrow(arm_a, c.i)] = field.neg(chart.gens[0].evaluate(point))
     if any(rel.evaluate(point) != field.zero for rel in chart.gens):
         raise CheckFailed("witness point misses the chart")
     arrows = chart_substitution(substitution_oracle(build_star_quiver(gamma.p, field), gamma), c)
@@ -465,8 +459,7 @@ def _arm_classes(Q: StarQuiver, S, arm: int, down: dict) -> list:
     the `arm_window_units` windows it satisfies.  A local support is stable
     when the whole support is, with the other two arms' down paths full."""
     p = Q.p
-    # the arm's 2 p_arm arrows are consecutive in the table, from d_{arm,1}
-    low = Q.table.index(d_arrow(arm, 1))
+    low = _arm_span(Q, arm).start
     others = sum(mask for b, mask in down.items() if b != arm)
     windows = [S.bits(arm_window_units(arm, w, p)) for w in range(p[arm] + 1)]
     # the other arms' down paths reach the same vertices under every local

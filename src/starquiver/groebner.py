@@ -736,6 +736,8 @@ def read_ideal_text(text: str, field=QQ,
     if not lines or not lines[0].startswith("vars:"):
         raise ValueError("ideal file must start with a 'vars:' header")
     names = [n.strip() for n in lines[0][len("vars:"):].split(",") if n.strip()]
+    if not names:
+        raise ValueError("the 'vars:' header of the ideal file names no variable")
     table = VarTable(names)
     order = GREVLEX
     body = lines[1:]

@@ -4,8 +4,9 @@ A deformation parameter packs three vectors (one per arm, length p_i - 1)
 and four scalars a, b, A, B, accessed by name throughout, and the field they
 lie in; functions read its field and arm lengths off it.  The parameter
 space of interest is the affine subspace cut out by two linear trace-type
-conditions; off it the scalar representation variety is empty, which the
-representation ideal certifies by containing 1.
+conditions; off it the scalar representation variety is empty, which two
+telescoped sums of the deformed relations certify: each is a nonzero
+constant in the representation ideal.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .groebner import CheckFailed, GroebnerBudget, DEFAULT_BUDGET, Ideal
+from .groebner import CheckFailed, Ideal
 from .poly import Poly, PrimeField, QQ
 from .quiver import ArmParams, StarQuiver, d_arrow, u_arrow
 
@@ -120,30 +121,14 @@ def in_delta(gamma: DeformParams) -> bool:
 # relation systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationSystem:
-    """Labelled relations: the three arm chains, (a)-(d), and the canonical (x)."""
-
-    labels: tuple
-    polys: tuple
-
-    def __iter__(self):
-        return iter(zip(self.labels, self.polys))
-
-    def __len__(self):
-        return len(self.polys)
-
-    def by_label(self, label: str) -> Poly:
-        return self.polys[self.labels.index(label)]
-
-
 def canonical_relation(Q: StarQuiver) -> Poly:
     """D1 - D2 + D3 on the full downward paths."""
     return Q.D(1) - Q.D(2) + Q.D(3)
 
 
-def deformed_relations(Q: StarQuiver, gamma: DeformParams) -> RelationSystem:
-    """The deformed relation system at the scalar dimension vector.
+def deformed_relations(Q: StarQuiver, gamma: DeformParams) -> dict[str, Poly]:
+    """The deformed relation system at the scalar dimension vector, by
+    label: the three arm chains, (a)-(d), and the canonical (x).
 
     Arm chains: u<i>_k d<i>_k - d<i>_{k+1} u<i>_{k+1} = gamma_{ik}; the four
     scalar relations tie the arm tops and bottoms together; the canonical
@@ -153,45 +138,48 @@ def deformed_relations(Q: StarQuiver, gamma: DeformParams) -> RelationSystem:
     if (gamma.p, gamma.field) != (Q.p, Q.field):
         raise ValueError(f"gamma for arms {gamma.p.label()} over {gamma.field!r} on a quiver "
                          f"with arms {Q.p.label()} over {Q.field!r}")
-    field = Q.field
     av = Q.arrow_poly
-    labels = []
-    polys = []
+    rels = {}
     for arm in (1, 2, 3):
         g = gamma.gamma(arm)
         for k in range(1, Q.p[arm]):
-            labels.append(f"({arm}).{k}")
-            polys.append(
-                av(u_arrow(arm, k)) * av(d_arrow(arm, k))
-                - av(d_arrow(arm, k + 1)) * av(u_arrow(arm, k + 1))
-                - Poly.const(Q.table, field, g[k - 1])
-            )
-    labels.append("(a)")
-    polys.append(av(d_arrow(2, 1)) * av(u_arrow(2, 1))
-                 - av(d_arrow(1, 1)) * av(u_arrow(1, 1))
-                 - Poly.const(Q.table, field, gamma.a))
-    labels.append("(b)")
-    polys.append(av(d_arrow(2, 1)) * av(u_arrow(2, 1))
-                 - av(d_arrow(3, 1)) * av(u_arrow(3, 1))
-                 - Poly.const(Q.table, field, gamma.b))
-    labels.append("(c)")
-    polys.append(av(u_arrow(1, Q.p.p1)) * av(d_arrow(1, Q.p.p1))
-                 - av(u_arrow(2, Q.p.p2)) * av(d_arrow(2, Q.p.p2))
-                 - Poly.const(Q.table, field, gamma.A))
-    labels.append("(d)")
-    polys.append(av(u_arrow(3, Q.p.p3)) * av(d_arrow(3, Q.p.p3))
-                 - av(u_arrow(2, Q.p.p2)) * av(d_arrow(2, Q.p.p2))
-                 - Poly.const(Q.table, field, gamma.B))
-    labels.append("(x)")
-    polys.append(canonical_relation(Q))
-    return RelationSystem(tuple(labels), tuple(polys))
+            rels[f"({arm}).{k}"] = (av(u_arrow(arm, k)) * av(d_arrow(arm, k))
+                                    - av(d_arrow(arm, k + 1)) * av(u_arrow(arm, k + 1))
+                                    - g[k - 1])
+    rels["(a)"] = (av(d_arrow(2, 1)) * av(u_arrow(2, 1))
+                   - av(d_arrow(1, 1)) * av(u_arrow(1, 1)) - gamma.a)
+    rels["(b)"] = (av(d_arrow(2, 1)) * av(u_arrow(2, 1))
+                   - av(d_arrow(3, 1)) * av(u_arrow(3, 1)) - gamma.b)
+    rels["(c)"] = (av(u_arrow(1, Q.p.p1)) * av(d_arrow(1, Q.p.p1))
+                   - av(u_arrow(2, Q.p.p2)) * av(d_arrow(2, Q.p.p2)) - gamma.A)
+    rels["(d)"] = (av(u_arrow(3, Q.p.p3)) * av(d_arrow(3, Q.p.p3))
+                   - av(u_arrow(2, Q.p.p2)) * av(d_arrow(2, Q.p.p2)) - gamma.B)
+    rels["(x)"] = canonical_relation(Q)
+    return rels
 
 
-def rep_ideal(Q: StarQuiver, gamma: DeformParams,
-              budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
+def fibre_is_empty(relations: dict[str, Poly], gamma: DeformParams) -> bool:
+    """Whether the fibre at gamma is empty, certified by two telescoped sums
+    of its deformed relations: arm 1's chain relations minus arm 2's plus
+    (a) and (c), and arm 3's minus arm 2's plus (b) and (d).  Every cycle
+    monomial cancels and each sum is minus the matching `delta_forms`
+    entry, so the fibre is empty exactly when some sum is a nonzero
+    constant.  Raises CheckFailed when a sum is anything else."""
+    chain = {arm: [relations[f"({arm}).{k}"] for k in range(1, gamma.p[arm])]
+             for arm in (1, 2, 3)}
+    middle = [-r for r in chain[2]]
+    sums = (sum(chain[1] + middle + [relations["(a)"], relations["(c)"]]),
+            sum(chain[3] + middle + [relations["(b)"], relations["(d)"]]))
+    for s, form in zip(sums, delta_forms(gamma)):
+        if not (s + form).is_zero():
+            raise CheckFailed(f"telescoped relation sum {s.to_str()} is not minus "
+                              f"the Delta form {form}")
+    return any(not s.is_zero() for s in sums)
+
+
+def rep_ideal(Q: StarQuiver, gamma: DeformParams) -> Ideal:
     """Vanishing ideal of the relation system in the arrow variables."""
-    rels = deformed_relations(Q, gamma)
-    return Ideal(Q.table, rels.polys, field=Q.field, budget=budget)
+    return Ideal(Q.table, tuple(deformed_relations(Q, gamma).values()), field=Q.field)
 
 
 # ---------------------------------------------------------------------------

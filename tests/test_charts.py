@@ -141,7 +141,7 @@ def test_fibre_substitution_covers_arrows_and_lands_in_ideal(spec):
             closed = fibre_chart(gamma, c)
             arrows = chart_substitution(oracle, c)
             assert set(arrows) == set(Q.table.names)
-            for _, rel in rels:
+            for rel in rels.values():
                 assert closed.contains(rel.substitute(arrows, closed.table))
 
 
@@ -184,7 +184,7 @@ def test_fibre_charts_and_witness_in_every_field(spec):
         assert smoothness_certificate(chart, expected_dim=2).status == "smooth"
         assert ideals_equal(chart, chart_by_substitution(oracle, c))
     point = fibre_witness_point(gamma)
-    for _, rel in deformed_relations(Q, gamma):
+    for rel in deformed_relations(Q, gamma).values():
         assert rel.evaluate(point) == field.zero
 
 
@@ -229,7 +229,7 @@ def test_cross_images_match_the_merged_substitution(spec):
                 assert set(B) == set(Q.table.names)
                 assert tuple(images) == ("(a)", "(b)", "(c)", "(d)", "(x)")
                 for lbl, img in images.items():
-                    assert img == oracle.relations.by_label(lbl).substitute(B), (c, lbl)
+                    assert img == oracle.relations[lbl].substitute(B), (c, lbl)
 
 
 def _count_bases(monkeypatch) -> list:
@@ -366,7 +366,7 @@ def test_witness_point_satisfies_every_relation():
         Q = build_star_quiver(p)
         gamma = random_gamma(p, seed=61)
         point = fibre_witness_point(gamma)
-        for _, rel in deformed_relations(Q, gamma):
+        for rel in deformed_relations(Q, gamma).values():
             assert rel.evaluate(point) == 0
 
 

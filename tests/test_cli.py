@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import starquiver.cli as cli
 from starquiver.cli import _build_parser, run_command
-from starquiver.groebner import CheckFailed, Inconclusive
+from starquiver.groebner import CheckFailed
 
 FIELDS = ["q", "fp:65521", "fp:11"]
 
@@ -130,18 +131,66 @@ def test_random_gamma_over_a_small_prime(tmp_path, seed):
     assert report["item"]["in_delta"] is True
 
 
-def test_fibre_summary_when_rep_ideal_inconclusive(tmp_path, capsys, monkeypatch):
-    def exhausted(ideal):
-        raise Inconclusive("S-pair budget exceeded")
+def test_fibre_builds_no_basis(tmp_path, monkeypatch):
+    # both verdicts are certificates checked on the relations: a witness
+    # point inside Delta, a telescoped relation sum outside
+    def no_basis(ideal):
+        raise AssertionError("fibre computed a Groebner basis")
 
-    monkeypatch.setattr("starquiver.groebner.Ideal.contains_one", exhausted)
-    code, report = _run(tmp_path, "fibre", "--p", "2,2,2",
-                        "--gamma", _write_gamma(tmp_path, ["1"], "0"))
-    assert code == 2
-    assert report["item"]["one_in_rep_ideal"] is None
-    out = capsys.readouterr().out
-    assert "1 in relation ideal)" not in out
-    assert "inconclusive" in out
+    monkeypatch.setattr("starquiver.groebner.Ideal._ensure_basis", no_basis)
+    for a, key in (("-1", "witness_satisfies_relations"), ("0", "one_in_rep_ideal")):
+        for p, arm in (("2,2,2", 2), ("8,8,8", 8)):
+            gamma = _write_gamma(tmp_path, ["1"] + ["0"] * (arm - 2), a)
+            code, report = _run(tmp_path, "fibre", "--p", p, "--gamma", gamma)
+            assert code == 0 and report["item"][key] is True, (a, p)
+
+
+@pytest.mark.parametrize("a, label, extra", [
+    ("0", "(2).1", "u2_1"),  # outside Delta: a telescoped sum keeps u2_1
+    ("0", "(c)", 2),         # outside Delta: the sum's constant is off by 2
+    ("-1", "(x)", 1),        # inside Delta: the witness point misses (x)
+])
+def test_fibre_fails_on_a_perturbed_relation_system(tmp_path, capsys, monkeypatch,
+                                                    a, label, extra):
+    build = cli.deformed_relations
+
+    def perturbed(Q, gamma):
+        rels = build(Q, gamma)
+        rels[label] = rels[label] + (Q.arrow_poly(extra) if isinstance(extra, str) else extra)
+        return rels
+
+    monkeypatch.setattr(cli, "deformed_relations", perturbed)
+    code, _ = _run(tmp_path, "fibre", "--p", "3,3,3", "--gamma",
+                   _write_gamma(tmp_path, ["1", "0"], a))
+    assert code == 1
+    assert "-> ok" not in capsys.readouterr().out
+
+
+# `fibre --p 3,3,3` witness points as the chain solve gives them: the two
+# seed-independent F_65521 gammas of the benchmark, and random:1 over QQ
+_WITNESS_DOWN = {"d1_1": "1", "d1_2": "1", "d1_3": "1", "d2_1": "1", "d2_2": "1",
+                 "d2_3": "1", "d3_1": "1", "d3_2": "1", "d3_3": "0"}
+
+
+@pytest.mark.parametrize("field, gamma, ups", [
+    ("fp:65521", {"gamma1": ["1", "0"], "gamma2": ["0", "0"], "gamma3": ["0", "0"],
+                  "a": "-1", "b": "0", "A": "0", "B": "0"},
+     ["1", "0", "0", "0", "0", "0", "0", "0", "0"]),
+    ("fp:65521", {"gamma1": ["1/2", "1/3"], "gamma2": ["1/4", "0"], "gamma3": ["-1/5", "0"],
+                  "a": "-7/12", "b": "9/20", "A": "0", "B": "0"},
+     ["10921", "43681", "0", "49141", "0", "0", "13104", "0", "0"]),
+    ("q", "random:1",
+     ["-137/140", "9/20", "29/20", "3", "2", "5/4", "-19/18", "-3/2", "0"]),
+], ids=["fixed0-fp", "fixed1-fp", "random1-q"])
+def test_fibre_witness_point_is_pinned(tmp_path, field, gamma, ups):
+    if isinstance(gamma, dict):
+        path = tmp_path / "gamma.json"
+        path.write_text(json.dumps(gamma), encoding="utf-8")
+        gamma = f"file:{path}"
+    code, report = _run(tmp_path, "fibre", "--p", "3,3,3", "--field", field, "--gamma", gamma)
+    assert code == 0
+    names = [f"u{arm}_{k}" for arm in (1, 2, 3) for k in (1, 2, 3)]
+    assert report["item"]["witness_point"] == dict(_WITNESS_DOWN, **dict(zip(names, ups)))
 
 
 def test_fibre_inside_delta(tmp_path):
@@ -282,6 +331,14 @@ def test_gb_over_deep_nesting_is_a_usage_error(tmp_path, capsys):
     assert "nested too deeply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["vars:\n1\n", "vars: , \nx\n", "vars:\n"])
+def test_gb_header_without_variables_is_a_usage_error(tmp_path, capsys, text):
+    ideal = tmp_path / "empty.txt"
+    ideal.write_text(text, encoding="utf-8")
+    assert run_command(["gb", "--input", str(ideal)]) == 3
+    assert "'vars:' header of the ideal file names no variable" in capsys.readouterr().err
+
+
 def test_props_suites(tmp_path):
     code, report = _run(tmp_path, "props", "--p", "2,2,2",
                         "--euler-samples", "25", "--nonunit-samples", "5",
@@ -384,7 +441,7 @@ CONFIG_KEYS = {
     "charts": {"p", "field", "budgets", "gamma"},
     "smooth": {"p", "field", "budgets"},
     "cover": {"p", "enum_cap"},
-    "fibre": {"p", "field", "budgets", "gamma"},
+    "fibre": {"p", "field", "gamma"},
     "pi": {"p", "point"},
     "minors": {"p"},
     "kernel": {"p", "field", "budgets"},
@@ -425,6 +482,9 @@ def test_config_echoes_exactly_the_declared_flags(tmp_path):
     ["minors", "--spair-cap", "10"],
     ["pi", "--field", "q"],
     ["fibre", "--jobs", "2"],
+    ["fibre", "--spair-cap", "10"],
+    ["fibre", "--deg-cap", "10"],
+    ["fibre", "--time-cap", "10"],
     ["gb", "--p", "2,2,2", "--input", "ideal.txt"],
     ["props", "--field", "q"],
     ["charts", "--jobs", "2"],

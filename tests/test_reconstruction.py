@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from starquiver.poly import Poly, PrimeField, QQ, parse_poly
+from starquiver.groebner import CheckFailed
+from starquiver.poly import PrimeField, QQ, parse_field, parse_poly
 from starquiver.quiver import ArmParams, build_star_quiver
 from starquiver.reconstruction import (
     canonical_relation,
     deformed_relations,
     delta_forms,
+    fibre_is_empty,
     gamma_from_json,
     in_delta,
     make_gamma,
@@ -43,7 +45,7 @@ def test_relation_count_and_quadratic_shape():
     Q = build_star_quiver(P222)
     rels = deformed_relations(Q, zero_gamma(P222))
     assert len(rels) == 8
-    for label, poly in rels:
+    for label, poly in rels.items():
         if label == "(x)":
             continue
         assert total_degree(poly) == 2
@@ -52,7 +54,7 @@ def test_relation_count_and_quadratic_shape():
 def test_relation_a_with_scalar():
     Q = build_star_quiver(P222)
     gamma = make_gamma(P222, [0], [0], [0], a=5, b=0, A=0, B=0)
-    rel = deformed_relations(Q, gamma).by_label("(a)")
+    rel = deformed_relations(Q, gamma)["(a)"]
     assert rel == parse_poly("d2_1*u2_1 - d1_1*u1_1 - 5", Q.table)
 
 
@@ -60,9 +62,9 @@ def test_zero_gamma_reproduces_undeformed_relations():
     Q = build_star_quiver((3, 2, 2))
     rels = deformed_relations(Q, zero_gamma(ArmParams(3, 2, 2)))
     av = Q.arrow_poly
-    assert rels.by_label("(1).1") == av("u1_1") * av("d1_1") - av("d1_2") * av("u1_2")
-    assert rels.by_label("(c)") == av("u1_3") * av("d1_3") - av("u2_2") * av("d2_2")
-    assert rels.by_label("(x)") == canonical_relation(Q)
+    assert rels["(1).1"] == av("u1_1") * av("d1_1") - av("d1_2") * av("u1_2")
+    assert rels["(c)"] == av("u1_3") * av("d1_3") - av("u2_2") * av("d2_2")
+    assert rels["(x)"] == canonical_relation(Q)
 
 
 # ---------------------------------------------------------------------------
@@ -86,21 +88,55 @@ def test_delta_violated_by_single_entry():
 
 def test_telescoping_relation_sums():
     # summing (1) - (2) + (a) + (c) collapses every cycle monomial and leaves
-    # minus the first subspace form; same for (3) - (2) + (b) + (d)
+    # minus the first subspace form; same for (3) - (2) + (b) + (d).
+    # fibre_is_empty raises CheckFailed unless both sums are these constants
     for p in [(2, 2, 2), (4, 3, 2)]:
         p = ArmParams.parse(p)
         Q = build_star_quiver(p)
-        gamma = random_gamma(p, seed=9, inside_delta=False)
-        rels = deformed_relations(Q, gamma)
-        zero = Poly.zero(Q.table, QQ)
-        s1 = sum((rels.by_label(f"(1).{k}") for k in range(1, p.p1)), zero)
-        s2 = sum((rels.by_label(f"(2).{k}") for k in range(1, p.p2)), zero)
-        s3 = sum((rels.by_label(f"(3).{k}") for k in range(1, p.p3)), zero)
-        f1, f2 = delta_forms(gamma)
-        combo1 = s1 - s2 + rels.by_label("(a)") + rels.by_label("(c)")
-        combo2 = s3 - s2 + rels.by_label("(b)") + rels.by_label("(d)")
-        assert combo1 == Poly.const(Q.table, QQ, -f1)
-        assert combo2 == Poly.const(Q.table, QQ, -f2)
+        outside = random_gamma(p, seed=9, inside_delta=False)
+        assert fibre_is_empty(deformed_relations(Q, outside), outside)
+        inside = random_gamma(p, seed=9)
+        assert not fibre_is_empty(deformed_relations(Q, inside), inside)
+
+
+def _one_scalar(p: ArmParams, key: str, value, field):
+    """The gamma whose one nonzero coordinate is the scalar `key`."""
+    scalars = dict.fromkeys("abAB", 0)
+    scalars[key] = value
+    return make_gamma(p, [0] * (p.p1 - 1), [0] * (p.p2 - 1), [0] * (p.p3 - 1),
+                      **scalars, field=field)
+
+
+SUITE_SIZES = [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3, 3), (4, 3, 2)]
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:65521", "fp:7"])
+def test_relation_sums_agree_with_the_relation_ideal(spec):
+    # the sums decide emptiness as the Groebner basis of all the relations
+    # does: empty off Delta (1 in the ideal), not empty on it
+    field = parse_field(spec)
+    for p in map(ArmParams.parse, SUITE_SIZES):
+        Q = build_star_quiver(p, field)
+        gammas = [random_gamma(p, seed, field=field, inside_delta=False) for seed in (1, 2)]
+        gammas += [_one_scalar(p, "a", 1, field), _one_scalar(p, "b", -2, field)]
+        gammas += [random_gamma(p, 1, field=field), zero_gamma(p, field)]
+        for gamma in gammas:
+            empty = fibre_is_empty(deformed_relations(Q, gamma), gamma)
+            assert empty == rep_ideal(Q, gamma).contains_one() == (not in_delta(gamma)), p
+
+
+@pytest.mark.parametrize("label", ["(1).1", "(2).2", "(3).1", "(a)", "(b)", "(c)", "(d)"])
+def test_relation_sums_reject_a_perturbed_relation(label):
+    # one extra monomial, a cycle or a constant, in any relation the sums
+    # read leaves a monomial or the wrong constant
+    p = ArmParams(2, 3, 2)
+    Q = build_star_quiver(p)
+    for gamma in (random_gamma(p, seed=3, inside_delta=False), random_gamma(p, seed=3)):
+        for extra in (Q.arrow_poly("d2_1") * Q.arrow_poly("u2_1"), 1):
+            rels = deformed_relations(Q, gamma)
+            rels[label] = rels[label] + extra
+            with pytest.raises(CheckFailed, match="telescoped relation sum"):
+                fibre_is_empty(rels, gamma)
 
 
 def test_random_gamma_is_seeded_and_lands_where_asked():
