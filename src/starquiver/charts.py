@@ -4,13 +4,18 @@ Each chart scales the full downward path of one arm, plus partial down/up
 paths on the other two arms, to 1.  A chart is the `Ideal` of its relations
 in its chart variables: the total space (one canonical relation) gives a
 hypersurface, every fibre of the deformation family two relations in four
-variables.  A second, substitution-based derivation acts as an independent
-oracle: it solves the arm chains mechanically from the relation system and
-must generate the same ideal as the closed form.  Each arm chain is solved
-once per arm window, and the cross relations are pushed through each window
-once, part by arm-local part; a chart multiplies its three windows' parts.
-The same solve is the one source of a chart's arrow substitution, which
-`chart_substitution` returns.
+variables.  The closed form builds each arm's cycle product once per arm
+window and gamma, in that window's two variables, and places it in every
+chart that reads the window.  A second, substitution-based derivation acts
+as an independent oracle: it solves the arm chains mechanically from the
+relation system and must generate the same ideal as the closed form.  Each
+arm chain is solved once per arm window, on the arm's own variables, and
+the cross relations are pushed through each window once, part by arm-local
+part; a chart places its three windows' parts in its own five-variable
+table, the chart variables and the leftover, which it then solves.  The
+same solve is the one source of a chart's arrow substitution, which
+`chart_substitution` returns.  The two derivations share no factor, cache
+or solved window.
 """
 
 from __future__ import annotations
@@ -95,44 +100,67 @@ def _chart_table(c: ChartId) -> VarTable:
     ])
 
 
-def _arm_cycle_product(cycle: Poly, d_var: Poly, gammas, m: int):
-    """d * prod_{t=m}^{len(gammas)} (cycle - sum_{l=m}^{t} gamma_l); empty product = 1."""
-    table, field = d_var.table, d_var.field
-    acc = d_var
+def _cycle_factor(field, gammas) -> tuple:
+    """d * prod_t (d u - (gammas[0] + ... + gammas[t])) in the two variables
+    (d, u), an empty product being 1: a polynomial c(x) in the cycle x = d u,
+    times d, so its terms are ((j + 1, j), c_j) for the nonzero c_j."""
+    coeffs = [field.one]  # c(x), lowest degree first
     partial = field.zero
-    for t in range(m, len(gammas) + 1):
-        partial = field.add(partial, gammas[t - 1])
-        acc = acc * (cycle - Poly.const(table, field, partial))
-    return acc
+    for g in gammas:
+        partial = field.add(partial, g)
+        shift = field.neg(partial)
+        # c(x) * (x + shift)
+        coeffs = ([field.mul(shift, coeffs[0])]
+                  + [field.add(field.mul(shift, c), low) for low, c in zip(coeffs, coeffs[1:])]
+                  + [coeffs[-1]])
+    return tuple(((j + 1, j), c) for j, c in enumerate(coeffs) if c != field.zero)
+
+
+# the closed form's arm factors of the last gamma read, by (arm, window)
+_factor_cache: list = [None, {}]
+
+
+def _arm_factor(gamma: DeformParams, arm: int, window: int) -> tuple:
+    """The product d prod_{t=window}^{p_arm - 1} (d u - sum_{l=window}^t
+    gamma_{arm,l}) on (d, u) = (d_{arm,window}, u_{arm,window}), built once
+    per (arm, window) per gamma: every chart reading that window reuses it."""
+    if _factor_cache[0] is not gamma:
+        _factor_cache[:] = [gamma, {}]
+    factors = _factor_cache[1]
+    factor = factors.get((arm, window))
+    if factor is None:
+        factor = factors[arm, window] = _cycle_factor(gamma.field, gamma.gamma(arm)[window - 1:])
+    return factor
 
 
 def fibre_chart(gamma: DeformParams, c: ChartId,
                 budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
     """The closed-form ideal of the chart of the fibre at gamma, over gamma's
-    field and arm lengths."""
+    field and arm lengths.  f1 ties the chart's two cycles d u; f2 is the
+    canonical relation D1 - D2 + D3 with D_k scaled to 1 and each other
+    arm's down path replaced by its `_arm_factor`.  The factors share no
+    variable, so f2's terms are theirs, placed at their arm's two chart
+    variables, and nothing is multiplied."""
     p, field = gamma.p, gamma.field
     _check_chart_range(c, p)
     if not gamma.inside_delta:
         raise ValueError("gamma outside the parameter subspace: empty fibre")
     arm_a, arm_b = c.other_arms()
     table = _chart_table(c)
-    da = Poly.var(table, field, d_arrow(arm_a, c.i))
-    ua = Poly.var(table, field, u_arrow(arm_a, c.i))
-    db = Poly.var(table, field, d_arrow(arm_b, c.j))
-    ub = Poly.var(table, field, u_arrow(arm_b, c.j))
-    cyc_a, cyc_b = da * ua, db * ub
-    ga, gb = gamma.gamma(arm_a), gamma.gamma(arm_b)
-    pref_a = field.sum(ga[: c.i - 1])
-    pref_b = field.sum(gb[: c.j - 1])
-
-    if c.k == 3:
-        f1 = cyc_b + pref_b - cyc_a - pref_a - Poly.const(table, field, gamma.a)
-    else:
-        const = gamma.b if c.k == 1 else field.sub(gamma.b, gamma.a)
-        f1 = cyc_a + pref_a - cyc_b - pref_b - Poly.const(table, field, const)
-    f2 = _scaled_canonical(c.k, _arm_cycle_product(cyc_a, da, ga, c.i),
-                           _arm_cycle_product(cyc_b, db, gb, c.j))
-    return Ideal(table, (f1, f2), field=field, budget=budget)
+    one, neg = field.one, field.neg
+    pref = field.sub(field.sum(gamma.gamma(arm_a)[: c.i - 1]),
+                     field.sum(gamma.gamma(arm_b)[: c.j - 1]))  # pref_a - pref_b
+    if c.k == 3:  # f1 = cyc_b - cyc_a - (pref_a - pref_b) - a
+        sign, const = neg(one), field.sub(neg(pref), gamma.a)
+    else:  # f1 = cyc_a - cyc_b + (pref_a - pref_b) - (b, or b - a for k = 2)
+        sign, const = one, field.sub(pref, gamma.b if c.k == 1 else field.sub(gamma.b, gamma.a))
+    f1 = {(1, 1, 0, 0): sign, (0, 0, 1, 1): neg(sign), (0, 0, 0, 0): const}
+    f2 = {(0, 0, 0, 0): neg(one) if c.k == 2 else one}
+    for arm, window, pad in ((arm_a, c.i, 0), (arm_b, c.j, 2)):
+        for exps, v in _arm_factor(gamma, arm, window):
+            f2[(0,) * pad + exps + (0,) * (2 - pad)] = neg(v) if arm == 2 else v
+    return Ideal(table, (Poly(table, field, f1), Poly(table, field, f2)),
+                 field=field, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +194,18 @@ class SubstitutionOracle:
     """The oracle's per-gamma half.  `cross` holds the cross relations
     (a)-(d) and (x) by label, each term as its coefficient and its arm-local
     parts (`_arm_parts`).  `arms[arm, window]` holds the window's solution,
-    which maps every arrow of the arm to 1, to its chain solution or to
-    itself (window 0, a chart's distinguished arm, keeps u_{arm,1}; window i
-    keeps d_{arm,i} and u_{arm,i}), and beside it the image of each of the
-    arm's cross parts under that solution.  A window is solved, and its
-    parts pushed through, on its first use by `_arm_window`.  Without gamma,
-    `relations` is None and `cross` and `arms` stay empty."""
+    solved on the arm's own table of 2 p_arm arrows: it maps every arrow of
+    the arm to 1, to its chain solution or to itself (window 0, a chart's
+    distinguished arm, keeps u_{arm,1}; window i keeps d_{arm,i} and
+    u_{arm,i}).  Beside it sits the image of each of the arm's cross parts
+    under that solution, as terms in the window's kept variables.  A window
+    is solved, and its parts pushed through, on its first use by
+    `_arm_window`; a chart places its three windows' parts in its own small
+    table (`_cross_images`).  Without gamma, `gamma` and `relations` are
+    None and `cross` and `arms` stay empty."""
 
     Q: StarQuiver
+    gamma: DeformParams | None
     relations: dict | None
     cross: tuple
     arms: dict
@@ -197,29 +229,36 @@ def _arm_parts(Q: StarQuiver, rel: Poly) -> tuple:
                  for exps, coeff in rel.terms.items())
 
 
-def substitution_oracle(Q: StarQuiver, gamma: DeformParams | None) -> SubstitutionOracle:
-    """Build the deformed relations once; each arm chain is then solved once
-    per window that some chart reads."""
+def substitution_oracle(Q: StarQuiver, gamma: DeformParams | None,
+                        relations: dict | None = None) -> SubstitutionOracle:
+    """Build the deformed relations once, unless the caller passes the
+    `deformed_relations(Q, gamma)` it has built; each arm chain is then
+    solved once per window that some chart reads."""
     if gamma is None:
-        return SubstitutionOracle(Q, None, (), {})
+        return SubstitutionOracle(Q, None, None, (), {})
     if not gamma.inside_delta:
         raise ValueError("gamma outside the parameter subspace: empty fibre")
-    relations = deformed_relations(Q, gamma)
+    if relations is None:
+        relations = deformed_relations(Q, gamma)
     cross = tuple((lbl, _arm_parts(Q, relations[lbl])) for lbl in _CROSS_LABELS)
-    return SubstitutionOracle(Q, relations, cross, {})
+    return SubstitutionOracle(Q, gamma, relations, cross, {})
 
 
 def _arm_window(oracle: SubstitutionOracle, arm: int, window: int) -> tuple:
-    """The arm's chain solved by forward/backward substitution from the
-    window's unit arrows, and the images of the arm's cross parts under it,
-    on first use; every window belongs to some chart.  A solved chain must
-    vanish."""
+    """The arm's chain solved on the arm's table by forward/backward
+    substitution from the window's unit arrows, and the images of the arm's
+    cross parts under it, on first use; every window belongs to some chart.
+    A solved chain must vanish."""
     solved = oracle.arms.get((arm, window))
     if solved is not None:
         return solved
-    Q, p = oracle.Q, oracle.Q.p
-    chain = [oracle.relations[f"({arm}).{m}"] for m in range(1, p[arm])]
-    B = dict.fromkeys(arm_window_units(arm, window, p), Poly.const(Q.table, Q.field, 1))
+    Q, p, field = oracle.Q, oracle.Q.p, oracle.Q.field
+    span = _arm_span(Q, arm)
+    table = VarTable(Q.table.names[span])
+    # a chain relation reads only its arm's arrows
+    chain = [Poly(table, field, {e[span]: v for e, v in rel.terms.items()})
+             for rel in (oracle.relations[f"({arm}).{m}"] for m in range(1, p[arm]))]
+    B = dict.fromkeys(arm_window_units(arm, window, p), Poly.const(table, field, 1))
     if window == 0:
         kept = [u_arrow(arm, 1)]
         steps = [(m, u_arrow(arm, m + 1)) for m in range(1, p[arm])]
@@ -227,64 +266,78 @@ def _arm_window(oracle: SubstitutionOracle, arm: int, window: int) -> tuple:
         kept = [d_arrow(arm, window), u_arrow(arm, window)]
         steps = [(m, u_arrow(arm, m)) for m in range(window - 1, 0, -1)]
         steps += [(m, d_arrow(arm, m + 1)) for m in range(window, p[arm])]
-    B.update((a, Q.arrow_poly(a)) for a in kept)
+    B.update((a, Poly.var(table, field, a)) for a in kept)
     for m, unknown in steps:
         B[unknown] = _solve_linear(chain[m - 1].substitute(B), unknown)
     for m, rel in enumerate(chain, 1):
         if not rel.substitute(B).is_zero():
             raise CheckFailed(f"chain relation ({arm}).{m} did not resolve")
-    span, parts = _arm_span(Q, arm), {}
+    at = [table.index(a) for a in kept]
+    parts = {}
     for local in {local for _, terms in oracle.cross for _, term_parts in terms
                   for part_arm, local in term_parts if part_arm == arm}:
-        exps = [0] * len(Q.table)
-        exps[span] = local
-        parts[local] = Poly.monomial(Q.table, Q.field, exps).substitute(B)
+        image = Poly.monomial(table, field, local).substitute(B)
+        parts[local] = tuple((tuple(e[i] for i in at), v) for e, v in image.terms.items())
     solved = oracle.arms[arm, window] = (B, parts)
     return solved
 
 
-def _cross_images(oracle: SubstitutionOracle, c: ChartId) -> tuple[dict, dict]:
-    """The chart's merged arm substitution B, and the image under B of each
-    cross relation by label.  B binds each arm's arrows to polynomials in
-    that arm's arrows only, so a term coeff * m_1 m_2 m_3 maps to
-    coeff * phi_1(m_1) phi_2(m_2) phi_3(m_3), each factor read from its arm
-    window's parts."""
+def _chart_windows(c: ChartId) -> tuple:
+    """The chart's (arm, window) pairs, each with the position of its kept
+    variables in `_solve_table`."""
     arm_a, arm_b = c.other_arms()
-    windows = [(arm, _arm_window(oracle, arm, w))
-               for arm, w in ((c.k, 0), (arm_a, c.i), (arm_b, c.j))]
-    B = {a: e for _, (arrows, _) in windows for a, e in arrows.items()}
-    parts = {arm: arm_parts for arm, (_, arm_parts) in windows}
-    table, field = oracle.Q.table, oracle.Q.field
-    one = Poly.const(table, field, 1)
+    return ((c.k, 0, 4), (arm_a, c.i, 0), (arm_b, c.j, 2))
+
+
+def _solve_table(c: ChartId) -> VarTable:
+    """The chart's four variables and the leftover u_{k,1}: the variables
+    its three windows keep."""
+    return VarTable(_chart_table(c).names + (u_arrow(c.k, 1),))
+
+
+def _cross_images(oracle: SubstitutionOracle, c: ChartId) -> dict:
+    """The image of each cross relation by label under the chart's merged
+    arm substitution, on `_solve_table`.  Each window binds its arm's arrows
+    to polynomials in its own kept variables, so a term coeff * m_1 m_2 m_3
+    maps to coeff * phi_1(m_1) phi_2(m_2) phi_3(m_3), each factor read from
+    its window's parts and placed at the window's variables."""
+    table = _solve_table(c)
+    n, field = len(table), oracle.Q.field
+    add, mul = field.add, field.mul
+    placed = {}
+    for arm, window, pad in _chart_windows(c):
+        _, parts = _arm_window(oracle, arm, window)
+        placed[arm] = {local: [((0,) * pad + e + (0,) * (n - pad - len(e)), v) for e, v in terms]
+                       for local, terms in parts.items()}
     images = {}
     for lbl, terms in oracle.cross:
         out: dict = {}
         for coeff, term_parts in terms:
-            factors = [parts[arm][local] for arm, local in term_parts]
-            term = factors[0] if factors else one
-            for f in factors[1:]:
-                term = term * f
-            for exps, v in term.terms.items():
-                out[exps] = field.add(out.get(exps, field.zero), field.mul(coeff, v))
+            term = [((0,) * n, coeff)]
+            for arm, local in term_parts:
+                # the factors share no variable: exponents add without overlap
+                term = [(tuple(map(int.__add__, e1, e2)), mul(c1, c2))
+                        for e1, c1 in term for e2, c2 in placed[arm][local]]
+            for e, v in term:
+                out[e] = add(out[e], v) if e in out else v
         images[lbl] = Poly(table, field, out)  # drops the cancelled terms
-    return B, images
+    return images
 
 
 def _chart_solve(oracle: SubstitutionOracle, c: ChartId):
-    """Solve the leftover u_{k,1} from the chart's cross images: the merged
-    arm substitution, the leftover's solution on the chart table, and the
-    other images."""
+    """Solve the leftover u_{k,1} from the chart's cross images: the
+    leftover's solution on the chart table, and the other images."""
     _check_chart_range(c, oracle.Q.p)
     if oracle.relations is None:
         raise ValueError("an oracle without gamma has no arrow substitution")
-    B, images = _cross_images(oracle, c)
+    images = _cross_images(oracle, c)
     leftover = u_arrow(c.k, 1)
     solved_label = next((lbl for lbl in _CROSS_LABELS[:4]
                          if leftover in images[lbl].variables_used()), None)
     if solved_label is None:
         raise CheckFailed("no relation available to solve the leftover variable")
     solved = _solve_linear(images.pop(solved_label), leftover).rename(_chart_table(c))
-    return B, {leftover: solved}, tuple(images.values())
+    return {leftover: solved}, tuple(images.values())
 
 
 def chart_by_substitution(oracle: SubstitutionOracle, c: ChartId,
@@ -298,7 +351,7 @@ def chart_by_substitution(oracle: SubstitutionOracle, c: ChartId,
         table = total_space_chart(Q.p, c, Q.field).table
         img = canonical_relation(Q).substitute(dict.fromkeys(chart_unit_arrows(c, Q.p), 1), table)
         return Ideal(table, (img,), field=Q.field, budget=budget)
-    _, leftover, rest = _chart_solve(oracle, c)
+    leftover, rest = _chart_solve(oracle, c)
     table = _chart_table(c)
     images = [img.substitute(leftover, table) for img in rest]
     return Ideal(table, [img for img in images if not img.is_zero()], field=Q.field, budget=budget)
@@ -308,9 +361,13 @@ def chart_substitution(oracle: SubstitutionOracle, c: ChartId) -> dict:
     """Every arrow of the quiver as a polynomial in the fibre chart's
     variables, as the chain solve gives it; pushing the deformed relations
     through it lands in the chart's ideal.  The oracle needs a gamma."""
-    B, leftover, _ = _chart_solve(oracle, c)
+    leftover, _ = _chart_solve(oracle, c)
     table = _chart_table(c)
-    return {a: e.substitute(leftover, table) for a, e in B.items()}
+    # each window's solution reads its kept variables: the chart's, or the
+    # leftover u_{k,1} of arm k
+    return {a: e.substitute(leftover if arm == c.k else {}, table)
+            for arm, window, _ in _chart_windows(c)
+            for a, e in _arm_window(oracle, arm, window)[0].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +425,18 @@ def smoothness_certificate(ideal: Ideal,
     return SmoothnessCertificate(one_in, dim, status)
 
 
-def fibre_witness_point(gamma: DeformParams) -> dict:
-    """An exact scalar point of the fibre at gamma, read off a boundary chart.
+def fibre_witness_point(oracle: SubstitutionOracle) -> dict:
+    """An exact scalar point of the fibre at the oracle's gamma, read off a
+    boundary chart.
 
     On the chart (1, p2, p3) the second closed-form relation is linear, so a
-    solution in gamma's field exists; the chain solve's arrow substitution on
+    solution in gamma's field exists; the oracle's arrow substitution on
     that chart turns it into values for every arrow.  Raises CheckFailed if
     the point misses the closed-form chart.
     """
+    gamma = oracle.gamma
+    if gamma is None:
+        raise ValueError("an oracle without gamma has no fibre")
     field = gamma.field
     c = ChartId(1, gamma.p.p2, gamma.p.p3)
     chart = fibre_chart(gamma, c)
@@ -386,7 +447,7 @@ def fibre_witness_point(gamma: DeformParams) -> dict:
     point[u_arrow(arm_a, c.i)] = field.neg(chart.gens[0].evaluate(point))
     if any(rel.evaluate(point) != field.zero for rel in chart.gens):
         raise CheckFailed("witness point misses the chart")
-    arrows = chart_substitution(substitution_oracle(build_star_quiver(gamma.p, field), gamma), c)
+    arrows = chart_substitution(oracle, c)
     return {arrow: expr.evaluate(point) for arrow, expr in arrows.items()}
 
 

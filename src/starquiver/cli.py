@@ -201,9 +201,11 @@ def cmd_fibre(args) -> int:
         "in_delta": inside,
         "delta_forms": [str(f) for f in delta_forms(gamma)],
     }
-    relations = deformed_relations(build_star_quiver(p, field), gamma)
+    Q = build_star_quiver(p, field)
+    relations = deformed_relations(Q, gamma)
     if inside:
-        point = fibre_witness_point(gamma)
+        # the witness reads the same quiver and relations: one build per run
+        point = fibre_witness_point(substitution_oracle(Q, gamma, relations))
         ok = all(r.evaluate(point) == field.zero for r in relations.values())
         item["witness_point"] = {a: str(v) for a, v in sorted(point.items())}
         item["witness_satisfies_relations"] = ok

@@ -549,7 +549,7 @@ class Ideal:
         self._codec = _Codec(table, order, self.weights)
         self._q = field.q if isinstance(field, PrimeField) else 0
         self._basis_engine = None
-        self._basis_poly = None
+        self._polys = None
         self.stats: EngineStats | None = None
 
     # -- basis ---------------------------------------------------------------
@@ -564,10 +564,18 @@ class Ideal:
 
     def _set_basis(self, basis):
         self._basis_engine = basis
-        self._basis_poly = tuple(
-            _from_engine([(lead, lc), *tail], lc, self._codec, self.table, self.field, self._q)
-            for lead, lc, tail in basis
-        )
+        self._polys = None
+
+    @property
+    def _basis_poly(self) -> tuple:
+        """The engine basis as Polys, converted on first read: the
+        certificates and the ideal comparison read the engine form only."""
+        if self._polys is None:
+            self._polys = tuple(
+                _from_engine([(lead, lc), *tail], lc, self._codec, self.table, self.field, self._q)
+                for lead, lc, tail in self._basis_engine
+            )
+        return self._polys
 
     def groebner_basis(self) -> tuple:
         """The reduced Groebner basis (monic, sorted by leading monomial)."""
@@ -704,13 +712,22 @@ def krull_dimension(ideal: Ideal) -> DimensionReport:
 
 
 def ideals_equal(a: Ideal, b: Ideal) -> bool:
-    """True iff the two ideals coincide (same VarTable and field required)."""
+    """True iff the two ideals coincide (same VarTable and field required).
+
+    Under one order the reduced bases decide it.  With equal weights too the
+    two codecs pack alike, and `_normalize` makes each reduced element's
+    engine form unique, so the engine bases are compared without building a
+    Poly."""
     if a.table != b.table:
         raise ValueError("ideals on different VarTables")
     if a.field != b.field:
         raise ValueError("ideals over different coefficient fields")
     if a.order == b.order:
-        return a.groebner_basis() == b.groebner_basis()
+        if a.weights != b.weights:
+            return a.groebner_basis() == b.groebner_basis()
+        a._ensure_basis()
+        b._ensure_basis()
+        return a._basis_engine == b._basis_engine
     return all(a.contains(g) for g in b.gens) and all(b.contains(g) for g in a.gens)
 
 

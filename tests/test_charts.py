@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import starquiver
 from starquiver import charts, groebner, quiver
 from starquiver.charts import (
     CoverReport,
@@ -120,6 +121,69 @@ def test_fibre_chart_boundary_collapses_to_single_factor():
     assert f2 == expected
 
 
+def _arm_cycle_product(cycle: Poly, d_var: Poly, gammas, m: int) -> Poly:
+    """The reference: d * prod_{t=m}^{len(gammas)} (cycle - sum_{l=m}^{t}
+    gamma_l) multiplied out in the chart's ring; empty product = 1."""
+    table, field = d_var.table, d_var.field
+    acc = d_var
+    partial = field.zero
+    for t in range(m, len(gammas) + 1):
+        partial = field.add(partial, gammas[t - 1])
+        acc = acc * (cycle - Poly.const(table, field, partial))
+    return acc
+
+
+def _reference_fibre_chart(gamma, c) -> tuple:
+    """The chart's two relations by the direct product formula."""
+    field = gamma.field
+    arm_a, arm_b = c.other_arms()
+    table = VarTable([d_arrow(arm_a, c.i), u_arrow(arm_a, c.i),
+                      d_arrow(arm_b, c.j), u_arrow(arm_b, c.j)])
+    da, ua, db, ub = (Poly.var(table, field, n) for n in table.names)
+    cyc_a, cyc_b = da * ua, db * ub
+    ga, gb = gamma.gamma(arm_a), gamma.gamma(arm_b)
+    pref_a, pref_b = field.sum(ga[: c.i - 1]), field.sum(gb[: c.j - 1])
+    if c.k == 3:
+        f1 = cyc_b + pref_b - cyc_a - pref_a - Poly.const(table, field, gamma.a)
+    else:
+        const = gamma.b if c.k == 1 else field.sub(gamma.b, gamma.a)
+        f1 = cyc_a + pref_a - cyc_b - pref_b - Poly.const(table, field, const)
+    # D1 - D2 + D3 with D_k scaled to 1
+    paths = [_arm_cycle_product(cyc_a, da, ga, c.i), _arm_cycle_product(cyc_b, db, gb, c.j)]
+    paths.insert(c.k - 1, Poly.const(table, field, 1))
+    return f1, paths[0] - paths[1] + paths[2]
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:65521", "fp:7"])
+def test_fibre_chart_factors_match_the_product_formula(spec):
+    # each chart's f2 is placed from per-(arm, window) factors built once
+    # per gamma; unequal arms catch a factor read for the wrong arm or
+    # window, and F_7 catches an unreduced coefficient
+    field = parse_field(spec)
+    for p in [(2, 2, 2), (3, 3, 2), (4, 3, 3), (2, 3, 4), (6, 5, 4)]:
+        p = ArmParams.parse(p)
+        for gamma in (zero_gamma(p, field), random_gamma(p, seed=1, field=field),
+                      random_gamma(p, seed=5, field=field)):
+            for c in all_chart_ids(p):
+                chart, reference = fibre_chart(gamma, c), _reference_fibre_chart(gamma, c)
+                assert chart.table == reference[0].table
+                assert chart.gens == reference, (p, c)
+
+
+def test_charts_run_builds_each_arm_factor_once(monkeypatch):
+    # at 3,3,3 the 27 charts read 54 arm factors, 9 of them distinct: one
+    # build for each (arm, window) of the run's one gamma
+    reads, builds = [], []
+    read, build = charts._arm_factor, charts._cycle_factor
+    monkeypatch.setattr(charts, "_arm_factor",
+                        lambda gamma, arm, window: reads.append((arm, window))
+                        or read(gamma, arm, window))
+    monkeypatch.setattr(charts, "_cycle_factor",
+                        lambda field, gammas: builds.append(gammas) or build(field, gammas))
+    assert run_command(["charts", "--p", "3,3,3", "--gamma", "random:1"]) == 0
+    assert (len(reads), len(set(reads)), len(builds)) == (54, 9, 9)
+
+
 def test_fibre_chart_rejects_gamma_outside_delta():
     gamma = make_gamma(P222, [1], [0], [0], a=0, b=0, A=0, B=0)
     with pytest.raises(ValueError, match="subspace"):
@@ -149,6 +213,8 @@ def test_chart_substitution_needs_gamma():
     oracle = substitution_oracle(build_star_quiver(P222), None)
     with pytest.raises(ValueError, match="without gamma"):
         chart_substitution(oracle, ChartId(1, 1, 1))
+    with pytest.raises(ValueError, match="without gamma"):
+        fibre_witness_point(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +249,7 @@ def test_fibre_charts_and_witness_in_every_field(spec):
         chart = fibre_chart(gamma, c)
         assert smoothness_certificate(chart, expected_dim=2).status == "smooth"
         assert ideals_equal(chart, chart_by_substitution(oracle, c))
-    point = fibre_witness_point(gamma)
+    point = fibre_witness_point(oracle)
     for rel in deformed_relations(Q, gamma).values():
         assert rel.evaluate(point) == field.zero
 
@@ -225,11 +291,16 @@ def test_cross_images_match_the_merged_substitution(spec):
         for gamma in (zero_gamma(p, field), random_gamma(p, seed=5, field=field)):
             oracle = substitution_oracle(Q, gamma)
             for c in all_chart_ids(p):
-                B, images = charts._cross_images(oracle, c)
+                images = charts._cross_images(oracle, c)
+                # the three window solutions, moved by name to the chart's
+                # variables and the leftover u_{k,1}
+                table = charts._solve_table(c)
+                B = {a: e.substitute({}, table) for arm, window, _ in charts._chart_windows(c)
+                     for a, e in charts._arm_window(oracle, arm, window)[0].items()}
                 assert set(B) == set(Q.table.names)
                 assert tuple(images) == ("(a)", "(b)", "(c)", "(d)", "(x)")
                 for lbl, img in images.items():
-                    assert img == oracle.relations[lbl].substitute(B), (c, lbl)
+                    assert img == oracle.relations[lbl].substitute(B, table), (c, lbl)
 
 
 def _count_bases(monkeypatch) -> list:
@@ -247,8 +318,9 @@ def test_charts_run_solves_each_arm_window_once(monkeypatch):
     # the dimension and the oracle comparison) and the derived ideal; a
     # second basis of the closed form made 108.  Substitutions: each chart
     # pushes its four images left after the leftover solve and renames the
-    # solution (135), and each of the 12 arm windows makes two chain solves
-    # and two chain checks (48) and pushes its arm's three cross parts (36);
+    # solution, on its own five-variable table (135), and each of the 12 arm
+    # windows makes two chain solves and two chain checks (48) and pushes
+    # its arm's three cross parts (36), on the arm's six-variable table;
     # pushing the five cross relations through each chart's merged map
     # made 318
     solves, builds, subs = [], [], []
@@ -280,11 +352,45 @@ def test_fibre_run_solves_only_the_witness_windows(monkeypatch, argv, expected):
     assert len(solves) == expected
 
 
+def test_fibre_run_builds_quiver_and_relations_once(monkeypatch):
+    # the witness reads the quiver and the relations that `fibre` checks it
+    # against; a second build through the witness made two of each
+    calls = {"deformed_relations": 0, "build_star_quiver": 0}
+    for name in calls:
+        original = getattr(starquiver.reconstruction if name == "deformed_relations"
+                           else starquiver.quiver, name)
+
+        def counted(*args, _name=name, _original=original, **kw):
+            calls[_name] += 1
+            return _original(*args, **kw)
+
+        # every module that looks the function up by name
+        for module in vars(starquiver).values():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    assert run_command(["fibre", "--p", "8,8,8", "--gamma", "random:1"]) == 0
+    assert calls == {"deformed_relations": 1, "build_star_quiver": 1}
+
+
 def test_smooth_run_computes_two_bases_per_chart(monkeypatch):
     # the Jacobian ideal and the chart of each of the 27 total-space charts
     bases = _count_bases(monkeypatch)
     assert run_command(["smooth", "--p", "3,3,3"]) == 0
     assert len(bases) == 54
+
+
+@pytest.mark.parametrize("argv", [
+    ["charts", "--p", "3,3,3", "--gamma", "random:1"],
+    ["smooth", "--p", "3,3,3"],
+])
+def test_chart_runs_read_no_basis_as_polys(monkeypatch, argv):
+    # the certificates, the dimension and the oracle comparison all read the
+    # engine basis; no basis is converted into Polys
+    def converted(*args):
+        raise AssertionError("a basis was converted into Polys")
+
+    monkeypatch.setattr(groebner, "_from_engine", converted)
+    assert run_command(argv) == 0
 
 
 def test_oracle_total_space_mode():
@@ -365,7 +471,7 @@ def test_witness_point_satisfies_every_relation():
         p = ArmParams.parse(p)
         Q = build_star_quiver(p)
         gamma = random_gamma(p, seed=61)
-        point = fibre_witness_point(gamma)
+        point = fibre_witness_point(substitution_oracle(Q, gamma))
         for rel in deformed_relations(Q, gamma).values():
             assert rel.evaluate(point) == 0
 

@@ -314,6 +314,32 @@ def test_ideals_equal_across_orders():
     assert ideals_equal(I, J)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "fp7"])
+def test_ideals_equal_sees_one_differing_tail_coefficient(field):
+    # the reduced bases share every lead and differ in one tail coefficient;
+    # the engine forms, compared without building a Poly, must tell them apart
+    t = VarTable(["x", "y", "z"])
+    I = _ideal(t, ["x^2 + y*z", "y^2 - x + 3*z"], field=field)
+    J = _ideal(t, ["x^2 + y*z", "y^2 - x + 2*z"], field=field)
+    assert not ideals_equal(I, J)
+    assert ideals_equal(I, _ideal(t, ["y^2 - x + 3*z", "x^2 + y*z + y^2 - x + 3*z"], field=field))
+    leads = [[leading_term(g)[0] for g in K.groebner_basis()] for K in (I, J)]
+    assert leads[0] == leads[1]
+    tails = [[g.terms for g in K.groebner_basis()] for K in (I, J)]
+    assert sum(a != b for a, b in zip(*tails)) == 1
+
+
+def test_ideals_equal_across_weights():
+    # weights enter every packed monomial, so the engine forms of the two
+    # ideals differ; the comparison reads their Poly bases, which are equal
+    t = VarTable(["x", "y", "z"])
+    gens = [parse_poly(s, t) for s in ("x^2 - y*z", "x*y - z^2 + 1", "y^3 - x")]
+    weighted, plain = Ideal(t, gens, weights=(2, 3, 1)), Ideal(t, gens)
+    assert ideals_equal(weighted, plain)
+    assert ideals_equal(plain, weighted)
+    assert not ideals_equal(weighted, Ideal(t, gens[:2]))
+
+
 def test_ideals_equal_requires_same_table_and_field():
     with pytest.raises(ValueError):
         ideals_equal(_ideal(VarTable(["x"]), ["x"]), _ideal(VarTable(["y"]), ["y"]))
