@@ -20,6 +20,7 @@ or solved window.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -515,25 +516,49 @@ class CoverReport:
 
 
 def _arm_classes(Q: StarQuiver, S, arm: int, down: dict) -> list:
-    """Arm `arm`'s stable local supports in ascending order, each with its
-    class (full, windows): whether its down path is full, and the bit set of
-    the `arm_window_units` windows it satisfies.  A local support is stable
-    when the whole support is, with the other two arms' down paths full."""
-    p = Q.p
-    low = _arm_span(Q, arm).start
+    """Arm `arm`'s stable (a, b) classes as (forced, free, class) triples.
+    Class (a, b) holds the local supports whose nonzero d-prefix is d_1..d_a
+    and nonzero u-suffix u_b..u_p: d_{a+1} and u_{b-1} are zero, d_{a+2}..d_p
+    and u_1..u_{b-2} free.  A support's class is whether it is stable with
+    the other two arms' down paths full, whether its own down path is full,
+    and the bit set of the `arm_window_units` windows it satisfies.  Each is
+    monotone in the support, so it is constant on an (a, b) class when it
+    agrees at the class's two ends, forced and forced | free; raises
+    CheckFailed where they differ."""
+    p, n = Q.p, Q.p[arm]
     others = sum(mask for b, mask in down.items() if b != arm)
-    windows = [S.bits(arm_window_units(arm, w, p)) for w in range(p[arm] + 1)]
-    # the other arms' down paths reach the same vertices under every local
-    # support; each search resumes from those with an arrow of this arm
-    base = S.reach(others)
-    frontier = base & S.tails(((1 << 2 * p[arm]) - 1) << low)
+    windows = [S.bits(arm_window_units(arm, w, p)) for w in range(n + 1)]
+
+    def key(support: int) -> tuple:
+        return (S.is_stable(support | others), support & down[arm] == down[arm],
+                sum(1 << w for w, mask in enumerate(windows) if support & mask == mask))
+
+    def span(arrow, first: int, last: int) -> int:
+        return S.bits(arrow(arm, m) for m in range(first, last + 1))
+
     out = []
-    for local in range(1 << 2 * p[arm]):
-        support = local << low
-        if S.is_stable(support | others, base, frontier):
-            hit = sum(1 << w for w, mask in enumerate(windows) if support & mask == mask)
-            out.append((support, (support & down[arm] == down[arm], hit)))
+    for a in range(n + 1):
+        for b in range(1, n + 2):
+            forced = span(d_arrow, 1, a) | span(u_arrow, b, n)
+            free = span(d_arrow, a + 2, n) | span(u_arrow, 1, b - 2)
+            lo, hi = key(forced), key(forced | free)
+            if lo != hi:
+                raise CheckFailed(f"arm {arm}: class (a={a}, b={b}) is {lo} on its forced "
+                                  f"arrows but {hi} with its free ones")
+            if lo[0]:
+                out.append((forced, free, lo[1:]))
     return out
+
+
+def _class_supports(forced: int, free: int, c: tuple):
+    """The class's supports in ascending order, each with the class c: the
+    forced bits with every subset of the free bits, counted upwards."""
+    subset = 0
+    while True:
+        yield forced | subset, c
+        if subset == free:
+            return
+        subset = (subset - free) & free
 
 
 def _chart_reach(p: ArmParams, window_sets: dict) -> dict:
@@ -549,29 +574,25 @@ def _chart_reach(p: ArmParams, window_sets: dict) -> dict:
     return reach
 
 
-def _first_supports(ordered: list, triples: set, limit: int) -> list:
+def _first_supports(classes: list, triples: set, limit: int) -> list:
     """The first `limit` supports, in ascending order, whose class triple is
     in `triples`.  A support's bits run arm 1, arm 2, arm 3 upwards, so
     ascending order is lexicographic in the (arm 3, arm 2, arm 1) local
-    supports; each prefix is kept only if some triple completes it."""
-    pairs = {(c2, c3) for _, c2, c3 in triples}
-    lasts = {c3 for _, c3 in pairs}
+    supports, merged lazily per arm from the classes some triple needs."""
+    def ascending(arm: int, wanted: set):
+        return heapq.merge(*(_class_supports(*cls) for cls in classes[arm] if cls[2] in wanted))
+
     out = []
-    for s3, c3 in ordered[2]:
-        if c3 not in lasts:
-            continue
-        for s2, c2 in ordered[1]:
-            if (c2, c3) not in pairs:
-                continue
-            for s1, c1 in ordered[0]:
-                if (c1, c2, c3) in triples:
-                    out.append(s1 | s2 | s3)
-                    if len(out) == limit:
-                        return out
+    for s3, c3 in ascending(2, {c3 for _, _, c3 in triples}):
+        for s2, c2 in ascending(1, {c2 for _, c2, t3 in triples if t3 == c3}):
+            for s1, _ in ascending(0, {c1 for c1, t2, t3 in triples if (t2, t3) == (c2, c3)}):
+                out.append(s1 | s2 | s3)
+                if len(out) == limit:
+                    return out
     return out
 
 
-def verify_cover(p, enumeration_cap: int = 24) -> CoverReport:
+def verify_cover(p) -> CoverReport:
     """Every stable, relation-compatible arrow support must satisfy the
     conditions of at least one chart; the supports are counted arm by arm.
 
@@ -581,20 +602,20 @@ def verify_cover(p, enumeration_cap: int = 24) -> CoverReport:
     local support is stable given the bottom; relation-compatible (two full
     arms, or none, which is unstable) when at least two arms are full; and
     covered when some chart U^k_{i,j} finds arm k in window 0 and its other
-    arms in windows i and j.  Each arm's 4^{p_k} local supports are
-    classified once, and the class counts combine over the three arms.
-    `enumeration_cap` bounds the 2 p_k arrows of one arm.
+    arms in windows i and j.  Each arm's local supports are counted by their
+    (a, b) classes (`_arm_classes`), O(p_k^2) of them, whose two ends
+    certify that the class is uniform, and the class counts combine over the
+    three arms.
     """
     p = ArmParams.parse(p)
-    for arm in (1, 2, 3):
-        if 2 * p[arm] > enumeration_cap:
-            raise ValueError(f"arm {arm} has {2 * p[arm]} arrows, over the "
-                             f"enumeration cap {enumeration_cap}")
     Q = build_star_quiver(p)
     S = support_predicates(Q)
     down = {arm: S.bits(d_arrow(arm, j) for j in range(1, p[arm] + 1)) for arm in (1, 2, 3)}
-    ordered = [_arm_classes(Q, S, arm, down) for arm in (1, 2, 3)]
-    counts = [Counter(c for _, c in arm_supports) for arm_supports in ordered]
+    classes = [_arm_classes(Q, S, arm, down) for arm in (1, 2, 3)]
+    counts = [Counter() for _ in classes]
+    for count, arm_classes in zip(counts, classes):
+        for _, free, c in arm_classes:
+            count[c] += 1 << free.bit_count()
     reach = _chart_reach(p, {arm: {w for _, w in counts[arm - 1]} for arm in (1, 2, 3)})
     stable = checked = covered = 0
     uncovered = set()
@@ -612,4 +633,4 @@ def verify_cover(p, enumeration_cap: int = 24) -> CoverReport:
         else:
             uncovered.add((c1, c2, c3))
     return CoverReport(p, 1 << len(Q.table), stable, checked, covered,
-                       tuple(S.arrows(bits) for bits in _first_supports(ordered, uncovered, 16)))
+                       tuple(S.arrows(bits) for bits in _first_supports(classes, uncovered, 16)))

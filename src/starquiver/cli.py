@@ -175,7 +175,7 @@ def cmd_smooth(args) -> int:
 def cmd_cover(args) -> int:
     p = ArmParams.parse(args.p)
     t0 = time.monotonic()
-    rep = verify_cover(p, enumeration_cap=args.enum_cap)
+    rep = verify_cover(p)
     status, code = _status_exit(rep.ok, False)
     _report(args, t0, status,
             quiver=build_star_quiver(p).summary(),
@@ -443,8 +443,6 @@ _FLAGS = {
     "deg-cap": dict(type=_count, default=DEFAULT_BUDGET.max_degree),
     "time-cap": dict(type=_seconds, default=DEFAULT_BUDGET.time_cap, help="seconds"),
     "gamma": dict(default="zero", help="zero | file:PATH | random:SEED"),
-    "enum-cap": dict(type=int, default=24,
-                     help="maximum number of arrows of one arm to enumerate over"),
     "point": dict(default=None, help="JSON file with betas/alphas to push through the map"),
     "input": dict(required=True, help="ideal text file"),
     "output": dict(default=None, help="write the basis as an ideal file"),
@@ -460,7 +458,7 @@ _SUBCOMMANDS = {
     "charts": ("fibre-chart smoothness + oracle equality",
                ("p", "field", *_CAPS, "gamma")),
     "smooth": ("total-space chart smoothness", ("p", "field", *_CAPS)),
-    "cover": ("chart cover of every stable support, counted per arm", ("p", "enum-cap")),
+    "cover": ("chart cover of every stable support, counted by class per arm", ("p",)),
     "fibre": ("empty/nonempty fibre verification", ("p", "field", "gamma")),
     "pi": ("deformation-map checks", ("p", "point")),
     "minors": ("minors vanish under the cycle map", ("p",)),

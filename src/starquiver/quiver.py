@@ -121,13 +121,6 @@ class StarQuiver:
     def two_cycle(self, arm: int, j: int) -> Poly:
         return self.arrow_poly(d_arrow(arm, j)) * self.arrow_poly(u_arrow(arm, j))
 
-    def two_cycles(self) -> list[tuple[str, Poly]]:
-        return [
-            (f"v{arm}_{j}", self.two_cycle(arm, j))
-            for arm in (1, 2, 3)
-            for j in range(1, self.p[arm] + 1)
-        ]
-
     # -- torus action ---------------------------------------------------------
 
     def torus_weight(self, monomial) -> dict[str, int]:
@@ -226,17 +219,12 @@ class SupportPredicates:
     """The support predicates of one quiver, as closures over its masks.
 
     bits(arrows) and arrows(bits) convert between arrow names and supports;
-    arrows lists the nonzero names in table order.  A vertex set is an int
-    whose bit i marks Q.vertices[i]: reach(support, reached, frontier) is
-    the set reached along the support's arrows, and tails(support) the set
-    of its arrows' tails.
+    arrows lists the nonzero names in table order.
     """
 
     bits: Callable[[Iterable[str]], int]
     arrows: Callable[[int], tuple]
-    reach: Callable[..., int]
-    is_stable: Callable[..., bool]
-    tails: Callable[[int], int]
+    is_stable: Callable[[int], bool]
 
 
 def support_predicates(Q: StarQuiver) -> SupportPredicates:
@@ -258,35 +246,18 @@ def support_predicates(Q: StarQuiver) -> SupportPredicates:
     out_edges = [[] for _ in Q.vertices]
     for name, (tail, head) in Q.arrows.items():
         out_edges[vpos[tail]].append((bits([name]), 1 << vpos[head], vpos[head]))
-    top = 1 << vpos[EXTENDED]
+    top = vpos[EXTENDED]
     every_vertex = (1 << len(Q.vertices)) - 1
 
-    def reach(support: int, reached: int = top, frontier: int | None = None) -> int:
-        """The vertices reachable from `reached` along nonzero arrows, by a
-        search started from `frontier` (default: all of `reached`).  A vertex
-        of `reached` outside `frontier` must have no nonzero arrow leaving
-        `reached`: a search already run from it, say."""
-        stack = []
-        f = reached if frontier is None else frontier
-        while f:
-            stack.append(f.bit_length() - 1)
-            f ^= 1 << stack[-1]
+    def is_stable(support: int) -> bool:
+        """King stability at the scalar dimension vector: every vertex
+        reachable from the extended vertex along nonzero arrows."""
+        reached, stack = 1 << top, [top]
         while stack:
             for arrow, head_bit, head in out_edges[stack.pop()]:
                 if support & arrow and not reached & head_bit:
                     reached |= head_bit
                     stack.append(head)
-        return reached
+        return reached == every_vertex
 
-    def is_stable(support: int, reached: int = top, frontier: int | None = None) -> bool:
-        """King stability at the scalar dimension vector: every vertex
-        reachable from the extended vertex along nonzero arrows.  A search
-        may resume from a vertex set `reached` from the extended vertex
-        along part of the support (see `reach`)."""
-        return reach(support, reached, frontier) == every_vertex
-
-    def tails(support: int) -> int:
-        return sum(1 << v for v, edges in enumerate(out_edges)
-                   if any(support & arrow for arrow, _, _ in edges))
-
-    return SupportPredicates(bits, arrows, reach, is_stable, tails)
+    return SupportPredicates(bits, arrows, is_stable)

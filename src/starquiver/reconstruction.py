@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .groebner import CheckFailed, Ideal
+from .groebner import CheckFailed
 from .poly import Poly, PrimeField, QQ
 from .quiver import ArmParams, StarQuiver, d_arrow, u_arrow
 
@@ -175,11 +175,6 @@ def fibre_is_empty(relations: dict[str, Poly], gamma: DeformParams) -> bool:
             raise CheckFailed(f"telescoped relation sum {s.to_str()} is not minus "
                               f"the Delta form {form}")
     return any(not s.is_zero() for s in sums)
-
-
-def rep_ideal(Q: StarQuiver, gamma: DeformParams) -> Ideal:
-    """Vanishing ideal of the relation system in the arrow variables."""
-    return Ideal(Q.table, tuple(deformed_relations(Q, gamma).values()), field=Q.field)
 
 
 # ---------------------------------------------------------------------------

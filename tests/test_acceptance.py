@@ -38,7 +38,9 @@ from starquiver.invariants import (
 )
 from starquiver.poly import PrimeField, QQ, VarTable, parse_poly
 from starquiver.quiver import ArmParams, all_chart_ids, build_star_quiver
-from starquiver.reconstruction import random_gamma, rep_ideal, zero_gamma
+from starquiver.reconstruction import random_gamma, zero_gamma
+
+from test_reconstruction import rep_ideal
 
 P_SUITE = [ArmParams(*p) for p in
            [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3, 3), (4, 3, 2)]]

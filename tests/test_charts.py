@@ -1,7 +1,9 @@
 """Chart presentations, the substitution oracle, certificates, cover."""
 
+import heapq
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -24,6 +26,7 @@ from starquiver.charts import (
     verify_cover,
 )
 from starquiver.groebner import (
+    CheckFailed,
     GroebnerBudget,
     Ideal,
     ideals_equal,
@@ -612,6 +615,42 @@ def brute_force_cover(p) -> CoverReport:
     return CoverReport(p, 1 << n, stable, checked, covered, tuple(counterexamples))
 
 
+def enumerated_arm_classes(Q, S, arm: int, down: dict) -> list:
+    """Arm `arm`'s stable local supports in ascending order, each with its
+    class (full, windows), by enumerating all 4^p_arm of them: a local
+    support is stable when the whole support is, with the other two arms'
+    down paths full."""
+    p = Q.p
+    low = Q.table.index(d_arrow(arm, 1))  # the arm's 2 p_arm arrows follow
+    others = sum(mask for b, mask in down.items() if b != arm)
+    windows = [S.bits(quiver.arm_window_units(arm, w, p)) for w in range(p[arm] + 1)]
+    out = []
+    for local in range(1 << 2 * p[arm]):
+        support = local << low
+        if S.is_stable(support | others):
+            hit = sum(1 << w for w, mask in enumerate(windows) if support & mask == mask)
+            out.append((support, (support & down[arm] == down[arm], hit)))
+    return out
+
+
+@pytest.mark.parametrize("p", [(2, 2, 2), (3, 2, 2), (4, 3, 3), (5, 5, 5), (8, 7, 6)])
+def test_arm_classes_match_enumeration(p):
+    # the (a, b) classes count every arm's stable local supports by class,
+    # and walk them in ascending order, as the 4^p_arm enumeration does
+    Q = build_star_quiver(p)
+    S = support_predicates(Q)
+    down = {arm: S.bits(d_arrow(arm, j) for j in range(1, p[arm - 1] + 1)) for arm in (1, 2, 3)}
+    for arm in (1, 2, 3):
+        classes = charts._arm_classes(Q, S, arm, down)
+        counted = Counter()
+        for _, free, c in classes:
+            counted[c] += 1 << free.bit_count()
+        enumerated = enumerated_arm_classes(Q, S, arm, down)
+        assert counted == Counter(c for _, c in enumerated), (p, arm)
+        walked = list(heapq.merge(*(charts._class_supports(*cls) for cls in classes)))
+        assert walked == enumerated, (p, arm)
+
+
 def _inject(monkeypatch, name, fault):
     """Replace a quiver function both where the per-arm count and where the
     oracle look it up."""
@@ -665,9 +704,13 @@ def test_cover_matches_brute_force_with_one_chart_family(monkeypatch, k):
 @pytest.mark.parametrize("bad", [1, 2, 3])
 @pytest.mark.parametrize("p", [(2, 2, 2), (3, 2, 2), (3, 3, 2)])
 def test_cover_matches_brute_force_with_perturbed_window(monkeypatch, p, bad):
+    # the perturbed windows are not uniform on the (a, b) classes of arm
+    # `bad`: the count refuses, where the brute force finds uncovered supports
     _perturbed_window(monkeypatch, bad)
-    rep = verify_cover(p)
-    assert rep == brute_force_cover(p)
+    with pytest.raises(CheckFailed, match=f"arm {bad}: class"):
+        verify_cover(p)
+    assert run_command(["cover", "--p", ",".join(map(str, p))]) == 1
+    rep = brute_force_cover(p)
     assert 0 < rep.covered_supports < rep.checked_supports
     assert rep.counterexamples
 
@@ -694,7 +737,8 @@ def test_cover_reports_uncovered_supports(monkeypatch, tmp_path):
     assert report["counterexamples"] == [list(c) for c in rep.counterexamples]
 
 
-@pytest.mark.parametrize("p", [(4, 3, 3), (5, 3, 2), (5, 5, 5), (8, 8, 8)])
+@pytest.mark.parametrize("p", [(4, 3, 3), (5, 3, 2), (5, 5, 5), (8, 8, 8), (13, 2, 2),
+                               (12, 12, 12)])
 def test_cover_counts_beyond_brute_force(p):
     # an arm has 2^p_i local supports with a full down path and p_i 2^p_i
     # stable ones without, so 2^(sum p) (prod (p_i + 1) - prod p_i) supports
@@ -707,10 +751,3 @@ def test_cover_counts_beyond_brute_force(p):
     assert (rep.total_supports, rep.stable_supports, rep.checked_supports,
             rep.covered_supports) == (4 ** sum(p), stable, checked, checked)
     assert rep.ok
-
-
-def test_cover_cap_enforced():
-    # the cap bounds the 2 p_i arrows of one arm, not the 24 of the quiver
-    with pytest.raises(ValueError, match="arm 1 has 8 arrows, over the enumeration cap 7"):
-        verify_cover((4, 4, 4), enumeration_cap=7)
-    assert verify_cover((4, 4, 4), enumeration_cap=8).ok

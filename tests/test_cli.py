@@ -61,22 +61,11 @@ def test_cover_report(tmp_path):
 
 
 def test_cover_decides_thirty_arrows(tmp_path):
-    # 5,5,5 has 30 arrows but 10 per arm, within the default cap of 24
+    # 5,5,5 has 30 arrows, 2^30 supports, counted by class without enumeration
     code, report = _run(tmp_path, "cover", "--p", "5,5,5")
     assert code == 0 and report["status"] == "ok"
-    assert report["config"]["enum_cap"] == 24
     assert (report["total_supports"], report["stable_supports"], report["checked_supports"],
             report["covered_supports"]) == (2 ** 30, 2981888, 524288, 524288)
-
-
-@pytest.mark.parametrize("p, cap, arm", [
-    ("2,2,2", "-1", 1),
-    ("3,5,2", "9", 2),
-    ("2,2,13", "24", 3),
-])
-def test_cover_cap_below_an_arm_is_a_usage_error(capsys, p, cap, arm):
-    assert run_command(["cover", "--p", p, "--enum-cap", cap]) == 3
-    assert f"arm {arm} has" in capsys.readouterr().err
 
 
 def test_fibre_outside_delta(tmp_path):
@@ -440,7 +429,7 @@ CAPS = {"spair_cap", "deg_cap", "time_cap"}
 CONFIG_KEYS = {
     "charts": {"p", "field", "budgets", "gamma"},
     "smooth": {"p", "field", "budgets"},
-    "cover": {"p", "enum_cap"},
+    "cover": {"p"},
     "fibre": {"p", "field", "gamma"},
     "pi": {"p", "point"},
     "minors": {"p"},
@@ -489,6 +478,7 @@ def test_config_echoes_exactly_the_declared_flags(tmp_path):
     ["props", "--field", "q"],
     ["charts", "--jobs", "2"],
     ["smooth", "--jobs", "2"],
+    ["cover", "--enum-cap", "24"],
 ])
 def test_removed_flags_are_usage_errors(argv):
     assert run_command(argv) == 3

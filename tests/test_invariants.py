@@ -32,7 +32,7 @@ from starquiver.invariants import (
     weighted_degree,
     wv_table,
 )
-from starquiver.poly import PrimeField, QQ, VarTable, parse_poly, poly_prod
+from starquiver.poly import Poly, PrimeField, QQ, VarTable, parse_poly, poly_prod
 from starquiver.quiver import ArmParams, StarQuiver, build_star_quiver
 from starquiver.reconstruction import canonical_relation, in_delta
 
@@ -58,10 +58,18 @@ class GeneratingSet:
         return tuple(p for _, p in self.generators)
 
 
+def two_cycles(Q: StarQuiver) -> list[tuple[str, Poly]]:
+    return [
+        (f"v{arm}_{j}", Q.two_cycle(arm, j))
+        for arm in (1, 2, 3)
+        for j in range(1, Q.p[arm] + 1)
+    ]
+
+
 def generating_sets(Q: StarQuiver) -> tuple[GeneratingSet, GeneratingSet, GeneratingSet]:
     """The nested generating sets of the invariant ring: all nine crossing
     cycles, four of them, three of them — each together with all 2-cycles."""
-    two = Q.two_cycles()
+    two = two_cycles(Q)
     crossings = {(i, j): (f"D{i}U{j}", crossing_cycle(Q, i, j))
                  for i in (1, 2, 3) for j in (1, 2, 3)}
     tier1 = [crossings[k] for k in sorted(crossings)]

@@ -153,30 +153,6 @@ def test_stability_is_reachability_of_every_vertex():
         assert (BOTTOM in reached) == bool(O.full_down_arms(bits))
 
 
-@pytest.mark.parametrize("p", [(2, 2, 2), (3, 2, 2)], ids=["2,2,2", "3,2,2"])
-def test_stability_search_resumes_from_a_reached_set(p):
-    # the cover count's search: the other arms' full down paths reach the
-    # same vertices for every local support of one arm, so each search
-    # resumes there, from the reached tails of that arm's arrows
-    Q = build_star_quiver(p)
-    S = support_predicates(Q)
-    down = {arm: S.bits(d_arrow(arm, j) for j in range(1, p[arm - 1] + 1)) for arm in (1, 2, 3)}
-    vpos = {v: i for i, v in enumerate(Q.vertices)}
-    for arm in (1, 2, 3):
-        names = [n for n in Q.table.names if n[1] == str(arm)]
-        arm_mask = S.bits(names)
-        others = sum(mask for b, mask in down.items() if b != arm)
-        base = S.reach(others)
-        assert base == sum(1 << vpos[v] for v in _reachable_from_top(Q, set(S.arrows(others))))
-        tails = {Q.arrows[n][0] for n in names}
-        assert S.tails(arm_mask) == sum(1 << vpos[v] for v in tails)
-        frontier = base & S.tails(arm_mask)
-        for local in range(1 << len(names)):
-            support = sum(S.bits([n]) for k, n in enumerate(names) if local >> k & 1)
-            assert (S.is_stable(support | others, base, frontier)
-                    == S.is_stable(support | others))
-
-
 # ---------------------------------------------------------------------------
 # stability
 # ---------------------------------------------------------------------------

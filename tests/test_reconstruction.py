@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from starquiver.groebner import CheckFailed
+from starquiver.groebner import CheckFailed, Ideal
 from starquiver.poly import PrimeField, QQ, parse_field, parse_poly
 from starquiver.quiver import ArmParams, build_star_quiver
 from starquiver.reconstruction import (
@@ -17,7 +17,6 @@ from starquiver.reconstruction import (
     make_gamma,
     parse_gamma_spec,
     random_gamma,
-    rep_ideal,
     zero_gamma,
 )
 
@@ -192,6 +191,11 @@ def test_prime_field_delta_sums_are_reduced(q):
 # ---------------------------------------------------------------------------
 # representation ideals
 # ---------------------------------------------------------------------------
+
+def rep_ideal(Q, gamma) -> Ideal:
+    """Vanishing ideal of the relation system in the arrow variables."""
+    return Ideal(Q.table, tuple(deformed_relations(Q, gamma).values()), field=Q.field)
+
 
 def test_rep_ideal_generator_count():
     Q = build_star_quiver(P222)
