@@ -42,12 +42,11 @@ from .quiver import (
     all_chart_ids,
     arm_window_units,
     build_star_quiver,
-    chart_unit_arrows,
     d_arrow,
     support_predicates,
     u_arrow,
 )
-from .reconstruction import DeformParams, canonical_relation, deformed_relations
+from .reconstruction import DeformParams, deformed_relations
 
 
 def _check_chart_range(c: ChartId, p: ArmParams):
@@ -202,12 +201,11 @@ class SubstitutionOracle:
     under that solution, as terms in the window's kept variables.  A window
     is solved, and its parts pushed through, on its first use by
     `_arm_window`; a chart places its three windows' parts in its own small
-    table (`_cross_images`).  Without gamma, `gamma` and `relations` are
-    None and `cross` and `arms` stay empty."""
+    table (`_cross_images`)."""
 
     Q: StarQuiver
-    gamma: DeformParams | None
-    relations: dict | None
+    gamma: DeformParams
+    relations: dict
     cross: tuple
     arms: dict
 
@@ -230,13 +228,11 @@ def _arm_parts(Q: StarQuiver, rel: Poly) -> tuple:
                  for exps, coeff in rel.terms.items())
 
 
-def substitution_oracle(Q: StarQuiver, gamma: DeformParams | None,
+def substitution_oracle(Q: StarQuiver, gamma: DeformParams,
                         relations: dict | None = None) -> SubstitutionOracle:
     """Build the deformed relations once, unless the caller passes the
     `deformed_relations(Q, gamma)` it has built; each arm chain is then
     solved once per window that some chart reads."""
-    if gamma is None:
-        return SubstitutionOracle(Q, None, None, (), {})
     if not gamma.inside_delta:
         raise ValueError("gamma outside the parameter subspace: empty fibre")
     if relations is None:
@@ -329,8 +325,6 @@ def _chart_solve(oracle: SubstitutionOracle, c: ChartId):
     """Solve the leftover u_{k,1} from the chart's cross images: the
     leftover's solution on the chart table, and the other images."""
     _check_chart_range(c, oracle.Q.p)
-    if oracle.relations is None:
-        raise ValueError("an oracle without gamma has no arrow substitution")
     images = _cross_images(oracle, c)
     leftover = u_arrow(c.k, 1)
     solved_label = next((lbl for lbl in _CROSS_LABELS[:4]
@@ -344,24 +338,18 @@ def _chart_solve(oracle: SubstitutionOracle, c: ChartId):
 def chart_by_substitution(oracle: SubstitutionOracle, c: ChartId,
                           budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
     """The oracle's per-chart half: the ideal of the nonzero images left by
-    the chain solve, which must equal the closed form's.  Without relations
-    the arrows of `chart_unit_arrows` become 1 in the canonical relation and
-    the rest must be total-space chart variables."""
-    Q = oracle.Q
-    if oracle.relations is None:
-        table = total_space_chart(Q.p, c, Q.field).table
-        img = canonical_relation(Q).substitute(dict.fromkeys(chart_unit_arrows(c, Q.p), 1), table)
-        return Ideal(table, (img,), field=Q.field, budget=budget)
+    the chain solve, which must equal the closed form's."""
     leftover, rest = _chart_solve(oracle, c)
     table = _chart_table(c)
     images = [img.substitute(leftover, table) for img in rest]
-    return Ideal(table, [img for img in images if not img.is_zero()], field=Q.field, budget=budget)
+    return Ideal(table, [img for img in images if not img.is_zero()], field=oracle.Q.field,
+                 budget=budget)
 
 
 def chart_substitution(oracle: SubstitutionOracle, c: ChartId) -> dict:
     """Every arrow of the quiver as a polynomial in the fibre chart's
     variables, as the chain solve gives it; pushing the deformed relations
-    through it lands in the chart's ideal.  The oracle needs a gamma."""
+    through it lands in the chart's ideal."""
     leftover, _ = _chart_solve(oracle, c)
     table = _chart_table(c)
     # each window's solution reads its kept variables: the chart's, or the
@@ -382,32 +370,25 @@ class SmoothnessCertificate:
     status: str  # smooth | singular | inconclusive
 
 
-def _determinant(rows):
-    if len(rows) == 1:
-        return rows[0][0]
-    total = None
-    for k, pivot in enumerate(rows[0]):
-        minor = [[r[c] for c in range(len(rows)) if c != k] for r in rows[1:]]
-        term = pivot * _determinant(minor)
-        if k % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
 def jacobian_ideal_generators(ideal: Ideal) -> tuple:
     """Generators plus all maximal minors of their Jacobian matrix.
 
-    One relation: all partial derivatives.  Two relations in n variables:
-    all two-by-two minors (six of them for n = 4).
+    One relation (a total-space chart): all partial derivatives.  Two
+    relations in n variables (a fibre chart): the two-by-two minors
+    f_a g_b - f_b g_a, six of them for n = 4, in `itertools.combinations`
+    order.  Charts have no other number of relations.
     """
     rels = ideal.gens
     names = ideal.table.names
     jac = [[f.derivative(v) for v in names] for f in rels]
-    r = len(rels)
-    minors = []
-    for cols in itertools.combinations(range(len(names)), r):
-        minors.append(_determinant([[jac[a][b] for b in cols] for a in range(r)]))
+    if len(rels) == 1:
+        minors = jac[0]
+    elif len(rels) == 2:
+        f, g = jac
+        pairs = itertools.combinations(range(len(names)), 2)
+        minors = [f[a] * g[b] - f[b] * g[a] for a, b in pairs]
+    else:
+        raise ValueError(f"Jacobian minors of {len(rels)} relations: expected one or two")
     return tuple(rels) + tuple(minors)
 
 
@@ -436,8 +417,6 @@ def fibre_witness_point(oracle: SubstitutionOracle) -> dict:
     the point misses the closed-form chart.
     """
     gamma = oracle.gamma
-    if gamma is None:
-        raise ValueError("an oracle without gamma has no fibre")
     field = gamma.field
     c = ChartId(1, gamma.p.p2, gamma.p.p3)
     chart = fibre_chart(gamma, c)
@@ -456,18 +435,22 @@ def fibre_witness_point(oracle: SubstitutionOracle) -> dict:
 # lemma checks
 # ---------------------------------------------------------------------------
 
-def euler_identity_check(n: int, alphas) -> bool:
-    """For f = x*(xy - a_1)...(xy - a_n): check x f_x - y f_y = f exactly."""
-    alphas = [QQ.coerce(v) for v in alphas]
-    if len(alphas) != n:
-        raise ValueError("expected one scalar per factor")
-    table = VarTable(["x", "y"])
-    x = Poly.var(table, QQ, "x")
-    y = Poly.var(table, QQ, "y")
-    xy = x * y
-    f = x
-    for a in alphas:
-        f = f * (xy - Poly.const(table, QQ, a))
+def euler_identity_check(degree: int) -> bool:
+    """Check x f_x - y f_y = f for f = x * sum_{j <= degree} c_j (xy)^j in
+    QQ[x, y, c_0, ..., c_degree], the c_j indeterminates.
+
+    Every cycle product x (xy - a_1)...(xy - a_n) with n <= degree is a
+    specialisation of this f, and specialising commutes with the
+    derivatives, so the one identity proves the Euler identity for every
+    choice of the a_i at once.
+    """
+    if degree < 0:
+        raise ValueError(f"expected a degree at least 0, got {degree}")
+    table = VarTable(["x", "y"] + [f"c{j}" for j in range(degree + 1)])
+    # the term c_j x^(j+1) y^j
+    f = Poly(table, QQ, {(j + 1, j) + (0,) * j + (1,) + (0,) * (degree - j): 1
+                         for j in range(degree + 1)})
+    x, y = Poly.var(table, QQ, "x"), Poly.var(table, QQ, "y")
     return x * f.derivative("x") - y * f.derivative("y") == f
 
 

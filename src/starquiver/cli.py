@@ -41,8 +41,10 @@ from .groebner import (
 )
 from .invariants import (
     WVPoint,
+    cycles_invariant,
     determinantal_minors,
     fibre_zero_presentation,
+    phi_map,
     pi_delta_forms_symbolic,
     pi_map,
     verify_conjecture,
@@ -349,20 +351,15 @@ def cmd_gb(args) -> int:
 
 def cmd_props(args) -> int:
     t0 = time.monotonic()
-    rng = random.Random(args.seed)
+    p = ArmParams.parse(args.p)
     suites = {}
 
-    n_checks = 0
-    for _ in range(args.euler_samples):
-        n = rng.randint(0, 4)
-        alphas = [QQ.coerce(f"{rng.randint(-10, 10)}/{rng.randint(1, 10)}") for _ in range(n)]
-        if not euler_identity_check(n, alphas):
-            suites["euler_identity"] = {"ok": False, "counterexample": [str(a) for a in alphas]}
-            break
-        n_checks += 1
-    else:
-        suites["euler_identity"] = {"ok": True, "checked": n_checks}
+    # a fibre chart at p reads cycle products of up to max(p) - 1 factors;
+    # every p checks products of up to four factors at least
+    degree = max(4, max(p) - 1)
+    suites["euler_identity"] = {"ok": euler_identity_check(degree), "degree": degree}
 
+    rng = random.Random(args.seed)
     n_checks = 0
     for _ in range(args.nonunit_samples):
         n = rng.randint(1, 3)
@@ -380,26 +377,8 @@ def cmd_props(args) -> int:
     else:
         suites["quotient_nonzero"] = {"ok": True, "checked": n_checks}
 
-    p = ArmParams.parse(args.p)
     Q = build_star_quiver(p)
-    names = Q.table.names
-    n_checks, balanced_ok = 0, True
-    for _ in range(args.weight_samples):
-        deg = rng.randint(1, 8)
-        exps = [0] * len(names)
-        for _ in range(deg):
-            exps[rng.randrange(len(names))] += 1
-        weight = Q.torus_weight(tuple(exps))
-        inout = {v: 0 for v in Q.vertices}
-        for name, e in zip(names, exps):
-            tail, head = Q.arrows[name]
-            inout[head] += e
-            inout[tail] -= e
-        if weight != inout:
-            balanced_ok = False
-            break
-        n_checks += 1
-    suites["weight_zero_balance"] = {"ok": balanced_ok, "checked": n_checks}
+    suites["cycles_invariant"] = {"ok": cycles_invariant(Q), "checked": len(phi_map(Q))}
 
     f1, f2 = pi_delta_forms_symbolic(p)
     suites["pi_symbolic"] = {"ok": f1.is_zero() and f2.is_zero()}
@@ -447,9 +426,7 @@ _FLAGS = {
     "input": dict(required=True, help="ideal text file"),
     "output": dict(default=None, help="write the basis as an ideal file"),
     "seed": dict(type=int, default=0),
-    "euler-samples": dict(type=_count, default=200),
     "nonunit-samples": dict(type=_count, default=50),
-    "weight-samples": dict(type=_count, default=500),
 }
 _CAPS = ("spair-cap", "deg-cap", "time-cap")
 
@@ -465,8 +442,8 @@ _SUBCOMMANDS = {
     "kernel": ("kernel of the cycle map by elimination", ("p", "field", *_CAPS)),
     "conjecture": ("kernel equals the minors ideal", ("p", "field", *_CAPS)),
     "gb": ("reduced basis of an ideal file", ("field", *_CAPS, "input", "output")),
-    "props": ("property suites (identities, balances)",
-              ("p", *_CAPS, "seed", "euler-samples", "nonunit-samples", "weight-samples")),
+    "props": ("property suites (identities, invariance)",
+              ("p", *_CAPS, "seed", "nonunit-samples")),
 }
 
 

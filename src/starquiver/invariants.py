@@ -126,6 +126,12 @@ def phi_map(Q: StarQuiver) -> dict:
     return images
 
 
+def cycles_invariant(Q: StarQuiver) -> bool:
+    """Whether every image of `phi_map` (the 2-cycles and the crossing
+    cycles) has torus weight zero at every vertex."""
+    return all(not any(Q.torus_weight(image).values()) for image in phi_map(Q).values())
+
+
 def weighted_degree(f: Poly, weights: dict) -> int:
     """The weighted degree of f, each variable weighing `weights[name]`;
     CheckFailed unless f is nonzero and weighted-homogeneous."""

@@ -31,7 +31,7 @@ from starquiver.groebner import (
     Ideal,
     ideals_equal,
 )
-from starquiver.poly import Poly, VarTable, parse_field, parse_poly
+from starquiver.poly import QQ, Poly, VarTable, parse_field, parse_poly
 from starquiver.cli import run_command
 from starquiver.quiver import (
     ArmParams,
@@ -43,6 +43,7 @@ from starquiver.quiver import (
     u_arrow,
 )
 from starquiver.reconstruction import (
+    canonical_relation,
     deformed_relations,
     make_gamma,
     random_gamma,
@@ -210,14 +211,6 @@ def test_fibre_substitution_covers_arrows_and_lands_in_ideal(spec):
             assert set(arrows) == set(Q.table.names)
             for rel in rels.values():
                 assert closed.contains(rel.substitute(arrows, closed.table))
-
-
-def test_chart_substitution_needs_gamma():
-    oracle = substitution_oracle(build_star_quiver(P222), None)
-    with pytest.raises(ValueError, match="without gamma"):
-        chart_substitution(oracle, ChartId(1, 1, 1))
-    with pytest.raises(ValueError, match="without gamma"):
-        fibre_witness_point(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -396,26 +389,36 @@ def test_chart_runs_read_no_basis_as_polys(monkeypatch, argv):
     assert run_command(argv) == 0
 
 
+def total_space_by_substitution(Q, c):
+    """The total-space chart derived by substitution: the arrows of
+    `quiver.chart_unit_arrows` become 1 in the canonical relation, and the
+    rest must be the closed form's chart variables."""
+    table = total_space_chart(Q.p, c, Q.field).table
+    img = canonical_relation(Q).substitute(
+        dict.fromkeys(quiver.chart_unit_arrows(c, Q.p), 1), table)
+    return Ideal(table, (img,), field=Q.field)
+
+
 def test_oracle_total_space_mode():
-    oracle = substitution_oracle(build_star_quiver(P222), None)
+    Q = build_star_quiver(P222)
     for c in all_chart_ids(P222):
         closed = total_space_chart(P222, c)
-        derived = chart_by_substitution(oracle, c)
+        derived = total_space_by_substitution(Q, c)
         assert derived.gens == closed.gens
 
 
 def test_oracle_total_space_mode_checks_the_unit_arrows(monkeypatch):
-    # the oracle binds quiver.chart_unit_arrows to 1 and maps the rest by name
-    # into the closed form's variables: a unit list that drops an arrow, or
-    # that scales a chart variable, no longer matches the closed form
-    oracle = substitution_oracle(build_star_quiver(P222), None)
+    # the derivation binds quiver.chart_unit_arrows to 1 and maps the rest by
+    # name into the closed form's variables: a unit list that drops an arrow,
+    # or that scales a chart variable, no longer matches the closed form
+    Q = build_star_quiver(P222)
     c = ChartId(1, 1, 1)
-    units = charts.chart_unit_arrows(c, P222)
-    monkeypatch.setattr(charts, "chart_unit_arrows", lambda c, p: units[1:])
+    units = quiver.chart_unit_arrows(c, P222)
+    monkeypatch.setattr(quiver, "chart_unit_arrows", lambda c, p: units[1:])
     with pytest.raises(ValueError, match="no image"):
-        chart_by_substitution(oracle, c)
-    monkeypatch.setattr(charts, "chart_unit_arrows", lambda c, p: units + ["d2_1"])
-    derived = chart_by_substitution(oracle, c)
+        total_space_by_substitution(Q, c)
+    monkeypatch.setattr(quiver, "chart_unit_arrows", lambda c, p: units + ["d2_1"])
+    derived = total_space_by_substitution(Q, c)
     assert derived.gens != total_space_chart(P222, c).gens
 
 
@@ -441,6 +444,20 @@ def test_jacobian_generator_count_for_two_relations():
     gamma = random_gamma(P222, seed=47)
     gens = jacobian_ideal_generators(fibre_chart(gamma, ChartId(1, 1, 1)))
     assert len(gens) == 2 + 6  # both relations plus all six 2x2 minors
+    # charts have one relation or two; the minors of three are not written out
+    chart = fibre_chart(gamma, ChartId(1, 1, 1))
+    three = Ideal(chart.table, chart.gens + chart.gens[:1])
+    with pytest.raises(ValueError, match="3 relations"):
+        jacobian_ideal_generators(three)
+
+
+def test_jacobian_minors_hand_case():
+    # f = xy, g = x + y + z^2: the minors f_a g_b - f_b g_a over the column
+    # pairs (x, y), (x, z), (y, z)
+    t = VarTable(["x", "y", "z"])
+    f, g = parse_poly("x*y", t), parse_poly("x + y + z^2", t)
+    gens = jacobian_ideal_generators(Ideal(t, [f, g]))
+    assert gens[2:] == tuple(parse_poly(m, t) for m in ("y - x", "2*y*z", "2*x*z"))
 
 
 def test_control_presentation_is_singular():
@@ -494,18 +511,33 @@ def test_chart_relations_never_generate_the_unit_ideal():
 # ---------------------------------------------------------------------------
 
 def test_euler_identity_empty_product():
-    assert euler_identity_check(0, [])
+    # f = c_0 x, the empty cycle product up to its scalar
+    assert euler_identity_check(0)
+    with pytest.raises(ValueError, match="at least 0"):
+        euler_identity_check(-1)
 
 
 def test_euler_identity_hand_case():
-    assert euler_identity_check(1, [2])
+    # f = c_0 x + c_1 x^2 y: x f_x = c_0 x + 2 c_1 x^2 y and y f_y = c_1 x^2 y
+    assert euler_identity_check(1)
+
+
+def test_euler_identity_every_degree_to_63():
+    assert all(euler_identity_check(degree) for degree in range(64))
 
 
 def test_euler_identity_random_cubics():
+    # the sampled identity, computed here on the cycle products themselves,
+    # agrees with the symbolic check that covers every cubic at once
+    assert euler_identity_check(3)
+    table = VarTable(["x", "y"])
+    x, y = Poly.var(table, QQ, "x"), Poly.var(table, QQ, "y")
     rng = random.Random(67)
     for _ in range(20):
-        alphas = [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(3)]
-        assert euler_identity_check(3, alphas)
+        f = x
+        for _ in range(3):
+            f = f * (x * y - Fraction(rng.randint(-10, 10), rng.randint(1, 10)))
+        assert x * f.derivative("x") - y * f.derivative("y") == f
 
 
 def test_quotient_nonzero_zero_parameters():

@@ -12,6 +12,8 @@ import pytest
 import starquiver.cli as cli
 from starquiver.cli import _build_parser, run_command
 from starquiver.groebner import CheckFailed
+from starquiver.poly import Poly
+from starquiver.quiver import build_star_quiver
 
 FIELDS = ["q", "fp:65521", "fp:11"]
 
@@ -329,11 +331,55 @@ def test_gb_header_without_variables_is_a_usage_error(tmp_path, capsys, text):
 
 
 def test_props_suites(tmp_path):
-    code, report = _run(tmp_path, "props", "--p", "2,2,2",
-                        "--euler-samples", "25", "--nonunit-samples", "5",
-                        "--weight-samples", "50")
+    code, report = _run(tmp_path, "props", "--p", "2,2,2", "--nonunit-samples", "5")
     assert code == 0
     assert all(s["ok"] for s in report["suites"].values())
+    suites = report["suites"]
+    assert set(suites) == {"euler_identity", "quotient_nonzero", "cycles_invariant",
+                           "pi_symbolic"}
+    assert suites["euler_identity"] == {"ok": True, "degree": 4}
+    assert suites["quotient_nonzero"] == {"ok": True, "checked": 5}
+    # the three crossing cycles and the six 2-cycles
+    assert suites["cycles_invariant"] == {"ok": True, "checked": 9}
+
+
+@pytest.mark.parametrize("p, degree, checked", [("3,2,2", 4, 10), ("8,8,8", 7, 27),
+                                                 ("6,9,2", 8, 20)])
+def test_props_euler_degree_follows_the_longest_arm(tmp_path, p, degree, checked):
+    code, report = _run(tmp_path, "props", "--p", p, "--nonunit-samples", "0")
+    assert code == 0
+    assert report["suites"]["euler_identity"] == {"ok": True, "degree": degree}
+    assert report["suites"]["cycles_invariant"] == {"ok": True, "checked": checked}
+
+
+def test_props_exact_suites_ignore_the_seed(tmp_path):
+    reports = [_run(tmp_path, "props", "--p", "3,2,2", "--seed", seed, "--nonunit-samples", "2",
+                    json_name=f"{seed}.json")[1] for seed in ("1", "2")]
+    for suite in ("euler_identity", "cycles_invariant"):
+        assert reports[0]["suites"][suite] == reports[1]["suites"][suite]
+
+
+def test_props_fails_under_a_perturbed_derivative(tmp_path, monkeypatch):
+    derivative = Poly.derivative
+    monkeypatch.setattr(Poly, "derivative", lambda f, name: derivative(f, name).scale(2))
+    code, report = _run(tmp_path, "props", "--p", "2,2,2", "--nonunit-samples", "0")
+    assert code == 1
+    assert report["status"] == "fail"
+    assert report["suites"]["euler_identity"] == {"ok": False, "degree": 4}
+
+
+def test_props_fails_on_a_reversed_u_arrow(tmp_path, monkeypatch):
+    def reversed_u(p):
+        Q = build_star_quiver(p)
+        tail, head = Q.arrows["u2_1"]
+        Q.arrows["u2_1"] = (head, tail)
+        return Q
+
+    monkeypatch.setattr(cli, "build_star_quiver", reversed_u)
+    code, report = _run(tmp_path, "props", "--p", "2,2,2", "--nonunit-samples", "0")
+    assert code == 1
+    assert report["suites"]["cycles_invariant"] == {"ok": False, "checked": 9}
+    assert report["suites"]["euler_identity"]["ok"]
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -356,10 +402,8 @@ def test_usage_errors(tmp_path):
     assert run_command(["fibre", "--p", "2,2,2", "--field", "fp:7",
                         "--gamma", _write_gamma(tmp_path, ["1/7"], "1/7")]) == 3
     # a negative sample count checks nothing; zero stays valid
-    flags = ("--euler-samples", "--nonunit-samples", "--weight-samples")
-    for flag in flags:
-        assert run_command(["props", flag, "-1"]) == 3
-    assert run_command(["props", *(arg for flag in flags for arg in (flag, "0"))]) == 0
+    assert run_command(["props", "--nonunit-samples", "-1"]) == 3
+    assert run_command(["props", "--nonunit-samples", "0"]) == 0
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -436,8 +480,7 @@ CONFIG_KEYS = {
     "kernel": {"p", "field", "budgets"},
     "conjecture": {"p", "field", "budgets"},
     "gb": {"field", "budgets", "input"},
-    "props": {"p", "budgets", "seed", "euler_samples", "nonunit_samples",
-              "weight_samples"},
+    "props": {"p", "budgets", "seed", "nonunit_samples"},
 }
 
 
@@ -450,8 +493,7 @@ def test_config_echoes_exactly_the_declared_flags(tmp_path):
     ideal = tmp_path / "ideal.txt"
     ideal.write_text("vars: x, y\nx^2 - y\n", encoding="utf-8")
     extra = {"gb": ["--input", str(ideal)],
-             "props": ["--euler-samples", "2", "--nonunit-samples", "1",
-                       "--weight-samples", "2"]}
+             "props": ["--nonunit-samples", "1"]}
     for command, keys in CONFIG_KEYS.items():
         declared = _declared_flags(command) - {"json", "output"}
         if CAPS <= declared:
@@ -479,6 +521,8 @@ def test_config_echoes_exactly_the_declared_flags(tmp_path):
     ["charts", "--jobs", "2"],
     ["smooth", "--jobs", "2"],
     ["cover", "--enum-cap", "24"],
+    ["props", "--euler-samples", "2"],
+    ["props", "--weight-samples", "2"],
 ])
 def test_removed_flags_are_usage_errors(argv):
     assert run_command(argv) == 3
