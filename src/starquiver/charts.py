@@ -24,6 +24,7 @@ import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from math import prod
 
 from .groebner import (
     DEFAULT_BUDGET,
@@ -46,7 +47,7 @@ from .quiver import (
     support_predicates,
     u_arrow,
 )
-from .reconstruction import DeformParams, deformed_relations
+from .reconstruction import DeformParams
 
 
 def _check_chart_range(c: ChartId, p: ArmParams):
@@ -229,14 +230,11 @@ def _arm_parts(Q: StarQuiver, rel: Poly) -> tuple:
 
 
 def substitution_oracle(Q: StarQuiver, gamma: DeformParams,
-                        relations: dict | None = None) -> SubstitutionOracle:
-    """Build the deformed relations once, unless the caller passes the
-    `deformed_relations(Q, gamma)` it has built; each arm chain is then
-    solved once per window that some chart reads."""
+                        relations: dict) -> SubstitutionOracle:
+    """The oracle on `relations = deformed_relations(Q, gamma)`; each arm
+    chain is solved once per window that some chart reads."""
     if not gamma.inside_delta:
         raise ValueError("gamma outside the parameter subspace: empty fibre")
-    if relations is None:
-        relations = deformed_relations(Q, gamma)
     cross = tuple((lbl, _arm_parts(Q, relations[lbl])) for lbl in _CROSS_LABELS)
     return SubstitutionOracle(Q, gamma, relations, cross, {})
 
@@ -454,30 +452,40 @@ def euler_identity_check(degree: int) -> bool:
     return x * f.derivative("x") - y * f.derivative("y") == f
 
 
-def quotient_nonzero_check(alphas, betas, budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
-    """Nonvanishing of C[a,b,x,y]/(f1, f2) for the two chart-shaped relations.
+def _quotient_relations(alphas, betas) -> tuple:
+    """f1 = ab - xy + a_1 and f2 = 1 - a prod_{i >= 2}(ab - a_i) + x prod_j(xy - b_j)
+    in QQ[a, b, x, y]."""
+    table = VarTable(["a", "b", "x", "y"])
+    a, b, x, y = (Poly.var(table, QQ, v) for v in table.names)
+    prod_a = poly_prod((a * b - v for v in alphas[1:]), table, QQ)
+    prod_x = poly_prod((x * y - v for v in betas), table, QQ)
+    return a * b - x * y + alphas[0], 1 - a * prod_a + x * prod_x
 
-    alphas = (a_1, ..., a_n) with a_1 the constant of f1; betas =
-    (b_2, ..., b_m).  Returns True iff 1 is not in the ideal.
+
+def quotient_nonzero_check(alphas, betas) -> bool:
+    """Whether 1 is not in (f1, f2) = `_quotient_relations(alphas, betas)`,
+    alphas = (a_1, ..., a_n) and betas = (b_2, ..., b_m), shown by an exact
+    point of V(f1, f2), where 1 = g1 f1 + g2 f2 would read 1 = 0.
+
+    With P(t) = prod_{i >= 2}(t - a_i) and R(s) = prod_j(s - b_j), the point
+    x = 1, y = t + a_1, a = (1 + R(y)) / P(t), b = t / a has ab - xy + a_1 = 0
+    and a P(ab) = 1 + R(xy).  P has at most n - 1 roots and 1 + R is 2 or of
+    degree m - 1, so some t in 0..n+m-2 has P(t) and 1 + R(y) nonzero.  A
+    point that misses (a fault) gives False.
     """
     alphas = [QQ.coerce(v) for v in alphas]
     betas = [QQ.coerce(v) for v in betas]
     if not alphas:
         raise ValueError("need at least the constant alpha_1")
-    table = VarTable(["a", "b", "x", "y"])
-    a = Poly.var(table, QQ, "a")
-    b = Poly.var(table, QQ, "b")
-    x = Poly.var(table, QQ, "x")
-    y = Poly.var(table, QQ, "y")
-    f1 = a * b - x * y + Poly.const(table, QQ, alphas[0])
-    prod_a = a
-    for v in alphas[1:]:
-        prod_a = prod_a * (a * b - Poly.const(table, QQ, v))
-    prod_x = x
-    for v in betas:
-        prod_x = prod_x * (x * y - Poly.const(table, QQ, v))
-    f2 = Poly.const(table, QQ, 1) - prod_a + prod_x
-    return not Ideal(table, [f1, f2], field=QQ, budget=budget).contains_one()
+    f1, f2 = _quotient_relations(alphas, betas)
+    for t in map(QQ.coerce, range(len(alphas) + len(betas))):
+        y = t + alphas[0]
+        P = prod((t - v for v in alphas[1:]), start=QQ.one)
+        a = QQ.one + prod((y - v for v in betas), start=QQ.one)
+        if P and a:
+            point = {"a": a / P, "b": t * P / a, "x": QQ.one, "y": y}
+            return f1.evaluate(point) == QQ.zero == f2.evaluate(point)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,8 @@ def cmd_charts(args) -> int:
     field = parse_field(args.field)
     t0 = time.monotonic()
     gamma, budget = parse_gamma_spec(args.gamma, p, field), _budget(args)
-    oracle = substitution_oracle(build_star_quiver(p, field), gamma)
+    Q = build_star_quiver(p, field)
+    oracle = substitution_oracle(Q, gamma, deformed_relations(Q, gamma))
     items = []
     for c in all_chart_ids(p):
         chart = fibre_chart(gamma, c, budget)
@@ -366,7 +367,7 @@ def cmd_props(args) -> int:
         m = rng.randint(1, 3)
         alphas = [QQ.coerce(rng.randint(-10, 10)) for _ in range(n)]
         betas = [QQ.coerce(rng.randint(-10, 10)) for _ in range(m - 1)]
-        if not quotient_nonzero_check(alphas, betas, budget=_budget(args)):
+        if not quotient_nonzero_check(alphas, betas):
             suites["quotient_nonzero"] = {
                 "ok": False,
                 "counterexample": {"alphas": [str(a) for a in alphas],
@@ -442,8 +443,7 @@ _SUBCOMMANDS = {
     "kernel": ("kernel of the cycle map by elimination", ("p", "field", *_CAPS)),
     "conjecture": ("kernel equals the minors ideal", ("p", "field", *_CAPS)),
     "gb": ("reduced basis of an ideal file", ("field", *_CAPS, "input", "output")),
-    "props": ("property suites (identities, invariance)",
-              ("p", *_CAPS, "seed", "nonunit-samples")),
+    "props": ("property suites (identities, invariance)", ("p", "seed", "nonunit-samples")),
 }
 
 

@@ -64,24 +64,21 @@ class WVPoint:
         return tuple(len(a) for a in self.alphas) == tuple(p) and len(self.betas) == 3
 
 
+def _pi_coordinates(al, p: ArmParams) -> tuple:
+    """(gamma1, gamma2, gamma3, a, b, A, B) from the 2-cycle coordinates
+    al(arm, j) by `-` alone, so al may give scalars or polynomials."""
+    gammas = (tuple(al(arm, i) - al(arm, i + 1) for i in range(1, p[arm])) for arm in (1, 2, 3))
+    return (*gammas, al(2, 1) - al(1, 1), al(2, 1) - al(3, 1),
+            al(1, p.p1) - al(2, p.p2), al(3, p.p3) - al(2, p.p2))
+
+
 def pi_map(pt: WVPoint, p: ArmParams) -> DeformParams:
     """Consecutive differences of the 2-cycle coordinates; lands in the
     parameter subspace identically."""
     p = ArmParams.parse(p)
     if not pt.matches(p):
         raise ValueError("point coordinates do not match arm parameters")
-    al = pt.alpha
-    gammas = [
-        tuple(QQ.sub(al(arm, i), al(arm, i + 1)) for i in range(1, p[arm]))
-        for arm in (1, 2, 3)
-    ]
-    gamma = make_gamma(
-        p, gammas[0], gammas[1], gammas[2],
-        a=QQ.sub(al(2, 1), al(1, 1)),
-        b=QQ.sub(al(2, 1), al(3, 1)),
-        A=QQ.sub(al(1, p.p1), al(2, p.p2)),
-        B=QQ.sub(al(3, p.p3), al(2, p.p2)),
-    )
+    gamma = make_gamma(p, *_pi_coordinates(pt.alpha, p))
     if not gamma.inside_delta:
         raise CheckFailed("pi image left the parameter subspace")
     return gamma
@@ -91,19 +88,12 @@ def pi_delta_forms_symbolic(p: ArmParams) -> tuple[Poly, Poly]:
     """The two subspace forms pulled back along pi, as polynomials in
     indeterminate alphas; both telescope to zero."""
     p = ArmParams.parse(p)
-    names = [f"al{arm}_{j}" for arm in (1, 2, 3) for j in range(1, p[arm] + 1)]
-    table = VarTable(names)
-    al = {(arm, j): Poly.var(table, QQ, f"al{arm}_{j}")
-          for arm in (1, 2, 3) for j in range(1, p[arm] + 1)}
-    gam = {arm: [al[arm, i] - al[arm, i + 1] for i in range(1, p[arm])]
-           for arm in (1, 2, 3)}
-    a = al[2, 1] - al[1, 1]
-    b = al[2, 1] - al[3, 1]
-    A = al[1, p.p1] - al[2, p.p2]
-    B = al[3, p.p3] - al[2, p.p2]
+    table = VarTable([f"al{arm}_{j}" for arm in (1, 2, 3) for j in range(1, p[arm] + 1)])
+    g1, g2, g3, a, b, A, B = _pi_coordinates(
+        lambda arm, j: Poly.var(table, QQ, f"al{arm}_{j}"), p)
     zero = Poly.zero(table, QQ)
-    form1 = sum(gam[1], zero) - sum(gam[2], zero) + A + a
-    form2 = sum(gam[3], zero) - sum(gam[2], zero) + B + b
+    form1 = sum(g1, zero) - sum(g2, zero) + A + a
+    form2 = sum(g3, zero) - sum(g2, zero) + B + b
     return form1, form2
 
 

@@ -39,7 +39,7 @@ from starquiver.invariants import (
 )
 from starquiver.poly import PrimeField, QQ, VarTable, parse_poly
 from starquiver.quiver import ArmParams, all_chart_ids, build_star_quiver
-from starquiver.reconstruction import random_gamma, zero_gamma
+from starquiver.reconstruction import deformed_relations, random_gamma, zero_gamma
 
 from test_reconstruction import rep_ideal
 
@@ -102,7 +102,7 @@ def test_criterion_03_oracle_equivalence():
     for p in P_SUITE:
         Q = build_star_quiver(p)
         for gamma in _suite_gammas(p):
-            oracle = substitution_oracle(Q, gamma)
+            oracle = substitution_oracle(Q, gamma, deformed_relations(Q, gamma))
             for c in all_chart_ids(p):
                 charts += 1
                 if not ideals_equal(fibre_chart(gamma, c), chart_by_substitution(oracle, c)):

@@ -204,7 +204,7 @@ def test_fibre_substitution_covers_arrows_and_lands_in_ideal(spec):
         Q = build_star_quiver(p, field)
         gamma = random_gamma(p, seed=23, field=field)
         rels = deformed_relations(Q, gamma)
-        oracle = substitution_oracle(Q, gamma)
+        oracle = substitution_oracle(Q, gamma, rels)
         for c in all_chart_ids(p):
             closed = fibre_chart(gamma, c)
             arrows = chart_substitution(oracle, c)
@@ -220,7 +220,7 @@ def test_fibre_substitution_covers_arrows_and_lands_in_ideal(spec):
 def test_oracle_agreement_zero_gamma_smallest_case():
     Q = build_star_quiver(P222)
     gamma = zero_gamma(P222)
-    oracle = substitution_oracle(Q, gamma)
+    oracle = substitution_oracle(Q, gamma, deformed_relations(Q, gamma))
     for c in all_chart_ids(P222):
         assert ideals_equal(fibre_chart(gamma, c), chart_by_substitution(oracle, c))
 
@@ -229,7 +229,7 @@ def test_oracle_agreement_random_gamma_all_charts():
     p = ArmParams(3, 2, 2)
     Q = build_star_quiver(p)
     gamma = random_gamma(p, seed=31)
-    oracle = substitution_oracle(Q, gamma)
+    oracle = substitution_oracle(Q, gamma, deformed_relations(Q, gamma))
     for c in all_chart_ids(p):
         assert ideals_equal(fibre_chart(gamma, c), chart_by_substitution(oracle, c))
 
@@ -240,13 +240,14 @@ def test_fibre_charts_and_witness_in_every_field(spec):
     p = ArmParams(3, 2, 2)
     Q = build_star_quiver(p, field)
     gamma = random_gamma(p, seed=31, field=field)
-    oracle = substitution_oracle(Q, gamma)
+    rels = deformed_relations(Q, gamma)
+    oracle = substitution_oracle(Q, gamma, rels)
     for c in all_chart_ids(p):
         chart = fibre_chart(gamma, c)
         assert smoothness_certificate(chart, expected_dim=2).status == "smooth"
         assert ideals_equal(chart, chart_by_substitution(oracle, c))
     point = fibre_witness_point(oracle)
-    for rel in deformed_relations(Q, gamma).values():
+    for rel in rels.values():
         assert rel.evaluate(point) == field.zero
 
 
@@ -255,8 +256,9 @@ def test_oracle_rejects_gamma_of_another_field_or_arms():
     Q = build_star_quiver(p)
     for gamma in (random_gamma(p, 1, field=parse_field("fp:11")),
                   random_gamma(ArmParams(2, 3, 2), 1)):
+        # the relations the oracle reads are built for Q alone
         with pytest.raises(ValueError, match="on a quiver"):
-            substitution_oracle(Q, gamma)
+            substitution_oracle(Q, gamma, deformed_relations(Q, gamma))
 
 
 def test_oracle_survivors_contain_plus_minus_first_relation():
@@ -264,7 +266,7 @@ def test_oracle_survivors_contain_plus_minus_first_relation():
     # first chart relation up to sign
     Q = build_star_quiver(P222)
     gamma = random_gamma(P222, seed=37)
-    oracle = substitution_oracle(Q, gamma)
+    oracle = substitution_oracle(Q, gamma, deformed_relations(Q, gamma))
     for c in all_chart_ids(P222):
         closed = fibre_chart(gamma, c)
         derived = chart_by_substitution(oracle, c)
@@ -285,7 +287,7 @@ def test_cross_images_match_the_merged_substitution(spec):
         p = ArmParams.parse(p)
         Q = build_star_quiver(p, field)
         for gamma in (zero_gamma(p, field), random_gamma(p, seed=5, field=field)):
-            oracle = substitution_oracle(Q, gamma)
+            oracle = substitution_oracle(Q, gamma, deformed_relations(Q, gamma))
             for c in all_chart_ids(p):
                 images = charts._cross_images(oracle, c)
                 # the three window solutions, moved by name to the chart's
@@ -320,10 +322,12 @@ def test_charts_run_solves_each_arm_window_once(monkeypatch):
     # pushing the five cross relations through each chart's merged map
     # made 318
     solves, builds, subs = [], [], []
-    solve, build, substitute = charts._solve_linear, charts.deformed_relations, Poly.substitute
+    solve, substitute = charts._solve_linear, Poly.substitute
+    build = starquiver.cli.deformed_relations
     monkeypatch.setattr(charts, "_solve_linear",
                         lambda img, name: solves.append(name) or solve(img, name))
-    monkeypatch.setattr(charts, "deformed_relations",
+    # `charts` builds the relations once and hands them to the oracle
+    monkeypatch.setattr(starquiver.cli, "deformed_relations",
                         lambda Q, gamma: builds.append(gamma) or build(Q, gamma))
     monkeypatch.setattr(Poly, "substitute",
                         lambda p, *args, **kw: subs.append(p) or substitute(p, *args, **kw))
@@ -491,7 +495,7 @@ def test_witness_point_satisfies_every_relation():
         p = ArmParams.parse(p)
         Q = build_star_quiver(p)
         gamma = random_gamma(p, seed=61)
-        point = fibre_witness_point(substitution_oracle(Q, gamma))
+        point = fibre_witness_point(substitution_oracle(Q, gamma, deformed_relations(Q, gamma)))
         for rel in deformed_relations(Q, gamma).values():
             assert rel.evaluate(point) == 0
 
@@ -552,6 +556,53 @@ def test_quotient_nonzero_random_parameters():
         alphas = [Fraction(rng.randint(-10, 10)) for _ in range(n)]
         betas = [Fraction(rng.randint(-10, 10)) for _ in range(m - 1)]
         assert quotient_nonzero_check(alphas, betas)
+
+
+# with P(t) = prod_{i >= 2}(t - a_i) and R(s) = prod_j(s - b_j), the witness
+# takes the first t = 0, 1, ... with P(t) != 0 and 1 + R(t + a_1) != 0
+QUOTIENT_EDGE_CASES = [
+    ([0, 0], [0]),              # P(0) = 0
+    ([2, 0, 1, 2], [2, 3, 1]),  # P(0) = P(1) = P(2) = 0, R(a_1) = 0
+    ([3, -3], [5]),             # P(-a_1) = 0
+    ([1, 4], [1, 7]),           # R(a_1) = 0
+    ([0], [1]),                 # 1 + R(0) = 0: t = 1
+    ([0, 0], [2]),              # P(0) = 0, 1 + R(1) = 0: only t = n + m - 2 = 2
+    ([0, 0, 1], [3]),           # P(0) = P(1) = 0, 1 + R(2) = 0: only t = 3
+]
+
+
+@pytest.mark.parametrize("alphas, betas", QUOTIENT_EDGE_CASES)
+def test_quotient_nonzero_edge_cases_agree_with_the_engine(alphas, betas):
+    assert quotient_nonzero_check(alphas, betas)
+    f1, f2 = charts._quotient_relations(alphas, betas)
+    assert not Ideal(f1.table, [f1, f2]).contains_one()
+
+
+def test_quotient_relations_hand_case():
+    f1, f2 = charts._quotient_relations([Fraction(1, 2), 3], [5])
+    table = f1.table
+    assert f1 == parse_poly("a*b - x*y + 1/2", table)
+    assert f2 == parse_poly("1 - a*(a*b - 3) + x*(x*y - 5)", table)
+
+
+def test_quotient_nonzero_fails_on_a_shifted_constant(monkeypatch):
+    # the witness is computed from the parameters, not read off f1 and f2,
+    # so relations built wrong miss it
+    build = charts._quotient_relations
+
+    def shifted(alphas, betas):
+        f1, f2 = build(alphas, betas)
+        return f1 + 1, f2
+
+    monkeypatch.setattr(charts, "_quotient_relations", shifted)
+    for alphas, betas in QUOTIENT_EDGE_CASES:
+        assert not quotient_nonzero_check(alphas, betas)
+
+
+def test_quotient_nonzero_without_a_candidate_is_false(monkeypatch):
+    # every P(t) read as 0: the bounded search ends and reports the miss
+    monkeypatch.setattr(charts, "prod", lambda factors, start: QQ.zero)
+    assert not quotient_nonzero_check([0, 0], [0])
 
 
 def test_unit_ideal_control_detected():

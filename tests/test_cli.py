@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import starquiver.cli as cli
+from starquiver import charts, groebner, invariants
 from starquiver.cli import _build_parser, run_command
 from starquiver.groebner import CheckFailed
 from starquiver.poly import Poly
@@ -382,6 +383,50 @@ def test_props_fails_on_a_reversed_u_arrow(tmp_path, monkeypatch):
     assert report["suites"]["euler_identity"]["ok"]
 
 
+def test_props_builds_no_groebner_basis(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("props ran the Buchberger engine")
+
+    monkeypatch.setattr(groebner, "_buchberger", refuse)
+    code, report = _run(tmp_path, "props", "--p", "3,3,2", "--nonunit-samples", "50")
+    assert code == 0
+    assert report["status"] == "ok"
+    assert report["suites"]["quotient_nonzero"] == {"ok": True, "checked": 50}
+    assert "budgets" not in report["config"]
+
+
+def test_props_fails_on_a_shifted_quotient_constant(tmp_path, monkeypatch):
+    build = charts._quotient_relations
+
+    def shifted(alphas, betas):
+        f1, f2 = build(alphas, betas)
+        return f1 + 1, f2
+
+    monkeypatch.setattr(charts, "_quotient_relations", shifted)
+    code, report = _run(tmp_path, "props", "--p", "2,2,2", "--nonunit-samples", "5")
+    assert code == 1
+    assert report["status"] == "fail"
+    # the first sample of seed 0 is the counterexample
+    assert report["suites"]["quotient_nonzero"] == {
+        "ok": False, "counterexample": {"alphas": ["-9", "-2"], "betas": ["6"]}}
+
+
+def test_pi_and_props_fail_under_a_perturbed_pi_coordinate(tmp_path, monkeypatch):
+    coordinates = invariants._pi_coordinates
+
+    def flipped(al, p):
+        g1, g2, g3, a, b, A, B = coordinates(al, p)
+        return g1, g2, g3, -a, b, A, B
+
+    monkeypatch.setattr(invariants, "_pi_coordinates", flipped)
+    code, report = _run(tmp_path, "pi", "--p", "2,2,2")
+    assert code == 1
+    assert report["item"] == {"symbolic_forms_vanish": False}
+    code, report = _run(tmp_path, "props", "--p", "2,2,2", "--nonunit-samples", "0")
+    assert code == 1
+    assert report["suites"]["pi_symbolic"] == {"ok": False}
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_charts_and_smooth_in_every_field(tmp_path, field):
     code, report = _run(tmp_path, "charts", "--p", "2,2,2", "--field", field,
@@ -480,7 +525,7 @@ CONFIG_KEYS = {
     "kernel": {"p", "field", "budgets"},
     "conjecture": {"p", "field", "budgets"},
     "gb": {"field", "budgets", "input"},
-    "props": {"p", "budgets", "seed", "nonunit_samples"},
+    "props": {"p", "seed", "nonunit_samples"},
 }
 
 
@@ -523,6 +568,9 @@ def test_config_echoes_exactly_the_declared_flags(tmp_path):
     ["cover", "--enum-cap", "24"],
     ["props", "--euler-samples", "2"],
     ["props", "--weight-samples", "2"],
+    ["props", "--spair-cap", "0"],
+    ["props", "--deg-cap", "0"],
+    ["props", "--time-cap", "1"],
 ])
 def test_removed_flags_are_usage_errors(argv):
     assert run_command(argv) == 3
