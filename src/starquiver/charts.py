@@ -24,7 +24,6 @@ import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import prod
 
 from .groebner import (
     DEFAULT_BUDGET,
@@ -452,40 +451,54 @@ def euler_identity_check(degree: int) -> bool:
     return x * f.derivative("x") - y * f.derivative("y") == f
 
 
-def _quotient_relations(alphas, betas) -> tuple:
-    """f1 = ab - xy + a_1 and f2 = 1 - a prod_{i >= 2}(ab - a_i) + x prod_j(xy - b_j)
-    in QQ[a, b, x, y]."""
-    table = VarTable(["a", "b", "x", "y"])
-    a, b, x, y = (Poly.var(table, QQ, v) for v in table.names)
-    prod_a = poly_prod((a * b - v for v in alphas[1:]), table, QQ)
-    prod_x = poly_prod((x * y - v for v in betas), table, QQ)
-    return a * b - x * y + alphas[0], 1 - a * prod_a + x * prod_x
+def _at(coeffs, s: Poly) -> Poly:
+    """The polynomial with these coefficients, constant term first, at s."""
+    out = Poly.zero(s.table, s.field)
+    for c in reversed(coeffs):
+        out = out * s + c
+    return out
 
 
-def quotient_nonzero_check(alphas, betas) -> bool:
-    """Whether 1 is not in (f1, f2) = `_quotient_relations(alphas, betas)`,
-    alphas = (a_1, ..., a_n) and betas = (b_2, ..., b_m), shown by an exact
-    point of V(f1, f2), where 1 = g1 f1 + g2 f2 would read 1 = 0.
+def _quotient_relations(table: VarTable, alpha1, A, B) -> tuple:
+    """f1 = ab - xy + alpha1 and f2 = 1 - a A(ab) + x B(xy) on `table`, which
+    holds a, b, x, y; A and B are coefficient lists, constant term first.  A
+    fibre chart's relations have A = prod_{i >= 2}(s - a_i), B = prod_j(s - b_j)."""
+    a, b, x, y = (Poly.var(table, QQ, v) for v in "abxy")
+    return a * b - x * y + alpha1, 1 - a * _at(A, a * b) + x * _at(B, x * y)
 
-    With P(t) = prod_{i >= 2}(t - a_i) and R(s) = prod_j(s - b_j), the point
-    x = 1, y = t + a_1, a = (1 + R(y)) / P(t), b = t / a has ab - xy + a_1 = 0
-    and a P(ab) = 1 + R(xy).  P has at most n - 1 roots and 1 + R is 2 or of
-    degree m - 1, so some t in 0..n+m-2 has P(t) and 1 + R(y) nonzero.  A
-    point that misses (a fault) gives False.
+
+def quotient_nonzero_check(degree: int) -> bool:
+    """Check that 1 is not in (f1, f2) = `_quotient_relations` for every
+    alpha1 and every A and B of degree at most `degree`, by one identity in
+    QQ[a, b, x, y, t, al1, c_k, e_k] with A = sum c_k s^k, B = sum e_k s^k.
+
+    With P = A(t), N = 1 + B(y) and al1 = y - t, the point a = N/P,
+    b = tP/N, x = 1 reads a monomial a^i b^j as (N/P)^(i-j) t^j.  So if each
+    relation, split as f_0 + f_1 by i - j (only 0 and 1 may occur) and read
+    at a = 1, b = t, x = 1, has P f_0 + N f_1 = 0, the point lies on V(f1, f2)
+    wherever P N != 0.  A fibre chart's products of at most `degree` factors
+    specialise A and B; then A is monic and 1 + B is 2 or monic, so some
+    rational t has P N != 0 with y = t + a_1, and at that point of V(f1, f2)
+    1 = g1 f1 + g2 f2 would read 1 = 0.
     """
-    alphas = [QQ.coerce(v) for v in alphas]
-    betas = [QQ.coerce(v) for v in betas]
-    if not alphas:
-        raise ValueError("need at least the constant alpha_1")
-    f1, f2 = _quotient_relations(alphas, betas)
-    for t in map(QQ.coerce, range(len(alphas) + len(betas))):
-        y = t + alphas[0]
-        P = prod((t - v for v in alphas[1:]), start=QQ.one)
-        a = QQ.one + prod((y - v for v in betas), start=QQ.one)
-        if P and a:
-            point = {"a": a / P, "b": t * P / a, "x": QQ.one, "y": y}
-            return f1.evaluate(point) == QQ.zero == f2.evaluate(point)
-    return False
+    if degree < 0:
+        raise ValueError(f"expected a degree at least 0, got {degree}")
+    cs, es = ([f"{c}{k}" for k in range(degree + 1)] for c in "ce")
+    table = VarTable(["a", "b", "x", "y", "t", "al1", *cs, *es])
+    A, B = ([Poly.var(table, QQ, v) for v in names] for names in (cs, es))
+    t, y, al1 = (Poly.var(table, QQ, v) for v in ("t", "y", "al1"))
+    P, N = _at(A, t), 1 + _at(B, y)
+    at = {"a": 1, "b": t, "x": 1, "al1": y - t}
+    for f in _quotient_relations(table, al1, A, B):
+        parts = [{}, {}]
+        for exps, c in f.terms.items():
+            if exps[0] - exps[1] not in (0, 1):  # deg_a - deg_b
+                return False
+            parts[exps[0] - exps[1]][exps] = c
+        f_0, f_1 = (Poly(table, QQ, part).substitute(at) for part in parts)
+        if P * f_0 + N * f_1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@ Every subcommand declares only the flags it applies, prints a human
 summary, optionally writes a JSON report whose `config` echoes exactly those
 flags, and exits 0 on full success, 1 on a genuine mathematical counterexample,
 2 when a budget made the run inconclusive, and 3 on usage errors.  Reports
-are deterministic for a fixed configuration and seed, up to the *_ms timing
-fields.
+are deterministic for a fixed configuration, up to the *_ms timing fields.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import random
 import sys
 import time
 
@@ -283,7 +281,7 @@ def _conjecture_body(args, rep) -> dict:
 
 def _conjecture_exit(rep, origin_status: str = "confirmed") -> tuple[str, int]:
     ok = rep.minors_in_kernel and "refuted" not in (rep.status, origin_status)
-    return _status_exit(ok, rep.status == "inconclusive")
+    return _status_exit(ok, "inconclusive" in (rep.status, origin_status))
 
 
 def cmd_kernel(args) -> int:
@@ -359,24 +357,7 @@ def cmd_props(args) -> int:
     # every p checks products of up to four factors at least
     degree = max(4, max(p) - 1)
     suites["euler_identity"] = {"ok": euler_identity_check(degree), "degree": degree}
-
-    rng = random.Random(args.seed)
-    n_checks = 0
-    for _ in range(args.nonunit_samples):
-        n = rng.randint(1, 3)
-        m = rng.randint(1, 3)
-        alphas = [QQ.coerce(rng.randint(-10, 10)) for _ in range(n)]
-        betas = [QQ.coerce(rng.randint(-10, 10)) for _ in range(m - 1)]
-        if not quotient_nonzero_check(alphas, betas):
-            suites["quotient_nonzero"] = {
-                "ok": False,
-                "counterexample": {"alphas": [str(a) for a in alphas],
-                                   "betas": [str(b) for b in betas]},
-            }
-            break
-        n_checks += 1
-    else:
-        suites["quotient_nonzero"] = {"ok": True, "checked": n_checks}
+    suites["quotient_nonzero"] = {"ok": quotient_nonzero_check(degree), "degree": degree}
 
     Q = build_star_quiver(p)
     suites["cycles_invariant"] = {"ok": cycles_invariant(Q), "checked": len(phi_map(Q))}
@@ -426,8 +407,6 @@ _FLAGS = {
     "point": dict(default=None, help="JSON file with betas/alphas to push through the map"),
     "input": dict(required=True, help="ideal text file"),
     "output": dict(default=None, help="write the basis as an ideal file"),
-    "seed": dict(type=int, default=0),
-    "nonunit-samples": dict(type=_count, default=50),
 }
 _CAPS = ("spair-cap", "deg-cap", "time-cap")
 
@@ -443,7 +422,7 @@ _SUBCOMMANDS = {
     "kernel": ("kernel of the cycle map by elimination", ("p", "field", *_CAPS)),
     "conjecture": ("kernel equals the minors ideal", ("p", "field", *_CAPS)),
     "gb": ("reduced basis of an ideal file", ("field", *_CAPS, "input", "output")),
-    "props": ("property suites (identities, invariance)", ("p", "seed", "nonunit-samples")),
+    "props": ("property suites (identities, invariance)", ("p",)),
 }
 
 

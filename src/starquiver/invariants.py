@@ -258,7 +258,7 @@ def verify_conjecture(p, field=QQ, budget: GroebnerBudget = DEFAULT_BUDGET) -> C
     minors_ok = verify_minors_vanish(p)
     try:
         kern = kernel_ideal(p, field, budget)
-        mins = minors_ideal(p, field)
+        mins = minors_ideal(p, field, budget)
         equal = ideals_equal(kern, mins)
         status = "confirmed" if (equal and minors_ok) else "refuted"
         kgens = tuple(g.to_str() for g in kern.groebner_basis())

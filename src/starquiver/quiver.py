@@ -203,13 +203,6 @@ def arm_window_units(arm: int, window: int, p: ArmParams) -> list[str]:
             + [u_arrow(arm, m) for m in range(window + 1, p[arm] + 1)])
 
 
-def chart_unit_arrows(c: ChartId, p: ArmParams) -> list[str]:
-    """Arrows required nonzero by the chart (scaled to 1 in presentations)."""
-    arm_a, arm_b = c.other_arms()
-    return (arm_window_units(c.k, 0, p) + arm_window_units(arm_a, c.i, p)
-            + arm_window_units(arm_b, c.j, p))
-
-
 # ---------------------------------------------------------------------------
 # supports: an int whose bit i marks Q.table.names[i] as nonzero
 # ---------------------------------------------------------------------------

@@ -48,11 +48,6 @@ class DeformParams:
     def p(self) -> ArmParams:
         return ArmParams(len(self.gamma1) + 1, len(self.gamma2) + 1, len(self.gamma3) + 1)
 
-    def is_zero(self) -> bool:
-        vals = list(self.gamma1) + list(self.gamma2) + list(self.gamma3)
-        vals += [self.a, self.b, self.A, self.B]
-        return all(v == 0 for v in vals)
-
     def to_json(self) -> dict:
         return {
             "gamma1": [str(v) for v in self.gamma1],

@@ -41,6 +41,7 @@ from starquiver.poly import PrimeField, QQ, VarTable, parse_poly
 from starquiver.quiver import ArmParams, all_chart_ids, build_star_quiver
 from starquiver.reconstruction import deformed_relations, random_gamma, zero_gamma
 
+from test_charts import witness_quotient_check
 from test_reconstruction import rep_ideal
 
 P_SUITE = [ArmParams(*p) for p in
@@ -204,14 +205,15 @@ def test_criterion_09_property_suites():
     rng = random.Random(2024)
     ok = True
 
-    # the Euler identity for every cycle product of up to 16 factors
-    ok = ok and euler_identity_check(16)
+    # the Euler identity and the non-unit quotients for every cycle product
+    # of up to 16 factors, and sampled quotients by their witness points
+    ok = ok and euler_identity_check(16) and quotient_nonzero_check(16)
 
     for _ in range(50):
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         alphas = [Fraction(rng.randint(-10, 10)) for _ in range(n)]
         betas = [Fraction(rng.randint(-10, 10)) for _ in range(m - 1)]
-        ok = ok and quotient_nonzero_check(alphas, betas)
+        ok = ok and witness_quotient_check(alphas, betas)
 
     for p in P_SUITE:
         ok = ok and cycles_invariant(build_star_quiver(p))

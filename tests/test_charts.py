@@ -5,6 +5,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from math import prod
 from types import SimpleNamespace
 
 import pytest
@@ -393,13 +394,22 @@ def test_chart_runs_read_no_basis_as_polys(monkeypatch, argv):
     assert run_command(argv) == 0
 
 
+def chart_unit_arrows(c: ChartId, p: ArmParams) -> list:
+    """Arrows required nonzero by the chart (scaled to 1 in presentations).
+    It reads `quiver.arm_window_units` at call time, so a fault injected
+    there reaches the oracles that read this list too."""
+    arm_a, arm_b = c.other_arms()
+    units = quiver.arm_window_units
+    return units(c.k, 0, p) + units(arm_a, c.i, p) + units(arm_b, c.j, p)
+
+
 def total_space_by_substitution(Q, c):
     """The total-space chart derived by substitution: the arrows of
-    `quiver.chart_unit_arrows` become 1 in the canonical relation, and the
+    `chart_unit_arrows` become 1 in the canonical relation, and the
     rest must be the closed form's chart variables."""
     table = total_space_chart(Q.p, c, Q.field).table
     img = canonical_relation(Q).substitute(
-        dict.fromkeys(quiver.chart_unit_arrows(c, Q.p), 1), table)
+        dict.fromkeys(chart_unit_arrows(c, Q.p), 1), table)
     return Ideal(table, (img,), field=Q.field)
 
 
@@ -412,16 +422,16 @@ def test_oracle_total_space_mode():
 
 
 def test_oracle_total_space_mode_checks_the_unit_arrows(monkeypatch):
-    # the derivation binds quiver.chart_unit_arrows to 1 and maps the rest by
+    # the derivation binds chart_unit_arrows to 1 and maps the rest by
     # name into the closed form's variables: a unit list that drops an arrow,
     # or that scales a chart variable, no longer matches the closed form
     Q = build_star_quiver(P222)
     c = ChartId(1, 1, 1)
-    units = quiver.chart_unit_arrows(c, P222)
-    monkeypatch.setattr(quiver, "chart_unit_arrows", lambda c, p: units[1:])
+    units = chart_unit_arrows(c, P222)
+    monkeypatch.setitem(globals(), "chart_unit_arrows", lambda c, p: units[1:])
     with pytest.raises(ValueError, match="no image"):
         total_space_by_substitution(Q, c)
-    monkeypatch.setattr(quiver, "chart_unit_arrows", lambda c, p: units + ["d2_1"])
+    monkeypatch.setitem(globals(), "chart_unit_arrows", lambda c, p: units + ["d2_1"])
     derived = total_space_by_substitution(Q, c)
     assert derived.gens != total_space_chart(P222, c).gens
 
@@ -544,18 +554,92 @@ def test_euler_identity_random_cubics():
         assert x * f.derivative("x") - y * f.derivative("y") == f
 
 
+def product_coefficients(roots) -> list:
+    """The coefficients of prod_r (s - r), constant term first."""
+    coeffs = [QQ.one]
+    for r in roots:
+        coeffs = [lower - r * c for lower, c in zip([QQ.zero, *coeffs], [*coeffs, QQ.zero])]
+    return coeffs
+
+
+QUOTIENT_TABLE = VarTable(["a", "b", "x", "y"])
+
+
+def specialised_quotient_relations(alphas, betas) -> tuple:
+    """`charts._quotient_relations` in QQ[a, b, x, y] at alpha1 = a_1,
+    A = prod_{i >= 2}(s - a_i) and B = prod_j(s - b_j)."""
+    return charts._quotient_relations(QUOTIENT_TABLE, alphas[0], product_coefficients(alphas[1:]),
+                                      product_coefficients(betas))
+
+
+def witness_quotient_check(alphas, betas) -> bool:
+    """Whether 1 is not in (f1, f2) = `specialised_quotient_relations`,
+    alphas = (a_1, ..., a_n) and betas = (b_2, ..., b_m), shown by an exact
+    point of V(f1, f2), where 1 = g1 f1 + g2 f2 would read 1 = 0: the oracle
+    of `quotient_nonzero_check`, one parameter pair at a time.
+
+    With P(t) = prod_{i >= 2}(t - a_i) and R(s) = prod_j(s - b_j), the point
+    x = 1, y = t + a_1, a = (1 + R(y)) / P(t), b = t / a has ab - xy + a_1 = 0
+    and a P(ab) = 1 + R(xy).  P has at most n - 1 roots and 1 + R is 2 or of
+    degree m - 1, so some t in 0..n+m-2 has P(t) and 1 + R(y) nonzero.  A
+    point that misses (a fault) gives False.
+    """
+    alphas = [QQ.coerce(v) for v in alphas]
+    betas = [QQ.coerce(v) for v in betas]
+    f1, f2 = specialised_quotient_relations(alphas, betas)
+    for t in map(QQ.coerce, range(len(alphas) + len(betas))):
+        y = t + alphas[0]
+        P = prod((t - v for v in alphas[1:]), start=QQ.one)
+        a = QQ.one + prod((y - v for v in betas), start=QQ.one)
+        if P and a:
+            point = {"a": a / P, "b": t * P / a, "x": QQ.one, "y": y}
+            return f1.evaluate(point) == QQ.zero == f2.evaluate(point)
+    return False
+
+
+def generic_quotient_relations(degree: int) -> tuple:
+    """The relations `quotient_nonzero_check(degree)` proves, with the
+    indeterminates al1, c_0..c_D and e_0..e_D."""
+    cs, es = ([f"{c}{k}" for k in range(degree + 1)] for c in "ce")
+    table = VarTable(["a", "b", "x", "y", "t", "al1", *cs, *es])
+    A, B = ([Poly.var(table, QQ, v) for v in names] for names in (cs, es))
+    return charts._quotient_relations(table, Poly.var(table, QQ, "al1"), A, B)
+
+
+def assert_quotient_pair(alphas, betas):
+    """The oracle finds the pair's quotient non-unit, and the pair's
+    relations are a specialisation of the ones the generic check proves."""
+    assert witness_quotient_check(alphas, betas)
+    degree = max(len(alphas) - 1, len(betas))
+    assert quotient_nonzero_check(degree)
+    pad = [QQ.zero] * (degree + 1)
+    A = (product_coefficients(alphas[1:]) + pad)[:degree + 1]
+    B = (product_coefficients(betas) + pad)[:degree + 1]
+    values = {"al1": alphas[0], **{f"c{k}": c for k, c in enumerate(A)},
+              **{f"e{k}": e for k, e in enumerate(B)}}
+    generic = generic_quotient_relations(degree)
+    assert tuple(f.substitute(values, QUOTIENT_TABLE) for f in generic) \
+        == specialised_quotient_relations(alphas, betas)
+
+
 def test_quotient_nonzero_zero_parameters():
-    assert quotient_nonzero_check([0, 0], [0])
+    assert_quotient_pair([0, 0], [0])
 
 
 def test_quotient_nonzero_random_parameters():
     rng = random.Random(71)
-    for _ in range(10):
+    for _ in range(300):
         n = rng.randint(1, 4)
         m = rng.randint(1, 4)
         alphas = [Fraction(rng.randint(-10, 10)) for _ in range(n)]
         betas = [Fraction(rng.randint(-10, 10)) for _ in range(m - 1)]
-        assert quotient_nonzero_check(alphas, betas)
+        assert_quotient_pair(alphas, betas)
+
+
+def test_quotient_nonzero_check_every_degree():
+    assert all(quotient_nonzero_check(degree) for degree in range(16))
+    with pytest.raises(ValueError, match="at least 0"):
+        quotient_nonzero_check(-1)
 
 
 # with P(t) = prod_{i >= 2}(t - a_i) and R(s) = prod_j(s - b_j), the witness
@@ -573,36 +657,65 @@ QUOTIENT_EDGE_CASES = [
 
 @pytest.mark.parametrize("alphas, betas", QUOTIENT_EDGE_CASES)
 def test_quotient_nonzero_edge_cases_agree_with_the_engine(alphas, betas):
-    assert quotient_nonzero_check(alphas, betas)
-    f1, f2 = charts._quotient_relations(alphas, betas)
+    assert_quotient_pair(alphas, betas)
+    f1, f2 = specialised_quotient_relations(alphas, betas)
     assert not Ideal(f1.table, [f1, f2]).contains_one()
 
 
 def test_quotient_relations_hand_case():
-    f1, f2 = charts._quotient_relations([Fraction(1, 2), 3], [5])
-    table = f1.table
-    assert f1 == parse_poly("a*b - x*y + 1/2", table)
-    assert f2 == parse_poly("1 - a*(a*b - 3) + x*(x*y - 5)", table)
+    f1, f2 = specialised_quotient_relations([Fraction(1, 2), 3], [5])
+    assert f1 == parse_poly("a*b - x*y + 1/2", QUOTIENT_TABLE)
+    assert f2 == parse_poly("1 - a*(a*b - 3) + x*(x*y - 5)", QUOTIENT_TABLE)
+    f1, f2 = generic_quotient_relations(1)
+    assert f1 == parse_poly("a*b - x*y + al1", f1.table)
+    assert f2 == parse_poly("1 - a*(c0 + c1*a*b) + x*(e0 + e1*x*y)", f1.table)
+
+
+# the program's builder, kept for the faulty ones below, which tests patch in
+QUOTIENT_RELATIONS = charts._quotient_relations
+
+
+def shifted_quotient_constant(table, alpha1, A, B):
+    """f1 + 1: a relation built wrong."""
+    f1, f2 = QUOTIENT_RELATIONS(table, alpha1, A, B)
+    return f1 + 1, f2
+
+
+def flipped_quotient_b_sign(table, alpha1, A, B):
+    """f2 with -x B(xy) for + x B(xy)."""
+    f1, f2 = QUOTIENT_RELATIONS(table, alpha1, A, B)
+    x, y = Poly.var(table, QQ, "x"), Poly.var(table, QQ, "y")
+    return f1, f2 - 2 * x * charts._at(B, x * y)
+
+
+def quotient_b_read_at_xb(table, alpha1, A, B):
+    """f2 with x B(xb) for x B(xy)."""
+    f1, f2 = QUOTIENT_RELATIONS(table, alpha1, A, B)
+    b, x, y = (Poly.var(table, QQ, v) for v in "bxy")
+    return f1, f2 - x * charts._at(B, x * y) + x * charts._at(B, x * b)
 
 
 def test_quotient_nonzero_fails_on_a_shifted_constant(monkeypatch):
     # the witness is computed from the parameters, not read off f1 and f2,
     # so relations built wrong miss it
-    build = charts._quotient_relations
-
-    def shifted(alphas, betas):
-        f1, f2 = build(alphas, betas)
-        return f1 + 1, f2
-
-    monkeypatch.setattr(charts, "_quotient_relations", shifted)
+    monkeypatch.setattr(charts, "_quotient_relations", shifted_quotient_constant)
     for alphas, betas in QUOTIENT_EDGE_CASES:
-        assert not quotient_nonzero_check(alphas, betas)
+        assert not witness_quotient_check(alphas, betas)
+    assert not any(quotient_nonzero_check(degree) for degree in range(5))
+
+
+@pytest.mark.parametrize("misbuilt", [flipped_quotient_b_sign, quotient_b_read_at_xb],
+                         ids=lambda f: f.__name__)
+def test_quotient_nonzero_check_rejects_misbuilt_relations(monkeypatch, misbuilt):
+    # a B of degree 0 reads no b, so x B(xb) = x B(xy) there
+    monkeypatch.setattr(charts, "_quotient_relations", misbuilt)
+    assert not any(quotient_nonzero_check(degree) for degree in range(1, 5))
 
 
 def test_quotient_nonzero_without_a_candidate_is_false(monkeypatch):
     # every P(t) read as 0: the bounded search ends and reports the miss
-    monkeypatch.setattr(charts, "prod", lambda factors, start: QQ.zero)
-    assert not quotient_nonzero_check([0, 0], [0])
+    monkeypatch.setitem(globals(), "prod", lambda factors, start: QQ.zero)
+    assert not witness_quotient_check([0, 0], [0])
 
 
 def test_unit_ideal_control_detected():
@@ -647,12 +760,12 @@ def test_cover_counters_pinned(p, counts):
 def oracle_predicates(Q):
     """full_down_arms, is_relation_compatible and charts of a bitmask
     support, as closures over the down-path and chart masks of Q.  Chart
-    membership reads `quiver.all_chart_ids` and `quiver.chart_unit_arrows`
+    membership reads `quiver.all_chart_ids` and `chart_unit_arrows`
     at build time, so a fault injected there reaches the oracle too."""
     bits = support_predicates(Q).bits
     down_paths = tuple(
         (arm, bits(d_arrow(arm, j) for j in range(1, Q.p[arm] + 1))) for arm in (1, 2, 3))
-    chart_masks = tuple((c, bits(quiver.chart_unit_arrows(c, Q.p)))
+    chart_masks = tuple((c, bits(chart_unit_arrows(c, Q.p)))
                         for c in quiver.all_chart_ids(Q.p))
 
     def full_down_arms(support: int) -> list:

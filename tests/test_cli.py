@@ -12,9 +12,11 @@ import pytest
 import starquiver.cli as cli
 from starquiver import charts, groebner, invariants
 from starquiver.cli import _build_parser, run_command
-from starquiver.groebner import CheckFailed
+from starquiver.groebner import CheckFailed, GroebnerBudget
 from starquiver.poly import Poly
 from starquiver.quiver import build_star_quiver
+
+from test_charts import flipped_quotient_b_sign, quotient_b_read_at_xb, shifted_quotient_constant
 
 FIELDS = ["q", "fp:65521", "fp:11"]
 
@@ -229,6 +231,22 @@ def test_kernel_report_schema(tmp_path):
     assert isinstance(report["elapsed_ms"], int)
 
 
+def test_kernel_with_an_inconclusive_origin_fibre_exits_two(tmp_path, monkeypatch, capsys):
+    # a cap that trips on the origin fibre after the kernel is confirmed
+    # leaves the run inconclusive
+    presentation = cli.fibre_zero_presentation
+
+    def capped(p, field, budget, kernel):
+        return presentation(p, field, GroebnerBudget(max_spairs=0), kernel=kernel)
+
+    monkeypatch.setattr(cli, "fibre_zero_presentation", capped)
+    code, report = _run(tmp_path, "kernel", "--p", "2,2,2", "--field", "fp:65521")
+    assert code == 2
+    assert report["status"] == "confirmed"
+    assert report["fibre_zero"]["status"] == "inconclusive"
+    assert capsys.readouterr().out.endswith("origin fibre: inconclusive -> inconclusive\n")
+
+
 def test_kernel_largest_case_confirmed_within_default_caps(tmp_path):
     code, report = _run(tmp_path, "kernel", "--p", "3,3,3", "--field", "fp:65521")
     assert code == 0
@@ -332,14 +350,14 @@ def test_gb_header_without_variables_is_a_usage_error(tmp_path, capsys, text):
 
 
 def test_props_suites(tmp_path):
-    code, report = _run(tmp_path, "props", "--p", "2,2,2", "--nonunit-samples", "5")
+    code, report = _run(tmp_path, "props", "--p", "2,2,2")
     assert code == 0
     assert all(s["ok"] for s in report["suites"].values())
     suites = report["suites"]
     assert set(suites) == {"euler_identity", "quotient_nonzero", "cycles_invariant",
                            "pi_symbolic"}
     assert suites["euler_identity"] == {"ok": True, "degree": 4}
-    assert suites["quotient_nonzero"] == {"ok": True, "checked": 5}
+    assert suites["quotient_nonzero"] == {"ok": True, "degree": 4}
     # the three crossing cycles and the six 2-cycles
     assert suites["cycles_invariant"] == {"ok": True, "checked": 9}
 
@@ -347,23 +365,17 @@ def test_props_suites(tmp_path):
 @pytest.mark.parametrize("p, degree, checked", [("3,2,2", 4, 10), ("8,8,8", 7, 27),
                                                  ("6,9,2", 8, 20)])
 def test_props_euler_degree_follows_the_longest_arm(tmp_path, p, degree, checked):
-    code, report = _run(tmp_path, "props", "--p", p, "--nonunit-samples", "0")
+    code, report = _run(tmp_path, "props", "--p", p)
     assert code == 0
     assert report["suites"]["euler_identity"] == {"ok": True, "degree": degree}
+    assert report["suites"]["quotient_nonzero"] == {"ok": True, "degree": degree}
     assert report["suites"]["cycles_invariant"] == {"ok": True, "checked": checked}
-
-
-def test_props_exact_suites_ignore_the_seed(tmp_path):
-    reports = [_run(tmp_path, "props", "--p", "3,2,2", "--seed", seed, "--nonunit-samples", "2",
-                    json_name=f"{seed}.json")[1] for seed in ("1", "2")]
-    for suite in ("euler_identity", "cycles_invariant"):
-        assert reports[0]["suites"][suite] == reports[1]["suites"][suite]
 
 
 def test_props_fails_under_a_perturbed_derivative(tmp_path, monkeypatch):
     derivative = Poly.derivative
     monkeypatch.setattr(Poly, "derivative", lambda f, name: derivative(f, name).scale(2))
-    code, report = _run(tmp_path, "props", "--p", "2,2,2", "--nonunit-samples", "0")
+    code, report = _run(tmp_path, "props", "--p", "2,2,2")
     assert code == 1
     assert report["status"] == "fail"
     assert report["suites"]["euler_identity"] == {"ok": False, "degree": 4}
@@ -377,7 +389,7 @@ def test_props_fails_on_a_reversed_u_arrow(tmp_path, monkeypatch):
         return Q
 
     monkeypatch.setattr(cli, "build_star_quiver", reversed_u)
-    code, report = _run(tmp_path, "props", "--p", "2,2,2", "--nonunit-samples", "0")
+    code, report = _run(tmp_path, "props", "--p", "2,2,2")
     assert code == 1
     assert report["suites"]["cycles_invariant"] == {"ok": False, "checked": 9}
     assert report["suites"]["euler_identity"]["ok"]
@@ -388,27 +400,30 @@ def test_props_builds_no_groebner_basis(tmp_path, monkeypatch):
         raise RuntimeError("props ran the Buchberger engine")
 
     monkeypatch.setattr(groebner, "_buchberger", refuse)
-    code, report = _run(tmp_path, "props", "--p", "3,3,2", "--nonunit-samples", "50")
+    code, report = _run(tmp_path, "props", "--p", "3,3,2")
     assert code == 0
     assert report["status"] == "ok"
-    assert report["suites"]["quotient_nonzero"] == {"ok": True, "checked": 50}
-    assert "budgets" not in report["config"]
+    assert report["suites"]["quotient_nonzero"] == {"ok": True, "degree": 4}
+    assert report["config"] == {"p": "3,3,2"}
+
+
+def _props_with_misbuilt_quotient(tmp_path, monkeypatch, misbuilt):
+    monkeypatch.setattr(charts, "_quotient_relations", misbuilt)
+    code, report = _run(tmp_path, "props", "--p", "2,2,2")
+    assert code == 1
+    assert report["status"] == "fail"
+    assert report["suites"]["quotient_nonzero"] == {"ok": False, "degree": 4}
+    assert report["suites"]["euler_identity"]["ok"]
 
 
 def test_props_fails_on_a_shifted_quotient_constant(tmp_path, monkeypatch):
-    build = charts._quotient_relations
+    _props_with_misbuilt_quotient(tmp_path, monkeypatch, shifted_quotient_constant)
 
-    def shifted(alphas, betas):
-        f1, f2 = build(alphas, betas)
-        return f1 + 1, f2
 
-    monkeypatch.setattr(charts, "_quotient_relations", shifted)
-    code, report = _run(tmp_path, "props", "--p", "2,2,2", "--nonunit-samples", "5")
-    assert code == 1
-    assert report["status"] == "fail"
-    # the first sample of seed 0 is the counterexample
-    assert report["suites"]["quotient_nonzero"] == {
-        "ok": False, "counterexample": {"alphas": ["-9", "-2"], "betas": ["6"]}}
+@pytest.mark.parametrize("misbuilt", [flipped_quotient_b_sign, quotient_b_read_at_xb],
+                         ids=lambda f: f.__name__)
+def test_props_fails_on_a_misbuilt_quotient_relation(tmp_path, monkeypatch, misbuilt):
+    _props_with_misbuilt_quotient(tmp_path, monkeypatch, misbuilt)
 
 
 def test_pi_and_props_fail_under_a_perturbed_pi_coordinate(tmp_path, monkeypatch):
@@ -422,7 +437,7 @@ def test_pi_and_props_fail_under_a_perturbed_pi_coordinate(tmp_path, monkeypatch
     code, report = _run(tmp_path, "pi", "--p", "2,2,2")
     assert code == 1
     assert report["item"] == {"symbolic_forms_vanish": False}
-    code, report = _run(tmp_path, "props", "--p", "2,2,2", "--nonunit-samples", "0")
+    code, report = _run(tmp_path, "props", "--p", "2,2,2")
     assert code == 1
     assert report["suites"]["pi_symbolic"] == {"ok": False}
 
@@ -446,9 +461,6 @@ def test_usage_errors(tmp_path):
     # a gamma denominator that vanishes in the field
     assert run_command(["fibre", "--p", "2,2,2", "--field", "fp:7",
                         "--gamma", _write_gamma(tmp_path, ["1/7"], "1/7")]) == 3
-    # a negative sample count checks nothing; zero stays valid
-    assert run_command(["props", "--nonunit-samples", "-1"]) == 3
-    assert run_command(["props", "--nonunit-samples", "0"]) == 0
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -525,7 +537,7 @@ CONFIG_KEYS = {
     "kernel": {"p", "field", "budgets"},
     "conjecture": {"p", "field", "budgets"},
     "gb": {"field", "budgets", "input"},
-    "props": {"p", "seed", "nonunit_samples"},
+    "props": {"p"},
 }
 
 
@@ -537,8 +549,7 @@ def _declared_flags(command):
 def test_config_echoes_exactly_the_declared_flags(tmp_path):
     ideal = tmp_path / "ideal.txt"
     ideal.write_text("vars: x, y\nx^2 - y\n", encoding="utf-8")
-    extra = {"gb": ["--input", str(ideal)],
-             "props": ["--nonunit-samples", "1"]}
+    extra = {"gb": ["--input", str(ideal)]}
     for command, keys in CONFIG_KEYS.items():
         declared = _declared_flags(command) - {"json", "output"}
         if CAPS <= declared:
@@ -571,6 +582,8 @@ def test_config_echoes_exactly_the_declared_flags(tmp_path):
     ["props", "--spair-cap", "0"],
     ["props", "--deg-cap", "0"],
     ["props", "--time-cap", "1"],
+    ["props", "--seed", "1"],
+    ["props", "--nonunit-samples", "5"],
 ])
 def test_removed_flags_are_usage_errors(argv):
     assert run_command(argv) == 3

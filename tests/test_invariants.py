@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from starquiver import invariants
 from starquiver.groebner import (
     CheckFailed,
     EngineStats,
@@ -34,7 +35,7 @@ from starquiver.invariants import (
 )
 from starquiver.poly import Poly, PrimeField, QQ, VarTable, parse_poly, poly_prod
 from starquiver.quiver import ArmParams, StarQuiver, build_star_quiver
-from starquiver.reconstruction import canonical_relation, in_delta
+from starquiver.reconstruction import canonical_relation, in_delta, zero_gamma
 
 from test_quiver import is_weight_zero
 
@@ -152,7 +153,7 @@ def test_diagonal_crossing_is_two_cycle_product():
 def test_pi_constant_point_maps_to_zero():
     pt = WVPoint(betas=(0, 0, 0), alphas=((7, 7), (7, 7), (7, 7)))
     gamma = pi_map(pt, P222)
-    assert gamma.is_zero()
+    assert gamma == zero_gamma(P222)
 
 
 def test_pi_example_table():
@@ -392,6 +393,26 @@ def test_conjecture_zero_budget_inconclusive_never_refuted():
     rep = verify_conjecture(P222, GF, GroebnerBudget(max_spairs=0))
     assert rep.status == "inconclusive"
     assert rep.equal is None
+
+
+def test_conjecture_builds_every_ideal_under_the_run_budget(monkeypatch):
+    # the kernel, the minors ideal and their comparison all run under the
+    # caller's caps; the minors-in-kernel containment is exact and uncapped
+    # (the `minors` subcommand declares no cap), so it is left out here
+    budget = GroebnerBudget(max_spairs=123_456, max_degree=150, time_cap=600.0)
+    budgets = []
+    init = Ideal.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        budgets.append(self.budget)
+
+    monkeypatch.setattr(Ideal, "__init__", spy)
+    monkeypatch.setattr(invariants, "verify_minors_vanish", lambda p: True)
+    rep = verify_conjecture(P222, GF, budget)
+    assert rep.status == "confirmed"
+    assert len(budgets) >= 3
+    assert all(b == budget for b in budgets)
 
 
 def test_fibre_zero_presentation_smallest_case():

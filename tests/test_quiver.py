@@ -12,13 +12,12 @@ from starquiver.quiver import (
     ChartId,
     all_chart_ids,
     build_star_quiver,
-    chart_unit_arrows,
     d_arrow,
     support_predicates,
     u_arrow,
 )
 
-from test_charts import oracle_predicates
+from test_charts import chart_unit_arrows, oracle_predicates
 from test_poly import total_degree
 
 
