@@ -32,6 +32,7 @@ from .groebner import (
     GroebnerBudget,
     Ideal,
     Inconclusive,
+    jacobian_ideal,
     krull_dimension,
 )
 from .poly import Poly, QQ, VarTable, poly_prod
@@ -367,35 +368,12 @@ class SmoothnessCertificate:
     status: str  # smooth | singular | inconclusive
 
 
-def jacobian_ideal_generators(ideal: Ideal) -> tuple:
-    """Generators plus all maximal minors of their Jacobian matrix.
-
-    One relation (a total-space chart): all partial derivatives.  Two
-    relations in n variables (a fibre chart): the two-by-two minors
-    f_a g_b - f_b g_a, six of them for n = 4, in `itertools.combinations`
-    order.  Charts have no other number of relations.
-    """
-    rels = ideal.gens
-    names = ideal.table.names
-    jac = [[f.derivative(v) for v in names] for f in rels]
-    if len(rels) == 1:
-        minors = jac[0]
-    elif len(rels) == 2:
-        f, g = jac
-        pairs = itertools.combinations(range(len(names)), 2)
-        minors = [f[a] * g[b] - f[b] * g[a] for a, b in pairs]
-    else:
-        raise ValueError(f"Jacobian minors of {len(rels)} relations: expected one or two")
-    return tuple(rels) + tuple(minors)
-
-
 def smoothness_certificate(ideal: Ideal,
                            expected_dim: int | None = None) -> SmoothnessCertificate:
     """Jacobian smoothness check, optionally pinned to a dimension target,
     under the ideal's own budget; the dimension caches the ideal's basis."""
     try:
-        one_in = Ideal(ideal.table, jacobian_ideal_generators(ideal), field=ideal.field,
-                       budget=ideal.budget).contains_one()
+        one_in = jacobian_ideal(ideal).contains_one()
         dim = krull_dimension(ideal)
     except Inconclusive:
         return SmoothnessCertificate(None, None, "inconclusive")

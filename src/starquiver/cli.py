@@ -280,8 +280,15 @@ def _conjecture_body(args, rep) -> dict:
 
 
 def _conjecture_exit(rep, origin_status: str = "confirmed") -> tuple[str, int]:
-    ok = rep.minors_in_kernel and "refuted" not in (rep.status, origin_status)
+    """The run's status and exit code: the conjecture, its minors-in-kernel
+    containment (None when out of budget) and, for `kernel`, the origin
+    fibre all count."""
+    ok = rep.minors_in_kernel is not False and "refuted" not in (rep.status, origin_status)
     return _status_exit(ok, "inconclusive" in (rep.status, origin_status))
+
+
+# a conjecture report's status, by the run's status
+_VERDICTS = {"ok": "confirmed", "fail": "refuted", "inconclusive": "inconclusive"}
 
 
 def cmd_kernel(args) -> int:
@@ -290,7 +297,9 @@ def cmd_kernel(args) -> int:
     fz = None
     if rep.kernel is not None:
         fz = fibre_zero_presentation(rep.p, rep.kernel.field, _budget(args), kernel=rep.kernel)
-    _report(args, t0, rep.status, **_conjecture_body(args, rep),
+    origin = "inconclusive" if fz is None else fz.status
+    status, code = _conjecture_exit(rep, origin)
+    _report(args, t0, _VERDICTS[status], **_conjecture_body(args, rep),
             containment_minors_in_kernel=rep.minors_in_kernel,
             fibre_zero=None if fz is None else {
                 "equal": fz.equal,
@@ -298,8 +307,6 @@ def cmd_kernel(args) -> int:
                 "specialized_generators": list(fz.specialized_generators),
                 "target_minors": list(fz.target_minors),
             })
-    origin = "inconclusive" if fz is None else fz.status
-    status, code = _conjecture_exit(rep, origin)
     print(f"kernel: p={rep.p.label()} field={rep.field_name}: "
           f"{len(rep.kernel_generators)} kernel generators, equal to minors: {rep.equal}, "
           f"origin fibre: {origin} -> {status}")
@@ -309,9 +316,9 @@ def cmd_kernel(args) -> int:
 def cmd_conjecture(args) -> int:
     t0 = time.monotonic()
     rep = _verify_conjecture(args)
-    _report(args, t0, rep.status, **_conjecture_body(args, rep),
-            minors_in_kernel=rep.minors_in_kernel, probabilistic=rep.probabilistic)
     status, code = _conjecture_exit(rep)
+    _report(args, t0, _VERDICTS[status], **_conjecture_body(args, rep),
+            minors_in_kernel=rep.minors_in_kernel, probabilistic=rep.probabilistic)
     suffix = " (probabilistic)" if rep.probabilistic and rep.status == "confirmed" else ""
     print(f"conjecture: p={rep.p.label()} field={rep.field_name}: {rep.status}{suffix}")
     return code

@@ -24,9 +24,11 @@ criteria), total degree and wall-clock time; a breached budget raises
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -209,6 +211,14 @@ class _Codec:
         return m
 
 
+@lru_cache(maxsize=16)
+def _codec(table: VarTable, order: MonomialOrder, weights: tuple | None) -> _Codec:
+    """The one codec of a (table, order, weights) key while it is in use: a
+    fibre chart's ideal, its Jacobian ideal and the oracle's ideal share
+    one.  The cache is small, so the codecs of finished charts go."""
+    return _Codec(table, order, weights)
+
+
 # ---------------------------------------------------------------------------
 # engine polynomials: lists of (monomial, int coeff), descending; a basis
 # element is stored once, as (lead, lead coeff, tail terms)
@@ -330,6 +340,14 @@ def _spoly(gi, gj, lcm_mono: int, codec: _Codec, q: int):
     for t, c in tj:
         k = t + fj
         acc[k] = acc.get(k, 0) - mj * c
+    return _collect(acc, codec, q)
+
+
+def _collect(acc: dict, codec: _Codec, q: int):
+    """The descending terms of a sum of monomial products, by monomial.
+    Each coefficient is reduced mod q, and a zero one dropped; every term
+    kept is checked against the guard bits (a product that cancels leaves
+    no monomial behind)."""
     guard = codec.guard
     items = []
     for k, v in acc.items():
@@ -341,6 +359,37 @@ def _spoly(gi, gj, lcm_mono: int, codec: _Codec, q: int):
             items.append((k, v))
     items.sort(reverse=True)
     return items
+
+
+def _derivative(terms, var: int, codec: _Codec, q: int):
+    """Descending engine terms of the partial derivative in variable `var`.
+    A term divisible by the variable loses one unit of it, an int
+    subtraction that keeps the terms in order, and its coefficient is
+    multiplied by the exponent read from the variable's field; mod q the
+    term drops out when q divides that exponent."""
+    shift, unit = codec._shifts[var], codec._units[var]
+    out = []
+    for m, c in terms:
+        e = (m >> shift) & 0xFFFF
+        if e:
+            c *= e
+            if q:
+                c %= q
+            if c:
+                out.append((m - unit, c))
+    return out
+
+
+def _minor(fa, gb, fb, ga, codec: _Codec, q: int):
+    """Descending engine terms of the 2x2 minor fa gb - fb ga: a product
+    of monomials is a sum of packed ints."""
+    acc: dict = {}
+    for left, right, sign in ((fa, gb, 1), (fb, ga, -1)):
+        for m1, c1 in left:
+            for m2, c2 in right:
+                k = m1 + m2
+                acc[k] = acc.get(k, 0) + sign * c1 * c2
+    return _collect(acc, codec, q)
 
 
 @dataclass(frozen=True, slots=True)
@@ -543,23 +592,51 @@ class Ideal:
         self.table = table
         self.field = field
         self.order = order
-        self.gens = gens
+        self._gens = gens
+        self._gens_engine = None
         self.budget = budget
         self.weights = None if weights is None else tuple(weights)
-        self._codec = _Codec(table, order, self.weights)
+        self._codec = _codec(table, order, self.weights)
         self._q = field.q if isinstance(field, PrimeField) else 0
         self._basis_engine = None
         self._polys = None
         self.stats: EngineStats | None = None
+
+    @classmethod
+    def _of_engine(cls, ring: "Ideal", gens_engine: list) -> "Ideal":
+        """The ideal of engine generators on the codec of `ring`, with its
+        table, order, field, budget and weights."""
+        ideal = cls(ring.table, (), order=ring.order, field=ring.field, budget=ring.budget,
+                    weights=ring.weights)
+        ideal._codec, ideal._gens, ideal._gens_engine = ring._codec, None, gens_engine
+        return ideal
+
+    # -- generators ----------------------------------------------------------
+
+    @property
+    def gens(self) -> tuple:
+        """The generators as Polys; generators given in engine form are
+        converted on first read (over QQ, as the integer multiples the
+        engine holds)."""
+        if self._gens is None:
+            self._gens = tuple(_from_engine(g, 1, self._codec, self.table, self.field, self._q)
+                               for g in self._gens_engine)
+        return self._gens
+
+    def _engine_gens(self) -> list:
+        """The generators in engine form, converted once: the basis run
+        and the Jacobian ideal read the same terms."""
+        if self._gens_engine is None:
+            self._gens_engine = [_to_engine(g, self._codec, self._q) for g in self._gens]
+        return self._gens_engine
 
     # -- basis ---------------------------------------------------------------
 
     def _ensure_basis(self):
         if self._basis_engine is not None:
             return
-        gens_engine = [_to_engine(g, self._codec, self._q) for g in self.gens]
         bud = self.budget.fresh()
-        basis, self.stats = _buchberger(gens_engine, self._codec, self._q, bud)
+        basis, self.stats = _buchberger(self._engine_gens(), self._codec, self._q, bud)
         self._set_basis(basis)
 
     def _set_basis(self, basis):
@@ -587,7 +664,7 @@ class Ideal:
         # is also the generators, and stats are those of the elimination run
         self._set_basis(basis_engine)
         self.stats = stats
-        self.gens = self._basis_poly
+        self._gens = self._basis_poly
 
     # -- queries -------------------------------------------------------------
 
@@ -664,6 +741,32 @@ def eliminate(ideal: Ideal, drop: Iterable[str]) -> Ideal:
                      for lead, lc, tail in work._basis_engine if not lead & dmask],
                     work.stats)
     return out
+
+
+def jacobian_ideal(ideal: Ideal) -> Ideal:
+    """The generators plus all maximal minors of their Jacobian matrix, as
+    an ideal on the same codec.
+
+    One relation (a total-space chart): all partial derivatives.  Two
+    relations in n variables (a fibre chart): the two-by-two minors
+    f_a g_b - f_b g_a, six of them for n = 4, in `itertools.combinations`
+    order.  Charts have no other number of relations.  The derivatives and
+    minors are built from the generators' engine terms, and the basis run
+    reads them as they are; over QQ those terms are integer multiples of
+    the generators, which scale each minor by a nonzero constant.
+    """
+    rels = ideal._engine_gens()
+    codec, q, n = ideal._codec, ideal._q, len(ideal.table)
+    jac = [[_derivative(f, i, codec, q) for i in range(n)] for f in rels]
+    if len(rels) == 1:
+        minors = jac[0]
+    elif len(rels) == 2:
+        f, g = jac
+        minors = [_minor(f[a], g[b], f[b], g[a], codec, q)
+                  for a, b in itertools.combinations(range(n), 2)]
+    else:
+        raise ValueError(f"Jacobian minors of {len(rels)} relations: expected one or two")
+    return Ideal._of_engine(ideal, [*rels, *minors])
 
 
 def _min_hitting_set(minimal: list, idx: int, hitting: set, best: list) -> None:

@@ -180,11 +180,12 @@ def determinantal_minors(p: ArmParams, field=QQ) -> tuple:
     return tuple(out)
 
 
-def verify_minors_vanish(p) -> bool:
-    """Each minor maps to zero under phi modulo the canonical relation, over QQ."""
+def verify_minors_vanish(p, budget: GroebnerBudget = DEFAULT_BUDGET) -> bool:
+    """Each minor maps to zero under phi modulo the canonical relation, over
+    QQ, with the normal forms under `budget`."""
     p = ArmParams.parse(p)
     Q = build_star_quiver(p)
-    principal = Ideal(Q.table, [canonical_relation(Q)])
+    principal = Ideal(Q.table, [canonical_relation(Q)], budget=budget)
     phi = phi_map(Q)
     for m in determinantal_minors(p):
         if not principal.normal_form(m.substitute(phi, Q.table)).is_zero():
@@ -237,7 +238,7 @@ class ConjectureReport:
     p: ArmParams
     field_name: str
     probabilistic: bool
-    minors_in_kernel: bool
+    minors_in_kernel: bool | None  # None when its normal forms ran out of budget
     equal: bool | None
     status: str  # confirmed | refuted | inconclusive
     kernel_generators: tuple
@@ -249,14 +250,16 @@ def verify_conjecture(p, field=QQ, budget: GroebnerBudget = DEFAULT_BUDGET) -> C
     """Compare ker(phi) with the minors ideal.
 
     The containment minors-inside-kernel is asserted independently and must
-    always hold (exact, over the rationals).  Equality is decided over QQ by
-    default, so "confirmed" is a proof; over a prime field it is reported as
-    a probabilistic confirmation.  The report carries the kernel ideal, with
-    its basis cached, unless the run was inconclusive.
+    always hold (exact, over the rationals); it runs under the same budget
+    as the rest, and is None if that runs out first.  Equality is decided
+    over QQ by default, so "confirmed" is a proof; over a prime field it is
+    reported as a probabilistic confirmation.  The report carries the kernel
+    ideal, with its basis cached, unless the run was inconclusive.
     """
     p = ArmParams.parse(p)
-    minors_ok = verify_minors_vanish(p)
+    minors_ok = None
     try:
+        minors_ok = verify_minors_vanish(p, budget)
         kern = kernel_ideal(p, field, budget)
         mins = minors_ideal(p, field, budget)
         equal = ideals_equal(kern, mins)

@@ -1,11 +1,12 @@
 """Chart presentations, the substitution oracle, certificates, cover."""
 
 import heapq
+import itertools
 import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import comb, lcm, prod
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +20,6 @@ from starquiver.charts import (
     euler_identity_check,
     fibre_chart,
     fibre_witness_point,
-    jacobian_ideal_generators,
     quotient_nonzero_check,
     smoothness_certificate,
     substitution_oracle,
@@ -31,6 +31,7 @@ from starquiver.groebner import (
     GroebnerBudget,
     Ideal,
     ideals_equal,
+    jacobian_ideal,
 )
 from starquiver.poly import QQ, Poly, VarTable, parse_field, parse_poly
 from starquiver.cli import run_command
@@ -47,6 +48,7 @@ from starquiver.reconstruction import (
     canonical_relation,
     deformed_relations,
     make_gamma,
+    parse_gamma_spec,
     random_gamma,
     zero_gamma,
 )
@@ -454,15 +456,86 @@ def test_deformed_chart_smooth_of_dimension_two():
     assert cert.dimension.dimension == 2
 
 
+def reference_jacobian_generators(ideal: Ideal) -> tuple:
+    """The generators and the maximal minors of their Jacobian, built from
+    Polys: all partial derivatives of one relation, or the 2x2 minors
+    f_a g_b - f_b g_a of two, in `itertools.combinations` order."""
+    jac = [[f.derivative(v) for v in ideal.table.names] for f in ideal.gens]
+    if len(jac) == 1:
+        minors = jac[0]
+    else:
+        f, g = jac
+        minors = [f[a] * g[b] - f[b] * g[a]
+                  for a, b in itertools.combinations(range(len(ideal.table)), 2)]
+    return tuple(ideal.gens) + tuple(minors)
+
+
+def assert_engine_jacobian_matches_reference(ideal: Ideal):
+    """The engine Jacobian's generators, and every derivative, are the
+    reference ones, term for term and in descending engine order.  Over QQ
+    the engine holds each relation times the lcm of its denominators, so a
+    relation and its derivatives read that scale and a minor the product of
+    the two."""
+    engine = jacobian_ideal(ideal)
+    assert engine._codec is ideal._codec
+    codec, q = ideal._codec, ideal._q
+    if q:
+        scales = [1] * len(ideal.gens)
+    else:
+        scales = [lcm(*(c.denominator for c in f.terms.values())) for f in ideal.gens]
+
+    def assert_terms(terms, scale, ref):
+        monos = [m for m, _ in terms]
+        assert monos == sorted(set(monos), reverse=True)
+        assert all(c and (not q or 0 < c < q) for _, c in terms)
+        assert groebner._from_engine(terms, scale, codec, ideal.table, ideal.field, q) == ref
+
+    for f, terms, scale in zip(ideal.gens, engine._gens_engine, scales):
+        for i, name in enumerate(ideal.table.names):
+            assert_terms(groebner._derivative(terms, i, codec, q), scale, f.derivative(name))
+    rels = len(ideal.gens)
+    if rels == 1:
+        scales += scales * len(ideal.table)
+    else:
+        scales += [scales[0] * scales[1]] * comb(len(ideal.table), 2)
+    reference = reference_jacobian_generators(ideal)
+    assert len(engine._gens_engine) == len(reference) == len(scales)
+    for terms, ref, scale in zip(engine._gens_engine, reference, scales):
+        assert_terms(terms, scale, ref)
+    return engine
+
+
+@pytest.mark.parametrize("command, p, spec, gamma_spec", [
+    ("charts", (3, 3, 3), "q", "random:5"),
+    ("charts", (8, 8, 8), "fp:7", "random:1"),
+    ("smooth", (3, 3, 2), "q", None),
+])
+def test_engine_jacobian_matches_the_poly_minors_on_every_chart(command, p, spec, gamma_spec):
+    # at 8,8,8 over F_7 the arm factor's d^8 u^7 differentiates in u to
+    # 7 d^8 u^6, which vanishes
+    p, field = ArmParams(*p), parse_field(spec)
+    if command == "charts":
+        gamma = parse_gamma_spec(gamma_spec, p, field)
+        charts_of_p = [fibre_chart(gamma, c) for c in all_chart_ids(p)]
+    else:
+        charts_of_p = [total_space_chart(p, c, field) for c in all_chart_ids(p)]
+    vanished = 0
+    for chart in charts_of_p:
+        assert_engine_jacobian_matches_reference(chart)
+        vanished += any(e % 7 == 0 for f in chart.gens for exps in f.terms for e in exps if e)
+    if spec == "fp:7":
+        assert vanished
+
+
 def test_jacobian_generator_count_for_two_relations():
     gamma = random_gamma(P222, seed=47)
-    gens = jacobian_ideal_generators(fibre_chart(gamma, ChartId(1, 1, 1)))
+    chart = fibre_chart(gamma, ChartId(1, 1, 1))
+    gens = assert_engine_jacobian_matches_reference(chart).gens
     assert len(gens) == 2 + 6  # both relations plus all six 2x2 minors
     # charts have one relation or two; the minors of three are not written out
-    chart = fibre_chart(gamma, ChartId(1, 1, 1))
     three = Ideal(chart.table, chart.gens + chart.gens[:1])
     with pytest.raises(ValueError, match="3 relations"):
-        jacobian_ideal_generators(three)
+        jacobian_ideal(three)
 
 
 def test_jacobian_minors_hand_case():
@@ -470,8 +543,53 @@ def test_jacobian_minors_hand_case():
     # pairs (x, y), (x, z), (y, z)
     t = VarTable(["x", "y", "z"])
     f, g = parse_poly("x*y", t), parse_poly("x + y + z^2", t)
-    gens = jacobian_ideal_generators(Ideal(t, [f, g]))
+    gens = assert_engine_jacobian_matches_reference(Ideal(t, [f, g])).gens
     assert gens[2:] == tuple(parse_poly(m, t) for m in ("y - x", "2*y*z", "2*x*z"))
+
+
+def test_jacobian_derivative_vanishes_mod_q():
+    # one relation over F_7: d/dx (x^7 y + 3 x y^2) = 7 x^6 y + 3 y^2 = 3 y^2
+    t, field = VarTable(["x", "y"]), parse_field("fp:7")
+    f = parse_poly("x^7*y + 3*x*y^2", t, field)
+    gens = assert_engine_jacobian_matches_reference(Ideal(t, [f])).gens
+    assert gens[1:] == (parse_poly("3*y^2", t, field), parse_poly("x^7 + 6*x*y", t, field))
+
+
+def test_jacobian_product_past_the_guard_bit_is_inconclusive():
+    # f_x g_y = 20000 x^19999 y * 2 x^20000 y holds x^39999, past the 2^15 - 1
+    # a packed field keeps below its guard bit: inconclusive, never wrapped
+    t = VarTable(["x", "y"])
+    chart = Ideal(t, [parse_poly("x^20000*y", t), parse_poly("x^20000*y^2 - 1", t)])
+    with pytest.raises(groebner.Inconclusive, match="packed-field"):
+        jacobian_ideal(chart)
+    cert = smoothness_certificate(chart, expected_dim=0)
+    assert cert.status == "inconclusive"
+    assert cert.one_in_jacobian is None
+
+
+def test_certificate_makes_no_poly_product_and_shares_the_codec(monkeypatch):
+    # every Jacobian minor is packed-int arithmetic on the chart's codec, and
+    # a chart's closed form, Jacobian and oracle ideals build one codec
+    groebner._codec.cache_clear()
+    builds = []
+    init = groebner._Codec.__init__
+    monkeypatch.setattr(groebner._Codec, "__init__",
+                        lambda self, *args: builds.append(args) or init(self, *args))
+    p = ArmParams(3, 3, 3)
+    gamma, Q = random_gamma(p, seed=61), build_star_quiver(p)
+    oracle = substitution_oracle(Q, gamma, deformed_relations(Q, gamma))
+
+    def no_product(*args):
+        raise AssertionError("the certificate multiplied Polys")
+
+    ids = all_chart_ids(p)
+    for c in ids:
+        chart = fibre_chart(gamma, c)
+        with monkeypatch.context() as m:
+            m.setattr(Poly, "__mul__", no_product)
+            assert smoothness_certificate(chart, expected_dim=2).status == "smooth"
+        assert ideals_equal(chart, chart_by_substitution(oracle, c))
+    assert len(builds) == len(ids)
 
 
 def test_control_presentation_is_singular():

@@ -233,7 +233,7 @@ def test_kernel_report_schema(tmp_path):
 
 def test_kernel_with_an_inconclusive_origin_fibre_exits_two(tmp_path, monkeypatch, capsys):
     # a cap that trips on the origin fibre after the kernel is confirmed
-    # leaves the run inconclusive
+    # leaves the run inconclusive, in the report as in the exit code
     presentation = cli.fibre_zero_presentation
 
     def capped(p, field, budget, kernel):
@@ -242,9 +242,29 @@ def test_kernel_with_an_inconclusive_origin_fibre_exits_two(tmp_path, monkeypatc
     monkeypatch.setattr(cli, "fibre_zero_presentation", capped)
     code, report = _run(tmp_path, "kernel", "--p", "2,2,2", "--field", "fp:65521")
     assert code == 2
-    assert report["status"] == "confirmed"
+    assert report["status"] == "inconclusive"
+    assert report["equal"] is True
     assert report["fibre_zero"]["status"] == "inconclusive"
     assert capsys.readouterr().out.endswith("origin fibre: inconclusive -> inconclusive\n")
+
+
+@pytest.mark.parametrize("command, key", [("kernel", "containment_minors_in_kernel"),
+                                          ("conjecture", "minors_in_kernel")])
+def test_minors_check_out_of_budget_is_inconclusive(tmp_path, monkeypatch, command, key):
+    # the minors-in-kernel normal forms run under the run's caps, inside the
+    # check that turns a breached budget into an inconclusive report
+    caps = []
+
+    def out_of_budget(p, budget):
+        caps.append(budget)
+        raise groebner.Inconclusive("time budget exceeded")
+
+    monkeypatch.setattr(invariants, "verify_minors_vanish", out_of_budget)
+    code, report = _run(tmp_path, command, "--p", "2,2,2", "--time-cap", "5")
+    assert code == 2
+    assert report["status"] == "inconclusive"
+    assert report[key] is None
+    assert caps == [GroebnerBudget(time_cap=5.0)]
 
 
 def test_kernel_largest_case_confirmed_within_default_caps(tmp_path):
