@@ -274,34 +274,25 @@ def _conjecture_body(args, rep) -> dict:
         "p": args.p,
         "field": rep.field_name,
         "equal": rep.equal,
-        "kernel_generators": list(rep.kernel_generators),
-        "minors": list(rep.minors),
+        "kernel_generators": [g.to_str() for g in rep.kernel_generators],
+        "minors": [m.to_str() for m in rep.minors],
     }
 
 
-def _conjecture_exit(rep, origin_status: str = "confirmed") -> tuple[str, int]:
-    """The run's status and exit code: the conjecture, its minors-in-kernel
-    containment (None when out of budget) and, for `kernel`, the origin
-    fibre all count."""
-    ok = rep.minors_in_kernel is not False and "refuted" not in (rep.status, origin_status)
-    return _status_exit(ok, "inconclusive" in (rep.status, origin_status))
-
-
-# a conjecture report's status, by the run's status
-_VERDICTS = {"ok": "confirmed", "fail": "refuted", "inconclusive": "inconclusive"}
+def _conjecture_exit(rep) -> tuple[str, int]:
+    """The run's status and exit code, from the conjecture's verdict (the
+    origin fibre of `kernel` follows it); the report keeps the verdict."""
+    return _status_exit(rep.status != "refuted", rep.status == "inconclusive")
 
 
 def cmd_kernel(args) -> int:
     t0 = time.monotonic()
     rep = _verify_conjecture(args)
-    fz = None
-    if rep.kernel is not None:
-        fz = fibre_zero_presentation(rep.p, rep.kernel.field, _budget(args), kernel=rep.kernel)
-    origin = "inconclusive" if fz is None else fz.status
-    status, code = _conjecture_exit(rep, origin)
-    _report(args, t0, _VERDICTS[status], **_conjecture_body(args, rep),
+    fz = fibre_zero_presentation(rep.p, parse_field(args.field), conjecture=rep)
+    status, code = _conjecture_exit(rep)
+    _report(args, t0, rep.status, **_conjecture_body(args, rep),
             containment_minors_in_kernel=rep.minors_in_kernel,
-            fibre_zero=None if fz is None else {
+            fibre_zero=None if fz.equal is None else {
                 "equal": fz.equal,
                 "status": fz.status,
                 "specialized_generators": list(fz.specialized_generators),
@@ -309,15 +300,15 @@ def cmd_kernel(args) -> int:
             })
     print(f"kernel: p={rep.p.label()} field={rep.field_name}: "
           f"{len(rep.kernel_generators)} kernel generators, equal to minors: {rep.equal}, "
-          f"origin fibre: {origin} -> {status}")
+          f"origin fibre: {fz.status} -> {status}")
     return code
 
 
 def cmd_conjecture(args) -> int:
     t0 = time.monotonic()
     rep = _verify_conjecture(args)
-    status, code = _conjecture_exit(rep)
-    _report(args, t0, _VERDICTS[status], **_conjecture_body(args, rep),
+    _, code = _conjecture_exit(rep)
+    _report(args, t0, rep.status, **_conjecture_body(args, rep),
             minors_in_kernel=rep.minors_in_kernel, probabilistic=rep.probabilistic)
     suffix = " (probabilistic)" if rep.probabilistic and rep.status == "confirmed" else ""
     print(f"conjecture: p={rep.p.label()} field={rep.field_name}: {rep.status}{suffix}")
@@ -426,7 +417,8 @@ _SUBCOMMANDS = {
     "fibre": ("empty/nonempty fibre verification", ("p", "field", "gamma")),
     "pi": ("deformation-map checks", ("p", "point")),
     "minors": ("minors vanish under the cycle map", ("p",)),
-    "kernel": ("kernel of the cycle map by elimination", ("p", "field", *_CAPS)),
+    "kernel": ("kernel of the cycle map by Hilbert series, with its origin fibre",
+               ("p", "field", *_CAPS)),
     "conjecture": ("kernel equals the minors ideal", ("p", "field", *_CAPS)),
     "gb": ("reduced basis of an ideal file", ("field", *_CAPS, "input", "output")),
     "props": ("property suites (identities, invariance)", ("p",)),

@@ -1,5 +1,9 @@
 """Buchberger engine: reduced Groebner bases and the certificates built on them.
 
+The certificates are normal forms, ideal equality, Krull dimension and the
+Jacobian ideal.  `eliminate` is kept as a reference: the workbench's own
+checks eliminate nothing, and the tests run it against them.
+
 Each monomial is one Python int: the key of the one order type,
 ``MonomialOrder.sort_key``, packed above the exponent vector (16-bit fields,
 one guard bit each), so that integer comparison realises the order, integer
@@ -13,13 +17,11 @@ polynomials with a positive lead, scaled during reduction), and a prime
 mod q).  One reduction loop, one S-polynomial and one normaliser serve both.
 
 Pairs are installed by the Gebauer-Moeller update (M, F and B criteria,
-coprime leads) and selected by the weighted degree of their lcm under the
-ideal's positive weights, read off the packed int.  For a weighted-homogeneous
-input that is the sugar strategy (Giovini et al., ISSAC 1991); with every
-weight 1 it is normal selection.  The run's counters come back as
-:class:`EngineStats`.  Budgets cap S-pairs (those left after the M and F
-criteria), total degree and wall-clock time; a breached budget raises
-:class:`Inconclusive`, never returns a wrong answer.
+coprime leads) and selected by the total degree of their lcm, read off the
+packed int (normal selection, ties broken by the order).  The run's
+counters come back as :class:`EngineStats`.  Budgets cap S-pairs (those
+left after the M and F criteria), total degree and wall-clock time; a
+breached budget raises :class:`Inconclusive`, never returns a wrong answer.
 """
 
 from __future__ import annotations
@@ -116,46 +118,37 @@ class _Codec:
 
     A monomial is one int of three parts.  The top part packs
     `MonomialOrder.sort_key`, one field per part of the key; below it sits
-    the weighted degree under a positive weight vector (every weight 1 when
-    none is given); the low half is the exponent vector, one 16-bit field
-    per variable whose top bit is a guard.  Every part is a sum of
-    exponents, so the whole int is linear in them: a monomial is the sum of
-    its exponents times the monomials of the single variables.  Integer
-    comparison is the order itself (equal keys mean equal exponents, so the
-    weighted degree below never decides a comparison), integer addition is
-    monomial multiplication, and the guard-bit tests of divisibility and lcm
-    read only the low half: a borrow never runs out of it, and ``& guard``
-    ignores the parts above even of a negative difference.
+    the total degree, the slot that selects the pairs; the low half is the
+    exponent vector, one 16-bit field per variable whose top bit is a
+    guard.  Every part is a sum of exponents, so the whole int is linear in
+    them: a monomial is the sum of its exponents times the monomials of the
+    single variables.  Integer comparison is the order itself (equal keys
+    mean equal exponents, so the degree slot below never decides a
+    comparison), integer addition is monomial multiplication, and the
+    guard-bit tests of divisibility and lcm read only the low half: a
+    borrow never runs out of it, and ``& guard`` ignores the parts above
+    even of a negative difference.
 
-    A key part is at most a block's degree, below n * 2^16 for n variables
-    even in a product of two monomials, so a field of 16 + n.bit_length()
-    bits holds it, and the weighted degree needs the bits of the largest
-    weight on top of that.  No wider field is used: every monomial, and
-    every int op on it, grows with the field width.
+    A key part and the degree slot are at most a total degree, below
+    n * 2^16 for n variables even in a product of two monomials, so a field
+    of 16 + n.bit_length() bits holds each.  No wider field is used: every
+    monomial, and every int op on it, grows with the field width.
     """
 
-    def __init__(self, table: VarTable, order: MonomialOrder,
-                 weights: Sequence[int] | None = None):
+    def __init__(self, table: VarTable, order: MonomialOrder):
         n = len(table)
-        if weights is None:
-            weights = (1,) * n
-        weights = tuple(weights)
-        if len(weights) != n:
-            raise ValueError(f"{len(weights)} weights for {n} variables")
-        if any(not isinstance(w, int) or w <= 0 for w in weights):
-            raise ValueError(f"weights must be positive integers, got {weights}")
         key = order.sort_key(table)
         low = _FIELD_BITS * n
         part_bits = _FIELD_BITS + n.bit_length()
-        self._weight_shift = low
-        self._weight_mask = (1 << (part_bits + max(weights).bit_length())) - 1
-        high = low + self._weight_mask.bit_length()
+        self._deg_shift = low
+        self._deg_mask = (1 << part_bits) - 1
+        high = low + part_bits
         self._shifts = tuple(_FIELD_BITS * (n - 1 - i) for i in range(n))
         self._units = tuple(
             (sum(part << (part_bits * k) for k, part in enumerate(reversed(key(unit)))) << high)
-            + (w << low) + (1 << s)
-            for s, w, unit in zip(self._shifts, weights,
-                                  ((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))))
+            + (1 << low) + (1 << s)
+            for s, unit in zip(self._shifts,
+                               ((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))))
         self._field_units = self._units[::-1]  # by field, lowest first
         self.guard = 0
         for s in self._shifts:
@@ -189,9 +182,10 @@ class _Codec:
         """Total degree, read off the exponent half."""
         return sum((mono >> s) & 0xFFFF for s in self._shifts)
 
-    def weighted_deg(self, mono: int) -> int:
-        """Weighted degree of a whole monomial (not of an exponent half)."""
-        return (mono >> self._weight_shift) & self._weight_mask
+    def slot_deg(self, mono: int) -> int:
+        """Total degree of a whole monomial (not of an exponent half), read
+        off its degree slot in one shift."""
+        return (mono >> self._deg_shift) & self._deg_mask
 
     def divides(self, divisor: int, mono: int) -> bool:
         g = self.guard
@@ -212,11 +206,11 @@ class _Codec:
 
 
 @lru_cache(maxsize=16)
-def _codec(table: VarTable, order: MonomialOrder, weights: tuple | None) -> _Codec:
-    """The one codec of a (table, order, weights) key while it is in use: a
-    fibre chart's ideal, its Jacobian ideal and the oracle's ideal share
-    one.  The cache is small, so the codecs of finished charts go."""
-    return _Codec(table, order, weights)
+def _codec(table: VarTable, order: MonomialOrder) -> _Codec:
+    """The one codec of a (table, order) key while it is in use: a fibre
+    chart's ideal, its Jacobian ideal and the oracle's ideal share one.
+    The cache is small, so the codecs of finished charts go."""
+    return _Codec(table, order)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +394,7 @@ class EngineStats:
     pair formed is pruned by the M/F criteria, dropped as coprime, or queued;
     a queued pair is later dropped by the B criterion or reduced.
     `elements_added` counts the nonzero reductions, not the seed generators.
-    `degree_peak` is the largest total degree of a basis lead, whatever the
-    weights that select the pairs.
+    `degree_peak` is the largest total degree of a basis lead.
     """
 
     pairs_formed: int
@@ -417,7 +410,7 @@ class EngineStats:
 
 def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
     """Buchberger with the Gebauer-Moeller pair update; the pair of least
-    weighted lcm degree is reduced first, ties broken by the order.
+    lcm total degree is reduced first, ties broken by the order.
 
     Each element's lead total degree is recorded once, as it enters the
     basis.  A kept pair's lcm degree is at most the sum of its two lead
@@ -434,7 +427,7 @@ def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
     guard, mask_all = codec.guard, codec.mask_all
     lcm_of, deg = codec.lcm, codec.deg
     max_degree = bud.cfg.max_degree
-    pairs: list = []  # heap of (weighted degree of lcm, lcm, i, j)
+    pairs: list = []  # heap of (total degree of lcm, lcm, i, j)
     active: list[int] = []  # indices whose lead no later lead divides
     formed = pruned_mf = pruned_coprime = pruned_b = 0
     reduced = zero = added = degree_peak = 0
@@ -477,7 +470,7 @@ def _buchberger(gens, codec: _Codec, q: int, bud: _BudgetState):
                 bud.tick_spair()
                 if not_coprime:
                     mono = codec.lift(lp)
-                    installed.append((codec.weighted_deg(mono), mono, i, t))
+                    installed.append((codec.slot_deg(mono), mono, i, t))
                 else:
                     pruned_coprime += 1
         # B: drop an old pair whose lcm LT(h) divides, unless the lcm equals
@@ -568,18 +561,11 @@ class DimensionReport:
 
 
 class Ideal:
-    """Generators plus a lazily cached reduced Groebner basis.
-
-    `weights`, one positive int per variable of `table`, grade the pair
-    selection: pairs are reduced in order of the weighted degree of their
-    lcm.  They change neither the order nor the basis, only the work done to
-    reach it; without them every weight is 1 (normal selection).
-    """
+    """Generators plus a lazily cached reduced Groebner basis."""
 
     def __init__(self, table: VarTable, gens: Sequence[Poly],
                  order: MonomialOrder = GREVLEX, field=None,
-                 budget: GroebnerBudget = DEFAULT_BUDGET,
-                 weights: Sequence[int] | None = None):
+                 budget: GroebnerBudget = DEFAULT_BUDGET):
         gens = tuple(gens)
         for g in gens:
             if g.table != table:
@@ -595,8 +581,7 @@ class Ideal:
         self._gens = gens
         self._gens_engine = None
         self.budget = budget
-        self.weights = None if weights is None else tuple(weights)
-        self._codec = _codec(table, order, self.weights)
+        self._codec = _codec(table, order)
         self._q = field.q if isinstance(field, PrimeField) else 0
         self._basis_engine = None
         self._polys = None
@@ -605,9 +590,8 @@ class Ideal:
     @classmethod
     def _of_engine(cls, ring: "Ideal", gens_engine: list) -> "Ideal":
         """The ideal of engine generators on the codec of `ring`, with its
-        table, order, field, budget and weights."""
-        ideal = cls(ring.table, (), order=ring.order, field=ring.field, budget=ring.budget,
-                    weights=ring.weights)
+        table, order, field and budget."""
+        ideal = cls(ring.table, (), order=ring.order, field=ring.field, budget=ring.budget)
         ideal._codec, ideal._gens, ideal._gens_engine = ring._codec, None, gens_engine
         return ideal
 
@@ -704,12 +688,13 @@ class Ideal:
 def eliminate(ideal: Ideal, drop: Iterable[str]) -> Ideal:
     """Intersect with the subring omitting `drop`, via a block elimination order.
 
-    The elimination run keeps the ideal's weights.  The result lives on the
-    reduced VarTable, under grevlex, with the ideal's field and budget.  Its
-    generators are its reduced basis (the filtered basis is one, by the
-    elimination property of block orders, and grevlex agrees with the block
-    order on the kept variables), packed straight from the engine terms of
-    the elimination run.
+    The result lives on the reduced VarTable, under grevlex, with the
+    ideal's field and budget.  Its generators are its reduced basis (the
+    filtered basis is one, by the elimination property of block orders, and
+    grevlex agrees with the block order on the kept variables), packed
+    straight from the engine terms of the elimination run.  The workbench's
+    own checks eliminate nothing; this is the reference that the tests'
+    kernel oracle and the sympy cross-check run.
     """
     drop = list(drop)
     for name in drop:
@@ -723,7 +708,7 @@ def eliminate(ideal: Ideal, drop: Iterable[str]) -> Ideal:
         raise ValueError("cannot eliminate every variable")
     drop_ordered = [n for n in ideal.table.names if n in drop_set]
     work = Ideal(ideal.table, ideal.gens, order=MonomialOrder([drop_ordered, keep]),
-                 field=ideal.field, budget=ideal.budget, weights=ideal.weights)
+                 field=ideal.field, budget=ideal.budget)
     work._ensure_basis()
     decode = work._codec.decode
     dmask = work._codec.vars_mask([ideal.table.index(n) for n in drop_ordered])
@@ -817,17 +802,14 @@ def krull_dimension(ideal: Ideal) -> DimensionReport:
 def ideals_equal(a: Ideal, b: Ideal) -> bool:
     """True iff the two ideals coincide (same VarTable and field required).
 
-    Under one order the reduced bases decide it.  With equal weights too the
-    two codecs pack alike, and `_normalize` makes each reduced element's
-    engine form unique, so the engine bases are compared without building a
-    Poly."""
+    Under one order the reduced bases decide it: the two codecs pack alike,
+    and `_normalize` makes each reduced element's engine form unique, so the
+    engine bases are compared without building a Poly."""
     if a.table != b.table:
         raise ValueError("ideals on different VarTables")
     if a.field != b.field:
         raise ValueError("ideals over different coefficient fields")
     if a.order == b.order:
-        if a.weights != b.weights:
-            return a.groebner_basis() == b.groebner_basis()
         a._ensure_basis()
         b._ensure_basis()
         return a._basis_engine == b._basis_engine

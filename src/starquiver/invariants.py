@@ -2,14 +2,16 @@
 
 The invariant ring of the arrow space is generated by cycle monomials: the
 2-cycles d<i>_j u<i>_j and the crossing cycles D_i U_j.  A polynomial ring
-on symbols w1, w2, w3 and v<i>_j maps onto it; the three 2x2 minors of a
-2x3 matrix in those symbols land in the kernel, and the kernel itself is
-computed exactly by eliminating the arrow variables.
+on symbols w1, w2, w3 and v<i>_j maps onto it modulo the canonical
+relation; the three 2x2 minors of a 2x3 matrix in those symbols land in
+the kernel, and they generate it exactly when the two graded quotients
+have one Hilbert series.  That is one identity of polynomials in t, so the
+kernel is never computed: its reduced basis is then the minors' basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import lcm
 
 from .groebner import (
@@ -18,8 +20,6 @@ from .groebner import (
     GroebnerBudget,
     Ideal,
     Inconclusive,
-    eliminate,
-    ideals_equal,
 )
 from .poly import Poly, PrimeField, QQ, VarTable, poly_prod
 from .quiver import ArmParams, StarQuiver, build_star_quiver, d_arrow, u_arrow
@@ -156,15 +156,20 @@ def kernel_grading(Q: StarQuiver) -> dict:
 # determinantal matrix and minors
 # ---------------------------------------------------------------------------
 
-def det_matrix(p: ArmParams, field=QQ) -> tuple:
-    """The 2x3 matrix (w2, w3, V2; V1, w3 + V3, w1) with V_i the full
-    2-cycle product of arm i."""
-    p = ArmParams.parse(p)
+def _w_and_cycle_products(p: ArmParams, field) -> tuple[dict, dict]:
+    """The symbols w_k, and V_i = the product of the v<i>_j, by index."""
     table = wv_table(p)
     V = {arm: poly_prod((Poly.var(table, field, v_name(arm, j))
                          for j in range(1, p[arm] + 1)), table, field)
          for arm in (1, 2, 3)}
     w = {k: Poly.var(table, field, w_name(k)) for k in (1, 2, 3)}
+    return w, V
+
+
+def det_matrix(p: ArmParams, field=QQ) -> tuple:
+    """The 2x3 matrix (w2, w3, V2; V1, w3 + V3, w1) with V_i the full
+    2-cycle product of arm i."""
+    w, V = _w_and_cycle_products(ArmParams.parse(p), field)
     row_a = (w[2], w[3], V[2])
     row_b = (V[1], w[3] + V[3], w[1])
     return row_a, row_b
@@ -200,37 +205,126 @@ def minors_ideal(p: ArmParams, field=QQ,
 
 
 # ---------------------------------------------------------------------------
-# the kernel and the conjecture
+# the kernel and the conjecture, by Hilbert series
 # ---------------------------------------------------------------------------
 
-def graph_ideal(Q: StarQuiver, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
-    """The graph ideal of phi over Q's field, graded by `kernel_grading`.
+# the one variable of the Hilbert series, over QQ
+_T = VarTable(["t"])
 
-    The joint ring holds the arrows, then the w/v symbols; the ideal is the
-    canonical relation plus one tag relation ``y - phi(y)`` per symbol.
+
+def _t(exponent: int) -> Poly:
+    return Poly.monomial(_T, QQ, (exponent,))
+
+
+def _one_minus_t(exponent: int) -> Poly:
+    return _t(0) - _t(exponent)
+
+
+def _crossings_in_image(Q: StarQuiver, budget: GroebnerBudget) -> bool:
+    """Whether the three crossing cycles that phi does not hit lie in its
+    image modulo canon, with V_i the product of the v<i>_j:
+
+        D3U1 = phi(w2 - V1),   D3U2 = phi(V2 - w1),   D1U3 = phi(-w3 - V3).
+
+    The normal forms run over QQ under `budget`."""
+    w, V = _w_and_cycle_products(Q.p, QQ)
+    phi = phi_map(Q)
+    principal = Ideal(Q.table, [canonical_relation(Q)], budget=budget)
+    for (i, j), preimage in (((3, 1), w[2] - V[1]), ((3, 2), V[2] - w[1]),
+                             ((1, 3), -w[3] - V[3])):
+        residue = crossing_cycle(Q, i, j) - preimage.substitute(phi, Q.table)
+        if not principal.normal_form(residue).is_zero():
+            return False
+    return True
+
+
+def _leads_numerator(leads, weights) -> Poly:
+    """The numerator of the Hilbert series of the monomial ideal of
+    `leads` (exponent tuples, each variable weighing `weights`):
+    inclusion-exclusion over the lcms of subsets of the leads, equal lcms
+    merged as they arise."""
+    acc = {(0,) * len(weights): 1}
+    for lead in leads:
+        for mono, c in list(acc.items()):
+            lcm_mono = tuple(map(max, mono, lead))
+            acc[lcm_mono] = acc.get(lcm_mono, 0) - c
+    return sum((_t(sum(map(int.__mul__, weights, mono))).scale(c) for mono, c in acc.items()),
+               Poly.zero(_T, QQ))
+
+
+def _kernel_numerator(p: ArmParams, canon_degree: int) -> tuple[Poly, Poly]:
+    """(N, D) with N / D = S_0 - t^canon_degree S_(-1): the Hilbert series
+    of the torus-invariant part of k[arrows]/(canon), times the
+    prod_i (1 - t^(L/p_i + 1))^(p_i) of arm i's 2-cycles.
+
+    An arrow monomial whose torus weight is c times canon's has one net
+    flow f_i down each arm, f_1 + f_2 + f_3 = c, and is D_i^(f_i) (weight
+    L f_i) or U_i^(-f_i) (weight p_i (-f_i)) times 2-cycles on each arm;
+    S_c sums t^(weight) over the flows.  Canon is a nonzerodivisor, so its
+    multiples in degree d are canon times the c = -1 monomials of degree
+    d - L.  By the signs of the flows (c is 0 or -1), with
+    x_k = t^(L + p_k):
+    - all f >= 0 gives 1 when c = 0;
+    - only arm i has f >= 0 gives t^(L(c+2) + p_j + p_k) / ((1 - x_j)(1 - x_k));
+    - only arm k has f < 0 gives t^(L(c+1) + p_k) ((c+2)(1 - x_k) + x_k) / (1 - x_k)^2.
+    D = prod_k (1 - x_k)^2 clears every denominator.  When canon_degree is
+    L, every part of S_0 that does not grow with c cancels against
+    t^L S_(-1), and N / D is 1 + sum_k x_k / (1 - x_k); the cones are
+    summed whole so that canon's degree enters them.
     """
-    wv = wv_table(Q.p)
-    joint = VarTable(tuple(Q.table.names) + tuple(wv.names))
-    gens = [canonical_relation(Q).rename(joint)]
-    for sym, image in phi_map(Q).items():
-        gens.append(Poly.var(joint, Q.field, sym) - image.rename(joint))
-    grading = kernel_grading(Q)
-    return Ideal(joint, gens, field=Q.field, budget=budget,
-                 weights=[grading[n] for n in joint.names])
+    ps = tuple(p)
+    L = lcm(*ps)
+    x = [_t(L + pk) for pk in ps]
+    om = [_one_minus_t(L + pk) for pk in ps]
+    sq = [f * f for f in om]
+    D = sq[0] * sq[1] * sq[2]
+
+    def cones(c: int) -> Poly:
+        total = D if c == 0 else Poly.zero(_T, QQ)
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            total += _t(L * (c + 2) + ps[j] + ps[k]) * sq[i] * om[j] * om[k]
+            total += _t(L * (c + 1) + ps[i]) * (om[i].scale(c + 2) + x[i]) * sq[j] * sq[k]
+        return total
+
+    return cones(0) - _t(canon_degree) * cones(-1), D
 
 
-def kernel_ideal(p, field=QQ, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
-    """ker(phi), by eliminating the arrow variables from the graph ideal.
+def _minors_generate_kernel(p, field=QQ, budget: GroebnerBudget = DEFAULT_BUDGET):
+    """(equal, reduced basis): whether the minors generate ker(phi), and if
+    so the kernel's reduced basis, which is then the minors'.
 
-    Exact over QQ by default; a prime field gives the modular image, which
-    `verify_conjecture` reports as probabilistic.
+    The minors lie in the kernel (the caller checks it); each is
+    homogeneous under `kernel_grading`, in which every weight is positive.
+    phi's image is the torus-invariant part of k[arrows]/(canon): an
+    invariant arrow monomial factors into 2-cycles and crossing cycles, phi
+    hits the 2-cycles, D1U2, D2U1 and -D2U3, and `_crossings_in_image`
+    gives the other three.  Two positively graded quotients, one onto the
+    other, are equal iff their Hilbert series are (Macaulay's theorem;
+    Stanley, Combinatorics and Commutative Algebra, ch. I).  The minors'
+    series is N1 / D1 over prod_y (1 - t^(w(y))) for the w/v symbols y, N1
+    from the leads of their reduced basis.  A v symbol weighs what its
+    2-cycle weighs, so the v factors are the image's
+    prod_i (1 - t^(L/p_i + 1))^(p_i): both cancel, D1 keeps the three w
+    factors, and the series agree iff N1 D2 = N2 D1, an identity in Z[t].
+    Every step holds in every characteristic, so a prime field proves it
+    too, from its own basis.
     """
     p = ArmParams.parse(p)
-    Q = build_star_quiver(p, field)
-    result = eliminate(graph_ideal(Q, budget), Q.table.names)
-    if result.table != wv_table(p):
-        raise CheckFailed("the kept block is not exactly the w/v table")
-    return result
+    Q = build_star_quiver(p)
+    if not _crossings_in_image(Q, budget):
+        raise CheckFailed("a crossing cycle is not in the image of phi modulo canon")
+    grading = kernel_grading(Q)
+    mins = minors_ideal(p, field, budget)
+    for m in mins.gens:
+        weighted_degree(m, grading)
+    basis = mins.groebner_basis()
+    N1 = _leads_numerator([g.sorted_terms(mins.order)[0][0] for g in basis],
+                          [grading[n] for n in mins.table.names])
+    D1 = poly_prod((_one_minus_t(grading[w_name(k)]) for k in (1, 2, 3)), _T, QQ)
+    N2, D2 = _kernel_numerator(p, weighted_degree(canonical_relation(Q), grading))
+    if N1 * D2 != N2 * D1:
+        return False, ()
+    return True, basis
 
 
 @dataclass(frozen=True)
@@ -241,35 +335,29 @@ class ConjectureReport:
     minors_in_kernel: bool | None  # None when its normal forms ran out of budget
     equal: bool | None
     status: str  # confirmed | refuted | inconclusive
-    kernel_generators: tuple
-    minors: tuple
-    kernel: Ideal | None = dc_field(default=None, compare=False, repr=False)
+    kernel_generators: tuple  # the kernel's reduced basis, empty unless confirmed
+    minors: tuple  # the three determinantal minors
 
 
 def verify_conjecture(p, field=QQ, budget: GroebnerBudget = DEFAULT_BUDGET) -> ConjectureReport:
     """Compare ker(phi) with the minors ideal.
 
-    The containment minors-inside-kernel is asserted independently and must
-    always hold (exact, over the rationals); it runs under the same budget
-    as the rest, and is None if that runs out first.  Equality is decided
-    over QQ by default, so "confirmed" is a proof; over a prime field it is
-    reported as a probabilistic confirmation.  The report carries the kernel
-    ideal, with its basis cached, unless the run was inconclusive.
+    The containment minors-inside-kernel is checked exactly, over the
+    rationals; equality then follows from `_minors_generate_kernel`.  Every
+    basis and normal form runs under `budget`, and a run out of it is
+    inconclusive, never refuted.  "confirmed" is a proof in every field; a
+    prime-field run is still reported as `probabilistic`.
     """
     p = ArmParams.parse(p)
     minors_ok = None
+    equal = None
+    kgens = ()
     try:
         minors_ok = verify_minors_vanish(p, budget)
-        kern = kernel_ideal(p, field, budget)
-        mins = minors_ideal(p, field, budget)
-        equal = ideals_equal(kern, mins)
-        status = "confirmed" if (equal and minors_ok) else "refuted"
-        kgens = tuple(g.to_str() for g in kern.groebner_basis())
+        equal, kgens = _minors_generate_kernel(p, field, budget) if minors_ok else (False, ())
+        status = "confirmed" if equal else "refuted"
     except Inconclusive:
-        kern = None
-        equal = None
         status = "inconclusive"
-        kgens = ()
     return ConjectureReport(
         p=p,
         field_name=field.name,
@@ -278,8 +366,7 @@ def verify_conjecture(p, field=QQ, budget: GroebnerBudget = DEFAULT_BUDGET) -> C
         equal=equal,
         status=status,
         kernel_generators=kgens,
-        minors=tuple(m.to_str() for m in determinantal_minors(p, field)),
-        kernel=kern,
+        minors=determinantal_minors(p, field),
     )
 
 
@@ -315,25 +402,23 @@ class OriginFibreReport:
 
 
 def fibre_zero_presentation(p, field=QQ, budget: GroebnerBudget = DEFAULT_BUDGET,
-                            kernel: Ideal | None = None) -> OriginFibreReport:
+                            conjecture: ConjectureReport | None = None) -> OriginFibreReport:
     """Specialize the kernel by sending every v<i>_j to a single v and compare
-    with the minors of the one-variable matrix.  Conditional on the kernel
-    computation (inconclusive if it times out)."""
+    with the minors of the one-variable matrix.
+
+    That map is onto, so the image of an ideal is generated by the images
+    of any of its generating sets, and the targets are the images of the
+    minors: once the kernel is the minors ideal, its specialized reduced
+    basis generates the targets' ideal, and no basis is built here.  So
+    `equal` and `status` follow the conjecture, `conjecture` being its
+    report for (p, field), run under `budget` when not given; unless it is
+    confirmed, `equal` is None and there are no specialized generators.
+    """
     p = ArmParams.parse(p)
-    table = origin_fibre_table()
-    targets = origin_fibre_minors(p, field)
-    try:
-        kern = kernel if kernel is not None else kernel_ideal(p, field, budget)
-        specialized = [g.rename(table, _single_v(p)) for g in kern.groebner_basis()]
-        spec_ideal = Ideal(table, specialized, field=field, budget=budget)
-        target_ideal = Ideal(table, targets, field=field, budget=budget)
-        equal = ideals_equal(spec_ideal, target_ideal)
-        status = "confirmed" if equal else "refuted"
-    except Inconclusive:
-        return OriginFibreReport(p, field.name, None,
-                                 "inconclusive", (), tuple(t.to_str() for t in targets))
-    return OriginFibreReport(
-        p, field.name, equal, status,
-        tuple(g.to_str() for g in specialized),
-        tuple(t.to_str() for t in targets),
-    )
+    rep = conjecture if conjecture is not None else verify_conjecture(p, field, budget)
+    targets = tuple(t.to_str() for t in origin_fibre_minors(p, field))
+    if rep.status != "confirmed":
+        return OriginFibreReport(p, field.name, None, rep.status, (), targets)
+    table, single = origin_fibre_table(), _single_v(p)
+    specialized = tuple(g.rename(table, single).to_str() for g in rep.kernel_generators)
+    return OriginFibreReport(p, field.name, True, "confirmed", specialized, targets)

@@ -231,21 +231,30 @@ def test_kernel_report_schema(tmp_path):
     assert isinstance(report["elapsed_ms"], int)
 
 
-def test_kernel_with_an_inconclusive_origin_fibre_exits_two(tmp_path, monkeypatch, capsys):
-    # a cap that trips on the origin fibre after the kernel is confirmed
-    # leaves the run inconclusive, in the report as in the exit code
-    presentation = cli.fibre_zero_presentation
+def test_refuted_kernel_reports_no_generators_and_no_origin_fibre(tmp_path, monkeypatch, capsys):
+    # a matrix entry changed: its minors leave the kernel, so the run is
+    # refuted, and it knows no kernel basis to report or to specialize
+    matrix = invariants.det_matrix
 
-    def capped(p, field, budget, kernel):
-        return presentation(p, field, GroebnerBudget(max_spairs=0), kernel=kernel)
+    def perturbed(p, field):
+        (a1, a2, a3), row_b = matrix(p, field)
+        return (a1, a2.scale(2), a3), row_b
 
-    monkeypatch.setattr(cli, "fibre_zero_presentation", capped)
-    code, report = _run(tmp_path, "kernel", "--p", "2,2,2", "--field", "fp:65521")
-    assert code == 2
-    assert report["status"] == "inconclusive"
-    assert report["equal"] is True
-    assert report["fibre_zero"]["status"] == "inconclusive"
-    assert capsys.readouterr().out.endswith("origin fibre: inconclusive -> inconclusive\n")
+    monkeypatch.setattr(invariants, "det_matrix", perturbed)
+    code, report = _run(tmp_path, "kernel", "--p", "2,2,2")
+    assert code == 1
+    assert report["status"] == "refuted"
+    assert report["equal"] is False and report["containment_minors_in_kernel"] is False
+    assert report["kernel_generators"] == [] and report["fibre_zero"] is None
+    assert capsys.readouterr().out.endswith("origin fibre: refuted -> fail\n")
+
+
+@pytest.mark.parametrize("command", ["kernel", "conjecture"])
+def test_kernel_and_conjecture_confirmed_past_the_elimination(tmp_path, command):
+    code, report = _run(tmp_path, command, "--p", "12,10,9")
+    assert code == 0
+    assert report["status"] == "confirmed"
+    assert len(report["kernel_generators"]) == 3
 
 
 @pytest.mark.parametrize("command, key", [("kernel", "containment_minors_in_kernel"),
@@ -275,11 +284,23 @@ def test_kernel_largest_case_confirmed_within_default_caps(tmp_path):
 
 
 def test_kernel_confirmed_under_the_normal_selection_degree_cap(tmp_path):
-    # graded selection never needs a higher total-degree cap: 9 was the
-    # smallest that confirmed the exact 2,2,2 kernel under normal selection
+    # 9 was the smallest cap that confirmed the exact 2,2,2 kernel when it
+    # was eliminated under normal selection; the proof needs less
     code, report = _run(tmp_path, "kernel", "--p", "2,2,2", "--deg-cap", "9")
     assert code == 0
     assert report["status"] == "confirmed"
+
+
+@pytest.mark.parametrize("command", ["kernel", "conjecture"])
+@pytest.mark.parametrize("cap, last_failing", [("--deg-cap", 6), ("--spair-cap", 2)])
+def test_kernel_and_conjecture_budget_boundaries_pinned(tmp_path, command, cap, last_failing):
+    # the caps bound only the minors' basis and the normal forms: the
+    # largest cap under which the exact 2,2,2 run is inconclusive, then one
+    # more, which confirms it
+    code, report = _run(tmp_path, command, "--p", "2,2,2", cap, str(last_failing))
+    assert (code, report["status"], report["kernel_generators"]) == (2, "inconclusive", [])
+    code, report = _run(tmp_path, command, "--p", "2,2,2", cap, str(last_failing + 1))
+    assert (code, report["status"]) == (0, "confirmed")
 
 
 def test_conjecture_inconclusive_under_zero_budget(tmp_path):

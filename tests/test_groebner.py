@@ -329,17 +329,6 @@ def test_ideals_equal_sees_one_differing_tail_coefficient(field):
     assert sum(a != b for a, b in zip(*tails)) == 1
 
 
-def test_ideals_equal_across_weights():
-    # weights enter every packed monomial, so the engine forms of the two
-    # ideals differ; the comparison reads their Poly bases, which are equal
-    t = VarTable(["x", "y", "z"])
-    gens = [parse_poly(s, t) for s in ("x^2 - y*z", "x*y - z^2 + 1", "y^3 - x")]
-    weighted, plain = Ideal(t, gens, weights=(2, 3, 1)), Ideal(t, gens)
-    assert ideals_equal(weighted, plain)
-    assert ideals_equal(plain, weighted)
-    assert not ideals_equal(weighted, Ideal(t, gens[:2]))
-
-
 def test_ideals_equal_requires_same_table_and_field():
     with pytest.raises(ValueError):
         ideals_equal(_ideal(VarTable(["x"]), ["x"]), _ideal(VarTable(["y"]), ["y"]))
@@ -409,12 +398,12 @@ def test_engine_codes_realise_sort_key(order):
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.spec())
-def test_engine_codes_carry_the_weighted_degree(order):
-    # the weighted degree sits below the order's key: it reads off the int,
-    # adds with it, and never changes a comparison, whatever the weights
+def test_engine_codes_carry_the_total_degree(order):
+    # the degree slot that selects the pairs sits below the order's key: it
+    # reads off the int in one shift, adds with it, and never changes a
+    # comparison, even of products at the field capacity
     t = VarTable(["x", "y", "z"])
-    weights = (3, 1, 40000)
-    codec, plain, key = _Codec(t, order, weights), _Codec(t, order), order.sort_key(t)
+    codec, key = _Codec(t, order), order.sort_key(t)
     rng = random.Random(order.spec())
     for k in range(200):
         top = 40 if k % 2 else 16383
@@ -422,8 +411,7 @@ def test_engine_codes_carry_the_weighted_degree(order):
         ma, mb = codec.encode(a), codec.encode(b)
         ab = tuple(map(int.__add__, a, b))
         assert (ma < mb, ma == mb) == (key(a) < key(b), key(a) == key(b))
-        assert codec.weighted_deg(ma + mb) == sum(map(int.__mul__, weights, ab))
-        assert plain.weighted_deg(plain.encode(ab)) == sum(ab)
+        assert codec.slot_deg(ma + mb) == codec.deg(ma + mb) == sum(ab)
         assert codec.decode(ma + mb) == ab
         assert codec.lift(codec.lcm(ma, mb)) == codec.encode(tuple(map(max, a, b)))
 

@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -20,9 +21,7 @@ from starquiver.invariants import (
     crossing_cycle,
     determinantal_minors,
     fibre_zero_presentation,
-    graph_ideal,
     kernel_grading,
-    kernel_ideal,
     minors_ideal,
     origin_fibre_minors,
     phi_map,
@@ -37,6 +36,7 @@ from starquiver.poly import Poly, PrimeField, QQ, VarTable, parse_poly, poly_pro
 from starquiver.quiver import ArmParams, StarQuiver, build_star_quiver
 from starquiver.reconstruction import canonical_relation, in_delta, zero_gamma
 
+from kernel_oracle import graph_ideal, kernel_ideal
 from test_quiver import is_weight_zero
 
 P222 = ArmParams(2, 2, 2)
@@ -283,60 +283,48 @@ def test_kernel_smallest_case_prime_field():
     assert ideals_equal(kern, mins)
 
 
-def _unit_weight(ideal):
-    """The same ideal with every weight 1: normal selection."""
-    return Ideal(ideal.table, ideal.gens, field=ideal.field, budget=ideal.budget)
-
-
 @pytest.mark.parametrize("field", [GF, QQ], ids=["F65521", "QQ"])
 def test_kernel_engine_counters_pinned(field):
-    # the elimination basis of ker(phi) at 3,3,2: the counters are
-    # deterministic, so a change in pair handling shows up here, and they
-    # agree over F_65521 and over QQ (the fraction-free path); pairs are
-    # selected by the weighted degree of `kernel_grading`, while
-    # degree_peak stays in total degree
+    # the oracle's elimination basis of ker(phi) at 3,3,2, under normal
+    # selection: the counters are deterministic, so a change in pair
+    # handling shows up here, and they agree over F_65521 and over QQ (the
+    # fraction-free path)
     kern = kernel_ideal(ArmParams(3, 3, 2), field)
-    assert kern.stats == EngineStats(
-        pairs_formed=61437, pruned_mf=56636, pruned_coprime=753, pruned_b=362,
-        pairs_reduced=3686, zero_reductions=3346, elements_added=340,
-        basis_peak=352, degree_peak=7)
-
-
-@pytest.mark.parametrize("field", [GF, QQ], ids=["F65521", "QQ"])
-def test_kernel_engine_counters_pinned_unit_weights(field):
-    # the same joint ideal without weights keeps normal selection's counts
-    Q = build_star_quiver(ArmParams(3, 3, 2), field)
-    kern = eliminate(_unit_weight(graph_ideal(Q)), Q.table.names)
     assert kern.stats == EngineStats(
         pairs_formed=132190, pruned_mf=122587, pruned_coprime=1324, pruned_b=3168,
         pairs_reduced=5111, zero_reductions=4500, elements_added=611,
         basis_peak=623, degree_peak=8)
 
 
+@pytest.mark.parametrize("field", [GF, QQ], ids=["F65521", "QQ"])
+def test_kernel_engine_counters_pinned_unit_weights(field):
+    # at 2,2,2 `kernel_grading` weighs every arrow 1, so the engine's
+    # total-degree selection is the kernel grading on the eliminated block;
+    # the counters of eliminating the graph ideal there are pinned too
+    Q = build_star_quiver(P222, field)
+    grading = kernel_grading(Q)
+    assert {grading[n] for n in Q.table.names} == {1}
+    kern = eliminate(graph_ideal(Q), Q.table.names)
+    assert kern.table == wv_table(P222)
+    assert kern.stats == EngineStats(
+        pairs_formed=18581, pruned_mf=16021, pruned_coprime=384, pruned_b=932,
+        pairs_reduced=1244, zero_reductions=1015, elements_added=229,
+        basis_peak=239, degree_peak=7)
+
+
 @pytest.mark.parametrize("p, field, cap, last_failing, detail", [
-    ((2, 2, 2), QQ, "max_degree", 7, {"degree": 8}),
-    ((3, 2, 2), GF, "max_degree", 9, {"degree": 10}),
-    ((2, 2, 2), QQ, "max_spairs", 1074, {"spairs": 1075}),
-    ((3, 2, 2), GF, "max_spairs", 2380, {"spairs": 2381}),
+    ((2, 2, 2), QQ, "max_degree", 8, {"degree": 9}),
+    ((3, 2, 2), GF, "max_degree", 10, {"degree": 11}),
+    ((2, 2, 2), QQ, "max_spairs", 2559, {"spairs": 2560}),
+    ((3, 2, 2), GF, "max_spairs", 4976, {"spairs": 4977}),
 ], ids=["2,2,2-QQ-degree", "3,2,2-F65521-degree", "2,2,2-QQ-spairs", "3,2,2-F65521-spairs"])
 def test_kernel_budget_boundaries_pinned(p, field, cap, last_failing, detail):
-    # the largest cap under which the kernel elimination is inconclusive,
-    # with the count it tripped on; one more and it completes
+    # the largest cap under which the oracle's kernel elimination is
+    # inconclusive, with the count it tripped on; one more and it completes
     with pytest.raises(Inconclusive) as exc:
         kernel_ideal(p, field, GroebnerBudget(**{cap: last_failing}))
     assert exc.value.detail == detail
     assert len(kernel_ideal(p, field, GroebnerBudget(**{cap: last_failing + 1})).gens) == 3
-
-
-@pytest.mark.parametrize("p, field", [((3, 2, 2), GF), ((2, 2, 2), QQ)],
-                         ids=["3,2,2-F65521", "2,2,2-QQ"])
-def test_graded_selection_keeps_the_reduced_basis(p, field):
-    Q = build_star_quiver(ArmParams(*p), field)
-    joint = graph_ideal(Q)
-    graded = eliminate(joint, Q.table.names)
-    unit = eliminate(_unit_weight(joint), Q.table.names)
-    assert graded.stats != unit.stats
-    assert graded.groebner_basis() == unit.groebner_basis()
 
 
 @pytest.mark.parametrize("p", [(2, 2, 2), (3, 3, 2), (4, 3, 3), (5, 4, 3)],
@@ -345,8 +333,7 @@ def test_graph_ideal_is_weighted_homogeneous(p):
     Q = build_star_quiver(ArmParams(*p))
     grading = kernel_grading(Q)
     joint = graph_ideal(Q)
-    assert joint.weights == tuple(grading[n] for n in joint.table.names)
-    assert all(w > 0 for w in joint.weights)
+    assert all(grading[n] > 0 for n in joint.table.names)
     for g in joint.gens:
         weighted_degree(g, grading)
     # the determinantal minors are homogeneous under the w/v weights alone
@@ -360,13 +347,6 @@ def test_weighted_degree_rejects_an_inhomogeneous_polynomial():
     assert weighted_degree(parse_poly("x^2 - y", t), {"x": 1, "y": 2}) == 2
     with pytest.raises(CheckFailed, match="not weighted-homogeneous"):
         weighted_degree(parse_poly("x^2 - y", t), {"x": 1, "y": 1})
-
-
-@pytest.mark.parametrize("weights", [(1, 0), (1, -2), (1,), (1, 1, 1), (1, 1.5)])
-def test_ideal_rejects_a_bad_weight_vector(weights):
-    t = VarTable(["x", "y"])
-    with pytest.raises(ValueError):
-        Ideal(t, [parse_poly("x - y", t)], weights=weights)
 
 
 def test_kernel_joint_ring_arithmetic():
@@ -396,8 +376,9 @@ def test_conjecture_zero_budget_inconclusive_never_refuted():
 
 
 def test_conjecture_builds_every_ideal_under_the_run_budget(monkeypatch):
-    # the minors-in-kernel containment, the kernel, the minors ideal and
-    # their comparison all run under the caller's caps
+    # the minors-in-kernel normal forms, the crossing-cycle normal forms and
+    # the minors' basis: every ideal the proof builds runs under the
+    # caller's caps
     budget = GroebnerBudget(max_spairs=123_456, max_degree=150, time_cap=600.0)
     budgets = []
     init = Ideal.__init__
@@ -409,7 +390,7 @@ def test_conjecture_builds_every_ideal_under_the_run_budget(monkeypatch):
     monkeypatch.setattr(Ideal, "__init__", spy)
     rep = verify_conjecture(P222, GF, budget)
     assert rep.status == "confirmed" and rep.minors_in_kernel
-    assert len(budgets) >= 4
+    assert len(budgets) == 3
     assert all(b == budget for b in budgets)
 
 
@@ -422,3 +403,184 @@ def test_fibre_zero_presentation_smallest_case():
 def test_fibre_zero_inconclusive_under_zero_budget():
     rep = fibre_zero_presentation(P222, GF, GroebnerBudget(max_spairs=0))
     assert rep.status == "inconclusive"
+
+
+# ---------------------------------------------------------------------------
+# the Hilbert-series proof against its oracles
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p, field", [((2, 2, 2), QQ), ((3, 2, 2), GF), ((3, 3, 2), GF),
+                                      ((3, 3, 3), GF)],
+                         ids=["2,2,2-QQ", "3,2,2-F65521", "3,3,2-F65521", "3,3,3-F65521"])
+def test_kernel_generators_match_elimination(p, field):
+    # the proof reports the minors' reduced basis; the oracle eliminates the
+    # arrows from the graph ideal, and prints the same basis
+    rep = verify_conjecture(p, field)
+    assert rep.status == "confirmed"
+    assert [g.to_str() for g in rep.kernel_generators] == [
+        g.to_str() for g in kernel_ideal(p, field).groebner_basis()]
+
+
+def _flow_counts(Q: StarQuiver, grading: dict, top: int) -> dict:
+    """Arrow monomials of weighted degree at most `top`, counted by (degree,
+    torus weight): a product over the arrows, one exponent at a time."""
+    counts = {(0, (0,) * len(Q.vertices)): 1}
+    index = {v: i for i, v in enumerate(Q.vertices)}
+    for name, (tail, head) in Q.arrows.items():
+        w = grading[name]
+        out = dict(counts)
+        for (deg, weight), c in counts.items():
+            shifted = list(weight)
+            for e in range(1, (top - deg) // w + 1):
+                shifted[index[head]] += 1
+                shifted[index[tail]] -= 1
+                key = (deg + e * w, tuple(shifted))
+                out[key] = out.get(key, 0) + c
+        counts = out
+    return counts
+
+
+def _expand(num: Poly, den: Poly, top: int) -> list:
+    """The coefficients of t^0 .. t^top in num / den, den(0) = 1."""
+    n = {e: int(c) for (e,), c in num.terms.items()}
+    d = {e: int(c) for (e,), c in den.terms.items()}
+    constant = d.pop(0)
+    assert constant == 1
+    out = []
+    for k in range(top + 1):
+        out.append(n.get(k, 0) - sum(c * out[k - e] for e, c in d.items() if e <= k))
+    return out
+
+
+@pytest.mark.parametrize("p, top", [((2, 2, 2), 10), ((3, 2, 2), 13), ((3, 3, 2), 12)],
+                         ids=["2,2,2", "3,2,2", "3,3,2"])
+def test_series_coefficients_count_invariant_monomials(p, top):
+    # dim of phi's image in degree d, counted by brute force: invariant
+    # arrow monomials of degree d minus the multiples of canon, which are
+    # canon times a monomial of the opposite torus weight in degree d - L;
+    # both closed forms must expand to these counts
+    p = ArmParams(*p)
+    Q = build_star_quiver(p)
+    grading = kernel_grading(Q)
+    L = lcm(*p)
+    counts = _flow_counts(Q, grading, top)
+    zero = (0,) * len(Q.vertices)
+    chi = tuple(Q.torus_weight(next(iter(canonical_relation(Q).terms)))[v] for v in Q.vertices)
+    minus = tuple(-c for c in chi)
+    multiples = [counts.get((d - L, minus), 0) for d in range(top + 1)]
+    brute = [counts.get((d, zero), 0) - m for d, m in zip(range(top + 1), multiples)]
+    assert sum(multiples) > 0 and sum(brute) > 10
+
+    cycle_factors = poly_prod((invariants._one_minus_t(grading[f"v{arm}_1"]) ** p[arm]
+                               for arm in (1, 2, 3)), invariants._T, QQ)
+    N2, D2 = invariants._kernel_numerator(p, L)
+    assert _expand(N2, D2 * cycle_factors, top) == brute
+
+    basis = minors_ideal(p).groebner_basis()
+    leads = [g.sorted_terms()[0][0] for g in basis]
+    names = wv_table(p).names
+    N1 = invariants._leads_numerator(leads, [grading[n] for n in names])
+    D1 = poly_prod((invariants._one_minus_t(grading[n]) for n in names), invariants._T, QQ)
+    assert _expand(N1, D1, top) == brute
+
+
+@pytest.mark.parametrize("p", [(2, 2, 2), (3, 3, 2), (4, 3, 3), (6, 5, 4), (12, 10, 9)],
+                         ids=lambda p: ",".join(map(str, p)))
+def test_conjecture_confirmed_past_the_elimination(p):
+    rep = verify_conjecture(p)
+    assert (rep.status, rep.equal, rep.minors_in_kernel) == ("confirmed", True, True)
+    assert len(rep.kernel_generators) == 3
+
+
+@pytest.mark.parametrize("dropped", [0, 1, 2])
+def test_conjecture_refuted_with_a_minor_dropped(monkeypatch, dropped):
+    # two minors still lie in the kernel and are homogeneous; only the
+    # series identity tells that they do not generate it
+    minors = determinantal_minors
+
+    def two(p, field=QQ):
+        out = minors(p, field)
+        return out[:dropped] + out[dropped + 1:]
+
+    monkeypatch.setattr(invariants, "determinantal_minors", two)
+    for p in ((2, 2, 2), (3, 3, 2), (4, 3, 3)):
+        rep = verify_conjecture(p)
+        assert (rep.status, rep.equal, rep.minors_in_kernel) == ("refuted", False, True)
+        assert rep.kernel_generators == ()
+
+
+def test_kernel_numerator_at_canon_degree_l():
+    # the cones' closed form against the sum it cancels down to when canon
+    # weighs L: N / D = 1 + sum_k x_k / (1 - x_k), x_k = t^(L + p_k)
+    for p in ((2, 2, 2), (3, 3, 2), (6, 5, 4)):
+        p = ArmParams(*p)
+        L = lcm(*p)
+        om = [invariants._one_minus_t(L + pk) for pk in p]
+        N, D = invariants._kernel_numerator(p, L)
+        assert D == om[0] ** 2 * om[1] ** 2 * om[2] ** 2
+        expected = D
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            expected += invariants._t(L + p[i + 1]) * om[i] * om[j] ** 2 * om[k] ** 2
+        assert N == expected
+
+
+def test_conjecture_checks_that_the_minors_are_homogeneous(monkeypatch):
+    # a fourth generator in the kernel but not homogeneous: the series
+    # argument does not apply, and the run stops instead of deciding
+    minors = determinantal_minors
+
+    def with_inhomogeneous(p, field=QQ):
+        out = minors(p, field)
+        w1 = Poly.var(out[0].table, field, "w1")
+        return out + (out[0] * (w1 + 1),)
+
+    monkeypatch.setattr(invariants, "determinantal_minors", with_inhomogeneous)
+    with pytest.raises(CheckFailed, match="not weighted-homogeneous"):
+        verify_conjecture(P222)
+
+
+def test_conjecture_refuted_with_canon_shifted_a_degree(monkeypatch):
+    numerator = invariants._kernel_numerator
+    monkeypatch.setattr(invariants, "_kernel_numerator",
+                        lambda p, canon_degree: numerator(p, canon_degree + 1))
+    for p in ((2, 2, 2), (3, 3, 2)):
+        rep = verify_conjecture(p)
+        assert (rep.status, rep.equal) == ("refuted", False)
+
+
+@pytest.mark.parametrize("entry", ["2*w3", "w3 - V3"])
+def test_conjecture_refuted_with_a_perturbed_matrix_entry(monkeypatch, entry):
+    # one entry of (w2, w3, V2; V1, w3 + V3, w1) changed, homogeneously
+    matrix = invariants.det_matrix
+
+    def perturbed(p, field=QQ):
+        (a1, a2, a3), (b1, b2, b3) = matrix(p, field)
+        w3 = a2
+        if entry == "2*w3":
+            a2 = w3.scale(2)
+        else:
+            b2 = w3 - (b2 - w3)
+        return (a1, a2, a3), (b1, b2, b3)
+
+    monkeypatch.setattr(invariants, "det_matrix", perturbed)
+    rep = verify_conjecture(P222)
+    assert (rep.status, rep.equal, rep.minors_in_kernel) == ("refuted", False, False)
+    assert rep.kernel_generators == ()
+    assert fibre_zero_presentation(P222, conjecture=rep).equal is None
+
+
+def test_crossing_cycles_lie_in_the_image_only_modulo_canon(monkeypatch):
+    for p in ((2, 2, 2), (4, 3, 2)):
+        assert invariants._crossings_in_image(build_star_quiver(p), GroebnerBudget())
+    # modulo D1 + D2 + D3 instead of canon = D1 - D2 + D3 they fail
+    monkeypatch.setattr(invariants, "canonical_relation", lambda Q: Q.D(1) + Q.D(2) + Q.D(3))
+    assert not invariants._crossings_in_image(build_star_quiver(P222), GroebnerBudget())
+
+
+def test_fibre_zero_renames_the_kernel_basis():
+    rep = verify_conjecture(ArmParams(3, 2, 2))
+    fz = fibre_zero_presentation(ArmParams(3, 2, 2), conjecture=rep)
+    assert (fz.status, fz.equal) == ("confirmed", True)
+    table = invariants.origin_fibre_table()
+    assert ideals_equal(Ideal(table, [parse_poly(g, table) for g in fz.specialized_generators]),
+                        Ideal(table, invariants.origin_fibre_minors(ArmParams(3, 2, 2))))
