@@ -15,7 +15,8 @@ part; a chart places its three windows' parts in its own five-variable
 table, the chart variables and the leftover, which it then solves.  The
 same solve is the one source of a chart's arrow substitution, which
 `chart_substitution` returns.  The two derivations share no factor, cache
-or solved window.
+or solved window.  Each chart builder names the Euler cofactors of its
+smoothness certificate.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ from .groebner import (
     GroebnerBudget,
     Ideal,
     Inconclusive,
-    jacobian_ideal,
+    ideals_equal,
+    jacobian_combination,
     krull_dimension,
+    same_generators,
 )
 from .poly import Poly, QQ, VarTable, poly_prod
 from .quiver import (
@@ -70,7 +73,10 @@ def _scaled_canonical(k: int, prod_a: Poly, prod_b: Poly) -> Poly:
 
 def total_space_chart(p: ArmParams, c: ChartId, field=QQ,
                       budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
-    """The hypersurface ideal of the chart of the one-relation moduli."""
+    """The hypersurface ideal of the chart of the one-relation moduli.  F is
+    +-1 +- P_a +- P_b, each P a product of d-arrows, and d P_d = P for each
+    factor d, so its Euler cofactors give F - d_a F_{d_a} - d_b F_{d_b} = +-1
+    with d_a = d_{a,i} and d_b = d_{b,j}."""
     p = ArmParams.parse(p)
     _check_chart_range(c, p)
     arm_a, arm_b = c.other_arms()
@@ -86,7 +92,11 @@ def total_space_chart(p: ArmParams, c: ChartId, field=QQ,
     prod_b = poly_prod(
         (Poly.var(table, field, d_arrow(arm_b, m)) for m in range(c.j, p[arm_b] + 1)),
         table, field)
-    return Ideal(table, (_scaled_canonical(c.k, prod_a, prod_b),), field=field, budget=budget)
+    cofactors = {(table.index(d),): -Poly.var(table, field, d)
+                 for d in (d_arrow(arm_a, c.i), d_arrow(arm_b, c.j))}
+    cofactors[0] = Poly.const(table, field, 1)
+    return Ideal(table, (_scaled_canonical(c.k, prod_a, prod_b),), field=field, budget=budget,
+                 cofactors=cofactors)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +151,11 @@ def fibre_chart(gamma: DeformParams, c: ChartId,
     canonical relation D1 - D2 + D3 with D_k scaled to 1 and each other
     arm's down path replaced by its `_arm_factor`.  The factors share no
     variable, so f2's terms are theirs, placed at their arm's two chart
-    variables, and nothing is multiplied."""
+    variables, and nothing is multiplied.  f1 = s(d_a u_a - d_b u_b) + const
+    and f2 = e + g_a + g_b with s, e = +-1 and d g_d - u g_u = g for each arm
+    term (`euler_identity_check`), so the minors M_a on (d_a, u_a) and M_b on
+    (d_b, u_b) are -s g_a and s g_b: the Euler cofactors give
+    f2 + s^-1 (M_a - M_b) = e, and s^-1 = s."""
     p, field = gamma.p, gamma.field
     _check_chart_range(c, p)
     if not gamma.inside_delta:
@@ -160,8 +174,10 @@ def fibre_chart(gamma: DeformParams, c: ChartId,
     for arm, window, pad in ((arm_a, c.i, 0), (arm_b, c.j, 2)):
         for exps, v in _arm_factor(gamma, arm, window):
             f2[(0,) * pad + exps + (0,) * (2 - pad)] = neg(v) if arm == 2 else v
+    cofactors = {k: Poly.const(table, field, v) for k, v in ((1, one), ((0, 1), sign),
+                                                               ((2, 3), neg(sign)))}
     return Ideal(table, (Poly(table, field, f1), Poly(table, field, f2)),
-                 field=field, budget=budget)
+                 field=field, budget=budget, cofactors=cofactors)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +360,13 @@ def chart_by_substitution(oracle: SubstitutionOracle, c: ChartId,
                  budget=budget)
 
 
+def oracle_match(chart: Ideal, derived: Ideal) -> bool:
+    """Whether the oracle's ideal `derived` is the closed form's `chart`: by
+    their generators, with no basis, when `same_generators` finds them
+    equal up to units, and else by `ideals_equal`."""
+    return same_generators(chart, derived) or ideals_equal(chart, derived)
+
+
 def chart_substitution(oracle: SubstitutionOracle, c: ChartId) -> dict:
     """Every arrow of the quiver as a polynomial in the fibre chart's
     variables, as the chain solve gives it; pushing the deformed relations
@@ -370,16 +393,20 @@ class SmoothnessCertificate:
 
 def smoothness_certificate(ideal: Ideal,
                            expected_dim: int | None = None) -> SmoothnessCertificate:
-    """Jacobian smoothness check, optionally pinned to a dimension target,
-    under the ideal's own budget; the dimension caches the ideal's basis."""
+    """Smoothness by the chart's Euler cofactors, whose combination must be a
+    nonzero constant (CheckFailed otherwise: that shows no singularity),
+    and the dimension, optionally pinned to a target, from the ideal's one
+    basis under its own budget."""
     try:
-        one_in = jacobian_ideal(ideal).contains_one()
+        unit = jacobian_combination(ideal)
+        if len(unit.terms) != 1 or not unit.constant_value():
+            raise CheckFailed(f"Euler cofactors give {unit.to_str()}, not a nonzero constant, "
+                              f"on the chart in {', '.join(ideal.table.names)}")
         dim = krull_dimension(ideal)
     except Inconclusive:
         return SmoothnessCertificate(None, None, "inconclusive")
-    smooth = one_in and (expected_dim is None or dim.dimension == expected_dim)
-    status = "smooth" if smooth else "singular"
-    return SmoothnessCertificate(one_in, dim, status)
+    smooth = expected_dim is None or dim.dimension == expected_dim
+    return SmoothnessCertificate(True, dim, "smooth" if smooth else "singular")
 
 
 def fibre_witness_point(oracle: SubstitutionOracle) -> dict:

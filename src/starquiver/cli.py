@@ -20,6 +20,7 @@ from .charts import (
     euler_identity_check,
     fibre_chart,
     fibre_witness_point,
+    oracle_match,
     quotient_nonzero_check,
     smoothness_certificate,
     substitution_oracle,
@@ -32,7 +33,6 @@ from .groebner import (
     GroebnerBudget,
     Inconclusive,
     Ideal,
-    ideals_equal,
     krull_dimension,
     read_ideal_text,
     write_ideal_text,
@@ -143,7 +143,7 @@ def cmd_charts(args) -> int:
         chart = fibre_chart(gamma, c, budget)
         item = _chart_item(c, chart, smoothness_certificate(chart, expected_dim=2), witness=True)
         try:
-            item["oracle_match"] = ideals_equal(chart, chart_by_substitution(oracle, c, budget))
+            item["oracle_match"] = oracle_match(chart, chart_by_substitution(oracle, c, budget))
         except Inconclusive:
             item["oracle_match"] = None
         items.append(item)

@@ -1,8 +1,8 @@
 """Buchberger engine: reduced Groebner bases and the certificates built on them.
 
 The certificates are normal forms, ideal equality, Krull dimension and the
-Jacobian ideal.  `eliminate` is kept as a reference: the workbench's own
-checks eliminate nothing, and the tests run it against them.
+Jacobian combination.  `eliminate` is kept as a reference: the workbench's
+own checks eliminate nothing, and the tests run it against them.
 
 Each monomial is one Python int: the key of the one order type,
 ``MonomialOrder.sort_key``, packed above the exponent vector (16-bit fields,
@@ -26,14 +26,13 @@ breached budget raises :class:`Inconclusive`, never returns a wrong answer.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
-from typing import Iterable, Sequence
+from math import gcd, lcm, prod
+from typing import Iterable, Mapping, Sequence
 
 from .poly import (
     GREVLEX,
@@ -137,18 +136,24 @@ class _Codec:
 
     def __init__(self, table: VarTable, order: MonomialOrder):
         n = len(table)
-        key = order.sort_key(table)
         low = _FIELD_BITS * n
         part_bits = _FIELD_BITS + n.bit_length()
         self._deg_shift = low
         self._deg_mask = (1 << part_bits) - 1
         high = low + part_bits
         self._shifts = tuple(_FIELD_BITS * (n - 1 - i) for i in range(n))
-        self._units = tuple(
-            (sum(part << (part_bits * k) for k, part in enumerate(reversed(key(unit)))) << high)
-            + (1 << low) + (1 << s)
-            for s, unit in zip(self._shifts,
-                               ((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))))
+        # a variable's packed sort_key, last part lowest: its block of m
+        # owns m parts (`ones` holds 1 in each), each 1 for the variable but
+        # the one that subtracts it, which the block's first variable lacks
+        keys, base = [0] * n, n
+        for block in order.blocks_for(table):
+            base -= len(block)
+            ones = (((1 << (part_bits * len(block))) - 1) // ((1 << part_bits) - 1)
+                    << (part_bits * base))
+            for s, i in enumerate(block):
+                keys[i] = ones - (1 << (part_bits * (base + s - 1))) if s else ones
+        self._units = tuple((key << high) + (1 << low) + (1 << s)
+                            for key, s in zip(keys, self._shifts))
         self._field_units = self._units[::-1]  # by field, lowest first
         self.guard = 0
         for s in self._shifts:
@@ -208,8 +213,8 @@ class _Codec:
 @lru_cache(maxsize=16)
 def _codec(table: VarTable, order: MonomialOrder) -> _Codec:
     """The one codec of a (table, order) key while it is in use: a fibre
-    chart's ideal, its Jacobian ideal and the oracle's ideal share one.
-    The cache is small, so the codecs of finished charts go."""
+    chart's ideal and the oracle's ideal share one.  The cache is small, so
+    the codecs of finished charts go."""
     return _Codec(table, order)
 
 
@@ -218,11 +223,16 @@ def _codec(table: VarTable, order: MonomialOrder) -> _Codec:
 # element is stored once, as (lead, lead coeff, tail terms)
 # ---------------------------------------------------------------------------
 
+def _clearing(p: Poly, q: int) -> int:
+    """The integer `_to_engine` multiplies p by: over QQ the lcm of its
+    denominators (by `reduce`: lcm(*generator) grows the small-tuple free
+    lists on every call), over F_q 1."""
+    return 1 if q else reduce(lcm, (c.denominator for c in p.terms.values()), 1)
+
+
 def _to_engine(p: Poly, codec: _Codec, q: int):
-    """Engine terms of p: residues mod q, or (q = 0) p times its denominator lcm."""
-    if not p.terms:
-        return []
-    denlcm = 1 if q else lcm(*(c.denominator for c in p.terms.values()))
+    """Engine terms of p: residues mod q, or (q = 0) p times `_clearing`."""
+    denlcm = _clearing(p, q)
     items = [(codec.encode(exps), c % q if q else c.numerator * (denlcm // c.denominator))
              for exps, c in p.terms.items()]
     items.sort(reverse=True)
@@ -561,24 +571,26 @@ class DimensionReport:
 
 
 class Ideal:
-    """Generators plus a lazily cached reduced Groebner basis."""
+    """Generators plus a lazily cached reduced Groebner basis, and the
+    builder's `cofactors` for `jacobian_combination`, if it knows them."""
 
     def __init__(self, table: VarTable, gens: Sequence[Poly],
                  order: MonomialOrder = GREVLEX, field=None,
-                 budget: GroebnerBudget = DEFAULT_BUDGET):
+                 budget: GroebnerBudget = DEFAULT_BUDGET,
+                 cofactors: Mapping[int | tuple, Poly] | None = None):
         gens = tuple(gens)
-        for g in gens:
-            if g.table != table:
-                raise ValueError("generator on a different VarTable")
         if field is None:
             field = gens[0].field if gens else QQ
-        for g in gens:
+        for g in (*gens, *(cofactors or {}).values()):
+            if g.table != table:
+                raise ValueError("generator on a different VarTable")
             if g.field != field:
                 raise ValueError("generator over a different coefficient field")
         self.table = table
         self.field = field
         self.order = order
-        self._gens = gens
+        self.gens = gens
+        self.cofactors = cofactors
         self._gens_engine = None
         self.budget = budget
         self._codec = _codec(table, order)
@@ -587,31 +599,14 @@ class Ideal:
         self._polys = None
         self.stats: EngineStats | None = None
 
-    @classmethod
-    def _of_engine(cls, ring: "Ideal", gens_engine: list) -> "Ideal":
-        """The ideal of engine generators on the codec of `ring`, with its
-        table, order, field and budget."""
-        ideal = cls(ring.table, (), order=ring.order, field=ring.field, budget=ring.budget)
-        ideal._codec, ideal._gens, ideal._gens_engine = ring._codec, None, gens_engine
-        return ideal
-
     # -- generators ----------------------------------------------------------
 
-    @property
-    def gens(self) -> tuple:
-        """The generators as Polys; generators given in engine form are
-        converted on first read (over QQ, as the integer multiples the
-        engine holds)."""
-        if self._gens is None:
-            self._gens = tuple(_from_engine(g, 1, self._codec, self.table, self.field, self._q)
-                               for g in self._gens_engine)
-        return self._gens
-
     def _engine_gens(self) -> list:
-        """The generators in engine form, converted once: the basis run
-        and the Jacobian ideal read the same terms."""
+        """The generators in engine form, converted once: the basis run,
+        the Jacobian combination and the generator match read the same
+        terms."""
         if self._gens_engine is None:
-            self._gens_engine = [_to_engine(g, self._codec, self._q) for g in self._gens]
+            self._gens_engine = [_to_engine(g, self._codec, self._q) for g in self.gens]
         return self._gens_engine
 
     # -- basis ---------------------------------------------------------------
@@ -648,7 +643,7 @@ class Ideal:
         # is also the generators, and stats are those of the elimination run
         self._set_basis(basis_engine)
         self.stats = stats
-        self._gens = self._basis_poly
+        self.gens = self._basis_poly
 
     # -- queries -------------------------------------------------------------
 
@@ -668,7 +663,7 @@ class Ideal:
         r, scale = self._reduce(p)
         if not self._q:
             # undo the fraction-free scaling and _to_engine's denominator lcm
-            scale *= lcm(*(c.denominator for c in p.terms.values()))
+            scale *= _clearing(p, 0)
         return _from_engine(r, scale, self._codec, self.table, self.field, self._q)
 
     def contains(self, p: Poly) -> bool:
@@ -728,30 +723,47 @@ def eliminate(ideal: Ideal, drop: Iterable[str]) -> Ideal:
     return out
 
 
-def jacobian_ideal(ideal: Ideal) -> Ideal:
-    """The generators plus all maximal minors of their Jacobian matrix, as
-    an ideal on the same codec.
+def jacobian_combination(ideal: Ideal) -> Poly:
+    """sum_k c_k g_k over the ideal's `cofactors`, which lies in its Jacobian
+    ideal: a nonzero constant proves that the unit ideal, with no basis.
 
-    One relation (a total-space chart): all partial derivatives.  Two
-    relations in n variables (a fibre chart): the two-by-two minors
-    f_a g_b - f_b g_a, six of them for n = 4, in `itertools.combinations`
-    order.  Charts have no other number of relations.  The derivatives and
-    minors are built from the generators' engine terms, and the basis run
-    reads them as they are; over QQ those terms are integer multiples of
-    the generators, which scale each minor by a nonzero constant.
+    A key k is a generator's index, or one column per generator naming a
+    maximal minor of their Jacobian: f_a for one, f_a g_b - f_b g_a for two.
+    Only those minors are formed, on the packed engine terms, every product
+    checked against the guard bits.  Over QQ the engine holds generator i
+    times its `_clearing` l_i and cofactor c times d_c, so the integer sum
+    lifts each term to D L, D = lcm d_c and L = prod l_i, and divides once.
     """
+    if ideal.cofactors is None:
+        raise ValueError("the ideal names no Jacobian cofactors")
+    codec, q = ideal._codec, ideal._q
     rels = ideal._engine_gens()
-    codec, q, n = ideal._codec, ideal._q, len(ideal.table)
-    jac = [[_derivative(f, i, codec, q) for i in range(n)] for f in rels]
-    if len(rels) == 1:
-        minors = jac[0]
-    elif len(rels) == 2:
-        f, g = jac
-        minors = [_minor(f[a], g[b], f[b], g[a], codec, q)
-                  for a, b in itertools.combinations(range(n), 2)]
-    else:
-        raise ValueError(f"Jacobian minors of {len(rels)} relations: expected one or two")
-    return Ideal._of_engine(ideal, [*rels, *minors])
+    clear = [_clearing(g, q) for g in ideal.gens]
+    whole = prod(clear)
+    cofactors = [(key, _to_engine(c, codec, q), _clearing(c, q))
+                 for key, c in ideal.cofactors.items()]
+    den = lcm(*[d for _, _, d in cofactors])
+    acc: dict = {}
+    for key, cofactor, d in cofactors:
+        if isinstance(key, int):
+            g, lift = rels[key], whole // clear[key]
+        elif len(key) == len(rels) == 1:
+            g, lift = _derivative(rels[0], key[0], codec, q), 1
+        elif len(key) == len(rels) == 2:
+            f, h = ([_derivative(r, i, codec, q) for i in key] for r in rels)
+            g, lift = _minor(f[0], h[1], f[1], h[0], codec, q), 1
+        else:
+            raise ValueError(f"Jacobian minor {key} of {len(rels)} relations: "
+                             "expected one or two, one column each")
+        lift *= den // d
+        for m1, c1 in cofactor:
+            c1 *= lift
+            for m2, c2 in g:
+                k = m1 + m2
+                acc[k] = acc.get(k, 0) + c1 * c2
+    # D L is 1 over F_q
+    return Poly(ideal.table, ideal.field, {codec.decode(m): Fraction(c, den * whole)
+                                           for m, c in _collect(acc, codec, q)})
 
 
 def _min_hitting_set(minimal: list, idx: int, hitting: set, best: list) -> None:
@@ -797,6 +809,16 @@ def krull_dimension(ideal: Ideal) -> DimensionReport:
     hit = best[0]
     witness = tuple(ideal.table.names[i] for i in range(n) if i not in hit)
     return DimensionReport(n - len(hit), witness)
+
+
+def same_generators(a: Ideal, b: Ideal) -> bool:
+    """True when the ideals' nonzero generators form the same set up to
+    units, which `_normalize`'s engine form fixes: then the ideals are
+    equal, with no basis."""
+    if (a.table, a.order, a.field) != (b.table, b.order, b.field):
+        return False
+    return ({_normalize(g, a._q) for g in a._engine_gens() if g}
+            == {_normalize(g, b._q) for g in b._engine_gens() if g})
 
 
 def ideals_equal(a: Ideal, b: Ideal) -> bool:

@@ -416,6 +416,33 @@ def test_engine_codes_carry_the_total_degree(order):
         assert codec.lift(codec.lcm(ma, mb)) == codec.encode(tuple(map(max, a, b)))
 
 
+def _units_by_key(table: VarTable, order: MonomialOrder) -> tuple:
+    """Each variable's packed int built the long way: `sort_key` of its unit
+    exponent vector, last part lowest, then the degree slot and the
+    exponent field."""
+    n, key = len(table), order.sort_key(table)
+    low, part_bits = 16 * n, 16 + n.bit_length()
+    return tuple(
+        (sum(part << (part_bits * k) for k, part in enumerate(reversed(key(unit))))
+         << (low + part_bits)) + (1 << low) + (1 << (16 * (n - 1 - i)))
+        for i, unit in enumerate(tuple(int(j == i) for j in range(n)) for i in range(n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 33, 64, 195, 400])
+def test_codec_units_are_the_sort_key_ones(n):
+    # the codec reads each variable's key off the order's blocks, in time
+    # linear in the variables; it must be the int that sort_key packs, for
+    # one block (grevlex), n blocks (lex), and blocks of unequal sizes
+    # named out of table order
+    t = VarTable([f"x{i}" for i in range(n)])
+    rng, names = random.Random(n), list(t.names)
+    rng.shuffle(names)
+    cuts = [0, *sorted(rng.sample(range(1, n), min(3, n - 1))), n]
+    blocks = MonomialOrder([names[a:b] for a, b in zip(cuts, cuts[1:])])
+    for order in (GREVLEX, LEX, blocks):
+        assert _Codec(t, order)._units == _units_by_key(t, order), order.spec()
+
+
 def _random_ideals(seed, count):
     """Seeded QQ ideals of one to three cubic generators in x, y, z."""
     t = VarTable(["x", "y", "z"])
