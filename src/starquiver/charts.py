@@ -9,18 +9,21 @@ window and gamma, in that window's two variables, and places it in every
 chart that reads the window.  A second, substitution-based derivation acts
 as an independent oracle: it solves the arm chains mechanically from the
 relation system and must generate the same ideal as the closed form.  Each
-arm chain is solved once per arm window, on the arm's own variables, and
-the cross relations are pushed through each window once, part by arm-local
-part; a chart places its three windows' parts in its own five-variable
-table, the chart variables and the leftover, which it then solves.  The
+arm chain is solved once per arm window, on the arm's own variables.  Every
+term of a cross relation lies on one arm, so each window pushes its arm's
+terms through once and sums them, its contribution to the relation; a chart
+adds its three windows' contributions in its own five-variable table, the
+chart variables and the leftover, which it then solves.  The
 same solve is the one source of a chart's arrow substitution, which
 `chart_substitution` returns.  The two derivations share no factor, cache
-or solved window.  Each chart builder names the Euler cofactors of its
+or solved window, only the chart's table of variable names, built once per
+chart.  Each chart builder names the Euler cofactors of its
 smoothness certificate.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from collections import Counter
@@ -103,6 +106,9 @@ def total_space_chart(p: ArmParams, c: ChartId, field=QQ,
 # fibre charts (two relations in four variables)
 # ---------------------------------------------------------------------------
 
+# A chart's closed form, oracle and witness ask for its tables one after
+# another, so each is built once per chart: the last one is kept.
+@functools.lru_cache(maxsize=1)
 def _chart_table(c: ChartId) -> VarTable:
     arm_a, arm_b = c.other_arms()
     return VarTable([
@@ -209,15 +215,16 @@ def _solve_linear(img: Poly, name: str) -> Poly:
 @dataclass(frozen=True)
 class SubstitutionOracle:
     """The oracle's per-gamma half.  `cross` holds the cross relations
-    (a)-(d) and (x) by label, each term as its coefficient and its arm-local
-    parts (`_arm_parts`).  `arms[arm, window]` holds the window's solution,
+    (a)-(d) and (x) by label, each split into its constant and its terms by
+    arm (`_arm_parts`).  `arms[arm, window]` holds the window's solution,
     solved on the arm's own table of 2 p_arm arrows: it maps every arrow of
     the arm to 1, to its chain solution or to itself (window 0, a chart's
     distinguished arm, keeps u_{arm,1}; window i keeps d_{arm,i} and
-    u_{arm,i}).  Beside it sits the image of each of the arm's cross parts
-    under that solution, as terms in the window's kept variables.  A window
-    is solved, and its parts pushed through, on its first use by
-    `_arm_window`; a chart places its three windows' parts in its own small
+    u_{arm,i}).  Beside it sits, for each cross relation, the image of the
+    arm's terms under that solution, as terms in the window's kept
+    variables: the window's contribution.  A window is solved, and its
+    contributions formed, on its first use by `_arm_window`; a chart adds
+    its three windows' contributions and the constants in its own small
     table (`_cross_images`)."""
 
     Q: StarQuiver
@@ -236,13 +243,25 @@ def _arm_span(Q: StarQuiver, arm: int) -> slice:
     return slice(low, low + 2 * Q.p[arm])
 
 
-def _arm_parts(Q: StarQuiver, rel: Poly) -> tuple:
-    """The relation's terms as (coefficient, parts): a part is (arm, the
-    term's exponents on the arm's arrows), one for each arm the term
-    touches; a term without parts is a constant."""
+def _arm_parts(Q: StarQuiver, lbl: str, rel: Poly) -> tuple:
+    """The relation's constant (None if it has none) and its other terms by
+    arm, each as (coefficient, the term's exponents on the arm's arrows).
+    Every cross term lies on one arm, (a)-(d) being 2-cycles and (x)
+    D1 - D2 + D3, so each window's solution carries its arm's terms on its
+    own; a term on two arms raises CheckFailed."""
     spans = [(arm, _arm_span(Q, arm)) for arm in (1, 2, 3)]
-    return tuple((coeff, tuple((arm, exps[s]) for arm, s in spans if any(exps[s])))
-                 for exps, coeff in rel.terms.items())
+    const, by_arm = None, {}
+    for exps, coeff in rel.terms.items():
+        parts = [(arm, exps[s]) for arm, s in spans if any(exps[s])]
+        if len(parts) > 1:
+            raise CheckFailed(f"cross relation {lbl} has a term on arms "
+                              f"{' and '.join(str(arm) for arm, _ in parts)}")
+        if parts:
+            arm, local = parts[0]
+            by_arm.setdefault(arm, []).append((coeff, local))
+        else:
+            const = coeff
+    return const, by_arm
 
 
 def substitution_oracle(Q: StarQuiver, gamma: DeformParams,
@@ -251,15 +270,18 @@ def substitution_oracle(Q: StarQuiver, gamma: DeformParams,
     chain is solved once per window that some chart reads."""
     if not gamma.inside_delta:
         raise ValueError("gamma outside the parameter subspace: empty fibre")
-    cross = tuple((lbl, _arm_parts(Q, relations[lbl])) for lbl in _CROSS_LABELS)
+    cross = tuple((lbl, *_arm_parts(Q, lbl, relations[lbl])) for lbl in _CROSS_LABELS)
     return SubstitutionOracle(Q, gamma, relations, cross, {})
 
 
 def _arm_window(oracle: SubstitutionOracle, arm: int, window: int) -> tuple:
     """The arm's chain solved on the arm's table by forward/backward
-    substitution from the window's unit arrows, and the images of the arm's
-    cross parts under it, on first use; every window belongs to some chart.
-    A solved chain must vanish."""
+    substitution from the window's unit arrows, and the window's
+    contribution to each cross relation that reads the arm, on first use;
+    every window belongs to some chart.  A solved chain must vanish.  Each
+    contribution sums coefficient times image over the arm's terms, so a
+    product of coefficients is formed once per window, not once per chart
+    that reads it."""
     solved = oracle.arms.get((arm, window))
     if solved is not None:
         return solved
@@ -284,12 +306,21 @@ def _arm_window(oracle: SubstitutionOracle, arm: int, window: int) -> tuple:
         if not rel.substitute(B).is_zero():
             raise CheckFailed(f"chain relation ({arm}).{m} did not resolve")
     at = [table.index(a) for a in kept]
-    parts = {}
-    for local in {local for _, terms in oracle.cross for _, term_parts in terms
-                  for part_arm, local in term_parts if part_arm == arm}:
-        image = Poly.monomial(table, field, local).substitute(B)
-        parts[local] = tuple((tuple(e[i] for i in at), v) for e, v in image.terms.items())
-    solved = oracle.arms[arm, window] = (B, parts)
+    add, mul = field.add, field.mul
+    images: dict = {}  # a term's exponents on the arm -> its image
+    contributions = {}
+    for lbl, _, by_arm in oracle.cross:
+        out: dict = {}
+        for coeff, local in by_arm.get(arm, ()):
+            image = images.get(local)
+            if image is None:
+                image = images[local] = Poly.monomial(table, field, local).substitute(B)
+            for e, v in image.terms.items():
+                e, v = tuple([e[i] for i in at]), mul(coeff, v)
+                out[e] = add(out[e], v) if e in out else v
+        if out:
+            contributions[lbl] = tuple((e, v) for e, v in out.items() if v)
+    solved = oracle.arms[arm, window] = (B, contributions)
     return solved
 
 
@@ -300,6 +331,7 @@ def _chart_windows(c: ChartId) -> tuple:
     return ((c.k, 0, 4), (arm_a, c.i, 0), (arm_b, c.j, 2))
 
 
+@functools.lru_cache(maxsize=1)
 def _solve_table(c: ChartId) -> VarTable:
     """The chart's four variables and the leftover u_{k,1}: the variables
     its three windows keep."""
@@ -309,30 +341,24 @@ def _solve_table(c: ChartId) -> VarTable:
 def _cross_images(oracle: SubstitutionOracle, c: ChartId) -> dict:
     """The image of each cross relation by label under the chart's merged
     arm substitution, on `_solve_table`.  Each window binds its arm's arrows
-    to polynomials in its own kept variables, so a term coeff * m_1 m_2 m_3
-    maps to coeff * phi_1(m_1) phi_2(m_2) phi_3(m_3), each factor read from
-    its window's parts and placed at the window's variables."""
+    to polynomials in its own kept variables, and each cross term lies on
+    one arm, so a relation's image is its constant plus its three windows'
+    contributions, each placed at its window's variables."""
     table = _solve_table(c)
     n, field = len(table), oracle.Q.field
-    add, mul = field.add, field.mul
-    placed = {}
+    add = field.add
+    images = {lbl: {} if const is None else {(0,) * n: const} for lbl, const, _ in oracle.cross}
     for arm, window, pad in _chart_windows(c):
-        _, parts = _arm_window(oracle, arm, window)
-        placed[arm] = {local: [((0,) * pad + e + (0,) * (n - pad - len(e)), v) for e, v in terms]
-                       for local, terms in parts.items()}
-    images = {}
-    for lbl, terms in oracle.cross:
-        out: dict = {}
-        for coeff, term_parts in terms:
-            term = [((0,) * n, coeff)]
-            for arm, local in term_parts:
-                # the factors share no variable: exponents add without overlap
-                term = [(tuple(map(int.__add__, e1, e2)), mul(c1, c2))
-                        for e1, c1 in term for e2, c2 in placed[arm][local]]
-            for e, v in term:
+        # window 0 keeps one variable, u_{k,1}; a window i keeps two
+        head, tail = (0,) * pad, (0,) * (n - pad - (1 if window == 0 else 2))
+        for lbl, terms in _arm_window(oracle, arm, window)[1].items():
+            out = images[lbl]
+            for e, v in terms:
+                e = head + e + tail
                 out[e] = add(out[e], v) if e in out else v
-        images[lbl] = Poly(table, field, out)  # drops the cancelled terms
-    return images
+    # drop the cancelled terms
+    return {lbl: Poly._raw(table, field, {e: v for e, v in out.items() if v})
+            for lbl, out in images.items()}
 
 
 def _chart_solve(oracle: SubstitutionOracle, c: ChartId):

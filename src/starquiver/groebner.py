@@ -169,7 +169,8 @@ class _Codec:
         return mono
 
     def decode(self, mono: int) -> tuple:
-        return tuple((mono >> s) & 0xFFFF for s in self._shifts)
+        # a tuple of a list: built at its length, unlike one from an iterator
+        return tuple([(mono >> s) & 0xFFFF for s in self._shifts])
 
     def lift(self, low: int) -> int:
         """The monomial whose exponent half is `low` (an lcm, say); only its
@@ -712,7 +713,7 @@ def eliminate(ideal: Ideal, drop: Iterable[str]) -> Ideal:
 
     def repack(mono):
         exps = decode(mono)
-        return out._codec.encode(tuple(exps[i] for i in kept))
+        return out._codec.encode(tuple([exps[i] for i in kept]))
 
     # an element whose lead is free of `drop` lies in the subring, by the
     # elimination property; grevlex on the kept variables is the block order

@@ -246,7 +246,7 @@ def _leads_numerator(leads, weights) -> Poly:
     acc = {(0,) * len(weights): 1}
     for lead in leads:
         for mono, c in list(acc.items()):
-            lcm_mono = tuple(map(max, mono, lead))
+            lcm_mono = tuple([max(a, b) for a, b in zip(mono, lead)])
             acc[lcm_mono] = acc.get(lcm_mono, 0) - c
     return sum((_t(sum(map(int.__mul__, weights, mono))).scale(c) for mono, c in acc.items()),
                Poly.zero(_T, QQ))

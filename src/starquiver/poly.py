@@ -452,7 +452,8 @@ class Poly:
             a, b = b, a
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                exps = tuple(map(int.__add__, e1, e2))
+                # a tuple of a list: built at its length, unlike one from an iterator
+                exps = tuple([x + y for x, y in zip(e1, e2)])
                 c = mul(c1, c2)
                 cur = out.get(exps)
                 if cur is None:
@@ -511,10 +512,15 @@ class Poly:
         A bound variable maps to its target, a Poly on `table` or a constant;
         an unbound one maps by name, and raises ValueError only if it occurs
         and `table` has no variable of that name.
+
+        A target of at most one term, like a variable mapped by name, folds
+        into each source term's exponents and coefficient; only the targets
+        of two or more terms are multiplied out, in variable order.
         """
         src = self.table
         table = src if table is None else table
         f = self.field
+        mul = f.mul
         images = {}
         for name, target in bindings.items():
             i = src.index(name)
@@ -523,7 +529,11 @@ class Poly:
             elif (target.table, target.field) != (table, f):
                 raise ValueError("binding target on a different VarTable or field")
             images[i] = target
-        by_name: dict = {}   # unbound source index -> target index
+        # the image of an occurring variable whose target has at most one
+        # term, found on first use: the term's (index, exponent) pairs and its
+        # coefficient, None for 1; zero is 1 with coefficient 0.  1 is every
+        # field's one, and a Fraction compares fast with an int.
+        folded: dict = {}
         powers: dict = {}
         out: dict = {}
         n = len(table)
@@ -534,24 +544,41 @@ class Poly:
             for i, e in enumerate(exps):
                 if not e:
                     continue
-                target = images.get(i)
-                if target is None:
-                    j = by_name.get(i)
-                    if j is None:
+                fold = folded.get(i)
+                if fold is None:
+                    target = images.get(i)
+                    if target is None:
                         name = src.names[i]
                         if name not in table:
                             raise ValueError(f"variable {name!r} has no image in target table")
-                        j = by_name[i] = table.index(name)
-                    residual[j] += e
-                    continue
-                if e > 1:
-                    key = (i, e)
-                    target = powers.get(key)
-                    if target is None:
-                        target = powers[key] = images[i] ** e
-                term = target if term is None else term * target
-            mono = Poly._raw(table, f, {tuple(residual): c})
-            for ex, v in (mono if term is None else mono * term).terms.items():
+                        fold = folded[i] = (((table.index(name), 1),), None)
+                    elif len(target.terms) > 1:
+                        if e > 1:
+                            key = (i, e)
+                            target = powers.get(key)
+                            if target is None:
+                                target = powers[key] = images[i] ** e
+                        term = target if term is None else term * target
+                        continue
+                    else:
+                        at, coeff = next(iter(target.terms.items()), ((), zero))
+                        fold = folded[i] = (tuple([(j, t) for j, t in enumerate(at) if t]),
+                                            None if coeff == 1 else coeff)
+                places, coeff = fold
+                for j, t in places:
+                    residual[j] += t * e
+                if coeff is not None:
+                    for _ in range(e):
+                        c = mul(c, coeff)
+            if not c:  # a variable bound to zero occurs
+                continue
+            if term is None:
+                image = ((tuple(residual), c),)
+            else:
+                unit = c == 1
+                image = [(tuple([r + x for r, x in zip(residual, ex)]), v if unit else mul(c, v))
+                         for ex, v in term.terms.items()]
+            for ex, v in image:
                 cur = out.get(ex)
                 if cur is None:
                     out[ex] = v

@@ -3,6 +3,7 @@
 import heapq
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import comb, prod
@@ -309,6 +310,31 @@ def test_cross_images_match_the_merged_substitution(spec):
                 assert tuple(images) == ("(a)", "(b)", "(c)", "(d)", "(x)")
                 for lbl, img in images.items():
                     assert img == oracle.relations[lbl].substitute(B, table), (c, lbl)
+
+
+@pytest.mark.parametrize("lbl", ["(x)", "(a)"])
+def test_oracle_refuses_a_cross_term_on_two_arms(lbl):
+    # a window carries its own arm's share of each cross relation, which is
+    # the whole relation only when every term lies on one arm: a term on
+    # two arms must stop the oracle, not be dropped or split
+    p = ArmParams(3, 3, 2)
+    Q = build_star_quiver(p)
+    gamma = random_gamma(p, seed=5)
+    d = Q.arrow_poly
+    rels = deformed_relations(Q, gamma)
+    rels[lbl] = rels[lbl] + d(d_arrow(1, 1)) * d(d_arrow(2, 1))
+    with pytest.raises(CheckFailed, match=re.escape(f"{lbl} has a term on arms 1 and 2")):
+        substitution_oracle(Q, gamma, rels)
+    # two extra terms on arm 1 alone are carried: its windows sum three
+    # terms' images, and the images still equal the merged substitution
+    rels[lbl] = (deformed_relations(Q, gamma)[lbl] + d(d_arrow(1, 1)) * d(d_arrow(1, 2))
+                 - 3 * d(u_arrow(1, 3)))
+    oracle = substitution_oracle(Q, gamma, rels)
+    for c in all_chart_ids(p):
+        table = charts._solve_table(c)
+        B = {a: e.substitute({}, table) for arm, window, _ in charts._chart_windows(c)
+             for a, e in charts._arm_window(oracle, arm, window)[0].items()}
+        assert charts._cross_images(oracle, c)[lbl] == rels[lbl].substitute(B, table), c
 
 
 def _count_bases(monkeypatch) -> list:

@@ -1,5 +1,6 @@
 """Polynomial core: parsing, arithmetic, substitution, differentiation."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from starquiver.poly import (
     parse_order,
     parse_poly,
 )
+
+import poly_oracle
 
 
 def coeff_of(p: Poly, exps):
@@ -284,6 +287,96 @@ def test_cross_table_substitute_matches_term_by_term_reference():
             assert all(c != field.zero for c in got.terms.values())
             if z_img == x_img:
                 assert parse_poly("x - z", src, field).substitute(bindings, dst).terms == {}
+
+
+def _random_coeff(field, rng):
+    """A nonzero coefficient: a fraction over QQ, a residue over F_q."""
+    if field == QQ:
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+    return field.coerce(rng.randrange(1, field.q))
+
+
+def _random_field_poly(table, rng, field, terms, deg):
+    """Up to `terms` terms of degree at most `deg` with nonzero coefficients."""
+    out = {}
+    for _ in range(terms):
+        exps = [0] * len(table)
+        for _ in range(rng.randint(0, deg)):
+            exps[rng.randrange(len(table))] += 1
+        out[tuple(exps)] = _random_coeff(field, rng)
+    return Poly(table, field, out)
+
+
+def _random_target(kind, table, rng, field):
+    """A binding target of one kind: a constant (a Poly or a bare value),
+    zero, a variable, a scaled monomial or a polynomial of several terms."""
+    if kind == "constant":
+        value = _random_coeff(field, rng)
+        return value if rng.random() < 0.5 else Poly.const(table, field, value)
+    if kind == "zero":
+        return 0 if rng.random() < 0.5 else Poly.zero(table, field)
+    if kind == "variable":
+        return Poly.var(table, field, rng.choice(table.names))
+    if kind == "monomial":
+        exps = [rng.randint(0, 2) for _ in table]
+        return Poly.monomial(table, field, exps, _random_coeff(field, rng))
+    target = Poly.zero(table, field)
+    while len(target.terms) < 2:
+        target = _random_field_poly(table, rng, field, terms=3, deg=2)
+    return target
+
+
+_TARGET_KINDS = ("constant", "zero", "variable", "monomial", "several")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(65521), PrimeField(2)], ids=str)
+def test_substitute_matches_its_earlier_body(field):
+    # one-term targets now fold into the exponents and the coefficient;
+    # the earlier body (tests/poly_oracle.py) multiplied every term out.
+    # Terms, and their order, must agree, within a table and into another
+    # one where y and v map by name and w has no image
+    rng = random.Random(f"substitute:{field}")
+    src = VarTable(["x", "y", "z", "v", "w"])
+    dst = VarTable(["v", "y", "s"])
+    kinds = list(itertools.product(_TARGET_KINDS, repeat=2))
+    for k in range(4 * len(kinds)):
+        table = src if k % 2 else dst
+        bindings = {name: _random_target(kind, table, rng, field)
+                    for name, kind in zip(("x", "z"), kinds[k % len(kinds)])}
+        if table is dst:
+            bindings["w"] = _random_target(rng.choice(_TARGET_KINDS), dst, rng, field)
+        # degree 6 over five variables: exponents above 1 throughout
+        p = _random_field_poly(src, rng, field, terms=8, deg=6)
+        got = p.substitute(bindings, table)
+        want = poly_oracle.substitute(p, bindings, table)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(c != field.zero for c in got.terms.values())
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(65521), PrimeField(2)], ids=str)
+def test_substitute_names_a_variable_missing_from_the_target_table(field):
+    # w occurs, is unbound and has no name in dst: both bodies raise, even
+    # where the term also holds a variable bound to zero
+    src = VarTable(["x", "y", "w"])
+    dst = VarTable(["y"])
+    for bindings in ({"x": Poly.var(dst, field, "y")}, {"x": 0}):
+        for sub in (Poly.substitute, poly_oracle.substitute):
+            with pytest.raises(ValueError, match="'w'"):
+                sub(parse_poly("x*w + y", src, field), bindings, dst)
+    # absent from every term, it needs no image
+    assert parse_poly("x*y", src, field).substitute({"x": 0}, dst).is_zero()
+
+
+def test_rename_folds_without_a_product(monkeypatch):
+    # rename binds variables to variables, one-term targets: no Poly product
+    t, tv = VarTable(["x", "y", "z"]), VarTable(["v", "z"])
+    p = parse_poly("3*x^2*y - x*z^3 + 1/2*y^4", t)
+    want = parse_poly("3*v^3 - v*z^3 + 1/2*v^4", tv)
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+    assert p.rename(tv, {"x": "v", "y": "v"}) == want
+    assert not calls
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from starquiver.poly import parse_poly
+from starquiver.poly import parse_field, parse_poly, poly_prod
 from starquiver.quiver import (
     BOTTOM,
     EXTENDED,
@@ -44,6 +44,17 @@ def test_path_products():
         Qp = build_star_quiver(p)
         for arm in (1, 2, 3):
             assert total_degree(Qp.D(arm)) == ArmParams.parse(p)[arm]
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7"])
+def test_path_products_are_the_arrow_products(spec):
+    # D and U build one monomial; it must be the product of their arrows
+    Q = build_star_quiver((5, 3, 2), parse_field(spec))
+    for arm in (1, 2, 3):
+        n = Q.p[arm]
+        for path, arrow in ((Q.D(arm), d_arrow), (Q.U(arm), u_arrow)):
+            assert path == poly_prod((Q.arrow_poly(arrow(arm, j)) for j in range(1, n + 1)),
+                                     Q.table, Q.field)
 
 
 def test_stability_vector():
