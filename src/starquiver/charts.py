@@ -11,13 +11,18 @@ as an independent oracle: it solves the arm chains mechanically from the
 relation system and must generate the same ideal as the closed form.  Each
 arm chain is solved once per arm window, on the arm's own variables.  Every
 term of a cross relation lies on one arm, so each window pushes its arm's
-terms through once and sums them, its contribution to the relation; a chart
-adds its three windows' contributions in its own five-variable table, the
-chart variables and the leftover, which it then solves.  The
-same solve is the one source of a chart's arrow substitution, which
-`chart_substitution` returns.  The two derivations share no factor, cache
-or solved window, only the chart's table of variable names, built once per
-chart.  Each chart builder names the Euler cofactors of its
+terms through once and sums them, its contribution to the relation.  The
+leftover u_{k,1} of a chart's distinguished arm k is solved once per row of
+charts: the relation that solves it reads arm k's window 0 and one other
+window ((a) with arm a's window i for k = 1, 2, (b) with arm b's window j for
+k = 3), so every chart with the same k and the same windows in that relation
+shares the solve.  A row solves the leftover in a five-variable table, the
+chart variables and the leftover, and pushes it into the other four
+relations; each chart adds its remaining window's contributions.  The row's
+solve is the one source of a chart's arrow substitution, which
+`chart_substitution` returns.  The two derivations share
+no factor, cache or solved window, only the chart's table of variable names,
+built once per chart.  Each chart builder names the Euler cofactors of its
 smoothness certificate.
 """
 
@@ -41,7 +46,7 @@ from .groebner import (
     krull_dimension,
     same_generators,
 )
-from .poly import Poly, QQ, VarTable, poly_prod
+from .poly import Poly, QQ, VarTable
 from .quiver import (
     ArmParams,
     ChartId,
@@ -89,12 +94,8 @@ def total_space_chart(p: ArmParams, c: ChartId, field=QQ,
     names += [u_arrow(arm_b, m) for m in range(1, c.j + 1)]
     names += [d_arrow(arm_b, m) for m in range(c.j, p[arm_b] + 1)]
     table = VarTable(names)
-    prod_a = poly_prod(
-        (Poly.var(table, field, d_arrow(arm_a, m)) for m in range(c.i, p[arm_a] + 1)),
-        table, field)
-    prod_b = poly_prod(
-        (Poly.var(table, field, d_arrow(arm_b, m)) for m in range(c.j, p[arm_b] + 1)),
-        table, field)
+    prod_a = Poly.var_product(table, field, (d_arrow(arm_a, m) for m in range(c.i, p[arm_a] + 1)))
+    prod_b = Poly.var_product(table, field, (d_arrow(arm_b, m) for m in range(c.j, p[arm_b] + 1)))
     cofactors = {(table.index(d),): -Poly.var(table, field, d)
                  for d in (d_arrow(arm_a, c.i), d_arrow(arm_b, c.j))}
     cofactors[0] = Poly.const(table, field, 1)
@@ -106,8 +107,8 @@ def total_space_chart(p: ArmParams, c: ChartId, field=QQ,
 # fibre charts (two relations in four variables)
 # ---------------------------------------------------------------------------
 
-# A chart's closed form, oracle and witness ask for its tables one after
-# another, so each is built once per chart: the last one is kept.
+# A chart's closed form, oracle and witness ask for its table one after
+# another, so it is built once per chart: the last one is kept.
 @functools.lru_cache(maxsize=1)
 def _chart_table(c: ChartId) -> VarTable:
     arm_a, arm_b = c.other_arms()
@@ -223,15 +224,20 @@ class SubstitutionOracle:
     u_{arm,i}).  Beside it sits, for each cross relation, the image of the
     arm's terms under that solution, as terms in the window's kept
     variables: the window's contribution.  A window is solved, and its
-    contributions formed, on its first use by `_arm_window`; a chart adds
-    its three windows' contributions and the constants in its own small
-    table (`_cross_images`)."""
+    contributions formed, on its first use by `_arm_window`.
+    `rows[k, windows]` holds a row's leftover solution and its other four
+    relations with the solution pushed in, as terms on the chart table: the
+    row of the charts with distinguished arm k whose windows contributing to
+    the relation that solves u_{k,1} are `windows`, solved on its first
+    chart by `_chart_row`; each chart adds its remaining window's
+    contributions in `chart_by_substitution`."""
 
     Q: StarQuiver
     gamma: DeformParams
     relations: dict
     cross: tuple
     arms: dict
+    rows: dict
 
 
 _CROSS_LABELS = ("(a)", "(b)", "(c)", "(d)", "(x)")
@@ -271,7 +277,7 @@ def substitution_oracle(Q: StarQuiver, gamma: DeformParams,
     if not gamma.inside_delta:
         raise ValueError("gamma outside the parameter subspace: empty fibre")
     cross = tuple((lbl, *_arm_parts(Q, lbl, relations[lbl])) for lbl in _CROSS_LABELS)
-    return SubstitutionOracle(Q, gamma, relations, cross, {})
+    return SubstitutionOracle(Q, gamma, relations, cross, {}, {})
 
 
 def _arm_window(oracle: SubstitutionOracle, arm: int, window: int) -> tuple:
@@ -331,59 +337,95 @@ def _chart_windows(c: ChartId) -> tuple:
     return ((c.k, 0, 4), (arm_a, c.i, 0), (arm_b, c.j, 2))
 
 
-@functools.lru_cache(maxsize=1)
 def _solve_table(c: ChartId) -> VarTable:
     """The chart's four variables and the leftover u_{k,1}: the variables
-    its three windows keep."""
+    its three windows keep; a row builds it once, on its first chart."""
     return VarTable(_chart_table(c).names + (u_arrow(c.k, 1),))
 
 
-def _cross_images(oracle: SubstitutionOracle, c: ChartId) -> dict:
-    """The image of each cross relation by label under the chart's merged
-    arm substitution, on `_solve_table`.  Each window binds its arm's arrows
-    to polynomials in its own kept variables, and each cross term lies on
-    one arm, so a relation's image is its constant plus its three windows'
-    contributions, each placed at its window's variables."""
+def _add_placed(out: dict, terms, head: tuple, tail: tuple, add) -> None:
+    """Add a window's terms to `out`, each placed between `head` and `tail`:
+    at its window's variables in a chart's table."""
+    for e, v in terms:
+        e = head + e + tail
+        out[e] = add(out[e], v) if e in out else v
+
+
+def _chart_row(oracle: SubstitutionOracle, c: ChartId) -> tuple:
+    """The chart's row, solved on its first chart (`_solve_row`), and the
+    chart's windows outside the row, each as (arm, window, pad,
+    contributions).  Only arm k's window 0 keeps the leftover u_{k,1}, so the
+    first of (a)-(d) whose window-0 contribution reads it is the relation that
+    solves it, and the chart's windows that contribute to that relation are
+    the row: every chart with the same k and the same such windows solves the
+    same relation."""
+    _check_chart_range(c, oracle.Q.p)
+    windows = [(arm, window, pad, _arm_window(oracle, arm, window)[1])
+               for arm, window, pad in _chart_windows(c)]
+    lead = windows[0][3]  # arm k's window 0
+    label = next((lbl for lbl in _CROSS_LABELS[:4] if any(e[0] for e, _ in lead.get(lbl, ()))),
+                 None)
+    if label is None:
+        raise CheckFailed("no relation available to solve the leftover variable")
+    key = (c.k, tuple((arm, window) for arm, window, _, contributions in windows
+                      if label in contributions))
+    row = oracle.rows.get(key)
+    if row is None:
+        row = oracle.rows[key] = _solve_row(
+            oracle, c, label, [w for w in windows if label in w[3]])
+    return row, [w for w in windows if label not in w[3]]
+
+
+def _solve_row(oracle: SubstitutionOracle, c: ChartId, label: str, windows: list) -> tuple:
+    """Solve the leftover u_{k,1} from relation `label`, its constant plus
+    the row windows' contributions, on `_solve_table`, and push the solution
+    into the other four relations, each its constant plus the same windows'
+    contributions.  Returns the solution and the four pushed images by
+    label, as terms on the chart table: the row fixes the windows whose
+    variables they read, so every chart of the row places them alike."""
     table = _solve_table(c)
     n, field = len(table), oracle.Q.field
     add = field.add
     images = {lbl: {} if const is None else {(0,) * n: const} for lbl, const, _ in oracle.cross}
-    for arm, window, pad in _chart_windows(c):
+    for _, window, pad, contributions in windows:
         # window 0 keeps one variable, u_{k,1}; a window i keeps two
         head, tail = (0,) * pad, (0,) * (n - pad - (1 if window == 0 else 2))
-        for lbl, terms in _arm_window(oracle, arm, window)[1].items():
-            out = images[lbl]
-            for e, v in terms:
-                e = head + e + tail
-                out[e] = add(out[e], v) if e in out else v
+        for lbl, terms in contributions.items():
+            _add_placed(images[lbl], terms, head, tail, add)
     # drop the cancelled terms
-    return {lbl: Poly._raw(table, field, {e: v for e, v in out.items() if v})
-            for lbl, out in images.items()}
-
-
-def _chart_solve(oracle: SubstitutionOracle, c: ChartId):
-    """Solve the leftover u_{k,1} from the chart's cross images: the
-    leftover's solution on the chart table, and the other images."""
-    _check_chart_range(c, oracle.Q.p)
-    images = _cross_images(oracle, c)
+    images = {lbl: Poly._raw(table, field, {e: v for e, v in out.items() if v})
+              for lbl, out in images.items()}
     leftover = u_arrow(c.k, 1)
-    solved_label = next((lbl for lbl in _CROSS_LABELS[:4]
-                         if leftover in images[lbl].variables_used()), None)
-    if solved_label is None:
-        raise CheckFailed("no relation available to solve the leftover variable")
-    solved = _solve_linear(images.pop(solved_label), leftover).rename(_chart_table(c))
-    return {leftover: solved}, tuple(images.values())
+    solved = {leftover: _solve_linear(images.pop(label), leftover)}
+    pushed = []
+    for lbl, image in images.items():
+        image = image.substitute(solved)
+        if any(e[-1] for e in image.terms):
+            raise CheckFailed(f"cross relation {lbl} still reads {leftover} after its solve")
+        pushed.append((lbl, {e[:-1]: v for e, v in image.terms.items()}))
+    return {e[:-1]: v for e, v in solved[leftover].terms.items()}, tuple(pushed)
 
 
 def chart_by_substitution(oracle: SubstitutionOracle, c: ChartId,
                           budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
-    """The oracle's per-chart half: the ideal of the nonzero images left by
-    the chain solve, which must equal the closed form's."""
-    leftover, rest = _chart_solve(oracle, c)
+    """The oracle's per-chart half: the ideal of the row's pushed images,
+    each plus the contributions of the chart's windows outside the row; it
+    must equal the closed form's."""
+    (_, pushed), rest = _chart_row(oracle, c)
     table = _chart_table(c)
-    images = [img.substitute(leftover, table) for img in rest]
-    return Ideal(table, [img for img in images if not img.is_zero()], field=oracle.Q.field,
-                 budget=budget)
+    field = oracle.Q.field
+    add = field.add
+    gens = []
+    for lbl, image in pushed:
+        out = dict(image)
+        # a window outside the row is never window 0: it keeps two variables
+        for _, _, pad, contributions in rest:
+            _add_placed(out, contributions.get(lbl, ()), (0,) * pad, (0,) * (2 - pad), add)
+        # drop the cancelled terms
+        out = {e: v for e, v in out.items() if v}
+        if out:
+            gens.append(Poly._raw(table, field, out))
+    return Ideal(table, gens, field=field, budget=budget)
 
 
 def oracle_match(chart: Ideal, derived: Ideal) -> bool:
@@ -395,10 +437,11 @@ def oracle_match(chart: Ideal, derived: Ideal) -> bool:
 
 def chart_substitution(oracle: SubstitutionOracle, c: ChartId) -> dict:
     """Every arrow of the quiver as a polynomial in the fibre chart's
-    variables, as the chain solve gives it; pushing the deformed relations
-    through it lands in the chart's ideal."""
-    leftover, _ = _chart_solve(oracle, c)
+    variables, as the chain solve and the chart's row give it; pushing the
+    deformed relations through it lands in the chart's ideal."""
+    (solution, _), _ = _chart_row(oracle, c)
     table = _chart_table(c)
+    leftover = {u_arrow(c.k, 1): Poly._raw(table, oracle.Q.field, solution)}
     # each window's solution reads its kept variables: the chart's, or the
     # leftover u_{k,1} of arm k
     return {a: e.substitute(leftover if arm == c.k else {}, table)

@@ -10,6 +10,7 @@ are deterministic for a fixed configuration, up to the *_ms timing fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import sys
@@ -425,6 +426,9 @@ _SUBCOMMANDS = {
 }
 
 
+# built on the first run, not at import, and reused by every later run in the
+# process: parse_args keeps no state between calls
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="workbench",
@@ -470,8 +474,9 @@ def run_command(argv) -> int:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     finally:
-        # the run's reference cycles (argparse's parser, the JSON encoder's closures)
-        # otherwise pin allocator arenas until some later full collection
+        # the JSON encoder's closures are reference cycles left by every run
+        # (the parser is built once per process and is not); uncollected,
+        # they pin allocator arenas until some later full collection
         gc.collect()
 
 

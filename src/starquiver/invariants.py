@@ -159,8 +159,7 @@ def kernel_grading(Q: StarQuiver) -> dict:
 def _w_and_cycle_products(p: ArmParams, field) -> tuple[dict, dict]:
     """The symbols w_k, and V_i = the product of the v<i>_j, by index."""
     table = wv_table(p)
-    V = {arm: poly_prod((Poly.var(table, field, v_name(arm, j))
-                         for j in range(1, p[arm] + 1)), table, field)
+    V = {arm: Poly.var_product(table, field, (v_name(arm, j) for j in range(1, p[arm] + 1)))
          for arm in (1, 2, 3)}
     w = {k: Poly.var(table, field, w_name(k)) for k in (1, 2, 3)}
     return w, V

@@ -367,6 +367,14 @@ class Poly:
     def monomial(cls, table, field, exps: Exponents, coeff=1) -> "Poly":
         return cls(table, field, {tuple(exps): coeff})
 
+    @classmethod
+    def var_product(cls, table, field, names: Iterable[str]) -> "Poly":
+        """The product of distinct variables: one monomial, built at once."""
+        exps = [0] * len(table)
+        for name in names:
+            exps[table.index(name)] = 1
+        return cls.monomial(table, field, exps)
+
     # -- inspection ---------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -104,20 +104,15 @@ class StarQuiver:
     def arrow_poly(self, name: str) -> Poly:
         return Poly.var(self.table, self.field, name)
 
-    def _path(self, arrows: Iterable[str]) -> Poly:
-        """The product of distinct arrows: one monomial, built at once."""
-        exps = [0] * len(self.table)
-        for a in arrows:
-            exps[self.table.index(a)] = 1
-        return Poly.monomial(self.table, self.field, exps)
-
     def D(self, arm: int) -> Poly:
         """Full downward path product along the arm."""
-        return self._path(d_arrow(arm, j) for j in range(1, self.p[arm] + 1))
+        return Poly.var_product(self.table, self.field,
+                                (d_arrow(arm, j) for j in range(1, self.p[arm] + 1)))
 
     def U(self, arm: int) -> Poly:
         """Full upward path product along the arm."""
-        return self._path(u_arrow(arm, j) for j in range(1, self.p[arm] + 1))
+        return Poly.var_product(self.table, self.field,
+                                (u_arrow(arm, j) for j in range(1, self.p[arm] + 1)))
 
     def two_cycle(self, arm: int, j: int) -> Poly:
         return self.arrow_poly(d_arrow(arm, j)) * self.arrow_poly(u_arrow(arm, j))

@@ -34,7 +34,7 @@ from starquiver.groebner import (
     ideals_equal,
     jacobian_combination,
 )
-from starquiver.poly import QQ, Poly, VarTable, parse_field, parse_poly
+from starquiver.poly import QQ, Poly, VarTable, parse_field, parse_poly, poly_prod
 from starquiver.cli import run_command
 from starquiver.quiver import (
     ArmParams,
@@ -90,6 +90,27 @@ def test_total_space_sign_pattern():
     assert total_space_chart(p, ChartId(1, 1, 1)).gens[0].constant_value() == 1
     assert total_space_chart(p, ChartId(2, 1, 1)).gens[0].constant_value() == -1
     assert total_space_chart(p, ChartId(3, 1, 1)).gens[0].constant_value() == 1
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7"])
+def test_total_space_products_are_one_monomial(spec, monkeypatch):
+    # each other arm's down path is one monomial, built with no Poly
+    # product; it must be the product of its d-arrows
+    field, p = parse_field(spec), ArmParams(4, 3, 2)
+
+    def no_product(*args):
+        raise AssertionError("a total-space chart multiplied Polys")
+
+    for c in all_chart_ids(p):
+        with monkeypatch.context() as m:
+            m.setattr(Poly, "__mul__", no_product)
+            chart = total_space_chart(p, c, field)
+        t = chart.table
+        arm_a, arm_b = c.other_arms()
+        prod_a, prod_b = (poly_prod((Poly.var(t, field, d_arrow(arm, m))
+                                     for m in range(first, p[arm] + 1)), t, field)
+                          for arm, first in ((arm_a, c.i), (arm_b, c.j)))
+        assert chart.gens == (charts._scaled_canonical(c.k, prod_a, prod_b),), c
 
 
 def test_total_space_chart_out_of_range():
@@ -288,11 +309,63 @@ def test_oracle_survivors_contain_plus_minus_first_relation():
         assert closed.gens[1] in derived.gens
 
 
+def merged_cross_images(oracle, c: ChartId) -> dict:
+    """The reference: the image of each cross relation by label under the
+    chart's merged arm substitution, on the chart's four variables and the
+    leftover u_{k,1}, formed chart by chart as the constant plus the three
+    windows' contributions, each placed at its window's variables."""
+    table = charts._solve_table(c)
+    n, field = len(table), oracle.Q.field
+    images = {lbl: {} if const is None else {(0,) * n: const} for lbl, const, _ in oracle.cross}
+    for arm, window, pad in charts._chart_windows(c):
+        head, tail = (0,) * pad, (0,) * (n - pad - (1 if window == 0 else 2))
+        for lbl, terms in charts._arm_window(oracle, arm, window)[1].items():
+            out = images[lbl]
+            for e, v in terms:
+                e = head + e + tail
+                out[e] = field.add(out[e], v) if e in out else v
+    return {lbl: Poly(table, field, out) for lbl, out in images.items()}
+
+
+def merged_chart_solve(oracle, c: ChartId) -> tuple:
+    """The reference: the leftover u_{k,1} solved chart by chart from the
+    first of (a)-(d) whose merged image reads it, as a binding on the chart
+    table, and the other four images."""
+    images = merged_cross_images(oracle, c)
+    leftover = u_arrow(c.k, 1)
+    label = next(lbl for lbl in ("(a)", "(b)", "(c)", "(d)")
+                 if leftover in images[lbl].variables_used())
+    solved = charts._solve_linear(images.pop(label), leftover).rename(charts._chart_table(c))
+    return {leftover: solved}, tuple(images.values())
+
+
+def merged_chart_by_substitution(oracle, c: ChartId) -> tuple:
+    """The reference's derived generators: the nonzero images with the
+    leftover's solution pushed in."""
+    leftover, rest = merged_chart_solve(oracle, c)
+    table = charts._chart_table(c)
+    images = [img.substitute(leftover, table) for img in rest]
+    return tuple(img for img in images if not img.is_zero())
+
+
+def merged_chart_substitution(oracle, c: ChartId) -> dict:
+    """The reference's arrow map: each window's solution, with the leftover
+    of arm k replaced by its chart-by-chart solution."""
+    leftover, _ = merged_chart_solve(oracle, c)
+    table = charts._chart_table(c)
+    return {a: e.substitute(leftover if arm == c.k else {}, table)
+            for arm, window, _ in charts._chart_windows(c)
+            for a, e in charts._arm_window(oracle, arm, window)[0].items()}
+
+
 @pytest.mark.parametrize("spec", ["q", "fp:65521", "fp:11"])
 def test_cross_images_match_the_merged_substitution(spec):
     # each arm window pushes its arm-local parts of the cross relations
     # through its own solution once; a chart's image of every cross relation
-    # must equal the whole relation pushed through the merged arrow map
+    # must equal the whole relation pushed through the merged arrow map.  The
+    # leftover is solved once per row of charts: every chart's derived
+    # generators, term for term and in order, and its arrow map must equal
+    # the reference that solves it chart by chart
     field = parse_field(spec)
     for p in [(2, 2, 2), (3, 3, 2), (4, 3, 3), (2, 3, 4)]:
         p = ArmParams.parse(p)
@@ -300,7 +373,7 @@ def test_cross_images_match_the_merged_substitution(spec):
         for gamma in (zero_gamma(p, field), random_gamma(p, seed=5, field=field)):
             oracle = substitution_oracle(Q, gamma, deformed_relations(Q, gamma))
             for c in all_chart_ids(p):
-                images = charts._cross_images(oracle, c)
+                images = merged_cross_images(oracle, c)
                 # the three window solutions, moved by name to the chart's
                 # variables and the leftover u_{k,1}
                 table = charts._solve_table(c)
@@ -310,6 +383,62 @@ def test_cross_images_match_the_merged_substitution(spec):
                 assert tuple(images) == ("(a)", "(b)", "(c)", "(d)", "(x)")
                 for lbl, img in images.items():
                     assert img == oracle.relations[lbl].substitute(B, table), (c, lbl)
+                assert chart_by_substitution(oracle, c).gens == \
+                    merged_chart_by_substitution(oracle, c), c
+                assert chart_substitution(oracle, c) == merged_chart_substitution(oracle, c), c
+            # one row per distinguished arm k and window of the other arm
+            # that its solved relation reads: arm a = 2 for k = 1 by (a), arm
+            # a = 1 for k = 2 by (a) and arm b = 2 for k = 3 by (b)
+            assert len(oracle.rows) == p.p2 + p.p1 + p.p2
+            for k, windows in oracle.rows:
+                assert windows[0] == (k, 0) and len(windows) == 2
+                assert windows[1][0] == (2 if k in (1, 3) else 1)
+
+
+@pytest.mark.parametrize("lbl", ["(a)", "(b)", "(c)", "(d)"])
+@pytest.mark.parametrize("p", ["3,3,2", "2,3,4"])
+def test_a_perturbed_cross_constant_fails_every_chart(lbl, p):
+    # (a) solves the leftover of the rows with k = 1, 2 and (b) those with
+    # k = 3; each row pushes its solution into the other three of (a)-(d).
+    # A shifted constant in any one of them must reach every chart, through
+    # the relation its row solves or the ones it pushes into
+    p = ArmParams.parse(p)
+    Q = build_star_quiver(p)
+    gamma = random_gamma(p, seed=5)
+    rels = deformed_relations(Q, gamma)
+    rels[lbl] = rels[lbl] + 1
+    oracle = substitution_oracle(Q, gamma, rels)
+    for c in all_chart_ids(p):
+        assert not oracle_match(fibre_chart(gamma, c), chart_by_substitution(oracle, c)), c
+
+
+def test_a_row_image_that_keeps_the_leftover_is_refused(monkeypatch):
+    # a solution that still reads u_{k,1} leaves it in the pushed images;
+    # the row refuses them rather than hand a chart a fifth variable
+    p = ArmParams(2, 2, 2)
+    Q = build_star_quiver(p)
+    gamma = random_gamma(p, seed=5)
+    oracle = substitution_oracle(Q, gamma, deformed_relations(Q, gamma))
+    solve = charts._solve_linear
+    monkeypatch.setattr(charts, "_solve_linear",
+                        lambda img, name: solve(img, name) + Poly.var(img.table, img.field, name)
+                        if name == u_arrow(1, 1) else solve(img, name))
+    with pytest.raises(CheckFailed, match=re.escape("still reads u1_1 after its solve")):
+        chart_by_substitution(oracle, ChartId(1, 1, 1))
+
+
+def test_a_leftover_that_no_relation_reads_is_refused():
+    # with u_{k,1} gone from window 0's contribution to every one of (a)-(d),
+    # no relation can solve it
+    p = ArmParams(2, 2, 2)
+    Q = build_star_quiver(p)
+    gamma = random_gamma(p, seed=5)
+    oracle = substitution_oracle(Q, gamma, deformed_relations(Q, gamma))
+    B, contributions = charts._arm_window(oracle, 1, 0)
+    oracle.arms[1, 0] = (B, {lbl: terms for lbl, terms in contributions.items()
+                             if lbl == "(x)"})
+    with pytest.raises(CheckFailed, match="no relation available"):
+        chart_by_substitution(oracle, ChartId(1, 1, 1))
 
 
 @pytest.mark.parametrize("lbl", ["(x)", "(a)"])
@@ -334,7 +463,8 @@ def test_oracle_refuses_a_cross_term_on_two_arms(lbl):
         table = charts._solve_table(c)
         B = {a: e.substitute({}, table) for arm, window, _ in charts._chart_windows(c)
              for a, e in charts._arm_window(oracle, arm, window)[0].items()}
-        assert charts._cross_images(oracle, c)[lbl] == rels[lbl].substitute(B, table), c
+        assert merged_cross_images(oracle, c)[lbl] == rels[lbl].substitute(B, table), c
+        assert chart_by_substitution(oracle, c).gens == merged_chart_by_substitution(oracle, c)
 
 
 def _count_bases(monkeypatch) -> list:
@@ -346,18 +476,19 @@ def _count_bases(monkeypatch) -> list:
 
 def test_charts_run_solves_each_arm_window_once(monkeypatch):
     # at 3,3,3: two chain solves for each of 3 distinguished arms and 9 arm
-    # windows, and one leftover solve for each of the 27 charts, on one
-    # relation system (a solve per chain per chart made 189).  Each chart
-    # computes one basis, its closed form's, for the dimension: the Euler
-    # cofactors and the generator match need none (the Jacobian ideal and
-    # the derived ideal made 81, a second basis of the closed form 108).
-    # Substitutions: each chart
-    # pushes its four images left after the leftover solve and renames the
-    # solution, on its own five-variable table (135), and each of the 12 arm
-    # windows makes two chain solves and two chain checks (48) and pushes
-    # its arm's three cross parts (36), on the arm's six-variable table;
-    # pushing the five cross relations through each chart's merged map
-    # made 318
+    # windows (24), and one leftover solve for each of the 9 rows of charts
+    # that share a distinguished arm and the window its solved relation
+    # reads, on one relation system (a leftover solve per chart made 51, a
+    # solve per chain per chart 189).  Each chart computes one basis, its
+    # closed form's, for the dimension: the Euler cofactors and the
+    # generator match need none (the Jacobian ideal and the derived ideal
+    # made 81, a second basis of the closed form 108).  Substitutions: each
+    # of the 12 arm windows makes two chain solves and two chain checks (48)
+    # and pushes its arm's three cross parts (36), on the arm's six-variable
+    # table, and each row pushes its solution into its other four relations
+    # (36), on its chart's five-variable table; pushing the four images and
+    # renaming the solution chart by chart made 219, and pushing the five
+    # cross relations through each chart's merged map 318
     solves, builds, subs = [], [], []
     solve, substitute = charts._solve_linear, Poly.substitute
     build = starquiver.cli.deformed_relations
@@ -370,7 +501,7 @@ def test_charts_run_solves_each_arm_window_once(monkeypatch):
                         lambda p, *args, **kw: subs.append(p) or substitute(p, *args, **kw))
     bases = _count_bases(monkeypatch)
     assert run_command(["charts", "--p", "3,3,3", "--gamma", "random:1"]) == 0
-    assert (len(solves), len(builds), len(bases), len(subs)) == (51, 1, 27, 219)
+    assert (len(solves), len(builds), len(bases), len(subs)) == (33, 1, 27, 120)
 
 
 @pytest.mark.parametrize("argv, expected", [

@@ -16,6 +16,7 @@ from starquiver.groebner import CheckFailed, GroebnerBudget
 from starquiver.poly import Poly
 from starquiver.quiver import build_star_quiver
 
+import golden
 from test_charts import flipped_quotient_b_sign, quotient_b_read_at_xb, shifted_quotient_constant
 
 FIELDS = ["q", "fp:65521", "fp:11"]
@@ -628,6 +629,49 @@ def test_config_echoes_exactly_the_declared_flags(tmp_path):
 ])
 def test_removed_flags_are_usage_errors(argv):
     assert run_command(argv) == 3
+
+
+@pytest.mark.parametrize("name", sorted(golden.GOLDEN))
+def test_report_matches_its_golden_file(name, capsys):
+    # the report contract: byte for byte, apart from the *_ms timings
+    code, text = golden.run_report(golden.GOLDEN[name])
+    assert code == 0
+    assert text == (golden.DATA / name).read_text(encoding="utf-8")
+    capsys.readouterr()
+
+
+def test_golden_comparison_sees_one_changed_byte(tmp_path):
+    name = "fibre_333_random1.json"
+    report = json.loads((golden.DATA / name).read_text(encoding="utf-8"))
+    report["elapsed_ms"] = 12
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    assert golden.main([str(path), str(golden.DATA / name)]) == 0
+    report["item"]["witness_point"]["d1_1"] = "2"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    assert golden.main([str(path), str(golden.DATA / name)]) == 1
+
+
+# a value for every flag a subcommand may declare, none of them the default
+_FLAG_VALUES = {"p": "3,2,2", "field": "fp:11", "spair-cap": "7", "deg-cap": "9",
+                "time-cap": "2.5", "gamma": "random:3", "point": "pt.json",
+                "input": "ideal.txt", "output": "out.txt"}
+
+
+def test_the_reused_parser_parses_as_a_fresh_one(capsys):
+    # every run in a process reuses one parser; it must keep no state from
+    # an earlier parse, a usage error included
+    assert _build_parser() is _build_parser()
+    for command, (_, flags) in cli._SUBCOMMANDS.items():
+        required = ["--input", "ideal.txt"] if "input" in flags else []
+        full = [command, "--json", "r.json"]
+        for flag in flags:
+            full += [f"--{flag}", _FLAG_VALUES[flag]]
+        for argv in ([command] + required, full):
+            assert run_command(argv[:1] + ["--no-such-flag"]) == 3
+            assert run_command([command, "--p", "1,2,2"] + required) == 3
+            assert _build_parser().parse_args(argv) == _build_parser.__wrapped__().parse_args(argv)
+    capsys.readouterr()
 
 
 def test_run_command_leaves_no_reference_cycles(tmp_path):

@@ -32,7 +32,7 @@ from starquiver.invariants import (
     weighted_degree,
     wv_table,
 )
-from starquiver.poly import Poly, PrimeField, QQ, VarTable, parse_poly, poly_prod
+from starquiver.poly import Poly, PrimeField, QQ, VarTable, parse_field, parse_poly, poly_prod
 from starquiver.quiver import ArmParams, StarQuiver, build_star_quiver
 from starquiver.reconstruction import canonical_relation, in_delta, zero_gamma
 
@@ -233,6 +233,24 @@ def test_minor_13_smallest_case():
     assert m13 == parse_poly("w2*w1 - v1_1*v1_2*v2_1*v2_2", t)
     assert m12 == parse_poly("w2*(w3 + v3_1*v3_2) - v1_1*v1_2*w3", t)
     assert m23 == parse_poly("w3*w1 - (w3 + v3_1*v3_2)*v2_1*v2_2", t)
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7"])
+def test_cycle_products_are_one_monomial(spec, monkeypatch):
+    # each V_i is one monomial, built with no Poly product; it must be the
+    # product of the arm's v symbols
+    field, p = parse_field(spec), ArmParams(4, 3, 2)
+
+    def no_product(*args):
+        raise AssertionError("the cycle products multiplied Polys")
+
+    with monkeypatch.context() as m:
+        m.setattr(Poly, "__mul__", no_product)
+        _, V = invariants._w_and_cycle_products(p, field)
+    t = wv_table(p)
+    for arm in (1, 2, 3):
+        assert V[arm] == poly_prod((Poly.var(t, field, f"v{arm}_{j}")
+                                    for j in range(1, p[arm] + 1)), t, field)
 
 
 def test_minors_specialize_to_single_variable_matrix():
