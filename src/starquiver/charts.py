@@ -131,7 +131,7 @@ def _cycle_factor(field, gammas) -> tuple:
         coeffs = ([field.mul(shift, coeffs[0])]
                   + [field.add(field.mul(shift, c), low) for low, c in zip(coeffs, coeffs[1:])]
                   + [coeffs[-1]])
-    return tuple(((j + 1, j), c) for j, c in enumerate(coeffs) if c != field.zero)
+    return tuple(((j + 1, j), c) for j, c in enumerate(coeffs) if c)
 
 
 # the closed form's arm factors of the last gamma read, by (arm, window)
@@ -176,14 +176,18 @@ def fibre_chart(gamma: DeformParams, c: ChartId,
         sign, const = neg(one), field.sub(neg(pref), gamma.a)
     else:  # f1 = cyc_a - cyc_b + (pref_a - pref_b) - (b, or b - a for k = 2)
         sign, const = one, field.sub(pref, gamma.b if c.k == 1 else field.sub(gamma.b, gamma.a))
-    f1 = {(1, 1, 0, 0): sign, (0, 0, 1, 1): neg(sign), (0, 0, 0, 0): const}
+    # every coefficient is a field element already and nonzero, but f1's
+    # constant, which gamma zero makes zero: both relations are canonical
+    f1 = {(1, 1, 0, 0): sign, (0, 0, 1, 1): neg(sign)}
+    if const:
+        f1[0, 0, 0, 0] = const
     f2 = {(0, 0, 0, 0): neg(one) if c.k == 2 else one}
     for arm, window, pad in ((arm_a, c.i, 0), (arm_b, c.j, 2)):
         for exps, v in _arm_factor(gamma, arm, window):
             f2[(0,) * pad + exps + (0,) * (2 - pad)] = neg(v) if arm == 2 else v
     cofactors = {k: Poly.const(table, field, v) for k, v in ((1, one), ((0, 1), sign),
                                                                ((2, 3), neg(sign)))}
-    return Ideal(table, (Poly(table, field, f1), Poly(table, field, f2)),
+    return Ideal(table, (Poly._raw(table, field, f1), Poly._raw(table, field, f2)),
                  field=field, budget=budget, cofactors=cofactors)
 
 
@@ -224,7 +228,9 @@ class SubstitutionOracle:
     u_{arm,i}).  Beside it sits, for each cross relation, the image of the
     arm's terms under that solution, as terms in the window's kept
     variables: the window's contribution.  A window is solved, and its
-    contributions formed, on its first use by `_arm_window`.
+    contributions formed, on its first use by `_arm_window`; `chains[arm]`
+    holds the arm's table and its chain relations on it, sliced once per
+    arm by `_arm_chain` for every window of the arm.
     `rows[k, windows]` holds a row's leftover solution and its other four
     relations with the solution pushed in, as terms on the chart table: the
     row of the charts with distinguished arm k whose windows contributing to
@@ -237,6 +243,7 @@ class SubstitutionOracle:
     relations: dict
     cross: tuple
     arms: dict
+    chains: dict
     rows: dict
 
 
@@ -277,7 +284,17 @@ def substitution_oracle(Q: StarQuiver, gamma: DeformParams,
     if not gamma.inside_delta:
         raise ValueError("gamma outside the parameter subspace: empty fibre")
     cross = tuple((lbl, *_arm_parts(Q, lbl, relations[lbl])) for lbl in _CROSS_LABELS)
-    return SubstitutionOracle(Q, gamma, relations, cross, {}, {})
+    return SubstitutionOracle(Q, gamma, relations, cross, {}, {}, {})
+
+
+def _arm_chain(oracle: SubstitutionOracle, arm: int) -> tuple:
+    """The arm's table of 2 p_arm arrows and its p_arm - 1 chain relations
+    on it: a chain relation reads only its arm's arrows."""
+    Q = oracle.Q
+    span = _arm_span(Q, arm)
+    table = VarTable(Q.table.names[span])
+    return table, [Poly(table, Q.field, {e[span]: v for e, v in rel.terms.items()})
+                   for rel in (oracle.relations[f"({arm}).{m}"] for m in range(1, Q.p[arm]))]
 
 
 def _arm_window(oracle: SubstitutionOracle, arm: int, window: int) -> tuple:
@@ -291,12 +308,10 @@ def _arm_window(oracle: SubstitutionOracle, arm: int, window: int) -> tuple:
     solved = oracle.arms.get((arm, window))
     if solved is not None:
         return solved
-    Q, p, field = oracle.Q, oracle.Q.p, oracle.Q.field
-    span = _arm_span(Q, arm)
-    table = VarTable(Q.table.names[span])
-    # a chain relation reads only its arm's arrows
-    chain = [Poly(table, field, {e[span]: v for e, v in rel.terms.items()})
-             for rel in (oracle.relations[f"({arm}).{m}"] for m in range(1, p[arm]))]
+    p, field = oracle.Q.p, oracle.Q.field
+    if arm not in oracle.chains:
+        oracle.chains[arm] = _arm_chain(oracle, arm)
+    table, chain = oracle.chains[arm]
     B = dict.fromkeys(arm_window_units(arm, window, p), Poly.const(table, field, 1))
     if window == 0:
         kept = [u_arrow(arm, 1)]

@@ -117,7 +117,7 @@ def _chart_item(c, chart: Ideal, cert, witness: bool) -> dict:
     return {
         "id": c.label(),
         "variables": list(chart.table.names),
-        "relations": [r.to_str() for r in chart.gens],
+        "relations": chart.gens_text(),
         "certificate": certificate,
     }
 

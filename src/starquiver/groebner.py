@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
@@ -41,6 +41,7 @@ from .poly import (
     QQ,
     PrimeField,
     VarTable,
+    format_terms,
     parse_order,
     parse_poly,
 )
@@ -113,7 +114,8 @@ def _exponent_overflow(exponent: int):
 
 
 class _Codec:
-    """Packs the monomials of one (VarTable, MonomialOrder) pair into ints.
+    """Packs the monomials of a VarTable's size under a MonomialOrder into
+    ints; it reads only `len(table)` and `order.blocks_for(table)`.
 
     A monomial is one int of three parts.  The top part packs
     `MonomialOrder.sort_key`, one field per part of the key; below it sits
@@ -211,12 +213,23 @@ class _Codec:
         return m
 
 
-@lru_cache(maxsize=16)
+# the codecs in use, by (variable count, the order's blocks as indices)
+_codecs: dict = {}
+_CODECS_KEPT = 16
+
+
 def _codec(table: VarTable, order: MonomialOrder) -> _Codec:
-    """The one codec of a (table, order) key while it is in use: a fibre
-    chart's ideal and the oracle's ideal share one.  The cache is small, so
-    the codecs of finished charts go."""
-    return _Codec(table, order)
+    """The one codec of a variable count and order blocks: a `_Codec` reads
+    nothing else of its table and order, the packing being positional, so
+    every fibre chart of a run, with its oracle ideal, shares one.  Few are
+    kept, the oldest built going first."""
+    key = (len(table), order.blocks_for(table))
+    codec = _codecs.get(key)
+    if codec is None:
+        if len(_codecs) >= _CODECS_KEPT:
+            del _codecs[next(iter(_codecs))]
+        codec = _codecs[key] = _Codec(table, order)
+    return codec
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +287,30 @@ def _normalize(terms, q: int):
 def _reduce_full(terms, basis, codec: _Codec, q: int, bud: _BudgetState):
     """Full multivariate division of `terms` by `basis`: (remainder, scale).
 
-    The remainder is descending, and it is the remainder of scale * terms:
-    each ZZ step multiplies the work polynomial by a positive integer, whose
-    product is scale (always 1 over F_q).  `basis` holds elements made by
-    `_normalize`.
+    `terms` is descending, as every caller's is.  The remainder is
+    descending, and it is the remainder of scale * terms: each ZZ step
+    multiplies the work polynomial by a positive integer, whose product is
+    scale (always 1 over F_q).  `basis` holds elements made by `_normalize`.
+    The leading terms that no basis lead divides are the remainder's as
+    they stand, so only the rest enter the heap; when no lead divides any
+    term the remainder is a copy of `terms`, with scale 1.
     """
-    if not terms:
-        return [], 1
     guard = codec.guard
+    # `start` is the first term that a basis lead divides
+    for start, (m, _) in enumerate(terms):
+        for lead, _, _ in basis:
+            if lead <= m and ((m | guard) - lead) & guard == guard:
+                break
+        else:
+            continue
+        break
+    else:
+        return list(terms), 1
+    out = list(terms[:start])
+    terms = terms[start:]
     coeffs = dict(terms)
     heap = [-m for m, _ in terms]
     heapify(heap)
-    out = []
     steps = 0
     scale = 1
     while heap:
@@ -609,6 +634,17 @@ class Ideal:
         if self._gens_engine is None:
             self._gens_engine = [_to_engine(g, self._codec, self._q) for g in self.gens]
         return self._gens_engine
+
+    def gens_text(self) -> list:
+        """Each generator as `Poly.to_str(self.order)` writes it, its terms
+        read in the order of its packed form, which sorts them by the order
+        already: no generator is sorted again."""
+        decode, names = self._codec.decode, self.table.names
+        text = []
+        for g, packed in zip(self.gens, self._engine_gens()):
+            exponents = [decode(m) for m, _ in packed]
+            text.append(format_terms([(e, g.terms[e]) for e in exponents], names))
+        return text
 
     # -- basis ---------------------------------------------------------------
 

@@ -8,7 +8,9 @@ immutable after construction, so polynomials can be shared freely between
 threads or processes.
 
 The zero polynomial is the empty dict, so equal polynomials always compare
-equal (canonical form).
+equal (canonical form).  A coefficient is zero exactly when it is falsy (a
+Fraction by its numerator, an F_q element as an int in [0, q)), so the hot
+paths test zeros by truthiness.
 
 `Poly.substitute` is the one map of variables, within a VarTable or into
 another one: `rename` and `evaluate` are calls into it.
@@ -328,7 +330,7 @@ class Poly:
             if len(exps) != n:
                 raise ValueError("exponent vector length does not match VarTable")
             coeff = field.coerce(coeff)
-            if coeff != field.zero:
+            if coeff:
                 clean[tuple(exps)] = coeff
         self.table = table
         self.field = field
@@ -352,7 +354,7 @@ class Poly:
     @classmethod
     def const(cls, table, field, value) -> "Poly":
         c = field.coerce(value)
-        if c == field.zero:
+        if not c:
             return cls.zero(table, field)
         return cls._raw(table, field, {(0,) * len(table): c})
 
@@ -426,7 +428,7 @@ class Poly:
                 out[exps] = c
             else:
                 s = f.add(cur, c)
-                if s == f.zero:
+                if not s:
                     del out[exps]
                 else:
                     out[exps] = s
@@ -452,7 +454,6 @@ class Poly:
             return self.scale(other)
         self._check_compatible(other)
         f = self.field
-        zero = f.zero
         mul = f.mul
         out: dict = {}
         a, b = self.terms, other.terms
@@ -468,7 +469,7 @@ class Poly:
                     out[exps] = c
                 else:
                     s = f.add(cur, c)
-                    if s == zero:
+                    if not s:
                         del out[exps]
                     else:
                         out[exps] = s
@@ -480,7 +481,7 @@ class Poly:
     def scale(self, value) -> "Poly":
         f = self.field
         c = f.coerce(value)
-        if c == f.zero:
+        if not c:
             return Poly.zero(self.table, f)
         return Poly._raw(self.table, f, {e: f.mul(c, v) for e, v in self.terms.items()})
 
@@ -592,7 +593,7 @@ class Poly:
                     out[ex] = v
                 else:
                     s = f.add(cur, v)
-                    if s == zero:
+                    if not s:
                         del out[ex]
                     else:
                         out[ex] = s
@@ -621,34 +622,35 @@ class Poly:
         return sorted(self.terms.items(), key=lambda item: key(item[0]), reverse=True)
 
     def to_str(self, order: MonomialOrder = GREVLEX) -> str:
-        if not self.terms:
-            return "0"
-        f = self.field
-        parts = []
-        for k, (exps, coeff) in enumerate(self.sorted_terms(order)):
-            mono = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(self.table.names, exps)
-                if e
-            )
-            if isinstance(coeff, Fraction) and coeff < 0:
-                sign, mag = "-", -coeff
-            else:
-                sign, mag = "+", coeff
-            if not mono:
-                body = str(mag)
-            elif mag == f.one:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if k == 0:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+        return format_terms(self.sorted_terms(order), self.table.names)
 
     def __repr__(self):
         return f"Poly({self.to_str()})"
+
+
+def format_terms(terms, names) -> str:
+    """The text of (exponents, coefficient) terms, in the order given: the
+    one term formatter, which `Poly.to_str` feeds its sorted terms and
+    `Ideal.gens_text` each generator's packed terms.  A term prints its
+    coefficient, but not a coefficient 1 before a variable (1 is every
+    field's one), then its variables in the order of `names`, each with its
+    exponent above 1; a negative rational prints as a minus sign."""
+    parts = []
+    for exps, coeff in terms:
+        mono = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e])
+        negative = isinstance(coeff, Fraction) and coeff.numerator < 0
+        mag = -coeff if negative else coeff
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if parts:
+            parts.append(f" - {body}" if negative else f" + {body}")
+        else:
+            parts.append(f"-{body}" if negative else body)
+    return "".join(parts) or "0"
 
 
 def poly_prod(polys: Iterable[Poly], table: VarTable, field) -> Poly:

@@ -60,6 +60,7 @@ from jacobian_oracle import (
     jacobian_ideal,
     reference_jacobian_generators,
 )
+from reduce_oracle import reduce_full
 
 P222 = ArmParams(2, 2, 2)
 
@@ -500,8 +501,45 @@ def test_charts_run_solves_each_arm_window_once(monkeypatch):
     monkeypatch.setattr(Poly, "substitute",
                         lambda p, *args, **kw: subs.append(p) or substitute(p, *args, **kw))
     bases = _count_bases(monkeypatch)
+    # each arm's chain relations are sliced onto its table once, for all of
+    # its windows (once per window made 12), and every chart packs on one
+    # codec (one per chart made 27)
+    chains, arm_chain = [], charts._arm_chain
+    monkeypatch.setattr(charts, "_arm_chain",
+                        lambda oracle, arm: chains.append(arm) or arm_chain(oracle, arm))
+    monkeypatch.setattr(groebner, "_codecs", {})
+    codecs, init = [], groebner._Codec.__init__
+    monkeypatch.setattr(groebner._Codec, "__init__",
+                        lambda self, *args: codecs.append(args) or init(self, *args))
     assert run_command(["charts", "--p", "3,3,3", "--gamma", "random:1"]) == 0
     assert (len(solves), len(builds), len(bases), len(subs)) == (33, 1, 27, 120)
+    assert sorted(chains) == [1, 2, 3]
+    assert len(codecs) == 1
+
+
+@pytest.mark.parametrize("p, gamma, field", [
+    ((3, 3, 3), "random:1", "q"),
+    ((6, 5, 4), "random:2", "fp:7"),
+    ((5, 5, 5), "zero", "fp:2"),
+    ((3, 3, 2), "random:4", "fp:65521"),
+])
+def test_every_chart_basis_run_is_unchanged(monkeypatch, p, gamma, field):
+    # the remainder that is its input skips the heap, and nothing else of
+    # the engine moves: each chart's reduced basis and EngineStats equal
+    # those of a run on the earlier reduction body
+    p, field = ArmParams.parse(p), parse_field(field)
+    gamma = parse_gamma_spec(gamma, p, field)
+    ran = []
+    for c in all_chart_ids(p):
+        ideal = fibre_chart(gamma, c)
+        ideal.contains_one()
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "_reduce_full", reduce_full)
+            reference = fibre_chart(gamma, c)
+            reference.contains_one()
+        assert (ideal._basis_engine, ideal.stats) == (reference._basis_engine, reference.stats), c
+        ran.append(ideal.stats.pairs_reduced)
+    assert sum(ran) > 0
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -881,9 +919,10 @@ def test_jacobian_product_past_the_guard_bit_is_inconclusive():
 
 def test_certificate_makes_no_poly_product_and_shares_the_codec(monkeypatch):
     # the Euler cofactors' combination is packed-int arithmetic on the
-    # chart's codec, and a chart's closed form and oracle ideals build one
-    # codec
-    groebner._codec.cache_clear()
+    # chart's codec, and every chart's closed form and oracle ideals share
+    # one codec: all are four variables under grevlex (one codec per chart
+    # made 27 here)
+    monkeypatch.setattr(groebner, "_codecs", {})
     builds = []
     init = groebner._Codec.__init__
     monkeypatch.setattr(groebner._Codec, "__init__",
@@ -902,7 +941,7 @@ def test_certificate_makes_no_poly_product_and_shares_the_codec(monkeypatch):
             m.setattr(Poly, "__mul__", no_product)
             assert smoothness_certificate(chart, expected_dim=2).status == "smooth"
         assert oracle_match(chart, chart_by_substitution(oracle, c))
-    assert len(builds) == len(ids)
+    assert len(builds) == 1
 
 
 def test_control_presentation_is_singular():

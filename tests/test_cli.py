@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from starquiver import charts, groebner, invariants
 from starquiver.cli import _build_parser, run_command
 from starquiver.groebner import CheckFailed, GroebnerBudget
 from starquiver.poly import Poly
-from starquiver.quiver import build_star_quiver
+from starquiver.quiver import ArmParams, all_chart_ids, build_star_quiver
 
 import golden
 from test_charts import flipped_quotient_b_sign, quotient_b_read_at_xb, shifted_quotient_constant
@@ -232,9 +233,9 @@ def test_kernel_report_schema(tmp_path):
     assert isinstance(report["elapsed_ms"], int)
 
 
-def test_refuted_kernel_reports_no_generators_and_no_origin_fibre(tmp_path, monkeypatch, capsys):
-    # a matrix entry changed: its minors leave the kernel, so the run is
-    # refuted, and it knows no kernel basis to report or to specialize
+def _refute_kernel(monkeypatch):
+    """Change a matrix entry: its minors leave the kernel, so `kernel` is
+    refuted (exit 1)."""
     matrix = invariants.det_matrix
 
     def perturbed(p, field):
@@ -242,6 +243,12 @@ def test_refuted_kernel_reports_no_generators_and_no_origin_fibre(tmp_path, monk
         return (a1, a2.scale(2), a3), row_b
 
     monkeypatch.setattr(invariants, "det_matrix", perturbed)
+
+
+def test_refuted_kernel_reports_no_generators_and_no_origin_fibre(tmp_path, monkeypatch, capsys):
+    # a matrix entry changed: its minors leave the kernel, so the run is
+    # refuted, and it knows no kernel basis to report or to specialize
+    _refute_kernel(monkeypatch)
     code, report = _run(tmp_path, "kernel", "--p", "2,2,2")
     assert code == 1
     assert report["status"] == "refuted"
@@ -674,16 +681,93 @@ def test_the_reused_parser_parses_as_a_fresh_one(capsys):
     capsys.readouterr()
 
 
-def test_run_command_leaves_no_reference_cycles(tmp_path):
+def _is_json_encoder_cycle(garbage: list) -> bool:
+    """Whether every object is the JSON encoder's: the encoder, its bound
+    `default`, its closures (json.encoder functions) with their closure and
+    default tuples, their cells and the cells' `markers` dict."""
+    encoder_functions = [o for o in garbage if isinstance(o, types.FunctionType)
+                         and o.__module__ == "json.encoder"]
+    allowed = {id(o) for o in encoder_functions}
+    for f in encoder_functions:
+        for part in (f.__closure__, f.__defaults__):
+            allowed.add(id(part))
+        for cell in f.__closure__ or ():
+            allowed.add(id(cell))
+            if isinstance(cell.cell_contents, (dict, types.MethodType, json.JSONEncoder)):
+                allowed.add(id(cell.cell_contents))
+    allowed.update(id(o) for o in garbage if isinstance(o, json.JSONEncoder))
+    return all(id(o) in allowed for o in garbage)
+
+
+# a run of each command that writes a report, one that exits 1 on a
+# perturbed matrix, one inconclusive (exit 2) and one usage error (exit 3)
+_CYCLE_RUNS = [
+    (["charts", "--p", "2,2,2"], 0, None),
+    (["smooth", "--p", "2,2,2"], 0, None),
+    (["fibre", "--p", "2,2,2"], 0, None),
+    (["kernel", "--p", "2,2,2"], 0, None),
+    (["cover", "--p", "2,2,2"], 0, None),
+    (["kernel", "--p", "2,2,2"], 1, _refute_kernel),
+    (["charts", "--p", "3,3,3", "--gamma", "random:1", "--spair-cap", "0"], 2, None),
+    (["charts", "--p", "1,2,2"], 3, None),
+]
+
+
+def test_run_command_leaves_no_reference_cycles(tmp_path, monkeypatch):
     # cycles left to a later full collection pin allocator arenas, so memory
-    # grows over repeated in-process runs
-    gc.collect()
-    gc.disable()
-    try:
-        assert _run(tmp_path, "charts", "--p", "2,2,2")[0] == 0
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    # grows over repeated in-process runs; `run_command` collects the JSON
+    # encoder's closures in its `finally`, so that collect is stubbed here
+    # and every other cyclic object is a fault
+    collect = gc.collect
+    monkeypatch.setattr(cli, "gc", types.SimpleNamespace(collect=lambda *args: 0))
+    for argv, expected, perturb in _CYCLE_RUNS:
+        with monkeypatch.context() as m:
+            if perturb:
+                perturb(m)
+            # the first run in a process leaves the parser's garbage
+            assert _run(tmp_path, *argv)[0] == expected
+            collect()
+            gc.disable()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                assert _run(tmp_path, *argv)[0] == expected
+                found = collect()
+                garbage = list(gc.garbage)
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+                gc.enable()
+        # a run that writes a report leaves the encoder's cycle, and only it
+        assert (found > 0) == (expected != 3), argv
+        assert _is_json_encoder_cycle(garbage), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["charts", "--p", "3,3,3", "--gamma", "random:1"],
+    ["charts", "--p", "6,5,4", "--gamma", "random:2", "--field", "fp:7"],
+    ["charts", "--p", "5,5,5", "--gamma", "zero", "--field", "fp:2"],
+    ["charts", "--p", "8,8,8", "--gamma", "random:1", "--field", "fp:2"],
+    ["smooth", "--p", "3,3,2"],
+    ["smooth", "--p", "5,4,3", "--field", "fp:2"],
+], ids=" ".join)
+def test_chart_relations_print_in_the_engine_order(monkeypatch, argv):
+    # every chart's relations are read off its packed generators, which
+    # the order sorts already, with no `Poly.to_str`; the text must be what
+    # `to_str` writes
+    seen, gens_text = [], groebner.Ideal.gens_text
+
+    def refused(*args):
+        raise AssertionError("a chart relation was sorted again by Poly.to_str")
+
+    monkeypatch.setattr(groebner.Ideal, "gens_text",
+                        lambda ideal: seen.append((ideal, gens_text(ideal))) or seen[-1][1])
+    with monkeypatch.context() as m:
+        m.setattr(Poly, "to_str", refused)
+        assert run_command(argv) == 0
+    assert len(seen) == len(all_chart_ids(ArmParams.parse(argv[2])))
+    for ideal, text in seen:
+        assert text == [g.to_str() for g in ideal.gens]
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

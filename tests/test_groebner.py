@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from reduce_oracle import reduce_full
+from starquiver import groebner
 from starquiver.groebner import (
     DimensionReport,
     EngineStats,
@@ -441,6 +443,104 @@ def test_codec_units_are_the_sort_key_ones(n):
     blocks = MonomialOrder([names[a:b] for a, b in zip(cuts, cuts[1:])])
     for order in (GREVLEX, LEX, blocks):
         assert _Codec(t, order)._units == _units_by_key(t, order), order.spec()
+
+
+def test_one_codec_per_variable_count_and_order_blocks(monkeypatch):
+    # a codec reads only the table's size and the order's blocks, so every
+    # table of one size shares the codec of an order; lex, a block order of
+    # the same size and another size each build their own
+    monkeypatch.setattr(groebner, "_codecs", {})
+    builds = []
+    init = _Codec.__init__
+    monkeypatch.setattr(_Codec, "__init__",
+                        lambda self, *args: builds.append(args) or init(self, *args))
+    a, b = VarTable(["x", "y", "z", "w"]), VarTable(["d1_1", "u1_1", "d2_3", "u2_3"])
+    assert groebner._codec(a, GREVLEX) is groebner._codec(b, GREVLEX)
+    # a block order of one block is grevlex on the table
+    one_block = MonomialOrder([["d1_1", "u1_1", "d2_3", "u2_3"]])
+    assert Ideal(a, [])._codec is Ideal(b, [], order=one_block)._codec
+    others = [groebner._codec(a, LEX), groebner._codec(a, MonomialOrder([["x", "y"], ["z", "w"]])),
+              groebner._codec(VarTable(["x", "y", "z"]), GREVLEX)]
+    assert len({id(c) for c in [groebner._codec(a, GREVLEX), *others]}) == 4
+    assert groebner._codec(b, LEX) is others[0]
+    assert len(builds) == 4
+    # a codec built for one table packs every table of its size alike
+    exps = (3, 0, 2, 1)
+    assert groebner._codec(b, GREVLEX).encode(exps) == _Codec(a, GREVLEX).encode(exps)
+
+
+def test_codec_cache_keeps_few_codecs(monkeypatch):
+    monkeypatch.setattr(groebner, "_codecs", {})
+    first = groebner._codec(VarTable(["x0"]), GREVLEX)
+    for n in range(2, 2 + groebner._CODECS_KEPT):
+        groebner._codec(VarTable([f"x{i}" for i in range(n)]), GREVLEX)
+    assert len(groebner._codecs) == groebner._CODECS_KEPT
+    assert groebner._codec(VarTable(["y"]), GREVLEX) is not first
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(65521), PrimeField(2)],
+                         ids=["q", "fp65521", "fp2"])
+def test_reduce_full_matches_its_earlier_body(field):
+    # remainder and scale of the division equal the earlier body's on
+    # seeded inputs: reducible ones, the irreducible remainders fed back,
+    # inputs whose leading terms no lead divides, an empty basis and an
+    # empty input
+    t = VarTable(["x", "y", "z"])
+    q = getattr(field, "q", 0)
+    rng = random.Random(f"reduce:{field}")
+
+    def seeded(terms, deg):
+        # odd denominators, which every field of the test inverts
+        return sum((Poly.monomial(t, field, [rng.randint(0, deg) for _ in t.names],
+                                  Fraction(rng.randint(-9, 9), rng.choice((1, 3, 5, 7))))
+                    for _ in range(terms)), Poly.zero(t, field))
+
+    bud = GroebnerBudget().fresh()
+    irreducible = prefixed = 0
+    for _ in range(40):
+        ideal = Ideal(t, [seeded(4, 2) for _ in range(rng.randint(1, 2))], field=field)
+        ideal.contains_one()
+        codec, basis = ideal._codec, ideal._basis_engine
+        for _ in range(6):
+            terms = groebner._to_engine(seeded(6, 4), codec, q)
+            for b in (basis, basis[:1], []):
+                got = groebner._reduce_full(terms, b, codec, q, bud)
+                assert got == reduce_full(terms, b, codec, q, bud)
+                rest, _ = got
+                again = groebner._reduce_full(rest, b, codec, q, bud)
+                assert again == reduce_full(rest, b, codec, q, bud) == (rest, 1)
+                assert again[0] is not rest
+                irreducible += bool(rest)
+            # the remainder merged with the input: leading terms that no
+            # lead divides, then reducible ones
+            mixed = sorted(dict(terms + reduce_full(terms, basis, codec, q, bud)[0]).items(),
+                           reverse=True)
+            assert (groebner._reduce_full(mixed, basis, codec, q, bud)
+                    == reduce_full(mixed, basis, codec, q, bud))
+            reducible = [any(codec.divides(lead, m) for lead, _, _ in basis) for m, _ in mixed]
+            prefixed += any(reducible) and not reducible[0]
+    assert irreducible > 500 and prefixed > 10, (irreducible, prefixed)
+    assert groebner._reduce_full([], [], codec, q, bud) == reduce_full([], [], codec, q, bud)
+
+
+def test_gens_text_is_to_str_in_the_engine_order():
+    # the generators read off their packed terms, which the order sorts:
+    # a negative lead, a lone constant, coefficients 1 and -1, a fraction,
+    # exponents 1 and above 1, and zero
+    t = VarTable(["x", "y", "z"])
+    gens = [parse_poly(s, t) for s in (
+        "-x^2*y + 3*z - 1", "7", "-5/3", "x - y + z^3", "-x*y*z + 1/2*x^3 - 2/9",
+        "y^4 - x", "-z", "0")]
+    expected = ["-x^2*y + 3*z - 1", "7", "-5/3", "z^3 + x - y", "1/2*x^3 - x*y*z - 2/9",
+                "y^4 - x", "-z", "0"]
+    assert Ideal(t, gens).gens_text() == [g.to_str() for g in gens] == expected
+    for order in (LEX, MonomialOrder([["z"], ["x", "y"]])):
+        assert Ideal(t, gens, order=order).gens_text() == [g.to_str(order) for g in gens]
+    # over F_q a coefficient prints as its residue, -1 as q - 1
+    f7 = PrimeField(7)
+    gens = [parse_poly(s, t, f7) for s in ("-x^2*y + 3*z - 1", "x - y + 1/2", "5")]
+    assert Ideal(t, gens).gens_text() == [g.to_str() for g in gens] == [
+        "6*x^2*y + 3*z + 6", "x + 6*y + 4", "5"]
 
 
 def _random_ideals(seed, count):
