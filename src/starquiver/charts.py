@@ -23,7 +23,11 @@ solve is the one source of a chart's arrow substitution, which
 `chart_substitution` returns.  The two derivations share
 no factor, cache or solved window, only the chart's table of variable names,
 built once per chart.  Each chart builder names the Euler cofactors of its
-smoothness certificate.
+smoothness certificate.  The certificate builds no Groebner basis: the
+cofactors prove that the Jacobian has full rank on the chart's zero set, and
+the chart's shape, checked term by term, gives its dimension and an
+independent variable set (`_chart_dimension`, proved for every shape by
+`chart_dimension_check`).  The chart's own basis is the tests' reference.
 """
 
 from __future__ import annotations
@@ -37,13 +41,11 @@ from dataclasses import dataclass
 from .groebner import (
     DEFAULT_BUDGET,
     CheckFailed,
-    DimensionReport,
     GroebnerBudget,
     Ideal,
     Inconclusive,
     ideals_equal,
     jacobian_combination,
-    krull_dimension,
     same_generators,
 )
 from .poly import Poly, QQ, VarTable
@@ -79,8 +81,7 @@ def _scaled_canonical(k: int, prod_a: Poly, prod_b: Poly) -> Poly:
     return paths[0] - paths[1] + paths[2]
 
 
-def total_space_chart(p: ArmParams, c: ChartId, field=QQ,
-                      budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:
+def total_space_chart(p: ArmParams, c: ChartId, field=QQ) -> Ideal:
     """The hypersurface ideal of the chart of the one-relation moduli.  F is
     +-1 +- P_a +- P_b, each P a product of d-arrows, and d P_d = P for each
     factor d, so its Euler cofactors give F - d_a F_{d_a} - d_b F_{d_b} = +-1
@@ -99,7 +100,7 @@ def total_space_chart(p: ArmParams, c: ChartId, field=QQ,
     cofactors = {(table.index(d),): -Poly.var(table, field, d)
                  for d in (d_arrow(arm_a, c.i), d_arrow(arm_b, c.j))}
     cofactors[0] = Poly.const(table, field, 1)
-    return Ideal(table, (_scaled_canonical(c.k, prod_a, prod_b),), field=field, budget=budget,
+    return Ideal(table, (_scaled_canonical(c.k, prod_a, prod_b),), field=field,
                  cofactors=cofactors)
 
 
@@ -162,7 +163,9 @@ def fibre_chart(gamma: DeformParams, c: ChartId,
     and f2 = e + g_a + g_b with s, e = +-1 and d g_d - u g_u = g for each arm
     term (`euler_identity_check`), so the minors M_a on (d_a, u_a) and M_b on
     (d_b, u_b) are -s g_a and s g_b: the Euler cofactors give
-    f2 + s^-1 (M_a - M_b) = e, and s^-1 = s."""
+    f2 + s^-1 (M_a - M_b) = e, and s^-1 = s.  The certificate builds no
+    basis, so `budget` bounds only the `ideals_equal` fallback of
+    `oracle_match`."""
     p, field = gamma.p, gamma.field
     _check_chart_range(c, p)
     if not gamma.inside_delta:
@@ -471,26 +474,87 @@ def chart_substitution(oracle: SubstitutionOracle, c: ChartId) -> dict:
 @dataclass(frozen=True)
 class SmoothnessCertificate:
     one_in_jacobian: bool | None
-    dimension: DimensionReport | None
+    dimension: int | None
+    witness: tuple | None  # an independent variable set of a fibre chart
     status: str  # smooth | singular | inconclusive
+
+
+def _fibre_chart_shape(ideal: Ideal) -> None:
+    """Raise CheckFailed unless the chart's relations have the closed form's
+    shape on (d_a, u_a, d_b, u_b): f1 = s(d_a u_a - d_b u_b) + c with
+    s = +-1, and f2 = e + g_a + g_b, each arm's g a sum of terms
+    d^(j+1) u^j on its two variables whose top coefficient is +-1."""
+    f1, f2 = ideal.gens
+    where = ", ".join(ideal.table.names)
+    units = (ideal.field.one, ideal.field.neg(ideal.field.one))
+    s = f1.terms.get((1, 1, 0, 0))
+    if (s not in units or f1.terms.get((0, 0, 1, 1)) != ideal.field.neg(s)
+            or any(e not in ((1, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0)) for e in f1.terms)):
+        raise CheckFailed(f"the first relation {f1.to_str()} is not s(d_a u_a - d_b u_b) + c "
+                          f"with s = +-1 on the chart in {where}")
+    tops = [None, None]  # each arm's top term, as (j, coefficient)
+    for (da, ua, db, ub), v in f2.terms.items():
+        if (db, ub) == (0, 0) and da == ua + 1:
+            arm, j = 0, ua
+        elif (da, ua) == (0, 0) and db == ub + 1:
+            arm, j = 1, ub
+        elif da or ua or db or ub:
+            raise CheckFailed(f"the second relation has a term off the arms' d^(j+1) u^j "
+                              f"on the chart in {where}")
+        else:  # e
+            continue
+        if tops[arm] is None or j > tops[arm][0]:
+            tops[arm] = (j, v)
+    if any(top is None or top[1] not in units for top in tops):
+        raise CheckFailed(f"an arm of the second relation has no top coefficient +-1 "
+                          f"on the chart in {where}")
+
+
+def _chart_dimension(ideal: Ideal) -> tuple:
+    """The dimension of a chart whose Jacobian has full rank on its zero set,
+    and an independent variable set of a fibre chart, from the shape of its
+    relations alone.
+
+    A total-space chart's one relation F must not be constant: then
+    dim = n - 1 by Krull's principal ideal theorem.  A fibre chart must have
+    the closed form's shape (`_fibre_chart_shape`).  Over K = k(u_a, u_b), f1
+    gives d_a = (d_b u_b - s c)/u_a, and f2 becomes h(d_b) of degree
+    max(m_a, m_b) + 1, its leading coefficient +-u_b^(m_a+1)/u_a, +-u_b^(m_b)
+    or their sum (`chart_dimension_check`): nonzero in every characteristic.
+    So h has a root over the closure of K, the ideal meets k[u_a, u_b] in 0,
+    and (u_a, u_b) is independent; with the Jacobian's rank 2 every
+    component has dimension 2."""
+    if len(ideal.gens) == 1:
+        if not any(any(e) for e in ideal.gens[0].terms):
+            raise CheckFailed(f"the relation is constant on the chart in "
+                              f"{', '.join(ideal.table.names)}")
+        return len(ideal.table) - 1, None
+    if len(ideal.gens) != 2 or len(ideal.table) != 4:
+        raise CheckFailed(f"{len(ideal.gens)} relations in {len(ideal.table)} variables "
+                          "are neither a total-space chart nor a fibre chart")
+    _fibre_chart_shape(ideal)
+    names = ideal.table.names
+    return 2, (names[1], names[3])
 
 
 def smoothness_certificate(ideal: Ideal,
                            expected_dim: int | None = None) -> SmoothnessCertificate:
     """Smoothness by the chart's Euler cofactors, whose combination must be a
     nonzero constant (CheckFailed otherwise: that shows no singularity),
-    and the dimension, optionally pinned to a target, from the ideal's one
-    basis under its own budget."""
+    and the dimension, optionally pinned to a target, by the Jacobian
+    criterion on the chart's checked shape (`_chart_dimension`): no basis is
+    built, and no budget read.  Inconclusive only when a product of the
+    Euler combination overflows its packed exponent fields."""
     try:
         unit = jacobian_combination(ideal)
-        if len(unit.terms) != 1 or not unit.constant_value():
-            raise CheckFailed(f"Euler cofactors give {unit.to_str()}, not a nonzero constant, "
-                              f"on the chart in {', '.join(ideal.table.names)}")
-        dim = krull_dimension(ideal)
     except Inconclusive:
-        return SmoothnessCertificate(None, None, "inconclusive")
-    smooth = expected_dim is None or dim.dimension == expected_dim
-    return SmoothnessCertificate(True, dim, "smooth" if smooth else "singular")
+        return SmoothnessCertificate(None, None, None, "inconclusive")
+    if len(unit.terms) != 1 or not unit.constant_value():
+        raise CheckFailed(f"Euler cofactors give {unit.to_str()}, not a nonzero constant, "
+                          f"on the chart in {', '.join(ideal.table.names)}")
+    dim, witness = _chart_dimension(ideal)
+    smooth = expected_dim is None or dim == expected_dim
+    return SmoothnessCertificate(True, dim, witness, "smooth" if smooth else "singular")
 
 
 def fibre_witness_point(oracle: SubstitutionOracle) -> dict:
@@ -541,10 +605,14 @@ def euler_identity_check(degree: int) -> bool:
 
 
 def _at(coeffs, s: Poly) -> Poly:
-    """The polynomial with these coefficients, constant term first, at s."""
-    out = Poly.zero(s.table, s.field)
-    for c in reversed(coeffs):
-        out = out * s + c
+    """The polynomial with these coefficients, constant term first, at s:
+    each coefficient times its power of s, the powers built one from the
+    last.  Horner's rule would multiply s into every partial sum, which
+    holds the coefficients' indeterminates too."""
+    out, power = Poly.zero(s.table, s.field), Poly.const(s.table, s.field, 1)
+    for c in coeffs:
+        out += power * c
+        power *= s
     return out
 
 
@@ -588,6 +656,69 @@ def quotient_nonzero_check(degree: int) -> bool:
         if P * f_0 + N * f_1:
             return False
     return True
+
+
+def chart_dimension_check(degree: int) -> bool:
+    """Check the two identities behind `_chart_dimension` for every fibre
+    chart of the closed form's shape, f1 = s(d_a u_a - d_b u_b) + c and
+    f2 = e + d_a A(d_a u_a) + d_b B(d_b u_b) with A = sum a_j x^j and
+    B = sum b_j x^j, j <= degree, in QQ[d_a, u_a, d_b, u_b, x, s, c, e, a_j, b_j]
+    with s, c, e, a_j and b_j indeterminates.
+
+    The Euler combination: with M_a, M_b the Jacobian minors on (d_a, u_a)
+    and (d_b, u_b), f2 + s (M_a - M_b) = e + (1 - s^2)(f2 - e), which is e
+    at s = +-1 whatever the chart's cycle polynomials.
+
+    The leading coefficient of h: u_a f2 is H(x_a) = u_a e + x_a A(x_a)
+    + u_a d_b B(d_b u_b) at x_a = d_a u_a, and f1 = 0 with s^2 = 1 reads
+    x_a = d_b u_b - s c, so u_a h(d_b) = H(d_b u_b - s c).  Its coefficient
+    of d_b^(k+1) must be a_k u_b^(k+1) + u_a b_k u_b^k plus terms that read
+    some a_j with j > k, and no power of d_b may pass degree + 1.  A chart
+    with top indices m_a, m_b sets a_j = 0 past m_a and b_j = 0 past m_b:
+    with m = max(m_a, m_b), h has degree m + 1 and leading coefficient
+    (a_m u_b^(m+1) + u_a b_m u_b^m)/u_a, nonzero when a top coefficient is
+    +-1 and the other +-1 or 0.
+    """
+    if degree < 0:
+        raise ValueError(f"expected a degree at least 0, got {degree}")
+    As, Bs = ([f"{v}{j}" for j in range(degree + 1)] for v in "ab")
+    table = VarTable(["da", "ua", "db", "ub", "s", "c", "e", *As, *Bs])
+    da, ua, db, ub, s, c, e = (Poly.var(table, QQ, v) for v in table.names[:7])
+    A, B = ([Poly.var(table, QQ, v) for v in names] for names in (As, Bs))
+    f1 = s * (da * ua - db * ub) + c
+    f2 = e + da * _at(A, da * ua) + db * _at(B, db * ub)
+
+    def minor(d: str, u: str) -> Poly:
+        return f1.derivative(d) * f2.derivative(u) - f1.derivative(u) * f2.derivative(d)
+
+    if f2 + s * (minor("da", "ua") - minor("db", "ub")) != e + (1 - s * s) * (f2 - e):
+        return False
+
+    def H(x: Poly) -> Poly:  # u_a f2 with x in place of d_a u_a
+        return ua * e + x * _at(A, x) + ua * db * _at(B, db * ub)
+
+    if ua * f2 != H(da * ua):
+        return False
+    h = H(db * ub - s * c)
+
+    def monomial(powers: dict) -> tuple:
+        return tuple(powers.get(v, 0) for v in table.names)
+
+    leads = {monomial({"db": k + 1, "ub": k + 1, f"a{k}": 1}) for k in range(degree + 1)}
+    leads |= {monomial({"db": k + 1, "ub": k, "ua": 1, f"b{k}": 1}) for k in range(degree + 1)}
+    at_db, first_a = table.index("db"), table.index("a0")
+    found = 0
+    for exps, coeff in h.terms.items():
+        k = exps[at_db] - 1
+        if k > degree:
+            return False
+        if exps in leads:
+            if coeff != 1:
+                return False
+            found += 1
+        elif k >= 0 and not any(exps[first_a + k + 1:first_a + degree + 1]):
+            return False
+    return found == len(leads)
 
 
 # ---------------------------------------------------------------------------

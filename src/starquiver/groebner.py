@@ -1,8 +1,7 @@
 """Buchberger engine: reduced Groebner bases and the certificates built on them.
 
-The certificates are normal forms, ideal equality, Krull dimension and the
-Jacobian combination.  `eliminate` is kept as a reference: the workbench's
-own checks eliminate nothing, and the tests run it against them.
+The certificates are normal forms, ideal equality, Krull dimension (for
+`gb`) and the Jacobian combination.
 
 Each monomial is one Python int: the key of the one order type,
 ``MonomialOrder.sort_key``, packed above the exponent vector (16-bit fields,
@@ -32,7 +31,7 @@ from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .poly import (
     GREVLEX,
@@ -205,12 +204,6 @@ class _Codec:
         sel = ((a | g) - b) & g
         mask = (sel >> _GUARD_BIT) * 0xFFFF
         return (a & mask) | (b & (self.mask_all ^ mask))
-
-    def vars_mask(self, indices: Iterable[int]) -> int:
-        m = 0
-        for i in indices:
-            m |= 0xFFFF << self._shifts[i]
-        return m
 
 
 # the codecs in use, by (variable count, the order's blocks as indices)
@@ -675,13 +668,6 @@ class Ideal:
         self._ensure_basis()
         return self._basis_poly
 
-    def _seed_basis(self, basis_engine, stats):
-        # used by eliminate(): the filtered basis is already reduced, so it
-        # is also the generators, and stats are those of the elimination run
-        self._set_basis(basis_engine)
-        self.stats = stats
-        self.gens = self._basis_poly
-
     # -- queries -------------------------------------------------------------
 
     def _reduce(self, p: Poly):
@@ -715,49 +701,6 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens over {self.field!r}, order {self.order!r})"
-
-
-def eliminate(ideal: Ideal, drop: Iterable[str]) -> Ideal:
-    """Intersect with the subring omitting `drop`, via a block elimination order.
-
-    The result lives on the reduced VarTable, under grevlex, with the
-    ideal's field and budget.  Its generators are its reduced basis (the
-    filtered basis is one, by the elimination property of block orders, and
-    grevlex agrees with the block order on the kept variables), packed
-    straight from the engine terms of the elimination run.  The workbench's
-    own checks eliminate nothing; this is the reference that the tests'
-    kernel oracle and the sympy cross-check run.
-    """
-    drop = list(drop)
-    for name in drop:
-        if name not in ideal.table:
-            raise KeyError(f"unknown variable {name!r}")
-    drop_set = set(drop)
-    if not drop_set:
-        return ideal
-    keep = [n for n in ideal.table.names if n not in drop_set]
-    if not keep:
-        raise ValueError("cannot eliminate every variable")
-    drop_ordered = [n for n in ideal.table.names if n in drop_set]
-    work = Ideal(ideal.table, ideal.gens, order=MonomialOrder([drop_ordered, keep]),
-                 field=ideal.field, budget=ideal.budget)
-    work._ensure_basis()
-    decode = work._codec.decode
-    dmask = work._codec.vars_mask([ideal.table.index(n) for n in drop_ordered])
-    kept = [ideal.table.index(n) for n in keep]
-    out = Ideal(VarTable(keep), (), order=GREVLEX, field=ideal.field, budget=ideal.budget)
-
-    def repack(mono):
-        exps = decode(mono)
-        return out._codec.encode(tuple([exps[i] for i in kept]))
-
-    # an element whose lead is free of `drop` lies in the subring, by the
-    # elimination property; grevlex on the kept variables is the block order
-    # restricted to them, so the repacked terms and elements stay in order
-    out._seed_basis([(repack(lead), lc, tuple((repack(m), c) for m, c in tail))
-                     for lead, lc, tail in work._basis_engine if not lead & dmask],
-                    work.stats)
-    return out
 
 
 def jacobian_combination(ideal: Ideal) -> Poly:

@@ -3,8 +3,10 @@
 `starquiver.invariants.verify_conjecture` proves that the kernel of the
 cycle map is the minors ideal without computing the kernel.  This module
 computes it the long way, by eliminating the arrow variables from the graph
-ideal of phi, and the tests compare the two.  Run as a script, it makes the
-same comparison over QQ at the arm parameters given, and exits 1 unless the
+ideal of phi, and the tests compare the two.  `eliminate` is the engine's
+block-order elimination; no command eliminates anything, so it lives here,
+with the tests that run it.  Run as a script, this module makes the same
+comparison over QQ at the arm parameters given, and exits 1 unless the
 eliminated kernel's reduced basis is the proof's `kernel_generators`:
 
     python tests/kernel_oracle.py 4,3,3
@@ -13,12 +15,57 @@ eliminated kernel's reduced basis is the proof's `kernel_generators`:
 from __future__ import annotations
 
 import sys
+from typing import Iterable
 
-from starquiver.groebner import DEFAULT_BUDGET, CheckFailed, GroebnerBudget, Ideal, eliminate
+from starquiver.groebner import DEFAULT_BUDGET, CheckFailed, GroebnerBudget, Ideal
 from starquiver.invariants import phi_map, verify_conjecture, wv_table
-from starquiver.poly import QQ, Poly, VarTable
+from starquiver.poly import GREVLEX, QQ, MonomialOrder, Poly, VarTable
 from starquiver.quiver import ArmParams, StarQuiver, build_star_quiver
 from starquiver.reconstruction import canonical_relation
+
+
+def eliminate(ideal: Ideal, drop: Iterable[str]) -> Ideal:
+    """Intersect with the subring omitting `drop`, via a block elimination order.
+
+    The result lives on the reduced VarTable, under grevlex, with the
+    ideal's field and budget.  Its generators are its reduced basis (the
+    filtered basis is one, by the elimination property of block orders, and
+    grevlex agrees with the block order on the kept variables), packed
+    straight from the engine terms of the elimination run, whose counters
+    it keeps as its `stats`.
+    """
+    drop = list(drop)
+    for name in drop:
+        if name not in ideal.table:
+            raise KeyError(f"unknown variable {name!r}")
+    drop_set = set(drop)
+    if not drop_set:
+        return ideal
+    keep = [n for n in ideal.table.names if n not in drop_set]
+    if not keep:
+        raise ValueError("cannot eliminate every variable")
+    drop_ordered = [n for n in ideal.table.names if n in drop_set]
+    work = Ideal(ideal.table, ideal.gens, order=MonomialOrder([drop_ordered, keep]),
+                 field=ideal.field, budget=ideal.budget)
+    work._ensure_basis()
+    decode, shifts = work._codec.decode, work._codec._shifts
+    # the exponent fields of the dropped variables
+    dmask = sum(0xFFFF << shifts[ideal.table.index(n)] for n in drop_ordered)
+    kept = [ideal.table.index(n) for n in keep]
+    out = Ideal(VarTable(keep), (), order=GREVLEX, field=ideal.field, budget=ideal.budget)
+
+    def repack(mono):
+        exps = decode(mono)
+        return out._codec.encode(tuple([exps[i] for i in kept]))
+
+    # an element whose lead is free of `drop` lies in the subring, by the
+    # elimination property; grevlex on the kept variables is the block order
+    # restricted to them, so the repacked terms and elements stay in order
+    out._set_basis([(repack(lead), lc, tuple((repack(m), c) for m, c in tail))
+                    for lead, lc, tail in work._basis_engine if not lead & dmask])
+    out.stats = work.stats
+    out.gens = out._basis_poly
+    return out
 
 
 def graph_ideal(Q: StarQuiver, budget: GroebnerBudget = DEFAULT_BUDGET) -> Ideal:

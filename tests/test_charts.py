@@ -16,6 +16,7 @@ from starquiver import charts, groebner, quiver
 from starquiver.charts import (
     CoverReport,
     chart_by_substitution,
+    chart_dimension_check,
     chart_substitution,
     euler_identity_check,
     fibre_chart,
@@ -33,6 +34,7 @@ from starquiver.groebner import (
     Ideal,
     ideals_equal,
     jacobian_combination,
+    krull_dimension,
 )
 from starquiver.poly import QQ, Poly, VarTable, parse_field, parse_poly, poly_prod
 from starquiver.cli import run_command
@@ -60,6 +62,7 @@ from jacobian_oracle import (
     jacobian_ideal,
     reference_jacobian_generators,
 )
+from kernel_oracle import eliminate
 from reduce_oracle import reduce_full
 
 P222 = ArmParams(2, 2, 2)
@@ -480,16 +483,17 @@ def test_charts_run_solves_each_arm_window_once(monkeypatch):
     # windows (24), and one leftover solve for each of the 9 rows of charts
     # that share a distinguished arm and the window its solved relation
     # reads, on one relation system (a leftover solve per chart made 51, a
-    # solve per chain per chart 189).  Each chart computes one basis, its
-    # closed form's, for the dimension: the Euler cofactors and the
-    # generator match need none (the Jacobian ideal and the derived ideal
-    # made 81, a second basis of the closed form 108).  Substitutions: each
-    # of the 12 arm windows makes two chain solves and two chain checks (48)
-    # and pushes its arm's three cross parts (36), on the arm's six-variable
-    # table, and each row pushes its solution into its other four relations
-    # (36), on its chart's five-variable table; pushing the four images and
-    # renaming the solution chart by chart made 219, and pushing the five
-    # cross relations through each chart's merged map 318
+    # solve per chain per chart 189).  No chart computes a basis: the Euler
+    # cofactors, the chart's shape and the generator match need none (the
+    # chart's own basis for the dimension made 27, with the Jacobian ideal
+    # and the derived ideal 81, a second basis of the closed form 108).
+    # Substitutions: each of the 12 arm windows makes two chain solves and
+    # two chain checks (48) and pushes its arm's three cross parts (36), on
+    # the arm's six-variable table, and each row pushes its solution into
+    # its other four relations (36), on its chart's five-variable table;
+    # pushing the four images and renaming the solution chart by chart made
+    # 219, and pushing the five cross relations through each chart's merged
+    # map 318
     solves, builds, subs = [], [], []
     solve, substitute = charts._solve_linear, Poly.substitute
     build = starquiver.cli.deformed_relations
@@ -512,7 +516,7 @@ def test_charts_run_solves_each_arm_window_once(monkeypatch):
     monkeypatch.setattr(groebner._Codec, "__init__",
                         lambda self, *args: codecs.append(args) or init(self, *args))
     assert run_command(["charts", "--p", "3,3,3", "--gamma", "random:1"]) == 0
-    assert (len(solves), len(builds), len(bases), len(subs)) == (33, 1, 27, 120)
+    assert (len(solves), len(builds), len(bases), len(subs)) == (33, 1, 0, 120)
     assert sorted(chains) == [1, 2, 3]
     assert len(codecs) == 1
 
@@ -649,7 +653,7 @@ def test_deformed_chart_smooth_of_dimension_two():
     gamma = random_gamma(p, seed=43)
     cert = smoothness_certificate(fibre_chart(gamma, ChartId(2, 2, 1)), expected_dim=2)
     assert cert.status == "smooth"
-    assert cert.dimension.dimension == 2
+    assert (cert.dimension, cert.witness) == (2, ("u1_2", "u3_1"))
 
 
 def assert_engine_jacobian_matches_reference(ideal: Ideal) -> list:
@@ -726,6 +730,32 @@ def test_cofactor_certificate_agrees_with_the_jacobian_oracle(command, p, spec, 
                                                                  chart.field.neg(chart.field.one))
         assert smoothness_certificate(chart).one_in_jacobian is True
         assert jacobian_ideal(chart).contains_one()
+
+
+@pytest.mark.parametrize("p, spec, gamma_spec", [
+    ((3, 3, 3), "q", "random:1"),
+    ((5, 5, 5), "q", "zero"),
+    ((6, 5, 4), "fp:7", "random:2"),
+    ((8, 8, 8), "fp:2", "random:1"),
+])
+def test_chart_dimension_agrees_with_the_basis_oracle(p, spec, gamma_spec):
+    # every chart of the golden `charts` runs and of 8,8,8 over F_2: the
+    # chart's own basis gives dimension 2, and eliminating d_a and d_b
+    # leaves the zero ideal, so (u_a, u_b) is independent, as the certificate
+    # reports with no basis
+    for chart in charts_of_run("charts", p, spec, gamma_spec):
+        d_a, u_a, d_b, u_b = chart.table.names
+        cert = smoothness_certificate(chart, expected_dim=2)
+        assert (cert.status, cert.dimension, cert.witness) == ("smooth", 2, (u_a, u_b))
+        assert krull_dimension(chart).dimension == 2
+        assert eliminate(chart, [d_a, d_b]).gens == ()
+
+
+def test_total_space_dimension_agrees_with_the_basis_oracle():
+    for chart in charts_of_run("smooth", (3, 3, 2), "q", None):
+        cert = smoothness_certificate(chart)
+        assert cert.dimension == krull_dimension(chart).dimension == len(chart.table) - 1
+        assert cert.witness is None
 
 
 def test_cofactors_name_only_the_minors_they_use(monkeypatch):
@@ -808,6 +838,72 @@ def test_perturbed_fibre_chart_fails_its_certificate(exps, value, monkeypatch, c
     assert err.startswith("check failed: Euler cofactors give") and "singular" not in err
 
 
+def scaled_first_relation(chart: Ideal) -> Ideal:
+    """f1 times 2, so s = +-2, with the minors' cofactors halved: the Euler
+    combination is still e."""
+    f1, f2 = chart.gens
+    half = {k: v.scale(Fraction(1, 2)) if isinstance(k, tuple) else v
+            for k, v in chart.cofactors.items()}
+    return Ideal(chart.table, (f1.scale(2), f2), field=chart.field, cofactors=half)
+
+
+def doubled_top_coefficient(chart: Ideal) -> Ideal:
+    """Arm a's top coefficient in f2 set to 2."""
+    top = max(e for e in chart.gens[1].terms if e[2:] == (0, 0) and any(e))
+    return perturbed(chart, top, 2)
+
+
+def cubed_d_a(chart: Ideal) -> Ideal:
+    """f2 plus d_a^3, off the diagonal d^(j+1) u^j; over F_2, d f_d - u f_u
+    reads 3 d_a^3 = d_a^3, so the Euler combination is still e."""
+    return perturbed(chart, (3, 0, 0, 0), 1)
+
+
+@pytest.mark.parametrize("perturb, gamma_spec, spec", [
+    (scaled_first_relation, "random:5", "q"),
+    (doubled_top_coefficient, "random:5", "q"),
+    (cubed_d_a, "random:1", "fp:2"),
+], ids=["s=2", "top-coefficient-2", "off-diagonal"])
+def test_fibre_chart_off_the_lemmas_shape_fails_its_certificate(perturb, gamma_spec, spec,
+                                                                 monkeypatch, tmp_path, capsys):
+    # each perturbation keeps the Euler combination a nonzero constant, so
+    # only the shape check stands between the chart and a dimension of 2
+    p, field = ArmParams(3, 3, 3), parse_field(spec)
+    chart = perturb(fibre_chart(parse_gamma_spec(gamma_spec, p, field), ChartId(1, 2, 3)))
+    unit = jacobian_combination(chart)
+    assert len(unit.terms) == 1 and unit.constant_value()
+    with pytest.raises(CheckFailed, match="relation"):
+        smoothness_certificate(chart, expected_dim=2)
+    build = starquiver.cli.fibre_chart
+    monkeypatch.setattr(starquiver.cli, "fibre_chart",
+                        lambda gamma, c, budget: perturb(build(gamma, c, budget)))
+    report = tmp_path / "report.json"
+    assert run_command(["charts", "--p", "3,3,3", "--gamma", gamma_spec, "--field", spec,
+                        "--json", str(report)]) == 1
+    assert not report.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: ") and "Euler" not in err
+
+
+def test_constant_total_space_chart_fails_its_certificate(monkeypatch, tmp_path, capsys):
+    # F = 1 passes the Euler check, F - d_a F_{d_a} - d_b F_{d_b} = 1, but
+    # it cuts out nothing: the shape check refuses it
+    def constant(p, c, field=QQ):
+        chart = total_space_chart(p, c, field)
+        return Ideal(chart.table, (Poly.const(chart.table, field, 1),), field=field,
+                     cofactors=chart.cofactors)
+
+    chart = constant(ArmParams(3, 3, 2), ChartId(1, 1, 1))
+    assert jacobian_combination(chart) == Poly.const(chart.table, QQ, 1)
+    with pytest.raises(CheckFailed, match="constant"):
+        smoothness_certificate(chart, expected_dim=9)
+    monkeypatch.setattr(starquiver.cli, "total_space_chart", constant)
+    report = tmp_path / "report.json"
+    assert run_command(["smooth", "--p", "3,3,2", "--json", str(report)]) == 1
+    assert not report.exists()
+    assert capsys.readouterr().err.startswith("check failed: the relation is constant")
+
+
 def count_calls(monkeypatch, module, name: str) -> list:
     """Wrap module.name so that each call appends its arguments."""
     calls = []
@@ -860,13 +956,13 @@ def test_oracle_match_budget_inconclusive_on_fallback():
     ["smooth", "--p", "3,3,2"],
     ["smooth", "--p", "3,3,3"],
 ], ids=["charts-3,3,3", "smooth-3,3,2", "smooth-3,3,3"])
-def test_one_basis_run_per_chart(argv, monkeypatch):
-    # the chart's own basis, for the dimension; the Jacobian ideal's basis
-    # and the oracle's made two more per fibre chart and one more per
-    # total-space chart
+def test_no_basis_run_per_chart(argv, monkeypatch):
+    # the dimension comes from the chart's checked shape: the chart's own
+    # basis made one per chart, and the Jacobian ideal's basis and the
+    # oracle's two more per fibre chart and one more per total-space chart
     bases = _count_bases(monkeypatch)
     assert run_command(argv) == 0
-    assert len(bases) == len(all_chart_ids(ArmParams.parse(argv[2])))
+    assert bases == []
 
 
 def test_jacobian_generator_count_for_two_relations():
@@ -951,12 +1047,14 @@ def test_control_presentation_is_singular():
     assert not jacobian_ideal(Ideal(t, [parse_poly("x*y", t)])).contains_one()
 
 
-def test_certificate_budget_inconclusive():
+def test_certificate_reads_no_budget():
+    # a chart under a budget of no S-pair is certified all the same: the
+    # certificate builds no basis (its dimension made it inconclusive)
     gamma = random_gamma(P222, seed=53)
     chart = fibre_chart(gamma, ChartId(1, 1, 1), GroebnerBudget(max_spairs=0))
     cert = smoothness_certificate(chart, expected_dim=2)
-    assert cert.status == "inconclusive"
-    assert cert.one_in_jacobian is None
+    assert (cert.status, cert.one_in_jacobian, cert.dimension) == ("smooth", True, 2)
+    assert cert.witness == ("u2_1", "u3_1")
 
 
 def test_dimension_mismatch_is_not_smooth():
@@ -1104,6 +1202,32 @@ def test_quotient_nonzero_random_parameters():
         alphas = [Fraction(rng.randint(-10, 10)) for _ in range(n)]
         betas = [Fraction(rng.randint(-10, 10)) for _ in range(m - 1)]
         assert_quotient_pair(alphas, betas)
+
+
+def test_chart_dimension_check_every_degree():
+    assert all(chart_dimension_check(degree) for degree in range(16))
+    with pytest.raises(ValueError, match="at least 0"):
+        chart_dimension_check(-1)
+
+
+_AT = charts._at
+
+
+def _at_without_top(coeffs, s):
+    return _AT(coeffs[:-1], s)
+
+
+def _at_reversed(coeffs, s):
+    return _AT(coeffs[::-1], s)
+
+
+@pytest.mark.parametrize("misbuilt", [_at_without_top, _at_reversed])
+def test_chart_dimension_check_rejects_misbuilt_cycle_polynomials(monkeypatch, misbuilt):
+    # the Euler combination holds for any cycle polynomial, so only the
+    # leading-coefficient identity sees a dropped top coefficient, or a
+    # cycle polynomial read backwards
+    monkeypatch.setattr(charts, "_at", misbuilt)
+    assert not any(chart_dimension_check(degree) for degree in range(1, 5))
 
 
 def test_quotient_nonzero_check_every_degree():

@@ -59,6 +59,22 @@ def test_smooth_total_space(tmp_path):
     assert all(item["certificate"]["dimension"] == 7 for item in report["items"])
 
 
+def test_charts_under_a_zero_pair_cap_report_every_dimension(tmp_path):
+    # the certificate reads no budget: with no S-pair allowed, every chart
+    # still reads smooth of dimension 2 with the witness (u_a, u_b), where
+    # the chart's own basis made each certificate null and the run exit 2;
+    # the oracle matches every chart by its generators
+    code, report = _run(tmp_path, "charts", "--p", "3,3,3", "--gamma", "random:1",
+                        "--spair-cap", "0")
+    assert (code, report["status"]) == (0, "ok")
+    assert len(report["items"]) == 27
+    for item in report["items"]:
+        d_a, u_a, d_b, u_b = item["variables"]
+        assert item["certificate"] == {"one_in_jacobian": True, "dimension": 2,
+                                       "status": "smooth", "witness": [u_a, u_b]}
+        assert item["oracle_match"] is True
+
+
 def test_cover_report(tmp_path):
     code, report = _run(tmp_path, "cover", "--p", "2,2,2")
     assert code == 0
@@ -403,10 +419,11 @@ def test_props_suites(tmp_path):
     assert code == 0
     assert all(s["ok"] for s in report["suites"].values())
     suites = report["suites"]
-    assert set(suites) == {"euler_identity", "quotient_nonzero", "cycles_invariant",
-                           "pi_symbolic"}
+    assert set(suites) == {"euler_identity", "quotient_nonzero", "chart_dimension",
+                           "cycles_invariant", "pi_symbolic"}
     assert suites["euler_identity"] == {"ok": True, "degree": 4}
     assert suites["quotient_nonzero"] == {"ok": True, "degree": 4}
+    assert suites["chart_dimension"] == {"ok": True, "degree": 4}
     # the three crossing cycles and the six 2-cycles
     assert suites["cycles_invariant"] == {"ok": True, "checked": 9}
 
@@ -418,6 +435,7 @@ def test_props_euler_degree_follows_the_longest_arm(tmp_path, p, degree, checked
     assert code == 0
     assert report["suites"]["euler_identity"] == {"ok": True, "degree": degree}
     assert report["suites"]["quotient_nonzero"] == {"ok": True, "degree": degree}
+    assert report["suites"]["chart_dimension"] == {"ok": True, "degree": degree}
     assert report["suites"]["cycles_invariant"] == {"ok": True, "checked": checked}
 
 
@@ -428,6 +446,7 @@ def test_props_fails_under_a_perturbed_derivative(tmp_path, monkeypatch):
     assert code == 1
     assert report["status"] == "fail"
     assert report["suites"]["euler_identity"] == {"ok": False, "degree": 4}
+    assert report["suites"]["chart_dimension"] == {"ok": False, "degree": 4}
 
 
 def test_props_fails_on_a_reversed_u_arrow(tmp_path, monkeypatch):
@@ -578,7 +597,7 @@ def test_failed_check_exits_one(monkeypatch):
 CAPS = {"spair_cap", "deg_cap", "time_cap"}
 CONFIG_KEYS = {
     "charts": {"p", "field", "budgets", "gamma"},
-    "smooth": {"p", "field", "budgets"},
+    "smooth": {"p", "field"},
     "cover": {"p"},
     "fibre": {"p", "field", "gamma"},
     "pi": {"p", "point"},
@@ -633,6 +652,9 @@ def test_config_echoes_exactly_the_declared_flags(tmp_path):
     ["props", "--time-cap", "1"],
     ["props", "--seed", "1"],
     ["props", "--nonunit-samples", "5"],
+    ["smooth", "--spair-cap", "0"],
+    ["smooth", "--deg-cap", "0"],
+    ["smooth", "--time-cap", "1"],
 ])
 def test_removed_flags_are_usage_errors(argv):
     assert run_command(argv) == 3
@@ -708,7 +730,7 @@ _CYCLE_RUNS = [
     (["kernel", "--p", "2,2,2"], 0, None),
     (["cover", "--p", "2,2,2"], 0, None),
     (["kernel", "--p", "2,2,2"], 1, _refute_kernel),
-    (["charts", "--p", "3,3,3", "--gamma", "random:1", "--spair-cap", "0"], 2, None),
+    (["kernel", "--p", "2,2,2", "--spair-cap", "0"], 2, None),
     (["charts", "--p", "1,2,2"], 3, None),
 ]
 

@@ -12,9 +12,10 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from starquiver.groebner import Ideal, eliminate
+from starquiver.groebner import Ideal
 from starquiver.poly import GREVLEX, LEX, Poly, QQ, VarTable
 
+from kernel_oracle import eliminate
 from test_groebner import leading_term
 
 NAMES = ("x", "y", "z")

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from kernel_oracle import eliminate
 from reduce_oracle import reduce_full
 from starquiver import groebner
 from starquiver.groebner import (
@@ -14,7 +15,6 @@ from starquiver.groebner import (
     GroebnerBudget,
     Ideal,
     Inconclusive,
-    eliminate,
     ideals_equal,
     krull_dimension,
     read_ideal_text,

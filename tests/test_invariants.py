@@ -13,7 +13,6 @@ from starquiver.groebner import (
     GroebnerBudget,
     Ideal,
     Inconclusive,
-    eliminate,
     ideals_equal,
 )
 from starquiver.invariants import (
@@ -36,7 +35,7 @@ from starquiver.poly import Poly, PrimeField, QQ, VarTable, parse_field, parse_p
 from starquiver.quiver import ArmParams, StarQuiver, build_star_quiver
 from starquiver.reconstruction import canonical_relation, in_delta, zero_gamma
 
-from kernel_oracle import graph_ideal, kernel_ideal
+from kernel_oracle import eliminate, graph_ideal, kernel_ideal
 from test_quiver import is_weight_zero
 
 P222 = ArmParams(2, 2, 2)
